@@ -23,7 +23,6 @@ from .certify import (
     estimate_lambda,
     fidelity_exact,
     fidelity_lower_bound,
-    fidelity_uniform_closed_form,
     matched_moments,
 )
 from .channel import (
@@ -50,6 +49,7 @@ from .errors import (
     ConfigError,
     DegenerateReferenceError,
     DimensionMismatchError,
+    FormatError,
     InvalidDimensionError,
     NormalizationError,
     TagConflictError,
@@ -61,7 +61,6 @@ from .measure import (
     THETA_GRID,
     CountTable,
     PhaseStepRecord,
-    coincidence_prob,
     load_count_table,
     measure_correlations,
     phase_step_scan_e,
@@ -72,8 +71,6 @@ from .measure import (
     zeta_correct,
 )
 from .numerics import (
-    DEFAULT_TOLERANCES,
-    ToleranceConfig,
     condition_number,
     dag,
     dist_up_to_scalar,
@@ -111,7 +108,6 @@ from .tomo import (
 from .unscramble import (
     UnscrambleOperators,
     VOperator,
-    alice_kets,
     build_v,
     build_w,
     measure_recovered,

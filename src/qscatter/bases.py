@@ -29,7 +29,7 @@ from .errors import (
     NormalizationError,
     UnsupportedDimensionError,
 )
-from .numerics import ComplexMatrix, DEFAULT_TOLERANCES
+from .numerics import PROB_TOL, ComplexMatrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,19 +108,18 @@ def mub(d: int, r: int) -> BasisFamily:
     matrix = _phase_table(d, r) / np.sqrt(d)
     fam = BasisFamily(dim=d, kind=f"mub:{r}", matrix=matrix,
                       per_vector_norm=np.ones(d))
-    if not numerics.is_unitary(fam.matrix, DEFAULT_TOLERANCES.unitarity_tol):
+    if not numerics.is_unitary(fam.matrix):
         raise NormalizationError(f"mub({d},{r}) failed its unitarity check")
     return fam
 
 
-def check_lambdas(lambdas, d: int,
-                  tol: float = DEFAULT_TOLERANCES.prob_tol) -> np.ndarray:
+def check_lambdas(lambdas, d: int) -> np.ndarray:
     lam = np.asarray(lambdas, dtype=np.float64)
     if lam.shape != (d,):
         raise DimensionMismatchError(f"need {d} Schmidt weights, got shape {lam.shape}")
     if np.any(lam < 0) or not np.all(np.isfinite(lam)):
         raise NormalizationError("Schmidt weights must be finite and nonnegative")
-    if abs(float(np.sum(lam * lam)) - 1.0) > tol:
+    if abs(float(np.sum(lam * lam)) - 1.0) > PROB_TOL:
         raise NormalizationError(
             f"Schmidt weights must satisfy sum(lambda^2)=1, got {float(np.sum(lam*lam))}")
     return lam

@@ -212,23 +212,6 @@ def fidelity_exact(standard_table: CountTable,
     return s * s / d ** 2 * q_total - _cross_measured(probs, target)
 
 
-def fidelity_uniform_closed_form(standard_table: CountTable,
-                                 family_tables: Sequence[CountTable]) -> float:
-    """Shortcut for uniform targets: (sum of all diagonals - 1) / d.
-
-    The sum runs over the standard table and all d unbiased families, each
-    normalized. Agrees with fidelity_exact on a uniform target; kept as an
-    independent path for cross-checks.
-    """
-    d = standard_table.counts.shape[0]
-    if len(family_tables) != d:
-        raise NormalizationError(f"need all {d} rotated families")
-    total = float(np.sum(np.diagonal(standard_table.normalized())))
-    for table in family_tables:
-        total += float(np.sum(np.diagonal(_normalized(table, d))))
-    return (total - 1.0) / d
-
-
 def _resample(table: CountTable, rng: np.random.Generator) -> CountTable:
     """Poisson bootstrap of one table, honoring any row correction."""
     if table.row_scale is None:

@@ -27,7 +27,7 @@ from .errors import (
     InvalidDimensionError,
     NormalizationError,
 )
-from .numerics import ComplexMatrix, ToleranceConfig, DEFAULT_TOLERANCES
+from .numerics import ComplexMatrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,7 +82,7 @@ class ChannelModel:
         if u.shape != (n, n):
             raise DimensionMismatchError(
                 f"unitary shape {u.shape} does not match {n} modes")
-        if not numerics.is_unitary(u, DEFAULT_TOLERANCES.unitarity_tol):
+        if not numerics.is_unitary(u):
             raise NormalizationError("channel matrix is not unitary within tolerance")
         object.__setattr__(self, "unitary", numerics.frozen(u))
 
@@ -154,8 +154,8 @@ def choi_state(t: EffectiveT) -> states.BipartiteState:
     return states.make_state(coeffs, physical=True)
 
 
-def transmitted_state(channel: ChannelModel, reference_amplitude: float = 0.0,
-                      cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> states.BipartiteState:
+def transmitted_state(channel: ChannelModel,
+                      reference_amplitude: float = 0.0) -> states.BipartiteState:
     """Post-medium two-photon state on the monitored modes.
 
     With reference_amplitude == 0 the source is |Phi+> on the d logical
@@ -173,7 +173,7 @@ def transmitted_state(channel: ChannelModel, reference_amplitude: float = 0.0,
     weights[0] = reference_amplitude
     source = states.weighted_source(weights)
     out = states.apply_one_sided(source, None, t.matrix)
-    return states.make_state(out.coeffs, physical=True, cfg=cfg)
+    return states.make_state(out.coeffs, physical=True)
 
 
 def drop_reference(state: states.BipartiteState) -> states.BipartiteState:
@@ -213,7 +213,7 @@ def compose_two_channels(u_a: ComplexMatrix, u_b: ComplexMatrix) -> EffectiveT:
     if a.shape != b.shape or a.shape[0] != a.shape[1]:
         raise DimensionMismatchError("need two square matrices of equal size")
     for name, u in (("A", a), ("B", b)):
-        if not numerics.is_unitary(u, DEFAULT_TOLERANCES.unitarity_tol):
+        if not numerics.is_unitary(u):
             raise NormalizationError(f"side-{name} matrix is not unitary")
     return EffectiveT(dim=a.shape[0], matrix=b @ a.T)
 

@@ -11,7 +11,12 @@ Subcommands map to the stages of a scattering-channel experiment:
 All randomness flows from one root seed through named sub-streams (channel
 draws, each sampling stage, Monte-Carlo resampling), so any artifact can be
 reproduced in isolation. Reports are canonical JSON: same config and seed
-give byte-identical output.
+give byte-identical output. A report's tables block names each table's CSV
+file and its SHA-256 rather than repeating the counts.
+
+Every scenario, and `simulate`, is a short sequence of shared stages: draw
+the medium, scan it, reconstruct its transmission matrix, build the
+correction, measure the coincidence tables, certify.
 
 Exposure policy: the exposure setting is the Poisson mean of the brightest
 cell in each acquisition ("integrate until the peak cell has collected that
@@ -24,11 +29,12 @@ throughout, so noiseless mode (exposure = inf) is exact.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -46,7 +52,7 @@ _STREAM_CHANNEL = 1
 _SCENARIOS = ("baseline", "scramble", "tomography", "unscramble-certify",
               "two-channel", "fixture-a1")
 
-REPORT_SCHEMA = "report_v1"
+REPORT_SCHEMA = "report_v2"
 
 
 @dataclass(frozen=True)
@@ -115,11 +121,6 @@ def config_from_dict(data: Dict[str, object]) -> ScenarioConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def _canonical_json(obj) -> str:
-    return json.dumps(_sanitize(obj), sort_keys=True, indent=2,
-                      allow_nan=False) + "\n"
-
-
 def _sanitize(obj):
     """Make reports JSON-safe: numpy scalars/arrays to plain Python."""
     if isinstance(obj, dict):
@@ -140,57 +141,56 @@ def _sanitize(obj):
     return obj
 
 
-def _write(path: str, text: str) -> None:
+def _write_json(path: str, obj) -> None:
+    """Write canonical JSON: sorted keys, fixed indentation, full precision."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(text)
-
-
-def _table_payload(table: measure.CountTable) -> Dict[str, object]:
-    payload: Dict[str, object] = {
-        "basis_a": table.basis_label_a,
-        "basis_b": table.basis_label_b,
-        "exposure": "inf" if table.noiseless else table.exposure,
-        "seed": table.seed,
-        "counts": table.counts,
-    }
-    if table.row_scale is not None:
-        payload["row_scale"] = table.row_scale
-    return payload
+        fh.write(json.dumps(_sanitize(obj), sort_keys=True, indent=2,
+                            allow_nan=False) + "\n")
 
 
 def emit_report(report: Dict[str, object], out_dir: str) -> str:
     path = os.path.join(out_dir, "report.json")
-    _write(path, _canonical_json(report))
+    _write_json(path, report)
     return path
 
 
-def _report_skeleton(cfg: ScenarioConfig) -> Dict[str, object]:
-    return {
-        "schema": REPORT_SCHEMA,
-        "scenario": cfg.scenario,
-        "config": config_to_dict(cfg),
-        "results": {},
-        "tables": {},
-    }
+def _report(scenario: str, results: Dict[str, object],
+            table_paths: Dict[str, str], out_dir: str) -> Dict[str, object]:
+    """Report skeleton whose tables block points at each table's CSV file.
+
+    Each label maps to the file's path, relative to out_dir where the
+    report is written, and the SHA-256 of its bytes.
+    """
+    tables = {}
+    for label, path in table_paths.items():
+        with open(path, "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()
+        tables[label] = {"path": os.path.relpath(path, out_dir).replace(os.sep, "/"),
+                         "sha256": digest}
+    return {"schema": REPORT_SCHEMA, "scenario": scenario, "results": results,
+            "tables": tables}
 
 
-def _certification_results(rep: certify.CertificationReport) -> Dict[str, object]:
-    return {
-        "fidelity": rep.fidelity,
-        "fidelity_sigma": rep.fidelity_sigma,
-        "n_mc": rep.n_mc,
-        "method": rep.method,
-        "bounds": list(rep.bounds),
-        "d_ent": rep.d_ent,
-        "robust_3sigma": rep.robust_3sigma,
-        "entangled": rep.entangled,
-        "target_lambda": rep.target.lambdas,
-    }
+def _save_tables(directory: str, tables: Sequence[measure.CountTable],
+                 names: Optional[Sequence[str]] = None) -> Dict[str, str]:
+    """Write each table to <directory>/<name>.csv and map its label to the path.
+
+    A table's name defaults to its label with ':' replaced by '_'.
+    """
+    if names is None:
+        names = [t.basis_label_a.replace(":", "_") for t in tables]
+    paths = {}
+    for table, name in zip(tables, names):
+        path = os.path.join(directory, name + ".csv")
+        measure.save_count_table(path, table)
+        paths[table.basis_label_a] = path
+    return paths
 
 
 # ---------------------------------------------------------------------------
-# Peak-cell exposure scaling
+# Pipeline stages: medium -> scans -> reconstruction -> correction -> tables
+# -> certification. Scenarios and subcommands are short sequences of these.
 # ---------------------------------------------------------------------------
 
 
@@ -204,59 +204,33 @@ def _peak_scale(exposure: float, probs: Sequence[np.ndarray]) -> float:
     return exposure / peak
 
 
-def _scan_probe(state: states.BipartiteState, family: bases.BasisFamily,
-                which: str) -> List[np.ndarray]:
-    """Noiseless per-step probability tables of a scan (for peak scaling)."""
-    if which == "s":
-        records = measure.phase_step_scan_s(state, family, measure.NOISELESS)
-    else:
-        records = measure.phase_step_scan_e(state, family, measure.NOISELESS)
-    return [rec.table.counts for rec in records]
+def _draw_channel(cfg: ScenarioConfig, out_dir: str) -> channel.ChannelModel:
+    """Draw the medium from the channel sub-stream and save it."""
+    ch = channel.haar_channel(cfg.d, cfg.n_modes,
+                              numerics.substream(cfg.seed, _STREAM_CHANNEL))
+    channel.save_channel(os.path.join(out_dir, "channel"), ch)
+    return ch
 
 
-def _run_scans(state: states.BipartiteState, family: bases.BasisFamily,
-               cfg: ScenarioConfig) -> Tuple[List[measure.PhaseStepRecord],
-                                             List[measure.PhaseStepRecord]]:
-    exp_s = _peak_scale(cfg.exposure, _scan_probe(state, family, "s"))
-    exp_e = _peak_scale(cfg.exposure, _scan_probe(state, family, "e"))
-    s_rec = measure.phase_step_scan_s(state, family, exp_s, cfg.seed, cfg.dark_rate)
-    e_rec = measure.phase_step_scan_e(state, family, exp_e, cfg.seed, cfg.dark_rate)
-    return s_rec, e_rec
+def _scan(cfg: ScenarioConfig, ch: channel.ChannelModel, out_dir: str):
+    """Run the S and E phase-step scans through the medium, reference lit.
 
-
-def _measure_family_peak(state: states.BipartiteState, family: bases.BasisFamily,
-                         cfg: ScenarioConfig) -> measure.CountTable:
-    probs = measure.probability_table(state, family.matrix,
-                                      np.conjugate(family.matrix))
-    exp = _peak_scale(cfg.exposure, [probs])
-    return measure.measure_correlations(state, family, exp, cfg.seed, cfg.dark_rate)
-
-
-def _measure_recovered_peak(state: states.BipartiteState,
-                            ops: unscramble.UnscrambleOperators, which,
-                            cfg: ScenarioConfig,
-                            lambdas=None) -> measure.CountTable:
-    probs = unscramble.recovered_probs(state, ops, which, lambdas, corrected=False)
-    exp = _peak_scale(cfg.exposure, [probs])
-    return unscramble.measure_recovered(state, ops, which, exp, cfg.seed,
-                                        lambdas, cfg.dark_rate)
-
-
-# ---------------------------------------------------------------------------
-# Scenario implementations
-# ---------------------------------------------------------------------------
-
-
-def _save_scan_bundle(out_dir: str, s_rec, e_rec, family: bases.BasisFamily,
-                      cfg: ScenarioConfig) -> None:
+    Each scan is one acquisition: a single exposure factor is shared by its
+    four steps. Saves the scan bundle and returns the scanned state, both
+    record lists and the scan family.
+    """
+    family = bases.parse_basis_spec(cfg.scan_family, cfg.d)
+    full = channel.transmitted_state(ch, cfg.reference_amplitude)
+    scans = []
+    for scan in (measure.phase_step_scan_s, measure.phase_step_scan_e):
+        probe = [rec.table.counts for rec in scan(full, family, measure.NOISELESS)]
+        scans.append(scan(full, family, _peak_scale(cfg.exposure, probe),
+                          cfg.seed, cfg.dark_rate))
+    s_rec, e_rec = scans
     scan_dir = os.path.join(out_dir, "scans")
-    os.makedirs(scan_dir, exist_ok=True)
-    for rec in s_rec:
-        measure.save_count_table(os.path.join(scan_dir, f"s_step{rec.step}.csv"),
-                                 rec.table)
-    for rec in e_rec:
-        measure.save_count_table(os.path.join(scan_dir, f"e_step{rec.step}.csv"),
-                                 rec.table)
+    _save_tables(scan_dir, [rec.table for rec in s_rec + e_rec],
+                 [f"s_step{rec.step}" for rec in s_rec]
+                 + [f"e_step{rec.step}" for rec in e_rec])
     meta = {
         "family": family.kind,
         "d": family.dim,
@@ -264,7 +238,8 @@ def _save_scan_bundle(out_dir: str, s_rec, e_rec, family: bases.BasisFamily,
         "exposure": "inf" if math.isinf(cfg.exposure) else cfg.exposure,
         "seed": cfg.seed,
     }
-    _write(os.path.join(scan_dir, "meta.json"), _canonical_json(meta))
+    _write_json(os.path.join(scan_dir, "meta.json"), meta)
+    return full, s_rec, e_rec, family
 
 
 def _load_scan_bundle(scan_dir: str):
@@ -285,16 +260,29 @@ def _load_scan_bundle(scan_dir: str):
     return s_rec, e_rec, family
 
 
-def _save_t_hat(out_dir: str, t: channel.EffectiveT,
-                extra: Dict[str, object]) -> None:
+def _save_t_hat(out_dir: str, recon: tomo.Reconstruction) -> None:
+    t = recon.t
     numerics.save_matrix_csv(os.path.join(out_dir, "t_hat.csv"), t.matrix)
     meta = {
         "dim": t.dim,
         "includes_reference": t.includes_reference,
         "basis_tag": None if t.basis_tag is None else t.basis_tag.kind,
+        "e_ratio": recon.e_ratio,
+        "condition_number": recon.condition_number,
     }
-    meta.update(extra)
-    _write(os.path.join(out_dir, "t_hat.json"), _canonical_json(meta))
+    _write_json(os.path.join(out_dir, "t_hat.json"), meta)
+
+
+def _scan_and_reconstruct(cfg: ScenarioConfig, ch: channel.ChannelModel,
+                          out_dir: str):
+    """Scan the medium, then reconstruct and save its transmission matrix.
+
+    Returns the scanned state and the reconstruction.
+    """
+    full, s_rec, e_rec, family = _scan(cfg, ch, out_dir)
+    recon = tomo.reconstruct(s_rec, e_rec, family=family)
+    _save_t_hat(out_dir, recon)
+    return full, recon
 
 
 def _load_t_hat(path: str) -> channel.EffectiveT:
@@ -316,173 +304,11 @@ def _load_t_hat(path: str) -> channel.EffectiveT:
     return t
 
 
-def _scenario_baseline(cfg: ScenarioConfig, out_dir: str) -> Dict[str, object]:
-    report = _report_skeleton(cfg)
-    state = states.max_entangled(cfg.d)
-    std = _measure_family_peak(state, bases.standard_family(cfg.d), cfg)
-    fams = [_measure_family_peak(state, bases.mub(cfg.d, r), cfg)
-            for r in range(cfg.d)]
-    rep = certify.certify(std, fams, target=certify.TargetState.uniform(cfg.d),
-                          n_mc=cfg.n_mc, seed=cfg.seed)
-    report["results"] = _certification_results(rep)
-    for table in [std, *fams]:
-        report["tables"][table.basis_label_a] = _table_payload(table)
-        measure.save_count_table(
-            os.path.join(out_dir, "tables",
-                         table.basis_label_a.replace(":", "_") + ".csv"), table)
-    return report
-
-
-def _scenario_scramble(cfg: ScenarioConfig, out_dir: str) -> Dict[str, object]:
-    report = _report_skeleton(cfg)
-    ch = channel.haar_channel(cfg.d, cfg.n_modes,
-                              numerics.substream(cfg.seed, _STREAM_CHANNEL))
-    channel.save_channel(os.path.join(out_dir, "channel"), ch)
-    state = channel.transmitted_state(ch)
-    std = _measure_family_peak(state, bases.standard_family(cfg.d), cfg)
-    fams = [_measure_family_peak(state, bases.mub(cfg.d, r), cfg)
-            for r in range(cfg.d)]
-    rep = certify.certify(std, fams, target=certify.TargetState.uniform(cfg.d),
-                          n_mc=cfg.n_mc, seed=cfg.seed)
-    report["results"] = _certification_results(rep)
-    report["results"]["certified"] = rep.d_ent >= 2
-    for table in [std, *fams]:
-        report["tables"][table.basis_label_a] = _table_payload(table)
-        measure.save_count_table(
-            os.path.join(out_dir, "tables",
-                         table.basis_label_a.replace(":", "_") + ".csv"), table)
-    return report
-
-
-def _scenario_tomography(cfg: ScenarioConfig, out_dir: str) -> Dict[str, object]:
-    report = _report_skeleton(cfg)
-    ch = channel.haar_channel(cfg.d, cfg.n_modes,
-                              numerics.substream(cfg.seed, _STREAM_CHANNEL))
-    channel.save_channel(os.path.join(out_dir, "channel"), ch)
-    family = bases.parse_basis_spec(cfg.scan_family, cfg.d)
-    full = channel.transmitted_state(ch, cfg.reference_amplitude)
-    s_rec, e_rec = _run_scans(full, family, cfg)
-    _save_scan_bundle(out_dir, s_rec, e_rec, family, cfg)
-    recon = tomo.reconstruct(s_rec, e_rec, family=family)
-    oracle = bases.rotate_matrix(channel.effective_t(ch).matrix, family)
-    err = numerics.dist_up_to_scalar(recon.t.matrix, oracle)
-    _save_t_hat(out_dir, recon.t,
-                {"e_ratio": recon.e_ratio,
-                 "condition_number": recon.condition_number})
-    report["results"] = {
-        "reconstruction_error": err,
-        "e_ratio": recon.e_ratio,
-        "condition_number": recon.condition_number,
-        "basis_tag": family.kind,
-    }
-    return report
-
-
-def _scenario_unscramble_certify(cfg: ScenarioConfig,
-                                 out_dir: str) -> Dict[str, object]:
-    report = _report_skeleton(cfg)
-    ch = channel.haar_channel(cfg.d, cfg.n_modes,
-                              numerics.substream(cfg.seed, _STREAM_CHANNEL))
-    channel.save_channel(os.path.join(out_dir, "channel"), ch)
-    family = bases.parse_basis_spec(cfg.scan_family, cfg.d)
-    full = channel.transmitted_state(ch, cfg.reference_amplitude)
-    s_rec, e_rec = _run_scans(full, family, cfg)
-    _save_scan_bundle(out_dir, s_rec, e_rec, family, cfg)
-    recon = tomo.reconstruct(s_rec, e_rec, family=family)
-    _save_t_hat(out_dir, recon.t,
-                {"e_ratio": recon.e_ratio,
-                 "condition_number": recon.condition_number})
-
-    ops = unscramble.build_w(recon.t)
-    _save_unscramble_ops(out_dir, ops)
-    pix = channel.drop_reference(full)
-    std = _measure_recovered_peak(pix, ops, "standard", cfg)
-    target = certify.estimate_lambda(std)
-    fams = [_measure_recovered_peak(pix, ops, r, cfg, target.lambdas)
-            for r in range(cfg.d)]
-    rep = certify.certify(std, fams, target=target, n_mc=cfg.n_mc, seed=cfg.seed)
-    report["results"] = _certification_results(rep)
-    report["results"]["reconstruction"] = {
-        "e_ratio": recon.e_ratio,
-        "condition_number": recon.condition_number,
-    }
-    report["results"]["eta"] = ops.eta
-    for table in [std, *fams]:
-        report["tables"][table.basis_label_a] = _table_payload(table)
-        measure.save_count_table(
-            os.path.join(out_dir, "tables",
-                         table.basis_label_a.replace(":", "_") + ".csv"), table)
-    return report
-
-
-def _scenario_two_channel(cfg: ScenarioConfig, out_dir: str) -> Dict[str, object]:
-    report = _report_skeleton(cfg)
-    u_a = numerics.haar_unitary(cfg.d, numerics.substream(cfg.seed, _STREAM_CHANNEL, 0))
-    u_b = numerics.haar_unitary(cfg.d, numerics.substream(cfg.seed, _STREAM_CHANNEL, 1))
-    numerics.save_matrix_csv(os.path.join(out_dir, "u_alice.csv"), u_a)
-    numerics.save_matrix_csv(os.path.join(out_dir, "u_bob.csv"), u_b)
-    phi = states.max_entangled(cfg.d)
-    two_sided = states.apply_one_sided(phi, u_a, u_b)
-    combined = channel.compose_two_channels(u_a, u_b)
-    one_sided = states.apply_one_sided(phi, None, combined.matrix)
-    residual = float(np.max(np.abs(two_sided.coeffs - one_sided.coeffs)))
-
-    ops = unscramble.build_w(combined)
-    _save_unscramble_ops(out_dir, ops)
-    std = _measure_recovered_peak(two_sided, ops, "standard", cfg)
-    target = certify.estimate_lambda(std)
-    fams = [_measure_recovered_peak(two_sided, ops, r, cfg, target.lambdas)
-            for r in range(cfg.d)]
-    rep = certify.certify(std, fams, target=target, n_mc=cfg.n_mc, seed=cfg.seed)
-    report["results"] = _certification_results(rep)
-    report["results"]["equivalence_residual"] = residual
-    for table in [std, *fams]:
-        report["tables"][table.basis_label_a] = _table_payload(table)
-        measure.save_count_table(
-            os.path.join(out_dir, "tables",
-                         table.basis_label_a.replace(":", "_") + ".csv"), table)
-    return report
-
-
-def _scenario_fixture_a1(cfg: ScenarioConfig, out_dir: str) -> Dict[str, object]:
-    if cfg.d != 7:
-        raise ConfigError("the shipped fixture is 7-dimensional; use d=7")
-    report = _report_skeleton(cfg)
-    t_meas = channel.load_fixture_tm0()
-    lam_fix = channel.load_fixture_lambda()
-    target = certify.TargetState(dim=7, lambdas=lam_fix)
-
-    ops = unscramble.build_w(t_meas)
-    _save_unscramble_ops(out_dir, ops)
-    t_std = bases.rotate_matrix(t_meas.matrix, t_meas.basis_tag, inverse=True)
-    state = channel.choi_state(channel.EffectiveT(dim=7, matrix=t_std))
-
-    std = unscramble.measure_recovered(state, ops, "standard", measure.NOISELESS)
-    fams = [unscramble.measure_recovered(state, ops, r, measure.NOISELESS,
-                                         lambdas=lam_fix)
-            for r in range(7)]
-    rep = certify.certify(std, fams, target=target, n_mc=0)
-    dominant = []
-    for table in fams:
-        probs = table.normalized()
-        dominant.append(bool(np.all(
-            np.diag(probs) >= np.max(probs - np.diag(np.diag(probs)), axis=1))))
-    report["results"] = _certification_results(rep)
-    report["results"]["b5"] = rep.bounds[4]
-    report["results"]["lambda_fixture"] = lam_fix
-    report["results"]["lambda_recovered"] = certify.estimate_lambda(std).lambdas
-    report["results"]["tilted_diagonal_dominant"] = dominant
-    for table in [std, *fams]:
-        report["tables"][table.basis_label_a] = _table_payload(table)
-        measure.save_count_table(
-            os.path.join(out_dir, "tables",
-                         table.basis_label_a.replace(":", "_") + ".csv"), table)
-    return report
-
-
-def _save_unscramble_ops(out_dir: str, ops: unscramble.UnscrambleOperators) -> None:
+def _build_ops(t: channel.EffectiveT,
+               out_dir: str) -> unscramble.UnscrambleOperators:
+    """Invert a transmission matrix into the correction and save it."""
+    ops = unscramble.build_w(t)
     u_dir = os.path.join(out_dir, "unscramble")
-    os.makedirs(u_dir, exist_ok=True)
     numerics.save_matrix_csv(os.path.join(u_dir, "w_alice.csv"), ops.normalized_w)
     numerics.save_matrix_csv(os.path.join(u_dir, "m_bob.csv"), ops.m_bob)
     meta = {
@@ -491,12 +317,157 @@ def _save_unscramble_ops(out_dir: str, ops: unscramble.UnscrambleOperators) -> N
         "eta": ops.eta,
         "condition_number": ops.condition_number,
     }
-    _write(os.path.join(u_dir, "meta.json"), _canonical_json(meta))
+    _write_json(os.path.join(u_dir, "meta.json"), meta)
+    return ops
+
+
+def _peak_table(cfg: ScenarioConfig, state: states.BipartiteState,
+                family: bases.BasisFamily) -> measure.CountTable:
+    """One table of `state`, Alice in `family` and Bob in its conjugate."""
+    probs = measure.probability_table(state, family.matrix,
+                                      np.conjugate(family.matrix))
+    return measure.measure_correlations(state, family,
+                                        _peak_scale(cfg.exposure, [probs]),
+                                        cfg.seed, cfg.dark_rate)
+
+
+def _measure_tables(cfg: ScenarioConfig, state: states.BipartiteState,
+                    ops: Optional[unscramble.UnscrambleOperators] = None,
+                    target: Optional[certify.TargetState] = None
+                    ) -> Tuple[List[measure.CountTable], certify.TargetState]:
+    """The standard table and the d rotated-family tables, each its own
+    acquisition at peak exposure; returns them, standard first, and the
+    certification target.
+
+    Without ops the state is measured directly in the standard and unbiased
+    families against the uniform target. With ops the measurements go
+    through the correction and the rotated probes are tilted to `target`,
+    by default the spectrum nominated from the standard table.
+    """
+    if ops is None:
+        families = [bases.standard_family(cfg.d)] + [bases.mub(cfg.d, r)
+                                                    for r in range(cfg.d)]
+        return ([_peak_table(cfg, state, f) for f in families],
+                certify.TargetState.uniform(cfg.d))
+
+    def recovered(which, lambdas=None) -> measure.CountTable:
+        probs = unscramble.recovered_probs(state, ops, which, lambdas, corrected=False)
+        return unscramble.measure_recovered(state, ops, which,
+                                            _peak_scale(cfg.exposure, [probs]),
+                                            cfg.seed, lambdas, cfg.dark_rate)
+
+    std = recovered("standard")
+    if target is None:
+        target = certify.estimate_lambda(std)
+    return [std] + [recovered(r, target.lambdas) for r in range(cfg.d)], target
+
+
+def _certify(tables: Sequence[measure.CountTable],
+             target: Optional[certify.TargetState], n_mc: int,
+             seed: int) -> Tuple[certify.CertificationReport, Dict[str, object]]:
+    """Certify a standard table (first) and rotated-family tables; returns
+    the certification and its results block."""
+    rep = certify.certify(tables[0], tables[1:], target=target, n_mc=n_mc, seed=seed)
+    return rep, {
+        "fidelity": rep.fidelity,
+        "fidelity_sigma": rep.fidelity_sigma,
+        "n_mc": rep.n_mc,
+        "method": rep.method,
+        "bounds": list(rep.bounds),
+        "d_ent": rep.d_ent,
+        "robust_3sigma": rep.robust_3sigma,
+        "entangled": rep.entangled,
+        "target_lambda": rep.target.lambdas,
+    }
+
+
+# ---------------------------------------------------------------------------
+# Scenarios: each returns its results block and the tables to save
+# ---------------------------------------------------------------------------
+
+
+def _scenario_direct(cfg: ScenarioConfig, out_dir: str):
+    """baseline measures the source state itself; scramble measures it
+    after a medium, with no correction."""
+    if cfg.scenario == "baseline":
+        state = states.max_entangled(cfg.d)
+    else:
+        state = channel.transmitted_state(_draw_channel(cfg, out_dir))
+    tables, target = _measure_tables(cfg, state)
+    rep, results = _certify(tables, target, cfg.n_mc, cfg.seed)
+    if cfg.scenario == "scramble":
+        results["certified"] = rep.entangled
+    return results, tables
+
+
+def _scenario_tomography(cfg: ScenarioConfig, out_dir: str):
+    ch = _draw_channel(cfg, out_dir)
+    _, recon = _scan_and_reconstruct(cfg, ch, out_dir)
+    family = recon.t.basis_tag
+    oracle = bases.rotate_matrix(channel.effective_t(ch).matrix, family)
+    return {
+        "reconstruction_error": numerics.dist_up_to_scalar(recon.t.matrix, oracle),
+        "e_ratio": recon.e_ratio,
+        "condition_number": recon.condition_number,
+        "basis_tag": family.kind,
+    }, []
+
+
+def _scenario_unscramble_certify(cfg: ScenarioConfig, out_dir: str):
+    full, recon = _scan_and_reconstruct(cfg, _draw_channel(cfg, out_dir), out_dir)
+    ops = _build_ops(recon.t, out_dir)
+    tables, target = _measure_tables(cfg, channel.drop_reference(full), ops)
+    _, results = _certify(tables, target, cfg.n_mc, cfg.seed)
+    results["reconstruction"] = {
+        "e_ratio": recon.e_ratio,
+        "condition_number": recon.condition_number,
+    }
+    results["eta"] = ops.eta
+    return results, tables
+
+
+def _scenario_two_channel(cfg: ScenarioConfig, out_dir: str):
+    u_a, u_b = (numerics.haar_unitary(
+        cfg.d, numerics.substream(cfg.seed, _STREAM_CHANNEL, side)) for side in (0, 1))
+    numerics.save_matrix_csv(os.path.join(out_dir, "u_alice.csv"), u_a)
+    numerics.save_matrix_csv(os.path.join(out_dir, "u_bob.csv"), u_b)
+    phi = states.max_entangled(cfg.d)
+    two_sided = states.apply_one_sided(phi, u_a, u_b)
+    combined = channel.compose_two_channels(u_a, u_b)
+    one_sided = states.apply_one_sided(phi, None, combined.matrix)
+    tables, target = _measure_tables(cfg, two_sided, _build_ops(combined, out_dir))
+    _, results = _certify(tables, target, cfg.n_mc, cfg.seed)
+    results["equivalence_residual"] = float(
+        np.max(np.abs(two_sided.coeffs - one_sided.coeffs)))
+    return results, tables
+
+
+def _scenario_fixture_a1(cfg: ScenarioConfig, out_dir: str):
+    if cfg.d != 7:
+        raise ConfigError("the shipped fixture is 7-dimensional; use d=7")
+    t_meas = channel.load_fixture_tm0()
+    target = certify.TargetState(dim=7, lambdas=channel.load_fixture_lambda())
+    t_std = bases.rotate_matrix(t_meas.matrix, t_meas.basis_tag, inverse=True)
+    state = channel.choi_state(channel.EffectiveT(dim=7, matrix=t_std))
+    # The fixture is evaluated exactly, whatever exposure and dark rate are set.
+    exact = replace(cfg, exposure=measure.NOISELESS, dark_rate=0.0)
+    tables, _ = _measure_tables(exact, state, _build_ops(t_meas, out_dir), target)
+    rep, results = _certify(tables, target, 0, cfg.seed)
+    dominant = []
+    for table in tables[1:]:
+        probs = table.normalized()
+        dominant.append(bool(np.all(
+            np.diag(probs) >= np.max(probs - np.diag(np.diag(probs)), axis=1))))
+    results["b5"] = rep.bounds[4]
+    results["lambda_fixture"] = target.lambdas
+    results["lambda_recovered"] = certify.estimate_lambda(tables[0]).lambdas
+    results["tilted_diagonal_dominant"] = dominant
+    return results, tables
 
 
 _SCENARIO_RUNNERS = {
-    "baseline": _scenario_baseline,
-    "scramble": _scenario_scramble,
+    "baseline": _scenario_direct,
+    "scramble": _scenario_direct,
     "tomography": _scenario_tomography,
     "unscramble-certify": _scenario_unscramble_certify,
     "two-channel": _scenario_two_channel,
@@ -507,9 +478,11 @@ _SCENARIO_RUNNERS = {
 def run_scenario(cfg: ScenarioConfig, out_dir: str) -> Dict[str, object]:
     """Execute a scenario, writing artifacts and the final report."""
     os.makedirs(out_dir, exist_ok=True)
-    _write(os.path.join(out_dir, "config.json"),
-           _canonical_json(config_to_dict(cfg)))
-    report = _SCENARIO_RUNNERS[cfg.scenario](cfg, out_dir)
+    _write_json(os.path.join(out_dir, "config.json"), config_to_dict(cfg))
+    results, tables = _SCENARIO_RUNNERS[cfg.scenario](cfg, out_dir)
+    paths = _save_tables(os.path.join(out_dir, "tables"), tables)
+    report = _report(cfg.scenario, results, paths, out_dir)
+    report["config"] = config_to_dict(cfg)
     emit_report(report, out_dir)
     return report
 
@@ -573,24 +546,14 @@ def _parse_float(text: str, name: str) -> float:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args, "tomography")
-    out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
-    ch = channel.haar_channel(cfg.d, cfg.n_modes,
-                              numerics.substream(cfg.seed, _STREAM_CHANNEL))
-    channel.save_channel(os.path.join(out_dir, "channel"), ch)
-    family = bases.parse_basis_spec(cfg.scan_family, cfg.d)
-    full = channel.transmitted_state(ch, cfg.reference_amplitude)
-    s_rec, e_rec = _run_scans(full, family, cfg)
-    _save_scan_bundle(out_dir, s_rec, e_rec, family, cfg)
+    ch = _draw_channel(cfg, args.out)
+    _scan(cfg, ch, args.out)
     logical = channel.transmitted_state(ch)
-    table_specs = args.basis or ["standard"] + [f"mub:{r}" for r in range(cfg.d)]
-    for spec in table_specs:
-        fam = bases.parse_basis_spec(spec, cfg.d)
-        table = _measure_family_peak(logical, fam, cfg)
-        measure.save_count_table(
-            os.path.join(out_dir, "tables", spec.replace(":", "_") + ".csv"),
-            table)
-    print(f"wrote channel, scan bundle and {len(table_specs)} tables to {out_dir}")
+    specs = args.basis or ["standard"] + [f"mub:{r}" for r in range(cfg.d)]
+    tables = [_peak_table(cfg, logical, bases.parse_basis_spec(spec, cfg.d))
+              for spec in specs]
+    _save_tables(os.path.join(args.out, "tables"), tables)
+    print(f"wrote channel, scan bundle and {len(specs)} tables to {args.out}")
     return 0
 
 
@@ -598,21 +561,24 @@ def _cmd_tomo(args: argparse.Namespace) -> int:
     s_rec, e_rec, family = _load_scan_bundle(args.scans)
     recon = tomo.reconstruct(s_rec, e_rec, family=family,
                              ref_floor=args.ref_floor)
-    os.makedirs(args.out, exist_ok=True)
-    _save_t_hat(args.out, recon.t,
-                {"e_ratio": recon.e_ratio,
-                 "condition_number": recon.condition_number})
+    _save_t_hat(args.out, recon)
     print(f"reconstructed {recon.t.dim}x{recon.t.dim} matrix "
           f"(family {family.kind}, e_ratio {recon.e_ratio:.3e}, "
           f"condition number {recon.condition_number:.2f})")
     return 0
 
 
+def _prediction(state: states.BipartiteState, ops: unscramble.UnscrambleOperators,
+                which, kind: str, lambdas=None) -> measure.CountTable:
+    return measure.CountTable(counts=unscramble.predict_table(state, ops, which, lambdas),
+                              basis_label_a=f"recovered:{kind}",
+                              basis_label_b=f"recovered:{kind}*",
+                              exposure=measure.NOISELESS)
+
+
 def _cmd_unscramble(args: argparse.Namespace) -> int:
     t = _load_t_hat(args.t_hat)
-    ops = unscramble.build_w(t)
-    os.makedirs(args.out, exist_ok=True)
-    _save_unscramble_ops(args.out, ops)
+    ops = _build_ops(t, args.out)
     lambdas = None
     if args.lambdas:
         lambdas = _load_lambda_file(args.lambdas, t.dim)
@@ -622,26 +588,18 @@ def _cmd_unscramble(args: argparse.Namespace) -> int:
         t_std = t.matrix
     state = channel.choi_state(channel.EffectiveT(dim=t.dim, matrix=t_std))
     u_dir = os.path.join(args.out, "unscramble")
-    pred = unscramble.predict_table(state, ops, "standard")
-    measure.save_count_table(
-        os.path.join(u_dir, "predicted_standard.csv"),
-        measure.CountTable(counts=pred, basis_label_a="recovered:standard",
-                           basis_label_b="recovered:standard*",
-                           exposure=measure.NOISELESS))
+    predicted = [_prediction(state, ops, "standard", "standard")]
     zeta_meta = {}
     for r in range(t.dim):
         v = unscramble.build_v(ops, r, lambdas)
         numerics.save_matrix_csv(
             os.path.join(u_dir, f"v_alice_{r}.csv"), v.normalized_v)
-        pred_r = unscramble.predict_table(state, ops, r, lambdas)
-        measure.save_count_table(
-            os.path.join(u_dir, f"predicted_{v.kind.replace(':', '_')}.csv"),
-            measure.CountTable(counts=pred_r,
-                               basis_label_a=f"recovered:{v.kind}",
-                               basis_label_b=f"recovered:{v.kind}*",
-                               exposure=measure.NOISELESS))
+        predicted.append(_prediction(state, ops, r, v.kind, lambdas))
         zeta_meta[v.kind] = v.zeta
-    _write(os.path.join(u_dir, "zeta.json"), _canonical_json(zeta_meta))
+    _save_tables(u_dir, predicted,
+                 [p.basis_label_a.replace("recovered:", "predicted_").replace(":", "_")
+                  for p in predicted])
+    _write_json(os.path.join(u_dir, "zeta.json"), zeta_meta)
     print(f"wrote unscrambling operators and predictions to {u_dir} "
           f"(condition number {ops.condition_number:.2f})")
     return 0
@@ -660,43 +618,36 @@ def _load_lambda_file(path: str, dim: int) -> np.ndarray:
     return lam
 
 
+def _require_dent(required: Optional[int], d_ent: int) -> None:
+    if required and d_ent < required:
+        raise CertificationFailure(
+            f"certified d_ent = {d_ent} below required {required}")
+
+
 def _cmd_certify(args: argparse.Namespace) -> int:
-    std = measure.load_count_table(args.standard)
-    fams = [measure.load_count_table(p) for p in args.table]
+    paths = [args.standard, *args.table]
+    tables = [measure.load_count_table(p) for p in paths]
     target = None
     if args.target:
-        lam = _load_lambda_file(args.target, std.counts.shape[0])
-        target = certify.TargetState(dim=std.counts.shape[0], lambdas=lam)
-    rep = certify.certify(std, fams, target=target,
-                          n_mc=args.n_mc, seed=args.seed)
-    os.makedirs(args.out, exist_ok=True)
-    report = {
-        "schema": REPORT_SCHEMA,
-        "scenario": "certify",
-        "results": _certification_results(rep),
-        "tables": {t.basis_label_a: _table_payload(t) for t in [std, *fams]},
-    }
-    emit_report(report, args.out)
+        d = tables[0].counts.shape[0]
+        target = certify.TargetState(dim=d, lambdas=_load_lambda_file(args.target, d))
+    rep, results = _certify(tables, target, args.n_mc, args.seed)
+    table_paths = {t.basis_label_a: p for t, p in zip(tables, paths)}
+    emit_report(_report("certify", results, table_paths, args.out), args.out)
     print(rep.summary())
-    if args.require_dent and rep.d_ent < args.require_dent:
-        raise CertificationFailure(
-            f"certified d_ent = {rep.d_ent} below required {args.require_dent}")
+    _require_dent(args.require_dent, rep.d_ent)
     return 0
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args, args.scenario)
-    report = run_scenario(cfg, args.out)
-    results = report.get("results", {})
-    if "fidelity" in results:
-        print(f"scenario {cfg.scenario}: F = {results['fidelity']:.4f}, "
-              f"d_ent = {results['d_ent']}")
-        if args.require_dent and results["d_ent"] < args.require_dent:
-            raise CertificationFailure(
-                f"certified d_ent = {results['d_ent']} "
-                f"below required {args.require_dent}")
-    else:
+    results = run_scenario(cfg, args.out)["results"]
+    if "fidelity" not in results:
         print(f"scenario {cfg.scenario}: report written to {args.out}")
+        return 0
+    print(f"scenario {cfg.scenario}: F = {results['fidelity']:.4f}, "
+          f"d_ent = {results['d_ent']}")
+    _require_dent(args.require_dent, results["d_ent"])
     return 0
 
 

@@ -43,3 +43,7 @@ class ConfigError(ToolkitError, ValueError):
 
 class CertificationFailure(ToolkitError, RuntimeError):
     """A required certification threshold was not met (CI gating)."""
+
+
+class FormatError(ToolkitError, ValueError):
+    """An input file does not follow its documented layout."""

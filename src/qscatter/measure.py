@@ -20,10 +20,10 @@ from . import numerics, states
 from .bases import BasisFamily
 from .errors import (
     DimensionMismatchError,
+    FormatError,
     InvalidDimensionError,
     NormalizationError,
 )
-from .numerics import DEFAULT_TOLERANCES, ToleranceConfig
 
 NOISELESS = math.inf
 
@@ -82,12 +82,6 @@ class CountTable:
         return self.counts / t
 
 
-def coincidence_prob(state: states.BipartiteState, ket_a, ket_b) -> float:
-    """|<a, b|psi>|^2 for one projector pair; kets may be unnormalized."""
-    amp = states.project(state, ket_a, ket_b)
-    return float(abs(amp) ** 2)
-
-
 def probability_table(state: states.BipartiteState, kets_a, kets_b) -> np.ndarray:
     """All pairwise coincidence probabilities; kets given as matrix rows."""
     a = numerics.as_matrix(kets_a)
@@ -101,8 +95,7 @@ def probability_table(state: states.BipartiteState, kets_a, kets_b) -> np.ndarra
 def sample_counts(probs, exposure: float, seed,
                   dark_rate: float = 0.0, *,
                   basis_label_a: str = "custom", basis_label_b: str = "custom",
-                  record_seed: Optional[int] = None,
-                  cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> CountTable:
+                  record_seed: Optional[int] = None) -> CountTable:
     """Poisson-sample a probability table into a CountTable.
 
     exposure = inf returns the exact cell means (probabilities plus dark
@@ -113,7 +106,7 @@ def sample_counts(probs, exposure: float, seed,
     p = np.asarray(probs, dtype=np.float64)
     if p.ndim == 1:
         p = p[np.newaxis, :]
-    if np.any(p < -cfg.prob_tol):
+    if np.any(p < -numerics.PROB_TOL):
         raise NormalizationError("negative probability in table")
     if dark_rate < 0:
         raise NormalizationError("dark_rate must be nonnegative")
@@ -270,47 +263,27 @@ def save_count_table(path: Union[str, os.PathLike], table: CountTable) -> None:
     for label in (table.basis_label_a, table.basis_label_b):
         if "," in label or "\n" in label:
             raise NormalizationError(f"basis label {label!r} not CSV-safe")
-    lines = ["basisA,basisB,exposure,seed",
-             f"{table.basis_label_a},{table.basis_label_b},{exp},{seed}"]
+    header = ["basisA,basisB,exposure,seed",
+              f"{table.basis_label_a},{table.basis_label_b},{exp},{seed}"]
     if table.row_scale is not None:
-        lines.append("row_scale")
-        lines.append(",".join(numerics._fmt(s) for s in table.row_scale))
-    lines.append("a,b,count")
-    rows, cols = table.counts.shape
-    for a in range(rows):
-        for b in range(cols):
-            lines.append(f"{a},{b},{numerics._fmt(table.counts[a, b])}")
-    parent = os.path.dirname(os.fspath(path))
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        header.append("row_scale")
+        header.append(",".join(numerics._fmt(s) for s in table.row_scale))
+    numerics._write_cells(path, header, "a,b,count", [table.counts])
 
 
 def load_count_table(path: Union[str, os.PathLike]) -> CountTable:
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if len(lines) < 4 or lines[0] != "basisA,basisB,exposure,seed":
-        raise ValueError(f"{path}: not a count-table CSV")
-    label_a, label_b, exp_s, seed_s = lines[1].split(",")
-    exposure = math.inf if exp_s == "inf" else float(exp_s)
-    seed = None if seed_s == "none" else int(seed_s)
-    cursor = 2
-    row_scale = None
-    if lines[cursor] == "row_scale":
-        row_scale = np.array([float(tok) for tok in lines[cursor + 1].split(",")])
-        cursor += 2
-    if lines[cursor] != "a,b,count":
-        raise ValueError(f"{path}: malformed count-table CSV")
-    entries = []
-    max_a = max_b = -1
-    for ln in lines[cursor + 1:]:
-        sa, sb, sc = ln.split(",")
-        a, b, c = int(sa), int(sb), float(sc)
-        entries.append((a, b, c))
-        max_a, max_b = max(max_a, a), max(max_b, b)
-    counts = np.zeros((max_a + 1, max_b + 1))
-    for a, b, c in entries:
-        counts[a, b] = c
-    return CountTable(counts=counts, basis_label_a=label_a, basis_label_b=label_b,
+    header, grid = numerics._read_cells(path, "a,b,count", 1)
+    if (len(header) not in (2, 4) or header[0] != "basisA,basisB,exposure,seed"
+            or header[2:3] not in ([], ["row_scale"])):
+        raise FormatError(f"{path}: not a count-table CSV")
+    try:
+        label_a, label_b, exp_s, seed_s = header[1].split(",")
+        exposure = math.inf if exp_s == "inf" else float(exp_s)
+        seed = None if seed_s == "none" else int(seed_s)
+        row_scale = None
+        if len(header) == 4:
+            row_scale = np.array([float(tok) for tok in header[3].split(",")])
+    except ValueError as exc:
+        raise FormatError(f"{path}: malformed count-table header ({exc})") from exc
+    return CountTable(counts=grid[:, :, 0], basis_label_a=label_a, basis_label_b=label_b,
                       exposure=exposure, seed=seed, row_scale=row_scale)

@@ -1,8 +1,9 @@
 """Dense complex linear algebra kernel.
 
 Everything else in the package builds on the helpers here: tolerance policy,
-Haar-random unitaries, pseudo-inversion, gauge-insensitive matrix distance
-and the repo-wide complex matrix CSV format. All matrices are dense
+Haar-random unitaries, inversion, gauge-insensitive matrix distance and the
+cell-grid CSV codec behind both the complex-matrix and the count-table
+files. All matrices are dense
 complex128 numpy arrays, row-major, sized for dimensions up to a few
 hundred.
 """
@@ -10,41 +11,26 @@ hundred.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, fields
-from typing import Union
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import ConditioningError, DimensionMismatchError, InvalidDimensionError
+from .errors import (
+    ConditioningError,
+    DimensionMismatchError,
+    FormatError,
+    InvalidDimensionError,
+)
 
 ComplexMatrix = np.ndarray
 
 SeedLike = Union[int, "np.random.Generator", "np.random.SeedSequence", list, tuple]
 
 
-@dataclass(frozen=True)
-class ToleranceConfig:
-    """Central numeric tolerance policy.
-
-    unitarity_tol bounds ||U^dag U - I||_max for matrices claimed unitary,
-    pinv_rcond is the relative cutoff for pseudo-inversion and conditioning
-    floors, prob_tol is the slack allowed on probability normalizations.
-    """
-
-    unitarity_tol: float = 1e-10
-    pinv_rcond: float = 1e-12
-    prob_tol: float = 1e-9
-
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not (0.0 < value < 1e-3):
-                raise InvalidDimensionError(
-                    f"tolerance {f.name}={value!r} outside (0, 1e-3)"
-                )
-
-
-DEFAULT_TOLERANCES = ToleranceConfig()
+# Numeric tolerance policy, shared by every module.
+UNITARITY_TOL = 1e-10  # bound on ||U^dag U - I||_max for matrices claimed unitary
+PINV_RCOND = 1e-12  # relative singular-value cutoff for pseudo-inversion
+PROB_TOL = 1e-9  # slack allowed on probability normalizations
 
 
 def rng_from(seed: SeedLike) -> np.random.Generator:
@@ -81,12 +67,12 @@ def dag(m: ComplexMatrix) -> ComplexMatrix:
     return np.conjugate(np.transpose(m))
 
 
-def is_unitary(m: ComplexMatrix, tol: float = DEFAULT_TOLERANCES.unitarity_tol) -> bool:
+def is_unitary(m: ComplexMatrix) -> bool:
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return False
     gram = dag(m) @ m
-    return float(np.max(np.abs(gram - np.eye(m.shape[0])))) <= tol
+    return float(np.max(np.abs(gram - np.eye(m.shape[0])))) <= UNITARITY_TOL
 
 
 def haar_unitary(n: int, seed: SeedLike) -> ComplexMatrix:
@@ -107,12 +93,7 @@ def haar_unitary(n: int, seed: SeedLike) -> ComplexMatrix:
     return q * (diag / np.abs(diag))[np.newaxis, :]
 
 
-def pinv(m: ComplexMatrix, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> ComplexMatrix:
-    """Moore-Penrose pseudo-inverse with the shared rcond policy."""
-    return np.linalg.pinv(as_matrix(m), rcond=cfg.pinv_rcond)
-
-
-def solve_or_pinv(m: ComplexMatrix, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> ComplexMatrix:
+def solve_or_pinv(m: ComplexMatrix) -> ComplexMatrix:
     """Invert a square matrix, degrading to pinv when near-singular.
 
     Returns the inverse matrix; callers that care can inspect condition(m).
@@ -123,8 +104,8 @@ def solve_or_pinv(m: ComplexMatrix, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -
     sv = np.linalg.svd(m, compute_uv=False)
     if sv[0] == 0:
         raise ConditioningError("matrix is exactly zero")
-    if sv[-1] < cfg.pinv_rcond * sv[0]:
-        return np.linalg.pinv(m, rcond=cfg.pinv_rcond)
+    if sv[-1] < PINV_RCOND * sv[0]:
+        return np.linalg.pinv(m, rcond=PINV_RCOND)
     return np.linalg.inv(m)
 
 
@@ -165,11 +146,12 @@ def is_prime(n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Repo-wide complex matrix CSV format:
-#   rows,cols
-#   <rows>,<cols>
-#   i,j,re,im
-#   <i>,<j>,<re>,<im>      (one line per entry, 17 significant digits)
+# Cell-grid CSV, the layout shared by matrices and count tables:
+#   <header lines>           (format-specific; an optional `rows,cols` line
+#                             followed by the two sizes declares the shape)
+#   <columns line>           (i,j,re,im for matrices, a,b,count for tables)
+#   <i>,<j>,<v>[,<v>...]     (one line per cell, row-major, 17 significant
+#                             digits)
 # ---------------------------------------------------------------------------
 
 
@@ -177,36 +159,95 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def save_matrix_csv(path: Union[str, os.PathLike], m: ComplexMatrix) -> None:
-    m = as_matrix(m)
-    rows, cols = m.shape
-    lines = ["rows,cols", f"{rows},{cols}", "i,j,re,im"]
-    for i in range(rows):
-        for j in range(cols):
-            v = m[i, j]
-            lines.append(f"{i},{j},{_fmt(v.real)},{_fmt(v.imag)}")
+def _write_cells(path: Union[str, os.PathLike], header: Sequence[str],
+                 columns: str, grids: Sequence[np.ndarray]) -> None:
+    """Write header lines, the columns line, then one line per grid cell.
+
+    Cell (i, j) carries grids[0][i, j], grids[1][i, j], ... in order. Lines
+    are formatted and written one grid row at a time, so memory stays at
+    one row of text whatever the grid size.
+    """
+    rows, cols = grids[0].shape
+    cell = ",".join(["%.17g"] * len(grids))
     parent = os.path.dirname(os.fspath(path))
     if parent:
         os.makedirs(parent, exist_ok=True)
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("".join(line + "\n" for line in [*header, columns]))
+        for i in range(rows):
+            template = "".join([f"{i},{j},{cell}\n" for j in range(cols)])
+            values = np.stack([g[i] for g in grids], axis=1).ravel().tolist()
+            fh.write(template % tuple(values))
+
+
+def _read_cells(path: Union[str, os.PathLike], columns: str,
+                width: int) -> Tuple[List[str], np.ndarray]:
+    """Read a file written by _write_cells with `width` values per cell.
+
+    Returns the header lines above `columns` and a (rows, cols, width)
+    float array. The shape is the one the header declares, else the one
+    spanned by the largest indices seen. Every cell of that grid must
+    appear exactly once with finite values; anything else raises
+    FormatError.
+    """
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            lines = [ln.strip() for ln in fh if ln.strip()]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise FormatError(f"{path}: cannot read: {exc}") from exc
+    if columns not in lines:
+        raise FormatError(f"{path}: no {columns!r} line")
+    k = lines.index(columns)
+    header, body = lines[:k], lines[k + 1:]
+    if not body:
+        raise FormatError(f"{path}: no cells")
+    try:
+        cells = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+        shape = None
+        if "rows,cols" in header:
+            dims = header[header.index("rows,cols") + 1].split(",")
+            shape = (int(dims[0]), int(dims[1]))
+    except (ValueError, IndexError) as exc:
+        raise FormatError(f"{path}: malformed entry ({exc})") from exc
+    if cells.shape[1] != 2 + width:
+        raise FormatError(f"{path}: cells have {cells.shape[1]} fields, "
+                          f"expected {2 + width}")
+    if not np.all(np.isfinite(cells)):
+        raise FormatError(f"{path}: non-finite cell entry")
+    idx = cells[:, :2]
+    if np.any(idx != np.round(idx)):
+        raise FormatError(f"{path}: non-integer cell index")
+    if shape is None:
+        shape = tuple(int(n) + 1 for n in idx.max(axis=0))
+    rows, cols = shape
+    if rows < 1 or cols < 1:
+        raise FormatError(f"{path}: bad dimensions {rows}x{cols}")
+    outside = (idx < 0).any(axis=1) | (idx[:, 0] >= rows) | (idx[:, 1] >= cols)
+    if outside.any():
+        i, j = idx[np.argmax(outside)].astype(np.int64)
+        raise FormatError(f"{path}: cell ({i}, {j}) outside the {rows}x{cols} grid")
+    idx = idx.astype(np.int64)
+    flat = idx[:, 0] * cols + idx[:, 1]
+    seen = np.bincount(flat, minlength=rows * cols)
+    for problem, mask in (("duplicate", seen > 1), ("missing", seen == 0)):
+        if mask.any():
+            i, j = divmod(int(np.argmax(mask)), cols)
+            raise FormatError(f"{path}: {problem} cell ({i}, {j})")
+    grid = np.empty((rows * cols, width))
+    grid[flat] = cells[:, 2:]
+    return header, grid.reshape(rows, cols, width)
+
+
+def save_matrix_csv(path: Union[str, os.PathLike], m: ComplexMatrix) -> None:
+    """Write a complex matrix: `rows,cols` header, then `i,j,re,im` cells."""
+    m = as_matrix(m)
+    rows, cols = m.shape
+    _write_cells(path, ["rows,cols", f"{rows},{cols}"], "i,j,re,im",
+                 [m.real, m.imag])
 
 
 def load_matrix_csv(path: Union[str, os.PathLike]) -> ComplexMatrix:
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if len(lines) < 3 or lines[0] != "rows,cols" or lines[2] != "i,j,re,im":
-        raise ValueError(f"{path}: not a complex-matrix CSV")
-    rows, cols = (int(tok) for tok in lines[1].split(","))
-    if rows < 1 or cols < 1:
-        raise InvalidDimensionError(f"{path}: bad dimensions {rows}x{cols}")
-    m = np.zeros((rows, cols), dtype=np.complex128)
-    seen = np.zeros((rows, cols), dtype=bool)
-    for ln in lines[3:]:
-        si, sj, sre, sim = ln.split(",")
-        i, j = int(si), int(sj)
-        m[i, j] = complex(float(sre), float(sim))
-        seen[i, j] = True
-    if not seen.all():
-        raise ValueError(f"{path}: missing entries")
-    return m
+    header, grid = _read_cells(path, "i,j,re,im", 2)
+    if len(header) != 2 or header[0] != "rows,cols":
+        raise FormatError(f"{path}: not a complex-matrix CSV")
+    return grid.view(np.complex128)[:, :, 0]

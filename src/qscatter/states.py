@@ -18,7 +18,7 @@ import numpy as np
 
 from . import numerics
 from .errors import DimensionMismatchError, InvalidDimensionError, NormalizationError
-from .numerics import ComplexMatrix, ToleranceConfig, DEFAULT_TOLERANCES
+from .numerics import PROB_TOL, ComplexMatrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,11 +49,10 @@ class BipartiteState:
         object.__setattr__(self, "norm_sq", n)
 
 
-def make_state(coeffs, *, physical: bool = False,
-               cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> BipartiteState:
+def make_state(coeffs, *, physical: bool = False) -> BipartiteState:
     """Build a state from a coefficient matrix.
 
-    physical=True enforces 0 < norm_sq <= 1 + prob_tol, which holds for
+    physical=True enforces 0 < norm_sq <= 1 + PROB_TOL, which holds for
     every state produced by a source or a passive medium. Operator images
     (unscrambling with SLM row normalization in particular) may legitimately
     exceed unit norm and skip the check.
@@ -64,7 +63,7 @@ def make_state(coeffs, *, physical: bool = False,
     n = float(np.real(np.vdot(c, c)))
     if n <= 0.0:
         raise NormalizationError("state has zero norm")
-    if physical and n > 1.0 + cfg.prob_tol:
+    if physical and n > 1.0 + PROB_TOL:
         raise NormalizationError(f"physical state has norm_sq {n} > 1")
     return BipartiteState(dim=c.shape[0], coeffs=c, norm_sq=n)
 

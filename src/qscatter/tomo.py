@@ -29,7 +29,6 @@ from .errors import (
     TagConflictError,
 )
 from .measure import PhaseStepRecord
-from .numerics import DEFAULT_TOLERANCES, ToleranceConfig
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,7 +119,7 @@ def extract_e(records: Sequence[PhaseStepRecord],
     return EMatrix(dim=diag.shape[0], diag=diag, basis_label=label)
 
 
-def fix_gauge(matrix: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> np.ndarray:
+def fix_gauge(matrix: np.ndarray) -> np.ndarray:
     """Remove the global complex factor: unit Frobenius norm, and the first
     entry of nonnegligible modulus (row-major order) made real positive."""
     m = numerics.as_matrix(matrix)
@@ -136,8 +135,7 @@ def fix_gauge(matrix: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> 
     return m * (np.conjugate(a) / abs(a))
 
 
-def assemble_t(s: SMatrix, e: EMatrix,
-               cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> EffectiveT:
+def assemble_t(s: SMatrix, e: EMatrix) -> EffectiveT:
     """Assemble the gauge-fixed transmission matrix from scan outputs.
 
     The result is expressed in the scan family (untagged here; see
@@ -150,7 +148,7 @@ def assemble_t(s: SMatrix, e: EMatrix,
         raise NormalizationError(
             f"S scanned in {s.basis_label!r} but E in {e.basis_label!r}")
     ratio = s.values / np.conjugate(e.diag)[np.newaxis, :]
-    t_hat = fix_gauge(numerics.dag(ratio), cfg)
+    t_hat = fix_gauge(numerics.dag(ratio))
     return EffectiveT(dim=s.dim, matrix=t_hat, includes_reference=False)
 
 
@@ -186,12 +184,11 @@ class Reconstruction:
 def reconstruct(s_records: Sequence[PhaseStepRecord],
                 e_records: Sequence[PhaseStepRecord],
                 family: Optional[BasisFamily] = None,
-                ref_floor: float = 1e-6,
-                cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Reconstruction:
+                ref_floor: float = 1e-6) -> Reconstruction:
     """Full pipeline: phase-step records to tagged transmission matrix."""
     s = extract_s(s_records)
     e = extract_e(e_records, ref_floor=ref_floor)
-    t = assemble_t(s, e, cfg)
+    t = assemble_t(s, e)
     if family is not None:
         t = tag_basis(t, family)
     mags = np.abs(e.diag)

@@ -32,7 +32,6 @@ from .errors import (
     NormalizationError,
 )
 from .measure import CountTable, sample_counts, zeta_correct
-from .numerics import DEFAULT_TOLERANCES, ToleranceConfig
 from .states import BipartiteState
 
 _STREAM_RECOVERED = 14
@@ -77,8 +76,7 @@ class UnscrambleOperators:
         return self.w_alice / self.eta[:, np.newaxis]
 
 
-def build_w(t: EffectiveT,
-            cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> UnscrambleOperators:
+def build_w(t: EffectiveT) -> UnscrambleOperators:
     """Invert a tagged transmission matrix into unscrambling operators.
 
     The matrix may carry any unitary-family tag (untagged means standard).
@@ -94,7 +92,7 @@ def build_w(t: EffectiveT,
     if fam.kind.startswith("tilted"):
         raise NormalizationError("scan family must be unitary (standard or unbiased)")
     m0 = np.asarray(fam.matrix)
-    inv = numerics.solve_or_pinv(t.matrix, cfg)
+    inv = numerics.solve_or_pinv(t.matrix)
     w = inv.T @ m0
     return UnscrambleOperators(
         dim=t.dim,
@@ -219,7 +217,3 @@ def measure_recovered(state: BipartiteState, ops: UnscrambleOperators,
         table = zeta_correct(table, zeta)
     return table
 
-
-def alice_kets(op_matrix: np.ndarray) -> np.ndarray:
-    """Kets the sender physically projects on: conjugated operator rows."""
-    return np.conjugate(numerics.as_matrix(op_matrix))

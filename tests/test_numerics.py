@@ -3,29 +3,13 @@
 import numpy as np
 import pytest
 
-from qscatter import numerics
+from qscatter import cli, numerics
 from qscatter.errors import (
     ConditioningError,
     DimensionMismatchError,
+    FormatError,
     InvalidDimensionError,
 )
-
-
-def test_tolerance_config_defaults():
-    cfg = numerics.DEFAULT_TOLERANCES
-    assert cfg.unitarity_tol == 1e-10
-    assert cfg.pinv_rcond == 1e-12
-    assert cfg.prob_tol == 1e-9
-
-
-@pytest.mark.parametrize("field,value", [
-    ("unitarity_tol", 0.0),
-    ("pinv_rcond", -1e-12),
-    ("prob_tol", 1e-2),
-])
-def test_tolerance_config_rejects_out_of_range(field, value):
-    with pytest.raises(InvalidDimensionError):
-        numerics.ToleranceConfig(**{field: value})
 
 
 def test_rng_from_int_is_reproducible():
@@ -126,7 +110,7 @@ def test_solve_or_pinv_degrades_to_pseudo_inverse():
     v = numerics.haar_unitary(3, 1)
     m = u @ np.diag([1.0, 0.5, 1e-15]) @ v
     inv = numerics.solve_or_pinv(m)
-    expected = np.linalg.pinv(m, rcond=numerics.DEFAULT_TOLERANCES.pinv_rcond)
+    expected = np.linalg.pinv(m, rcond=numerics.PINV_RCOND)
     np.testing.assert_allclose(inv, expected, atol=1e-12)
 
 
@@ -182,3 +166,22 @@ def test_matrix_csv_rejects_malformed_files(tmp_path):
     sparse.write_text("rows,cols\n2,2\ni,j,re,im\n0,0,1,0\n")
     with pytest.raises(ValueError):
         numerics.load_matrix_csv(sparse)
+
+
+@pytest.mark.parametrize("corruption", ["truncated", "duplicate", "out-of-range", "zz"])
+def test_matrix_csv_rejects_corrupt_cells(tmp_path, corruption):
+    path = str(tmp_path / "t_hat.csv")
+    numerics.save_matrix_csv(path, np.eye(2))
+    with open(path, encoding="ascii") as fh:
+        lines = fh.readlines()
+    assert lines[-1] == "1,1,1,0\n"
+    lines = {"truncated": lines[:-1],
+             "duplicate": lines + ["0,0,1,0\n"],
+             "out-of-range": lines + ["2,0,0,0\n"],
+             "zz": lines[:-1] + ["1,1,zz,0\n"]}[corruption]
+    with open(path, "w", encoding="ascii") as fh:
+        fh.writelines(lines)
+    with pytest.raises(FormatError):
+        numerics.load_matrix_csv(path)
+    assert cli.main(["unscramble", "--t-hat", path,
+                     "--out", str(tmp_path / "out")]) == 2

@@ -177,8 +177,3 @@ def test_measure_recovered_noiseless_matches_prediction():
     with pytest.raises(NormalizationError):
         unscramble.measure_recovered(state, ops, 1, 1e4)
 
-
-def test_alice_kets_conjugates_rows():
-    m = np.array([[1 + 2j, 3.0]])
-    np.testing.assert_array_equal(unscramble.alice_kets(m),
-                                  np.conjugate(m))
