@@ -18,12 +18,13 @@ rng_seed = 7
 d = 5
 n_modes = 40
 
-# A random multimode medium: one Haar unitary over all fibre modes, with
-# d + 1 of them monitored (index 0 is the co-propagated reference).
+# A random multimode medium: the d + 1 input columns of a Haar unitary over
+# all fibre modes (index 0 is the co-propagated reference). The photon never
+# enters the other modes, so their columns are never drawn.
 medium = channel.haar_channel(d, n_modes, rng_seed)
 print(f"medium: {n_modes} modes, logical dimension {d}")
 
-# The effective transmission matrix is the logical block of that unitary.
+# The effective transmission matrix is the logical block of those columns.
 # It is not unitary: the missing weight escaped into unmonitored modes.
 t = channel.effective_t(medium)
 sv = np.linalg.svd(t.matrix, compute_uv=False)

@@ -28,10 +28,8 @@ from .certify import (
 from .channel import (
     ChannelModel,
     EffectiveT,
-    ModeEmbedding,
     choi_state,
     compose_two_channels,
-    default_embedding,
     drop_reference,
     effective_t,
     haar_channel,
@@ -74,7 +72,9 @@ from .numerics import (
     condition_number,
     dag,
     dist_up_to_scalar,
+    haar_isometry,
     haar_unitary,
+    is_isometry,
     is_prime,
     is_unitary,
     load_matrix_csv,

@@ -1,13 +1,13 @@
 """Mode-mixing media as linear optical channels.
 
-A medium acting on N spatial modes is a single N x N unitary. The photon
-carries information in d logical modes (macro-pixels) plus one phase
-reference mode; every other mode is environment. Restricting the unitary to
-the logical (or reference + logical) block gives the effective transmission
-matrix T, the only object the rest of the pipeline ever needs: sending one
-photon of an entangled pair through the medium and postselecting on the
-monitored modes maps |Phi+> to the (sub-normalized) state with coefficient
-matrix T^T / sqrt(dim).
+A medium acting on N spatial modes is an N x N unitary, but the photon
+enters it through d logical modes (macro-pixels) plus one phase reference
+mode only, so the medium is held as those d + 1 columns: an N x (d + 1)
+isometry. Restricting it to the reference and logical output rows gives
+the effective transmission matrix T, the only object the rest of the
+pipeline ever needs: sending one photon of an entangled pair through the
+medium and postselecting on the monitored modes maps |Phi+> to the
+(sub-normalized) state with coefficient matrix T^T / sqrt(dim).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import json
 import os
 from dataclasses import dataclass
 from importlib import resources
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Union
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from . import numerics, states
 from .bases import BasisFamily
 from .errors import (
     DimensionMismatchError,
+    FormatError,
     InvalidDimensionError,
     NormalizationError,
 )
@@ -31,66 +32,33 @@ from .numerics import ComplexMatrix
 
 
 @dataclass(frozen=True, eq=False)
-class ModeEmbedding:
-    """Which of the N medium modes are logical, and which is the reference."""
-
-    total_modes: int
-    logical_indices: Tuple[int, ...]
-    reference_index: int
-
-    def __post_init__(self) -> None:
-        n = self.total_modes
-        logical = tuple(int(i) for i in self.logical_indices)
-        ref = int(self.reference_index)
-        if n < 2:
-            raise InvalidDimensionError(f"total_modes must be >= 2, got {n}")
-        if len(logical) < 2:
-            raise InvalidDimensionError("need at least 2 logical modes")
-        idx = (ref,) + logical
-        if len(set(idx)) != len(idx):
-            raise InvalidDimensionError("reference/logical indices must be distinct")
-        if any(i < 0 or i >= n for i in idx):
-            raise InvalidDimensionError(f"mode index out of range [0, {n})")
-        object.__setattr__(self, "logical_indices", logical)
-        object.__setattr__(self, "reference_index", ref)
-
-    @property
-    def dim(self) -> int:
-        return len(self.logical_indices)
-
-
-def default_embedding(d: int, total_modes: int) -> ModeEmbedding:
-    """Reference on mode 0, logical modes 1..d."""
-    if total_modes < d + 1:
-        raise InvalidDimensionError(
-            f"{total_modes} modes cannot host a reference plus {d} logical modes")
-    return ModeEmbedding(total_modes=total_modes,
-                         logical_indices=tuple(range(1, d + 1)),
-                         reference_index=0)
-
-
-@dataclass(frozen=True, eq=False)
 class ChannelModel:
-    """A medium: full unitary plus the mode embedding."""
+    """A medium, held as the columns of its unitary that the photon enters.
 
-    unitary: ComplexMatrix
-    embedding: ModeEmbedding
+    isometry[k, i] couples input mode i to output mode k. Column 0 is the
+    reference input and columns 1..d the logical inputs. Output rows share
+    that layout: row 0 is the reference, rows 1..d are logical and rows
+    d+1.. are environment.
+    """
+
+    isometry: ComplexMatrix
 
     def __post_init__(self) -> None:
-        u = numerics.as_matrix(self.unitary)
-        n = self.embedding.total_modes
-        if u.shape != (n, n):
-            raise DimensionMismatchError(
-                f"unitary shape {u.shape} does not match {n} modes")
-        if not numerics.is_unitary(u):
-            raise NormalizationError("channel matrix is not unitary within tolerance")
-        object.__setattr__(self, "unitary", numerics.frozen(u))
+        v = numerics.as_matrix(self.isometry)
+        n, cols = v.shape
+        if cols < 3 or n < cols:
+            raise InvalidDimensionError(
+                f"isometry shape {v.shape}: need N >= d + 1 >= 3 for N modes, "
+                "a reference and d logical modes")
+        if not numerics.is_isometry(v):
+            raise NormalizationError(
+                "channel columns are not orthonormal within tolerance")
+        object.__setattr__(self, "isometry", numerics.frozen(v))
 
 
 def haar_channel(d: int, total_modes: int, seed) -> ChannelModel:
-    """Random medium: Haar unitary on total_modes with the default embedding."""
-    emb = default_embedding(d, total_modes)
-    return ChannelModel(unitary=numerics.haar_unitary(total_modes, seed), embedding=emb)
+    """Random medium: the reference and logical columns of a Haar unitary."""
+    return ChannelModel(isometry=numerics.haar_isometry(total_modes, d + 1, seed))
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,18 +97,15 @@ class EffectiveT:
 
 
 def effective_t(channel: ChannelModel, include_reference: bool = False) -> EffectiveT:
-    """Restrict the medium unitary to the monitored block.
+    """Restrict the medium to the monitored block.
 
     Output ordering matches input ordering; with the reference included the
     first row/column belong to the reference mode.
     """
-    emb = channel.embedding
-    if include_reference:
-        idx = (emb.reference_index,) + emb.logical_indices
-    else:
-        idx = emb.logical_indices
-    sub = channel.unitary[np.ix_(idx, idx)]
-    return EffectiveT(dim=len(idx), matrix=sub, includes_reference=include_reference)
+    first = 0 if include_reference else 1
+    v = channel.isometry
+    sub = v[first:v.shape[1], first:]
+    return EffectiveT(dim=sub.shape[0], matrix=sub, includes_reference=include_reference)
 
 
 def choi_state(t: EffectiveT) -> states.BipartiteState:
@@ -186,19 +151,15 @@ def drop_reference(state: states.BipartiteState) -> states.BipartiteState:
 def kraus_tp(channel: ChannelModel) -> List[ComplexMatrix]:
     """Trace-preserving Kraus form of the logical -> logical channel.
 
-    First operator is the logical block of the unitary; each remaining
+    First operator is the logical block of the medium; each remaining
     operator is a 1 x d row mapping the logical subspace to one lost
-    (environment or reference) output mode. Together they resolve the
+    (reference, then environment) output mode. Together they resolve the
     identity: sum_k A_k^dag A_k = I.
     """
-    emb = channel.embedding
-    logical = list(emb.logical_indices)
-    lost = [i for i in range(emb.total_modes) if i not in logical]
-    u = channel.unitary
-    ops: List[ComplexMatrix] = [u[np.ix_(logical, logical)]]
-    for m in lost:
-        ops.append(u[np.ix_([m], logical)])
-    return ops
+    logical = channel.isometry[:, 1:]
+    d = logical.shape[1]
+    lost = [0, *range(d + 1, logical.shape[0])]
+    return [logical[1:d + 1]] + [logical[m:m + 1] for m in lost]
 
 
 def compose_two_channels(u_a: ComplexMatrix, u_b: ComplexMatrix) -> EffectiveT:
@@ -223,29 +184,36 @@ def compose_two_channels(u_a: ComplexMatrix, u_b: ComplexMatrix) -> EffectiveT:
 # ---------------------------------------------------------------------------
 
 
+def _layout(isometry: ComplexMatrix) -> dict:
+    """The <base>.json descriptor of where a stored isometry's columns sit."""
+    n, cols = isometry.shape
+    return {"total_modes": n, "logical_indices": list(range(1, cols)),
+            "reference_index": 0}
+
+
 def save_channel(path_base: Union[str, os.PathLike], channel: ChannelModel) -> None:
-    """Write <base>.csv (unitary) and <base>.json (embedding descriptor)."""
+    """Write <base>.csv (the N x (d+1) isometry) and <base>.json (its layout)."""
     base = os.fspath(path_base)
-    numerics.save_matrix_csv(base + ".csv", channel.unitary)
-    emb = channel.embedding
+    numerics.save_matrix_csv(base + ".csv", channel.isometry)
     with open(base + ".json", "w", encoding="ascii") as fh:
-        json.dump({
-            "total_modes": emb.total_modes,
-            "logical_indices": list(emb.logical_indices),
-            "reference_index": emb.reference_index,
-        }, fh, sort_keys=True)
+        json.dump(_layout(channel.isometry), fh, sort_keys=True)
         fh.write("\n")
 
 
 def load_channel(path_base: Union[str, os.PathLike]) -> ChannelModel:
+    """Read a medium saved by save_channel.
+
+    The sidecar must describe the stored columns; a full N x N unitary with
+    a d-mode sidecar, as older versions wrote, raises FormatError.
+    """
     base = os.fspath(path_base)
-    u = numerics.load_matrix_csv(base + ".csv")
-    with open(base + ".json", "r", encoding="ascii") as fh:
-        meta = json.load(fh)
-    emb = ModeEmbedding(total_modes=int(meta["total_modes"]),
-                        logical_indices=tuple(meta["logical_indices"]),
-                        reference_index=int(meta["reference_index"]))
-    return ChannelModel(unitary=u, embedding=emb)
+    v = numerics.load_matrix_csv(base + ".csv")
+    layout = _layout(v)
+    meta = numerics._read_json(base + ".json", list(layout))
+    if {key: meta[key] for key in layout} != layout:
+        raise FormatError(f"{base}.json does not describe the {v.shape[0]}x"
+                          f"{v.shape[1]} isometry in {base}.csv")
+    return ChannelModel(isometry=v)
 
 
 def load_fixture_tm0(raw: bool = False):

@@ -243,12 +243,7 @@ def _scan(cfg: ScenarioConfig, ch: channel.ChannelModel, out_dir: str):
 
 
 def _load_scan_bundle(scan_dir: str):
-    meta_path = os.path.join(scan_dir, "meta.json")
-    try:
-        with open(meta_path, "r", encoding="ascii") as fh:
-            meta = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read scan bundle metadata: {exc}") from exc
+    meta = numerics._read_json(os.path.join(scan_dir, "meta.json"), ("d", "family"))
     d = int(meta["d"])
     family = bases.parse_basis_spec(str(meta["family"]), d)
     s_rec, e_rec = [], []
@@ -288,19 +283,11 @@ def _scan_and_reconstruct(cfg: ScenarioConfig, ch: channel.ChannelModel,
 def _load_t_hat(path: str) -> channel.EffectiveT:
     matrix = numerics.load_matrix_csv(path)
     meta_path = os.path.splitext(path)[0] + ".json"
-    tag = None
-    includes_reference = False
-    if os.path.exists(meta_path):
-        with open(meta_path, "r", encoding="ascii") as fh:
-            meta = json.load(fh)
-        includes_reference = bool(meta.get("includes_reference", False))
-        tag_kind = meta.get("basis_tag")
-        if tag_kind is not None:
-            tag = bases.parse_basis_spec(str(tag_kind), matrix.shape[0])
+    meta = numerics._read_json(meta_path) if os.path.exists(meta_path) else {}
     t = channel.EffectiveT(dim=matrix.shape[0], matrix=matrix,
-                           includes_reference=includes_reference)
-    if tag is not None:
-        t = tomo.tag_basis(t, tag)
+                           includes_reference=bool(meta.get("includes_reference", False)))
+    if meta.get("basis_tag") is not None:
+        t = tomo.tag_basis(t, bases.parse_basis_spec(str(meta["basis_tag"]), t.dim))
     return t
 
 

@@ -1,15 +1,16 @@
 """Dense complex linear algebra kernel.
 
 Everything else in the package builds on the helpers here: tolerance policy,
-Haar-random unitaries, inversion, gauge-insensitive matrix distance and the
+Haar-random isometries, inversion, gauge-insensitive matrix distance, the
 cell-grid CSV codec behind both the complex-matrix and the count-table
-files. All matrices are dense
+files, and the reader of their JSON sidecars. All matrices are dense
 complex128 numpy arrays, row-major, sized for dimensions up to a few
 hundred.
 """
 
 from __future__ import annotations
 
+import json
 import os
 from typing import List, Sequence, Tuple, Union
 
@@ -67,30 +68,43 @@ def dag(m: ComplexMatrix) -> ComplexMatrix:
     return np.conjugate(np.transpose(m))
 
 
-def is_unitary(m: ComplexMatrix) -> bool:
+def is_isometry(m: ComplexMatrix) -> bool:
+    """True when the columns of m are orthonormal within UNITARITY_TOL."""
     m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim != 2 or m.shape[0] < m.shape[1]:
         return False
     gram = dag(m) @ m
-    return float(np.max(np.abs(gram - np.eye(m.shape[0])))) <= UNITARITY_TOL
+    return float(np.max(np.abs(gram - np.eye(m.shape[1])))) <= UNITARITY_TOL
 
 
-def haar_unitary(n: int, seed: SeedLike) -> ComplexMatrix:
-    """Draw an n x n unitary from the Haar measure.
+def is_unitary(m: ComplexMatrix) -> bool:
+    m = np.asarray(m)
+    return m.ndim == 2 and m.shape[0] == m.shape[1] and is_isometry(m)
 
-    Complex Ginibre draw followed by QR, with the R diagonal phases folded
-    into Q so the factorization is unique and the distribution is exactly
-    Haar (invariant under left/right multiplication by fixed unitaries).
+
+def haar_isometry(n: int, k: int, seed: SeedLike) -> ComplexMatrix:
+    """Draw the first k columns of an n x n Haar unitary.
+
+    Thin QR of an n x k complex Ginibre draw, with the R diagonal phases
+    folded into Q so the factorization is unique. The result is exactly
+    the column marginal of the Haar measure (Mezzadri 2007); for k == n it
+    is a Haar unitary.
     """
-    if int(n) != n or n < 1:
-        raise InvalidDimensionError(f"unitary size must be a positive integer, got {n}")
-    n = int(n)
+    if any(int(size) != size for size in (n, k)) or not 1 <= k <= n:
+        raise InvalidDimensionError(f"cannot draw {k} orthonormal columns of "
+                                    f"length {n}: need integers 1 <= k <= n")
+    n, k = int(n), int(k)
     rng = rng_from(seed)
-    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
+    z = (rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
     diag = np.diagonal(r).copy()
     diag[diag == 0] = 1.0
     return q * (diag / np.abs(diag))[np.newaxis, :]
+
+
+def haar_unitary(n: int, seed: SeedLike) -> ComplexMatrix:
+    """Draw an n x n unitary from the Haar measure."""
+    return haar_isometry(n, n, seed)
 
 
 def solve_or_pinv(m: ComplexMatrix) -> ComplexMatrix:
@@ -187,14 +201,18 @@ def _read_cells(path: Union[str, os.PathLike], columns: str,
     Returns the header lines above `columns` and a (rows, cols, width)
     float array. The shape is the one the header declares, else the one
     spanned by the largest indices seen. Every cell of that grid must
-    appear exactly once with finite values; anything else raises
-    FormatError.
+    appear exactly once with finite values, and the file must end with a
+    newline as written, so one cut inside its last number is seen too;
+    anything else raises FormatError.
     """
     try:
         with open(path, "r", encoding="ascii") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
+            raw = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise FormatError(f"{path}: cannot read: {exc}") from exc
+    if raw and not raw[-1].endswith("\n"):
+        raise FormatError(f"{path}: last line has no newline; the file was cut short")
+    lines = [ln.strip() for ln in raw if ln.strip()]
     if columns not in lines:
         raise FormatError(f"{path}: no {columns!r} line")
     k = lines.index(columns)
@@ -251,3 +269,15 @@ def load_matrix_csv(path: Union[str, os.PathLike]) -> ComplexMatrix:
     if len(header) != 2 or header[0] != "rows,cols":
         raise FormatError(f"{path}: not a complex-matrix CSV")
     return grid.view(np.complex128)[:, :, 0]
+
+
+def _read_json(path: Union[str, os.PathLike], keys: Sequence[str] = ()) -> dict:
+    """Read a JSON sidecar, an object holding at least `keys`, or raise FormatError."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise FormatError(f"{path}: cannot read JSON: {exc}") from exc
+    if not isinstance(data, dict) or not all(key in data for key in keys):
+        raise FormatError(f"{path}: not a JSON object with the keys {list(keys)}")
+    return data

@@ -169,8 +169,7 @@ def save_state(path_base: Union[str, os.PathLike], state: BipartiteState) -> Non
 def load_state(path_base: Union[str, os.PathLike]) -> BipartiteState:
     base = os.fspath(path_base)
     coeffs = numerics.load_matrix_csv(base + ".csv")
-    with open(base + ".json", "r", encoding="ascii") as fh:
-        meta = json.load(fh)
+    meta = numerics._read_json(base + ".json", ("dim", "norm_sq"))
     state = make_state(coeffs)
     if state.dim != int(meta["dim"]):
         raise DimensionMismatchError("sidecar dim disagrees with coefficient matrix")

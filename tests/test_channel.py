@@ -1,4 +1,6 @@
-"""Channels: embeddings, effective matrices, the channel-state map, fixtures."""
+"""Channels: isometries, effective matrices, the channel-state map, fixtures."""
+
+import json
 
 import numpy as np
 import pytest
@@ -6,57 +8,63 @@ import pytest
 from oracles import kron_vector
 from qscatter import bases, channel, numerics, states
 from qscatter.errors import (
-    DimensionMismatchError,
+    FormatError,
     InvalidDimensionError,
     NormalizationError,
 )
 
 
-def test_mode_embedding_validation():
-    emb = channel.ModeEmbedding(total_modes=10, logical_indices=(1, 2, 3),
-                                reference_index=0)
-    assert emb.dim == 3
-    with pytest.raises(InvalidDimensionError):
-        channel.ModeEmbedding(total_modes=10, logical_indices=(0, 1),
-                              reference_index=0)
-    with pytest.raises(InvalidDimensionError):
-        channel.ModeEmbedding(total_modes=4, logical_indices=(1, 5),
-                              reference_index=0)
-
-
-def test_default_embedding_layout():
-    emb = channel.default_embedding(3, 8)
-    assert emb.reference_index == 0
-    assert emb.logical_indices == (1, 2, 3)
-    with pytest.raises(InvalidDimensionError):
-        channel.default_embedding(7, 7)
-
-
 def test_channel_model_requires_unitary():
-    emb = channel.default_embedding(2, 4)
+    # The stored columns must be orthonormal.
     with pytest.raises(NormalizationError):
-        channel.ChannelModel(unitary=np.eye(4) * 1.5, embedding=emb)
-    with pytest.raises(DimensionMismatchError):
-        channel.ChannelModel(unitary=np.eye(5), embedding=emb)
+        channel.ChannelModel(isometry=np.eye(6, 4) * 1.5)
+    with pytest.raises(NormalizationError):
+        channel.ChannelModel(isometry=np.ones((6, 4)))
+
+
+def test_channel_model_rejects_bad_shapes():
+    # Fewer than 3 columns (a reference plus at least 2 logical modes), and
+    # fewer rows than columns.
+    with pytest.raises(InvalidDimensionError):
+        channel.ChannelModel(isometry=np.eye(6, 2))
+    with pytest.raises(InvalidDimensionError):
+        channel.ChannelModel(isometry=np.eye(3, 4))
+    with pytest.raises(InvalidDimensionError):
+        channel.ChannelModel(isometry=np.ones(4))
+    with pytest.raises(InvalidDimensionError):
+        channel.haar_channel(7, 7, 0)
 
 
 def test_haar_channel_is_seeded():
     a = channel.haar_channel(3, 12, 5)
     b = channel.haar_channel(3, 12, 5)
-    np.testing.assert_array_equal(a.unitary, b.unitary)
-    assert numerics.is_unitary(a.unitary)
+    np.testing.assert_array_equal(a.isometry, b.isometry)
+    assert a.isometry.shape == (12, 4)
+    gram = numerics.dag(a.isometry) @ a.isometry
+    assert np.max(np.abs(gram - np.eye(4))) <= 1e-12
+
+
+def test_haar_channel_logical_block_trace_statistic():
+    # The d x d logical block of an N-mode Haar unitary has
+    # E[|tr T|^2] = d / N (Zyczkowski & Sommers 2000).
+    d, n, draws = 3, 9, 4000
+    rng = np.random.default_rng(11)
+    vals = np.array([abs(np.trace(channel.effective_t(
+        channel.haar_channel(d, n, rng)).matrix)) ** 2 for _ in range(draws)])
+    stderr = vals.std(ddof=1) / np.sqrt(draws)
+    assert abs(vals.mean() - d / n) <= 5 * stderr
 
 
 def test_effective_t_extracts_the_right_block():
     ch = channel.haar_channel(3, 9, 2)
     t = channel.effective_t(ch)
-    np.testing.assert_array_equal(t.matrix, ch.unitary[1:4, 1:4])
+    np.testing.assert_array_equal(t.matrix, ch.isometry[1:4, 1:4])
     assert not t.includes_reference
 
     t_ref = channel.effective_t(ch, include_reference=True)
     assert t_ref.dim == 4
     assert t_ref.includes_reference
-    np.testing.assert_array_equal(t_ref.matrix, ch.unitary[0:4, 0:4])
+    np.testing.assert_array_equal(t_ref.matrix, ch.isometry[0:4, 0:4])
     np.testing.assert_array_equal(t_ref.logical_block, t.matrix)
 
 
@@ -66,19 +74,19 @@ def test_effective_t_rejects_amplification():
 
 
 def test_choi_state_matches_brute_force_postselection():
-    # Send Bob's photon of an n-mode |Phi+> (on the logical modes) through
-    # the full unitary with an explicit Kronecker product, then postselect
-    # both photons on the logical block.
+    # Send Bob's photon of |Phi+> on the logical input modes through the
+    # medium's input columns with an explicit Kronecker product, then
+    # postselect both photons on the logical modes.
     for seed, n in ((0, 8), (1, 10), (2, 12)):
         d = 3
         ch = channel.haar_channel(d, n, seed)
-        logical = list(ch.embedding.logical_indices)
+        logical = list(range(1, d + 1))
 
-        src = np.zeros((n, n), dtype=np.complex128)
+        src = np.zeros((d + 1, d + 1), dtype=np.complex128)
         for i in logical:
             src[i, i] = 1 / np.sqrt(d)
-        big = np.kron(np.eye(n), ch.unitary) @ kron_vector(src)
-        post = big.reshape(n, n)[np.ix_(logical, logical)]
+        big = np.kron(np.eye(d + 1), ch.isometry) @ kron_vector(src)
+        post = big.reshape(d + 1, n)[np.ix_(logical, logical)]
 
         got = channel.choi_state(channel.effective_t(ch))
         np.testing.assert_allclose(got.coeffs, post, atol=1e-12)
@@ -141,10 +149,28 @@ def test_channel_round_trip(tmp_path):
     ch = channel.haar_channel(3, 9, 8)
     channel.save_channel(tmp_path / "ch", ch)
     back = channel.load_channel(tmp_path / "ch")
-    np.testing.assert_array_equal(back.unitary, ch.unitary)
-    assert back.embedding.total_modes == ch.embedding.total_modes
-    assert back.embedding.logical_indices == ch.embedding.logical_indices
-    assert back.embedding.reference_index == ch.embedding.reference_index
+    np.testing.assert_array_equal(back.isometry, ch.isometry)
+    with open(tmp_path / "ch.json", encoding="ascii") as fh:
+        assert json.load(fh) == {"total_modes": 9, "reference_index": 0,
+                                 "logical_indices": [1, 2, 3]}
+
+
+def test_load_channel_rejects_a_full_unitary_file(tmp_path):
+    # Older versions stored the whole N x N unitary beside the same
+    # d-mode sidecar; read as an isometry it would be an (N-1)-mode channel.
+    ch = channel.haar_channel(3, 9, 8)
+    channel.save_channel(tmp_path / "ch", ch)
+    numerics.save_matrix_csv(tmp_path / "ch.csv", numerics.haar_unitary(9, 8))
+    with pytest.raises(FormatError):
+        channel.load_channel(tmp_path / "ch")
+
+
+@pytest.mark.parametrize("sidecar", ["{not json", '{"total_modes": 9}', "[1, 2]"])
+def test_load_channel_rejects_bad_sidecars(tmp_path, sidecar):
+    channel.save_channel(tmp_path / "ch", channel.haar_channel(3, 9, 8))
+    (tmp_path / "ch.json").write_text(sidecar, encoding="ascii")
+    with pytest.raises(FormatError):
+        channel.load_channel(tmp_path / "ch")
 
 
 def test_fixture_matrix_properties():

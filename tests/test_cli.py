@@ -164,6 +164,33 @@ def test_subcommand_chain(tmp_path):
     assert report["results"]["d_ent"] >= 2
 
 
+def test_malformed_json_sidecars_exit_2(tmp_path, capsys):
+    sim = str(tmp_path / "sim")
+    assert cli.main(["simulate", "--d", "3", "--n-modes", "8", "--exposure", "inf",
+                     "--seed", "1", "--out", sim]) == 0
+    rec = str(tmp_path / "rec")
+    assert cli.main(["tomo", "--scans", os.path.join(sim, "scans"), "--out", rec]) == 0
+
+    meta_path = os.path.join(sim, "scans", "meta.json")
+    with open(meta_path, encoding="ascii") as fh:
+        meta = json.load(fh)
+    del meta["d"]
+    with open(meta_path, "w", encoding="ascii") as fh:
+        json.dump(meta, fh)
+    capsys.readouterr()
+    assert cli.main(["tomo", "--scans", os.path.join(sim, "scans"),
+                     "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "'d'" in err and len(err.splitlines()) == 1
+
+    with open(os.path.join(rec, "t_hat.json"), "w", encoding="ascii") as fh:
+        fh.write("{not json")
+    assert cli.main(["unscramble", "--t-hat", os.path.join(rec, "t_hat.csv"),
+                     "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "t_hat.json" in err and len(err.splitlines()) == 1
+
+
 def test_tomo_missing_bundle_and_degenerate_reference(tmp_path):
     assert cli.main(["tomo", "--scans", str(tmp_path / "nope"),
                      "--out", str(tmp_path / "o")]) == 2

@@ -217,7 +217,8 @@ def test_count_table_rejects_unsafe_labels(tmp_path):
         measure.save_count_table(tmp_path / "t.csv", t)
 
 
-@pytest.mark.parametrize("corruption", ["truncated", "duplicate", "out-of-range", "zz"])
+@pytest.mark.parametrize("corruption", ["truncated", "duplicate", "out-of-range", "zz",
+                                        "cut-short"])
 def test_count_table_rejects_corrupt_cells(tmp_path, corruption):
     std_path, fam_path = str(tmp_path / "standard.csv"), str(tmp_path / "mub_0.csv")
     for path, label in ((std_path, "standard"), (fam_path, "mub:0")):
@@ -230,7 +231,8 @@ def test_count_table_rejects_corrupt_cells(tmp_path, corruption):
     lines = {"truncated": lines[:-1],
              "duplicate": lines + ["0,0,50\n"],
              "out-of-range": lines + ["0,3,1\n"],
-             "zz": lines[:-1] + ["2,2,zz\n"]}[corruption]
+             "zz": lines[:-1] + ["2,2,zz\n"],
+             "cut-short": lines[:-1] + ["2,2,5"]}[corruption]
     with open(std_path, "w", encoding="ascii") as fh:
         fh.writelines(lines)
     with pytest.raises(FormatError):

@@ -168,7 +168,8 @@ def test_matrix_csv_rejects_malformed_files(tmp_path):
         numerics.load_matrix_csv(sparse)
 
 
-@pytest.mark.parametrize("corruption", ["truncated", "duplicate", "out-of-range", "zz"])
+@pytest.mark.parametrize("corruption", ["truncated", "duplicate", "out-of-range", "zz",
+                                        "cut-short"])
 def test_matrix_csv_rejects_corrupt_cells(tmp_path, corruption):
     path = str(tmp_path / "t_hat.csv")
     numerics.save_matrix_csv(path, np.eye(2))
@@ -178,7 +179,8 @@ def test_matrix_csv_rejects_corrupt_cells(tmp_path, corruption):
     lines = {"truncated": lines[:-1],
              "duplicate": lines + ["0,0,1,0\n"],
              "out-of-range": lines + ["2,0,0,0\n"],
-             "zz": lines[:-1] + ["1,1,zz,0\n"]}[corruption]
+             "zz": lines[:-1] + ["1,1,zz,0\n"],
+             "cut-short": lines[:-1] + ["1,1,1,0"]}[corruption]
     with open(path, "w", encoding="ascii") as fh:
         fh.writelines(lines)
     with pytest.raises(FormatError):

@@ -7,6 +7,7 @@ from oracles import kron_vector
 from qscatter import numerics, states
 from qscatter.errors import (
     DimensionMismatchError,
+    FormatError,
     InvalidDimensionError,
     NormalizationError,
 )
@@ -144,3 +145,7 @@ def test_state_load_rejects_tampered_sidecar(tmp_path):
     meta.write_text(meta.read_text().replace('"dim": 2', '"dim": 3'))
     with pytest.raises(DimensionMismatchError):
         states.load_state(tmp_path / "st")
+    for garbled in ("{not json", '{"dim": 2}'):
+        meta.write_text(garbled)
+        with pytest.raises(FormatError):
+            states.load_state(tmp_path / "st")
