@@ -53,8 +53,8 @@ class TargetState:
         if lam.shape != (self.dim,):
             raise DimensionMismatchError(
                 f"lambda shape {lam.shape} does not match dim {self.dim}")
-        if np.any(lam < 0):
-            raise NormalizationError("lambda entries must be nonnegative")
+        if not np.all(np.isfinite(lam)) or np.any(lam < 0):
+            raise NormalizationError("lambda entries must be finite and nonnegative")
         total = float(np.sum(lam * lam))
         if abs(total - 1.0) > 1e-6:
             raise NormalizationError(

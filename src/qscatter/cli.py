@@ -243,9 +243,9 @@ def _scan(cfg: ScenarioConfig, ch: channel.ChannelModel, out_dir: str):
 
 
 def _load_scan_bundle(scan_dir: str):
-    meta = numerics._read_json(os.path.join(scan_dir, "meta.json"), ("d", "family"))
-    d = int(meta["d"])
-    family = bases.parse_basis_spec(str(meta["family"]), d)
+    meta = numerics._read_json(os.path.join(scan_dir, "meta.json"),
+                               {"d": int, "family": str})
+    family = bases.parse_basis_spec(meta["family"], meta["d"])
     s_rec, e_rec = [], []
     for step, theta in enumerate(measure.THETA_GRID):
         s_tab = measure.load_count_table(os.path.join(scan_dir, f"s_step{step}.csv"))
@@ -593,15 +593,14 @@ def _cmd_unscramble(args: argparse.Namespace) -> int:
 
 
 def _load_lambda_file(path: str, dim: int) -> np.ndarray:
+    """The target spectrum of a {"lambda": [...]} file: dim finite weights."""
+    values = numerics._read_json(path, {"lambda": list})["lambda"]
     try:
-        with open(path, "r", encoding="ascii") as fh:
-            meta = json.load(fh)
-        lam = np.asarray(meta["lambda"], dtype=np.float64)
-    except (OSError, ValueError, KeyError) as exc:
-        raise ConfigError(f"cannot read lambda file {path}: {exc}") from exc
-    if lam.shape != (dim,):
-        raise ConfigError(
-            f"lambda file holds {lam.shape[0]} weights, expected {dim}")
+        lam = np.array(values, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        lam = np.array([])
+    if lam.shape != (dim,) or not np.all(np.isfinite(lam)):
+        raise ConfigError(f"lambda file {path}: 'lambda' must list {dim} finite numbers")
     return lam
 
 

@@ -27,7 +27,7 @@ from .errors import (
 
 NOISELESS = math.inf
 
-# Fixed sub-stream ids so parallel scans stay reproducible.
+# Fixed sub-stream ids: each sampled table draws from its own stream.
 _STREAM_SCAN_S = 11
 _STREAM_SCAN_E = 12
 _STREAM_TABLE = 13
@@ -92,16 +92,18 @@ def probability_table(state: states.BipartiteState, kets_a, kets_b) -> np.ndarra
     return np.abs(amp) ** 2
 
 
-def sample_counts(probs, exposure: float, seed,
-                  dark_rate: float = 0.0, *,
-                  basis_label_a: str = "custom", basis_label_b: str = "custom",
-                  record_seed: Optional[int] = None) -> CountTable:
+def sample_counts(probs, exposure: float, seed: Optional[int],
+                  dark_rate: float = 0.0, *, stream: Sequence[int] = (),
+                  basis_label_a: str = "custom", basis_label_b: str = "custom") -> CountTable:
     """Poisson-sample a probability table into a CountTable.
 
     exposure = inf returns the exact cell means (probabilities plus dark
-    rate), bypassing the generator entirely. seed may be an integer or a
-    Generator; record_seed overrides the integer stored in the table when
-    the sampling stream was derived from a root seed elsewhere.
+    rate), bypassing the generator entirely; seed may then be None. Sampled
+    mode needs an integer root seed: the counts are drawn from its
+    sub-stream numerics.substream(seed, *stream) and the table records the
+    root seed. Every caller passes a stream of its own per table, so one
+    root seed serves a whole run while the tables' counting noise stays
+    independent.
     """
     p = np.asarray(probs, dtype=np.float64)
     if p.ndim == 1:
@@ -114,15 +116,12 @@ def sample_counts(probs, exposure: float, seed,
     if math.isinf(exposure):
         return CountTable(counts=p, basis_label_a=basis_label_a,
                           basis_label_b=basis_label_b, exposure=NOISELESS, seed=None)
-    if seed is None:
-        raise NormalizationError("sampled mode needs an explicit seed")
-    rng = numerics.rng_from(seed)
-    counts = rng.poisson(exposure * p).astype(np.float64)
-    if record_seed is None and not isinstance(seed, np.random.Generator):
-        record_seed = int(seed)
+    if not isinstance(seed, (int, np.integer)):
+        raise NormalizationError("sampled mode needs an explicit integer seed")
+    counts = numerics.substream(seed, *stream).poisson(exposure * p).astype(np.float64)
     return CountTable(counts=counts, basis_label_a=basis_label_a,
                       basis_label_b=basis_label_b, exposure=float(exposure),
-                      seed=record_seed)
+                      seed=int(seed))
 
 
 def measure_correlations(state: states.BipartiteState, family: BasisFamily,
@@ -131,15 +130,16 @@ def measure_correlations(state: states.BipartiteState, family: BasisFamily,
     """Joint outcome table with Alice in `family` and Bob in its conjugate.
 
     The conjugated partner family makes maximally entangled correlations
-    land on the diagonal for every family kind.
+    land on the diagonal for every family kind. Sampled counts come from a
+    sub-stream of `seed` keyed by the family kind, so the tables of
+    different families are independent and a rerun repeats them.
     """
     if family.dim != state.dim:
         raise DimensionMismatchError("family does not match the state dimension")
     probs = probability_table(state, family.matrix, np.conjugate(family.matrix))
-    table = sample_counts(probs, exposure, seed, dark_rate,
-                          basis_label_a=family.kind,
-                          basis_label_b=family.kind + "*")
-    return table
+    return sample_counts(probs, exposure, seed, dark_rate,
+                         stream=(_STREAM_TABLE, *family.kind.encode("ascii")),
+                         basis_label_a=family.kind, basis_label_b=family.kind + "*")
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,21 +157,28 @@ class PhaseStepRecord:
             raise InvalidDimensionError("theta does not match the step index")
 
 
-def _embed_pixels(vec: np.ndarray, dim_full: int) -> np.ndarray:
-    out = np.zeros(dim_full, dtype=np.complex128)
-    out[1:] = vec
-    return out
+def _with_reference(amplitude: complex, pixels: np.ndarray) -> np.ndarray:
+    """Kets amplitude|ref> + |pixel row>, one per row, reference mode first."""
+    return np.hstack([np.full((pixels.shape[0], 1), amplitude, dtype=np.complex128),
+                      pixels])
 
 
-def _scan_checks(state: states.BipartiteState, family: BasisFamily,
-                 exposure: float, seed: Optional[int]) -> int:
-    d = family.dim
-    if state.dim != d + 1:
-        raise DimensionMismatchError(
-            f"scan needs a state on {d}+1 modes (reference first), got dim {state.dim}")
-    if not math.isinf(exposure) and seed is None:
-        raise NormalizationError("sampled scans need an explicit integer seed")
-    return d
+def _phase_scan(state: states.BipartiteState, family: BasisFamily, exposure: float,
+                seed: Optional[int], dark_rate: float, name: str, stream: int,
+                kets) -> List[PhaseStepRecord]:
+    """The four steps of one scan; kets(exp(i theta)) gives Alice's and
+    Bob's kets, and each step draws from sub-stream (stream, step)."""
+    if state.dim != family.dim + 1:
+        raise DimensionMismatchError(f"scan needs a state on {family.dim}+1 modes "
+                                     f"(reference first), got dim {state.dim}")
+    records = []
+    for step, theta in enumerate(THETA_GRID):
+        probs = probability_table(state, *kets(np.exp(1j * theta)))
+        table = sample_counts(probs, exposure, seed, dark_rate, stream=(stream, step),
+                              basis_label_a=f"{name}:{family.kind}:step{step}",
+                              basis_label_b=family.kind)
+        records.append(PhaseStepRecord(step=step, theta=theta, table=table))
+    return records
 
 
 def phase_step_scan_s(state: states.BipartiteState, family: BasisFamily,
@@ -185,22 +192,10 @@ def phase_step_scan_s(state: states.BipartiteState, family: BasisFamily,
     family's rotated form (the tag convention used downstream); for the
     standard basis it reduces to the textbook reference-plus-pixel scan.
     """
-    d = _scan_checks(state, family, exposure, seed)
-    bob = np.array([_embed_pixels(family.matrix[n], d + 1) for n in range(d)])
-    records = []
-    for step, theta in enumerate(THETA_GRID):
-        alice = np.zeros((d, d + 1), dtype=np.complex128)
-        alice[:, 0] = np.exp(1j * theta)
-        alice[:, 1:] = np.conjugate(family.matrix)
-        probs = probability_table(state, alice, bob)
-        step_seed = None if math.isinf(exposure) else numerics.substream(
-            seed, _STREAM_SCAN_S, step)
-        table = sample_counts(probs, exposure, step_seed, dark_rate,
-                              basis_label_a=f"scan-s:{family.kind}:step{step}",
-                              basis_label_b=family.kind,
-                              record_seed=None if math.isinf(exposure) else int(seed))
-        records.append(PhaseStepRecord(step=step, theta=theta, table=table))
-    return records
+    m = family.matrix
+    return _phase_scan(state, family, exposure, seed, dark_rate, "scan-s", _STREAM_SCAN_S,
+                       lambda phase: (_with_reference(phase, np.conjugate(m)),
+                                      _with_reference(0.0, m)))
 
 
 def phase_step_scan_e(state: states.BipartiteState, family: BasisFamily,
@@ -211,23 +206,10 @@ def phase_step_scan_e(state: states.BipartiteState, family: BasisFamily,
     Alice projects onto the bare reference mode; Bob steps the phase of his
     reference against each family vector. Yields 1 x d tables.
     """
-    d = _scan_checks(state, family, exposure, seed)
-    alice = np.zeros((1, d + 1), dtype=np.complex128)
-    alice[0, 0] = 1.0
-    records = []
-    for step, theta in enumerate(THETA_GRID):
-        bob = np.zeros((d, d + 1), dtype=np.complex128)
-        bob[:, 0] = np.exp(1j * theta)
-        bob[:, 1:] = family.matrix
-        probs = probability_table(state, alice, bob)
-        step_seed = None if math.isinf(exposure) else numerics.substream(
-            seed, _STREAM_SCAN_E, step)
-        table = sample_counts(probs, exposure, step_seed, dark_rate,
-                              basis_label_a=f"scan-e:{family.kind}:step{step}",
-                              basis_label_b=family.kind,
-                              record_seed=None if math.isinf(exposure) else int(seed))
-        records.append(PhaseStepRecord(step=step, theta=theta, table=table))
-    return records
+    m = family.matrix
+    return _phase_scan(state, family, exposure, seed, dark_rate, "scan-e", _STREAM_SCAN_E,
+                       lambda phase: (_with_reference(1.0, np.zeros((1, family.dim))),
+                                      _with_reference(phase, m)))
 
 
 def zeta_correct(table: CountTable, zeta) -> CountTable:

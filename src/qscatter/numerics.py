@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import List, Sequence, Tuple, Union
+from typing import List, Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -271,8 +271,13 @@ def load_matrix_csv(path: Union[str, os.PathLike]) -> ComplexMatrix:
     return grid.view(np.complex128)[:, :, 0]
 
 
-def _read_json(path: Union[str, os.PathLike], keys: Sequence[str] = ()) -> dict:
-    """Read a JSON sidecar, an object holding at least `keys`, or raise FormatError."""
+def _read_json(path: Union[str, os.PathLike],
+               keys: Union[Sequence[str], Mapping[str, object]] = ()) -> dict:
+    """Read a JSON sidecar, an object holding at least `keys`, or raise FormatError.
+
+    keys may map each name to a type or tuple of types its value must have
+    (JSON true and false do not count as numbers).
+    """
     try:
         with open(path, "r", encoding="ascii") as fh:
             data = json.load(fh)
@@ -280,4 +285,7 @@ def _read_json(path: Union[str, os.PathLike], keys: Sequence[str] = ()) -> dict:
         raise FormatError(f"{path}: cannot read JSON: {exc}") from exc
     if not isinstance(data, dict) or not all(key in data for key in keys):
         raise FormatError(f"{path}: not a JSON object with the keys {list(keys)}")
+    for key, kind in (keys.items() if isinstance(keys, Mapping) else ()):
+        if isinstance(data[key], bool) or not isinstance(data[key], kind):
+            raise FormatError(f"{path}: {key!r} has the wrong type: {data[key]!r}")
     return data

@@ -169,10 +169,10 @@ def save_state(path_base: Union[str, os.PathLike], state: BipartiteState) -> Non
 def load_state(path_base: Union[str, os.PathLike]) -> BipartiteState:
     base = os.fspath(path_base)
     coeffs = numerics.load_matrix_csv(base + ".csv")
-    meta = numerics._read_json(base + ".json", ("dim", "norm_sq"))
+    meta = numerics._read_json(base + ".json", {"dim": int, "norm_sq": (int, float)})
     state = make_state(coeffs)
-    if state.dim != int(meta["dim"]):
+    if state.dim != meta["dim"]:
         raise DimensionMismatchError("sidecar dim disagrees with coefficient matrix")
-    if abs(state.norm_sq - float(meta["norm_sq"])) > 1e-9:
+    if abs(state.norm_sq - meta["norm_sq"]) > 1e-9:
         raise NormalizationError("sidecar norm_sq disagrees with coefficients")
     return state

@@ -17,7 +17,6 @@ factors zeta_w, which are undone in post-processing by rescaling counts.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -191,29 +190,17 @@ def measure_recovered(state: BipartiteState, ops: UnscrambleOperators,
     """Simulate one recovered-basis coincidence table.
 
     Sampling happens at the physically displayed (unit-max-modulus)
-    patterns; rotated tables are then rescaled row-wise back to the exact
-    operator convention, with the factors kept in row_scale.
+    patterns, from sub-stream (_STREAM_RECOVERED, k) of seed with k = 0 for
+    the standard table and r + 1 for family r; rotated tables are then
+    rescaled row-wise back to the exact operator convention, with the
+    factors kept in row_scale.
     """
+    probs = recovered_probs(state, ops, which, lambdas, corrected=False)
     if which == "standard":
-        probs = recovered_probs(state, ops, "standard")
-        label = "recovered:standard"
-        stream = 0
-        zeta = None
+        label, k, zeta = "recovered:standard", 0, None
     else:
         v = build_v(ops, int(which), lambdas)
-        amp = _amplitudes(state, v.normalized_v, v.m_bob)
-        probs = np.abs(amp) ** 2
-        label = f"recovered:{v.kind}"
-        stream = int(which) + 1
-        zeta = v.zeta
-    noiseless = math.isinf(exposure)
-    if not noiseless and seed is None:
-        raise NormalizationError("sampled mode needs an explicit integer seed")
-    rng = None if noiseless else numerics.substream(seed, _STREAM_RECOVERED, stream)
-    table = sample_counts(probs, exposure, rng, dark_rate,
-                          basis_label_a=label, basis_label_b=label + "*",
-                          record_seed=None if noiseless else int(seed))
-    if zeta is not None:
-        table = zeta_correct(table, zeta)
-    return table
-
+        label, k, zeta = f"recovered:{v.kind}", int(which) + 1, v.zeta
+    table = sample_counts(probs, exposure, seed, dark_rate, stream=(_STREAM_RECOVERED, k),
+                          basis_label_a=label, basis_label_b=label + "*")
+    return table if zeta is None else zeta_correct(table, zeta)

@@ -36,6 +36,8 @@ def test_target_state_validation():
         certify.TargetState(dim=2, lambdas=np.array([0.8, -0.6]))
     with pytest.raises(NormalizationError):
         certify.TargetState(dim=2, lambdas=np.array([0.8, 0.8]))
+    with pytest.raises(NormalizationError):
+        certify.TargetState(dim=3, lambdas=np.array([np.nan, 0.5, 0.5]))
 
 
 def test_target_state_uniform_and_bounds():

@@ -183,12 +183,52 @@ def test_malformed_json_sidecars_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "'d'" in err and len(err.splitlines()) == 1
 
+    meta["d"] = "three"
+    with open(meta_path, "w", encoding="ascii") as fh:
+        json.dump(meta, fh)
+    assert cli.main(["tomo", "--scans", os.path.join(sim, "scans"),
+                     "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "'d'" in err and len(err.splitlines()) == 1
+
     with open(os.path.join(rec, "t_hat.json"), "w", encoding="ascii") as fh:
         fh.write("{not json")
     assert cli.main(["unscramble", "--t-hat", os.path.join(rec, "t_hat.csv"),
                      "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "t_hat.json" in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("content", ["[1, 2]", '{"lambda": 5}',
+                                     '{"lambda": [NaN, 0.5, 0.5]}'])
+def test_malformed_target_spectrum_exits_2(tmp_path, capsys, content):
+    sim, rec = str(tmp_path / "sim"), str(tmp_path / "rec")
+    assert cli.main(["simulate", "--d", "3", "--n-modes", "8", "--exposure", "inf",
+                     "--seed", "1", "--out", sim]) == 0
+    assert cli.main(["tomo", "--scans", os.path.join(sim, "scans"), "--out", rec]) == 0
+    lam = tmp_path / "lam.json"
+    lam.write_text(content)
+    capsys.readouterr()
+    for argv in (["unscramble", "--t-hat", os.path.join(rec, "t_hat.csv"),
+                  "--lambdas", str(lam)],
+                 ["certify", "--standard", os.path.join(sim, "tables", "standard.csv"),
+                  "--table", os.path.join(sim, "tables", "mub_0.csv"),
+                  "--target", str(lam), "--n-mc", "0"]):
+        assert cli.main(argv + ["--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "lam.json" in err and len(err.splitlines()) == 1
+
+
+def test_baseline_family_tables_draw_independent_noise(tmp_path):
+    out = str(tmp_path / "base")
+    assert cli.main(["run", "--scenario", "baseline", "--d", "5", "--n-modes", "12",
+                     "--exposure", "1e4", "--n-mc", "0", "--seed", "3",
+                     "--out", out]) == 0
+    counts = [measure.load_count_table(os.path.join(out, "tables", f"mub_{r}.csv")).counts
+              for r in range(5)]
+    for a in range(5):
+        for b in range(a + 1, 5):
+            assert not np.array_equal(counts[a], counts[b]), (a, b)
 
 
 def test_tomo_missing_bundle_and_degenerate_reference(tmp_path):

@@ -74,13 +74,14 @@ def test_sample_counts_poisson_statistics():
 
 
 def test_sample_counts_seed_bookkeeping():
-    gen = numerics.substream(3, 13)
-    t = measure.sample_counts(np.array([[0.5]]), 100.0, gen, record_seed=3)
+    probs = np.full((4, 4), 0.5)
+    t = measure.sample_counts(probs, 100.0, 3, stream=(13, 1))
     assert t.seed == 3
-    t2 = measure.sample_counts(np.array([[0.5]]), 100.0,
-                               numerics.substream(3, 13))
-    assert t2.seed is None
-    np.testing.assert_array_equal(t.counts, t2.counts)
+    again = measure.sample_counts(probs, 100.0, 3, stream=(13, 1))
+    np.testing.assert_array_equal(t.counts, again.counts)
+    other = measure.sample_counts(probs, 100.0, 3, stream=(13, 2))
+    assert other.seed == 3
+    assert not np.array_equal(t.counts, other.counts)
 
 
 def test_sample_counts_error_paths():
@@ -102,6 +103,14 @@ def test_measure_correlations_diagonal_for_max_entangled():
         np.testing.assert_allclose(off, 0.0, atol=1e-12)
         np.testing.assert_allclose(np.diagonal(table.counts), 1 / 5,
                                    atol=1e-12)
+
+
+def test_measure_correlations_families_draw_independent_noise():
+    st = states.max_entangled(5)
+    one, two = (measure.measure_correlations(st, bases.mub(5, r), 1e4, seed=4)
+                for r in (1, 2))
+    assert one.seed == two.seed == 4
+    assert not np.array_equal(one.counts, two.counts)
 
 
 def test_measure_correlations_dimension_check():

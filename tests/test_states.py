@@ -145,7 +145,8 @@ def test_state_load_rejects_tampered_sidecar(tmp_path):
     meta.write_text(meta.read_text().replace('"dim": 2', '"dim": 3'))
     with pytest.raises(DimensionMismatchError):
         states.load_state(tmp_path / "st")
-    for garbled in ("{not json", '{"dim": 2}'):
+    for garbled in ("{not json", '{"dim": 2}', '{"dim": "x", "norm_sq": 1.0}',
+                    '{"dim": 2, "norm_sq": "one"}'):
         meta.write_text(garbled)
         with pytest.raises(FormatError):
             states.load_state(tmp_path / "st")
