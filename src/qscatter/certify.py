@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -33,6 +33,11 @@ from .errors import (
 from .measure import CountTable
 
 _STREAM_MC = 21
+
+# Poisson cells drawn per block of Monte-Carlo trials: it bounds the
+# working arrays of the batched estimator whatever n_mc is. A trial that
+# alone draws more cells is a block of its own.
+_MC_BLOCK_CELLS = 1 << 14
 
 _UNIFORM_TOL = 1e-9
 
@@ -212,15 +217,83 @@ def fidelity_exact(standard_table: CountTable,
     return s * s / d ** 2 * q_total - _cross_measured(probs, target)
 
 
-def _resample(table: CountTable, rng: np.random.Generator) -> CountTable:
-    """Poisson bootstrap of one table, honoring any row correction."""
-    if table.row_scale is None:
-        raw = table.counts
-        new = rng.poisson(raw).astype(np.float64)
-        return replace(table, counts=new)
-    raw = table.counts / table.row_scale[:, np.newaxis]
-    new = rng.poisson(raw).astype(np.float64) * table.row_scale[:, np.newaxis]
-    return replace(table, counts=new)
+def _row_scale(table: CountTable) -> np.ndarray:
+    d = table.counts.shape[0]
+    return np.ones(d) if table.row_scale is None else table.row_scale
+
+
+def _raw_statistics(standard_table: CountTable, family_tables: Sequence[CountTable]
+                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The raw counts the estimators read, before any row correction.
+
+    Returns every standard cell (flattened, d*d), and each family row's
+    diagonal cell and off-diagonal sum, (k, d) each. A family table enters
+    the estimators only through its diagonal and its row totals (a row
+    correction scales whole rows), and a sum of independent Poisson cells
+    is Poisson with the summed mean, so redrawing these statistics is
+    exactly a Poisson redraw of every cell.
+    """
+    def raw(table: CountTable) -> np.ndarray:
+        return table.counts / _row_scale(table)[:, np.newaxis]
+
+    diag = np.stack([np.diagonal(raw(t)) for t in family_tables])
+    rows = np.stack([np.sum(raw(t), axis=1) for t in family_tables])
+    return raw(standard_table).ravel(), diag, rows - diag
+
+
+def _batched_estimator(standard_table: CountTable, family_tables: Sequence[CountTable],
+                       target: TargetState, exact: bool):
+    """fidelity_exact (or fidelity_lower_bound on family_tables[0]) as a
+    function of raw statistics in the layout of _raw_statistics, with a
+    leading axis of n trials: (n, d*d), (n, k, d), (n, k, d) -> (n,)."""
+    d = target.dim
+    lam = target.lambdas
+    s2 = float(np.sum(lam)) ** 2
+    std_scale = np.repeat(_row_scale(standard_table), d)
+    weights = np.outer(lam, lam).ravel()
+    # Total, sum lam_i lam_j S_ij and sum lam_i^2 S_ii of the corrected table.
+    lin = std_scale[:, np.newaxis] * np.stack(
+        [np.ones(d * d), weights, np.diag(lam * lam).ravel()], axis=1)
+    fam_scale = np.stack([_row_scale(t) for t in family_tables])
+    tilted = np.array([_parse_kind(t.basis_label_a)[0] == "tilted" for t in family_tables])
+    # Flat index of cell ((i + delta) % d, i), one row per delta = 1..d-1.
+    idx = np.arange(d)
+    cyclic = ((idx + np.arange(1, d)[:, np.newaxis]) % d) * d + idx
+
+    def evaluate(std: np.ndarray, diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+        total, weighted, on_diag = (std @ lin).T
+        fam_total = np.sum(fam_scale * (diag + off), axis=2)
+        if np.any(total <= 0) or np.any(fam_total <= 0):
+            raise NormalizationError("a resampled table has zero total counts")
+        cross = (weighted - on_diag) / total
+        c = np.where(tilted, (d * d / s2 * weighted / total)[:, np.newaxis], 1.0)
+        q = c * np.sum(fam_scale * diag, axis=2) / fam_total
+        if exact:
+            return s2 / d ** 2 * np.sum(q, axis=1) - cross
+        u = np.sqrt(np.clip(weights * std * std_scale / total[:, np.newaxis], 0.0, None))
+        vals = u[:, cyclic]
+        bound = np.sum(np.sum(vals, axis=2) ** 2, axis=1) - np.sum(vals * vals, axis=(1, 2))
+        return s2 / d * q[:, 0] - cross - bound
+
+    return evaluate
+
+
+def _monte_carlo(standard_table: CountTable, family_tables: Sequence[CountTable],
+                 target: TargetState, exact: bool, n_mc: int, seed: int) -> np.ndarray:
+    """n_mc estimator values over Poisson redraws of the raw statistics.
+
+    All trials come from one sub-stream and are evaluated in blocks of
+    about _MC_BLOCK_CELLS drawn cells.
+    """
+    evaluate = _batched_estimator(standard_table, family_tables, target, exact)
+    means = _raw_statistics(standard_table, family_tables)
+    per_block = max(1, _MC_BLOCK_CELLS // sum(m.size for m in means))
+    rng = numerics.substream(seed, _STREAM_MC)
+    trials = np.empty(n_mc)
+    for start in range(0, n_mc, per_block):
+        n = min(per_block, n_mc - start)
+        trials[start:start + n] = evaluate(*(rng.poisson(m, (n, *m.shape)) for m in means))
+    return trials
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,9 +336,10 @@ def certify(standard_table: CountTable,
     except when every rotated table is mub-type: those moments are only
     defined against the uniform spectrum, so that is what they get. The
     exact estimator is used when all d families are present, otherwise the
-    single-family lower bound (with a warning). Error bars come from
-    Poisson-resampling every table n_mc times with the target and bases
-    held fixed; noiseless tables skip the resampling.
+    single-family lower bound (with a warning). The error bar is the
+    spread of the estimator over n_mc Poisson redraws of the counts it
+    reads, with the target and bases held fixed; it is 0 (and n_mc is
+    reported as 0) when any table is noiseless.
     """
     if not family_tables:
         raise NormalizationError("certification needs at least one rotated family")
@@ -277,13 +351,12 @@ def certify(standard_table: CountTable,
             target = estimate_lambda(standard_table)
     d = target.dim
 
+    noiseless = any(t.noiseless for t in [standard_table, *family_tables])
     rs = sorted(_parse_kind(t.basis_label_a)[1] for t in family_tables)
     exact = rs == list(range(d))
     if exact:
         method = "exact"
-
-        def run(std: CountTable, fams: Sequence[CountTable]) -> float:
-            return fidelity_exact(std, fams, target)
+        fidelity = fidelity_exact(standard_table, family_tables, target)
     else:
         method = "lower_bound"
         if len(family_tables) > 1:
@@ -291,25 +364,15 @@ def certify(standard_table: CountTable,
                 f"families {rs} do not cover 0..{d - 1}; "
                 "falling back to the single-family lower bound",
                 stacklevel=2)
-
-        def run(std: CountTable, fams: Sequence[CountTable]) -> float:
-            return fidelity_lower_bound(std, fams[0], target)
-
-    fidelity = run(standard_table, family_tables)
+        family_tables = family_tables[:1]
+        fidelity = fidelity_lower_bound(standard_table, family_tables[0], target)
     bounds = target.bounds()
     d_ent = _dimensionality_from(fidelity, bounds)
 
-    all_tables = [standard_table, *family_tables]
-    noiseless = any(t.noiseless for t in all_tables)
     sigma = 0.0
     n_eff = 0
     if not noiseless and n_mc >= 2:
-        trials = np.empty(n_mc)
-        for i in range(n_mc):
-            rng = numerics.substream(seed, _STREAM_MC, i)
-            std = _resample(standard_table, rng)
-            fams = [_resample(t, rng) for t in family_tables]
-            trials[i] = run(std, fams)
+        trials = _monte_carlo(standard_table, family_tables, target, exact, n_mc, seed)
         sigma = float(np.std(trials, ddof=1))
         n_eff = n_mc
 

@@ -44,6 +44,7 @@ from .errors import (
     CertificationFailure,
     ConditioningError,
     ConfigError,
+    FormatError,
     ToolkitError,
 )
 
@@ -284,10 +285,16 @@ def _load_t_hat(path: str) -> channel.EffectiveT:
     matrix = numerics.load_matrix_csv(path)
     meta_path = os.path.splitext(path)[0] + ".json"
     meta = numerics._read_json(meta_path) if os.path.exists(meta_path) else {}
+    includes_reference = meta.get("includes_reference", False)
+    basis_tag = meta.get("basis_tag")
+    if not isinstance(includes_reference, bool):
+        raise FormatError(f"{meta_path}: 'includes_reference' must be true or false")
+    if not isinstance(basis_tag, (str, type(None))):
+        raise FormatError(f"{meta_path}: 'basis_tag' must be a string or null")
     t = channel.EffectiveT(dim=matrix.shape[0], matrix=matrix,
-                           includes_reference=bool(meta.get("includes_reference", False)))
-    if meta.get("basis_tag") is not None:
-        t = tomo.tag_basis(t, bases.parse_basis_spec(str(meta["basis_tag"]), t.dim))
+                           includes_reference=includes_reference)
+    if basis_tag is not None:
+        t = tomo.tag_basis(t, bases.parse_basis_spec(basis_tag, t.dim))
     return t
 
 

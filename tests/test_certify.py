@@ -10,7 +10,7 @@ from oracles import (
     random_density,
     target_ket,
 )
-from qscatter import bases, certify, measure
+from qscatter import bases, certify, measure, states
 from qscatter.errors import DimensionMismatchError, NormalizationError
 
 
@@ -278,3 +278,99 @@ def test_certify_resampling_honors_row_corrections():
     assert corrected.fidelity == pytest.approx(raw.fidelity, abs=1e-12)
     assert corrected.fidelity_sigma == pytest.approx(raw.fidelity_sigma,
                                                      rel=1e-9)
+
+
+def _with_row_scale(table, scale):
+    return measure.CountTable(
+        counts=table.counts * scale[:, np.newaxis], basis_label_a=table.basis_label_a,
+        basis_label_b=table.basis_label_b, exposure=table.exposure, row_scale=scale)
+
+
+def _batched_at_observed(std, fams, target, exact):
+    """The batched estimator on the tables' own statistics, as one trial."""
+    stats = certify._raw_statistics(std, fams)
+    evaluate = certify._batched_estimator(std, fams, target, exact)
+    (value,) = evaluate(*(m[np.newaxis] for m in stats))
+    return float(value)
+
+
+@pytest.mark.parametrize("case", ["mub", "tilted", "family_row_scale",
+                                  "standard_row_scale", "lower_bound"])
+def test_batched_estimator_matches_scalar_oracles(case):
+    rng = np.random.default_rng(14)
+    for d in (2, 3, 5):
+        rho = random_density(d * d, rng)
+        target = (certify.TargetState.uniform(d) if case == "mub"
+                  else _random_target(d, rng))
+        family = bases.mub if case == "mub" else (
+            lambda dim, r: bases.tilted(dim, r, target.lambdas))
+        std = _standard_table(rho, d)
+        fams = [_family_table(rho, family(d, r)) for r in range(d)]
+        if case == "family_row_scale":
+            fams = [_with_row_scale(t, rng.random(d) + 0.5) for t in fams]
+        if case == "standard_row_scale":
+            std = _with_row_scale(std, rng.random(d) + 0.5)
+        if case == "lower_bound":
+            want = certify.fidelity_lower_bound(std, fams[0], target)
+            got = _batched_at_observed(std, fams[:1], target, exact=False)
+        else:
+            want = certify.fidelity_exact(std, fams, target)
+            got = _batched_at_observed(std, fams, target, exact=True)
+        assert got == pytest.approx(want, abs=1e-12)
+
+
+def _calibration_run(exact):
+    """Demo 04's noisy case over 150 seeds: |Phi+>, d=7, 100 peak counts,
+    1% dark counts, n_mc=100. Returns F-hat, sigma and the estimator on the
+    exact-mean tables."""
+    d = 7
+    phi = states.max_entangled(d)
+    uniform = certify.TargetState.uniform(d)
+    peak = 1.0 / d
+    dark = 0.01 * peak
+
+    def tables(exposure, seed):
+        std = measure.measure_correlations(phi, bases.standard_family(d), exposure,
+                                           seed=seed, dark_rate=dark)
+        fams = [measure.measure_correlations(phi, bases.mub(d, r), exposure,
+                                             seed=seed, dark_rate=dark)
+                for r in range(d)]
+        return std, fams if exact else fams[:1]
+
+    std, fams = tables(measure.NOISELESS, None)
+    f_true = certify.certify(std, fams, target=uniform).fidelity
+    runs = [certify.certify(*tables(100.0 / peak, seed), target=uniform, n_mc=100,
+                            seed=seed) for seed in range(150)]
+    f_hat = np.array([r.fidelity for r in runs])
+    sigma = np.array([r.fidelity_sigma for r in runs])
+    return f_hat, sigma, f_true
+
+
+# With 150 seeds the sample spread has a relative standard error of
+# 1/sqrt(2 * 149) = 5.8%, so a calibrated sigma lands in this band.
+_SPREAD_BAND = (0.85, 1.15)
+
+
+@pytest.mark.parametrize("exact", [
+    True,
+    pytest.param(False, marks=pytest.mark.xfail(
+        strict=True, reason="the lower-bound sigma is about 1.2x too small "
+                            "at 100 peak counts")),
+])
+def test_monte_carlo_sigma_matches_the_spread_over_seeds(exact):
+    f_hat, sigma, _ = _calibration_run(exact)
+    ratio = np.std(f_hat, ddof=1) / np.median(sigma)
+    assert _SPREAD_BAND[0] <= ratio <= _SPREAD_BAND[1]
+
+
+def test_exact_three_sigma_interval_covers_the_truth():
+    f_hat, sigma, f_true = _calibration_run(exact=True)
+    assert np.mean(np.abs(f_hat - f_true) <= 3 * sigma) >= 0.98
+
+
+def test_certify_rejects_a_redraw_with_no_counts():
+    _, fams = _sampled_tables(3, 2e4, 15)
+    faint = measure.CountTable(counts=np.full((3, 3), 1e-3), basis_label_a="standard",
+                               basis_label_b="standard*", exposure=1.0, seed=0)
+    with pytest.raises(NormalizationError):
+        certify.certify(faint, fams, n_mc=8)

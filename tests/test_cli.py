@@ -191,7 +191,18 @@ def test_malformed_json_sidecars_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "'d'" in err and len(err.splitlines()) == 1
 
-    with open(os.path.join(rec, "t_hat.json"), "w", encoding="ascii") as fh:
+    t_meta_path = os.path.join(rec, "t_hat.json")
+    with open(t_meta_path, encoding="ascii") as fh:
+        t_meta = json.load(fh)
+    for key, value in (("includes_reference", "no"), ("basis_tag", 3)):
+        with open(t_meta_path, "w", encoding="ascii") as fh:
+            json.dump({**t_meta, key: value}, fh)
+        assert cli.main(["unscramble", "--t-hat", os.path.join(rec, "t_hat.csv"),
+                         "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"'{key}'" in err and len(err.splitlines()) == 1
+
+    with open(t_meta_path, "w", encoding="ascii") as fh:
         fh.write("{not json")
     assert cli.main(["unscramble", "--t-hat", os.path.join(rec, "t_hat.csv"),
                      "--out", str(tmp_path / "o")]) == 2
