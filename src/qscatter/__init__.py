@@ -33,7 +33,6 @@ from .channel import (
     drop_reference,
     effective_t,
     haar_channel,
-    kraus_tp,
     load_channel,
     load_fixture_lambda,
     load_fixture_tm0,
@@ -78,26 +77,19 @@ from .numerics import (
     is_prime,
     is_unitary,
     load_matrix_csv,
-    rng_from,
     save_matrix_csv,
     substream,
 )
 from .states import (
     BipartiteState,
-    SchmidtSpectrum,
     apply_one_sided,
-    load_state,
     make_state,
     max_entangled,
     project,
-    save_state,
-    schmidt,
     weighted_source,
 )
 from .tomo import (
-    EMatrix,
     Reconstruction,
-    SMatrix,
     assemble_t,
     extract_e,
     extract_s,

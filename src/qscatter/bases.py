@@ -64,13 +64,6 @@ class BasisFamily:
             object.__setattr__(self, "lambdas", numerics.frozen(np.asarray(
                 self.lambdas, dtype=np.float64)))
 
-    def conjugated(self) -> "BasisFamily":
-        """Entrywise conjugate family (what the partner side measures)."""
-        return BasisFamily(dim=self.dim, kind=self.kind,
-                           matrix=np.conjugate(self.matrix),
-                           per_vector_norm=self.per_vector_norm,
-                           lambdas=self.lambdas)
-
 
 def _require_prime(d: int) -> None:
     if d < 2 or int(d) != d:

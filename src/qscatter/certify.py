@@ -292,7 +292,8 @@ def _monte_carlo(standard_table: CountTable, family_tables: Sequence[CountTable]
     trials = np.empty(n_mc)
     for start in range(0, n_mc, per_block):
         n = min(per_block, n_mc - start)
-        trials[start:start + n] = evaluate(*(rng.poisson(m, (n, *m.shape)) for m in means))
+        trials[start:start + n] = evaluate(
+            *(numerics._poisson(rng, m, (n, *m.shape)) for m in means))
     return trials
 
 

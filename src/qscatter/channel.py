@@ -16,12 +16,12 @@ import json
 import os
 from dataclasses import dataclass
 from importlib import resources
-from typing import List, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
 from . import numerics, states
-from .bases import BasisFamily
+from .bases import BasisFamily, mub
 from .errors import (
     DimensionMismatchError,
     FormatError,
@@ -88,13 +88,6 @@ class EffectiveT:
                 "sub-blocks of a unitary cannot amplify")
         object.__setattr__(self, "matrix", numerics.frozen(m))
 
-    @property
-    def logical_block(self) -> ComplexMatrix:
-        """The d x d logical part, dropping the reference row/column if any."""
-        if self.includes_reference:
-            return self.matrix[1:, 1:]
-        return self.matrix
-
 
 def effective_t(channel: ChannelModel, include_reference: bool = False) -> EffectiveT:
     """Restrict the medium to the monitored block.
@@ -146,20 +139,6 @@ def drop_reference(state: states.BipartiteState) -> states.BipartiteState:
     if state.dim < 3:
         raise InvalidDimensionError("state too small to carry a reference mode")
     return states.make_state(state.coeffs[1:, 1:], physical=True)
-
-
-def kraus_tp(channel: ChannelModel) -> List[ComplexMatrix]:
-    """Trace-preserving Kraus form of the logical -> logical channel.
-
-    First operator is the logical block of the medium; each remaining
-    operator is a 1 x d row mapping the logical subspace to one lost
-    (reference, then environment) output mode. Together they resolve the
-    identity: sum_k A_k^dag A_k = I.
-    """
-    logical = channel.isometry[:, 1:]
-    d = logical.shape[1]
-    lost = [0, *range(d + 1, logical.shape[0])]
-    return [logical[1:d + 1]] + [logical[m:m + 1] for m in lost]
 
 
 def compose_two_channels(u_a: ComplexMatrix, u_b: ComplexMatrix) -> EffectiveT:
@@ -216,24 +195,20 @@ def load_channel(path_base: Union[str, os.PathLike]) -> ChannelModel:
     return ChannelModel(isometry=v)
 
 
-def load_fixture_tm0(raw: bool = False):
+def load_fixture_tm0() -> EffectiveT:
     """Measured 7x7 transmission matrix shipped with the package.
 
     The values were obtained by scanning in the first unbiased family, so
-    the matrix is basis-rotated and in arbitrary detector units. raw=True
-    returns the verbatim matrix; otherwise an EffectiveT rescaled to unit
-    Frobenius norm (pure gauge) and tagged with that family.
+    the matrix is basis-rotated and in arbitrary detector units. It is
+    returned rescaled to unit Frobenius norm (pure gauge) and tagged with
+    that family; the verbatim values are the complex-matrix CSV
+    fixtures/fixture_tm0.csv, readable with numerics.load_matrix_csv.
     """
-    from . import bases as _bases
-
     ref = resources.files("qscatter.fixtures").joinpath("fixture_tm0.csv")
     with resources.as_file(ref) as path:
         m = numerics.load_matrix_csv(path)
-    if raw:
-        return m
-    fam = _bases.mub(7, 0)
     return EffectiveT(dim=7, matrix=m / np.linalg.norm(m),
-                      includes_reference=False, basis_tag=fam)
+                      includes_reference=False, basis_tag=mub(7, 0))
 
 
 def load_fixture_lambda() -> np.ndarray:

@@ -32,6 +32,7 @@ import argparse
 import hashlib
 import json
 import math
+import numbers
 import os
 import sys
 from dataclasses import asdict, dataclass, replace
@@ -71,6 +72,20 @@ class ScenarioConfig:
     scan_family: str = "mub:0"
 
     def __post_init__(self) -> None:
+        # Types first: JSON true is not an integer, and exposure may be inf
+        # but no other number may be infinite or NaN.
+        for name in ("d", "n_modes", "seed", "n_mc"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for name in ("exposure", "dark_rate", "reference_amplitude"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
+            if name != "exposure" and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value!r}")
+        if not isinstance(self.scan_family, str):
+            raise ConfigError(f"scan_family must be a string, got {self.scan_family!r}")
         if self.scenario not in _SCENARIOS:
             raise ConfigError(
                 f"unknown scenario {self.scenario!r}; choose from {_SCENARIOS}")
@@ -87,8 +102,6 @@ class ScenarioConfig:
             raise ConfigError("reference_amplitude must be positive")
         if self.n_mc < 0:
             raise ConfigError("n_mc must be nonnegative")
-        if not isinstance(self.seed, int):
-            raise ConfigError("seed must be an integer")
         try:
             bases.parse_basis_spec(self.scan_family, self.d)
         except ToolkitError as exc:
@@ -618,6 +631,8 @@ def _require_dent(required: Optional[int], d_ent: int) -> None:
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
+    if args.n_mc < 0:
+        raise ConfigError("n_mc must be nonnegative")
     paths = [args.standard, *args.table]
     tables = [measure.load_count_table(p) for p in paths]
     target = None

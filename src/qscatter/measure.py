@@ -118,7 +118,8 @@ def sample_counts(probs, exposure: float, seed: Optional[int],
                           basis_label_b=basis_label_b, exposure=NOISELESS, seed=None)
     if not isinstance(seed, (int, np.integer)):
         raise NormalizationError("sampled mode needs an explicit integer seed")
-    counts = numerics.substream(seed, *stream).poisson(exposure * p).astype(np.float64)
+    counts = numerics._poisson(numerics.substream(seed, *stream),
+                               exposure * p).astype(np.float64)
     return CountTable(counts=counts, basis_label_a=basis_label_a,
                       basis_label_b=basis_label_b, exposure=float(exposure),
                       seed=int(seed))

@@ -21,12 +21,10 @@ from .errors import (
     DimensionMismatchError,
     FormatError,
     InvalidDimensionError,
+    NormalizationError,
 )
 
 ComplexMatrix = np.ndarray
-
-SeedLike = Union[int, "np.random.Generator", "np.random.SeedSequence", list, tuple]
-
 
 # Numeric tolerance policy, shared by every module.
 UNITARITY_TOL = 1e-10  # bound on ||U^dag U - I||_max for matrices claimed unitary
@@ -34,16 +32,19 @@ PINV_RCOND = 1e-12  # relative singular-value cutoff for pseudo-inversion
 PROB_TOL = 1e-9  # slack allowed on probability normalizations
 
 
-def rng_from(seed: SeedLike) -> np.random.Generator:
-    """Return a Generator; integers and seed sequences map deterministically."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def substream(root_seed: int, *stream: int) -> np.random.Generator:
     """Named sub-stream of a root seed, stable across runs and call order."""
     return np.random.default_rng([int(root_seed), *[int(s) for s in stream]])
+
+
+def _poisson(rng: np.random.Generator, means, size=None) -> np.ndarray:
+    """rng.poisson(means, size), with a mean numpy cannot sample (past
+    about 9.2e18, or not finite) raised as NormalizationError."""
+    try:
+        return rng.poisson(means, size)
+    except ValueError as exc:
+        raise NormalizationError(f"cannot draw Poisson counts with mean "
+                                 f"{float(np.max(means)):.3g}: {exc}") from exc
 
 
 def as_matrix(values) -> ComplexMatrix:
@@ -82,19 +83,20 @@ def is_unitary(m: ComplexMatrix) -> bool:
     return m.ndim == 2 and m.shape[0] == m.shape[1] and is_isometry(m)
 
 
-def haar_isometry(n: int, k: int, seed: SeedLike) -> ComplexMatrix:
+def haar_isometry(n: int, k: int, seed) -> ComplexMatrix:
     """Draw the first k columns of an n x n Haar unitary.
 
     Thin QR of an n x k complex Ginibre draw, with the R diagonal phases
     folded into Q so the factorization is unique. The result is exactly
     the column marginal of the Haar measure (Mezzadri 2007); for k == n it
-    is a Haar unitary.
+    is a Haar unitary. seed is anything np.random.default_rng accepts; a
+    Generator is drawn from as is.
     """
     if any(int(size) != size for size in (n, k)) or not 1 <= k <= n:
         raise InvalidDimensionError(f"cannot draw {k} orthonormal columns of "
                                     f"length {n}: need integers 1 <= k <= n")
     n, k = int(n), int(k)
-    rng = rng_from(seed)
+    rng = np.random.default_rng(seed)
     z = (rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
     diag = np.diagonal(r).copy()
@@ -102,7 +104,7 @@ def haar_isometry(n: int, k: int, seed: SeedLike) -> ComplexMatrix:
     return q * (diag / np.abs(diag))[np.newaxis, :]
 
 
-def haar_unitary(n: int, seed: SeedLike) -> ComplexMatrix:
+def haar_unitary(n: int, seed) -> ComplexMatrix:
     """Draw an n x n unitary from the Haar measure."""
     return haar_isometry(n, n, seed)
 

@@ -9,10 +9,8 @@ the transmitted modes keeps norm_sq = success probability.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -124,55 +122,3 @@ def project(state: BipartiteState, ket_a, ket_b) -> complex:
         raise DimensionMismatchError(
             f"kets must have shape ({state.dim},), got {a.shape} and {b.shape}")
     return complex(np.conjugate(a) @ state.coeffs @ np.conjugate(b))
-
-
-@dataclass(frozen=True, eq=False)
-class SchmidtSpectrum:
-    """Schmidt data of a pure state: descending values and the local bases.
-
-    Columns of basis_a / basis_b are the Schmidt vectors, phased so the
-    largest-magnitude component of each A-side vector is real positive.
-    """
-
-    values: np.ndarray
-    basis_a: ComplexMatrix
-    basis_b: ComplexMatrix
-
-
-def schmidt(state: BipartiteState) -> SchmidtSpectrum:
-    u, s, vh = np.linalg.svd(state.coeffs)
-    # Fix per-vector phase: anchor each left vector's largest entry to R+.
-    v = np.conjugate(vh.T)
-    for k in range(s.size):
-        col = u[:, k]
-        anchor = col[np.argmax(np.abs(col))]
-        if anchor != 0:
-            ph = anchor / abs(anchor)
-            u[:, k] = col / ph
-            v[:, k] = v[:, k] * np.conjugate(ph)
-    # B-side Schmidt vectors: C = sum_k s_k u_k (v_k)^* means the physical
-    # B vectors are conj(v_k); store them directly.
-    return SchmidtSpectrum(values=numerics.frozen(s),
-                           basis_a=numerics.frozen(u),
-                           basis_b=numerics.frozen(np.conjugate(v)))
-
-
-def save_state(path_base: Union[str, os.PathLike], state: BipartiteState) -> None:
-    """Write <base>.csv (coefficients) and <base>.json (dim, norm_sq)."""
-    base = os.fspath(path_base)
-    numerics.save_matrix_csv(base + ".csv", state.coeffs)
-    with open(base + ".json", "w", encoding="ascii") as fh:
-        json.dump({"dim": state.dim, "norm_sq": state.norm_sq}, fh, sort_keys=True)
-        fh.write("\n")
-
-
-def load_state(path_base: Union[str, os.PathLike]) -> BipartiteState:
-    base = os.fspath(path_base)
-    coeffs = numerics.load_matrix_csv(base + ".csv")
-    meta = numerics._read_json(base + ".json", {"dim": int, "norm_sq": (int, float)})
-    state = make_state(coeffs)
-    if state.dim != meta["dim"]:
-        raise DimensionMismatchError("sidecar dim disagrees with coefficient matrix")
-    if abs(state.norm_sq - meta["norm_sq"]) > 1e-9:
-        raise NormalizationError("sidecar norm_sq disagrees with coefficients")
-    return state

@@ -15,7 +15,7 @@ up to one global complex factor that the gauge convention removes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,38 +29,6 @@ from .errors import (
     TagConflictError,
 )
 from .measure import PhaseStepRecord
-
-
-@dataclass(frozen=True, eq=False)
-class SMatrix:
-    """Interference cross terms S[m, n] = ref_n * conj(sig_nm)."""
-
-    dim: int
-    values: np.ndarray
-    basis_label: str = "standard"
-
-    def __post_init__(self) -> None:
-        v = numerics.as_matrix(self.values)
-        if v.shape != (self.dim, self.dim):
-            raise DimensionMismatchError(
-                f"S matrix shape {v.shape} does not match dim {self.dim}")
-        object.__setattr__(self, "values", numerics.frozen(v))
-
-
-@dataclass(frozen=True, eq=False)
-class EMatrix:
-    """Reference interference diagonal, one complex value per basis vector."""
-
-    dim: int
-    diag: np.ndarray
-    basis_label: str = "standard"
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.diag, dtype=np.complex128)
-        if v.shape != (self.dim,):
-            raise DimensionMismatchError(
-                f"E diagonal shape {v.shape} does not match dim {self.dim}")
-        object.__setattr__(self, "diag", numerics.frozen(v))
 
 
 def _quarter_combination(records: Sequence[PhaseStepRecord]) -> Tuple[np.ndarray, str]:
@@ -84,22 +52,28 @@ def _quarter_combination(records: Sequence[PhaseStepRecord]) -> Tuple[np.ndarray
     return ((r[0] - r[2]) + 1j * (r[1] - r[3])) / 4.0, label
 
 
-def extract_s(records: Sequence[PhaseStepRecord]) -> SMatrix:
-    """Combine the four signal-scan tables into the S matrix."""
+def extract_s(records: Sequence[PhaseStepRecord]) -> Tuple[np.ndarray, str]:
+    """Combine the four signal-scan tables into the S matrix.
+
+    Returns the square matrix of cross terms S[m, n] = ref_n * conj(sig_nm)
+    and the scan family label the tables were recorded in.
+    """
     values, label = _quarter_combination(records)
     if values.shape[0] != values.shape[1]:
         raise DimensionMismatchError(
             f"signal scan must be square, got shape {values.shape}")
-    return SMatrix(dim=values.shape[0], values=values, basis_label=label)
+    return values, label
 
 
 def extract_e(records: Sequence[PhaseStepRecord],
-              ref_floor: float = 1e-6) -> EMatrix:
+              ref_floor: float = 1e-6) -> Tuple[np.ndarray, str]:
     """Combine the four reference-scan tables into the E diagonal.
 
-    Raises DegenerateReferenceError when any entry falls below ref_floor
-    times the largest one: a vanishing entry means that basis direction
-    never interferes with the reference and the division step would only
+    Returns the reference interference diagonal, one complex value per
+    family vector, and the scan family label. Raises
+    DegenerateReferenceError when any entry falls below ref_floor times
+    the largest one: a vanishing entry means that basis direction never
+    interferes with the reference and the division step would only
     amplify noise.
     """
     values, label = _quarter_combination(records)
@@ -116,7 +90,7 @@ def extract_e(records: Sequence[PhaseStepRecord],
         raise DegenerateReferenceError(
             f"reference interference spans a {ratio:.2e} dynamic range; "
             f"below the {ref_floor:.2e} floor")
-    return EMatrix(dim=diag.shape[0], diag=diag, basis_label=label)
+    return diag, label
 
 
 def fix_gauge(matrix: np.ndarray) -> np.ndarray:
@@ -135,21 +109,22 @@ def fix_gauge(matrix: np.ndarray) -> np.ndarray:
     return m * (np.conjugate(a) / abs(a))
 
 
-def assemble_t(s: SMatrix, e: EMatrix) -> EffectiveT:
+def assemble_t(s: Tuple[np.ndarray, str], e: Tuple[np.ndarray, str]) -> EffectiveT:
     """Assemble the gauge-fixed transmission matrix from scan outputs.
 
-    The result is expressed in the scan family (untagged here; see
-    tag_basis) and normalized to unit Frobenius norm with a real-positive
-    leading entry.
+    s and e are the (values, family label) pairs of extract_s and
+    extract_e; they must agree in dimension and in scan family. The result
+    is expressed in the scan family (untagged here; see tag_basis) and
+    normalized to unit Frobenius norm with a real-positive leading entry.
     """
-    if s.dim != e.dim:
+    (s_values, s_label), (e_diag, e_label) = s, e
+    if e_diag.shape != s_values.shape[1:]:
         raise DimensionMismatchError("S and E dimensions differ")
-    if s.basis_label != e.basis_label:
-        raise NormalizationError(
-            f"S scanned in {s.basis_label!r} but E in {e.basis_label!r}")
-    ratio = s.values / np.conjugate(e.diag)[np.newaxis, :]
+    if s_label != e_label:
+        raise NormalizationError(f"S scanned in {s_label!r} but E in {e_label!r}")
+    ratio = s_values / np.conjugate(e_diag)[np.newaxis, :]
     t_hat = fix_gauge(numerics.dag(ratio))
-    return EffectiveT(dim=s.dim, matrix=t_hat, includes_reference=False)
+    return EffectiveT(dim=t_hat.shape[0], matrix=t_hat, includes_reference=False)
 
 
 def tag_basis(t: EffectiveT, family: BasisFamily) -> EffectiveT:
@@ -191,7 +166,7 @@ def reconstruct(s_records: Sequence[PhaseStepRecord],
     t = assemble_t(s, e)
     if family is not None:
         t = tag_basis(t, family)
-    mags = np.abs(e.diag)
+    mags = np.abs(e[0])
     return Reconstruction(
         t=t,
         e_ratio=float(np.min(mags) / np.max(mags)),

@@ -18,7 +18,7 @@ factors zeta_w, which are undone in post-processing by rescaling counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -144,10 +144,26 @@ def build_v(ops: UnscrambleOperators, r: int,
     )
 
 
-def _amplitudes(state: BipartiteState, op_a: np.ndarray, op_b: np.ndarray) -> np.ndarray:
+def _operators(ops: UnscrambleOperators, which: Union[str, int],
+               lambdas: Optional[Sequence[float]]
+               ) -> Tuple[np.ndarray, np.ndarray, Optional[VOperator]]:
+    """Resolve one recovered table's operators, building V_r at most once.
+
+    Returns the sender operator as displayed (unit-max-modulus rows), the
+    receiver operator, and the VOperator of family r (None for the
+    standard table, whose eta^-1 W is displayed as is).
+    """
+    if which == "standard":
+        return ops.normalized_w, ops.m_bob, None
+    v = build_v(ops, int(which), lambdas)
+    return v.normalized_v, v.m_bob, v
+
+
+def _probs(state: BipartiteState, op_a: np.ndarray, op_b: np.ndarray) -> np.ndarray:
+    """|<a, b|psi>|^2 for every row pair of op_a and op_b."""
     if op_a.shape[1] != state.dim or op_b.shape[1] != state.dim:
         raise DimensionMismatchError("operators do not match the state dimension")
-    return op_a @ state.coeffs @ op_b.T
+    return np.abs(op_a @ state.coeffs @ op_b.T) ** 2
 
 
 def recovered_probs(state: BipartiteState, ops: UnscrambleOperators,
@@ -157,18 +173,15 @@ def recovered_probs(state: BipartiteState, ops: UnscrambleOperators,
     """Outcome table of the unscrambled measurement, as raw probabilities.
 
     which = "standard" pairs eta^-1 W with conj(M0); an integer r pairs the
-    rotated V_r operators. corrected=True gives the post-processed
-    convention (zeta factors undone); corrected=False gives the physically
-    displayed one (unit-max rows). The standard table is physical either
-    way since eta^-1 W already has unit-max rows.
+    rotated V_r operators, built once per call. corrected=True gives the
+    post-processed convention (zeta factors undone); corrected=False gives
+    the physically displayed one (unit-max rows). The standard table is
+    physical either way since eta^-1 W already has unit-max rows.
     """
-    if which == "standard":
-        amp = _amplitudes(state, ops.normalized_w, ops.m_bob)
-        return np.abs(amp) ** 2
-    v = build_v(ops, int(which), lambdas)
-    op_a = v.v_alice if corrected else v.normalized_v
-    amp = _amplitudes(state, op_a, v.m_bob)
-    return np.abs(amp) ** 2
+    op_a, op_b, v = _operators(ops, which, lambdas)
+    if corrected and v is not None:
+        op_a = v.v_alice
+    return _probs(state, op_a, op_b)
 
 
 def predict_table(state: BipartiteState, ops: UnscrambleOperators,
@@ -189,18 +202,17 @@ def measure_recovered(state: BipartiteState, ops: UnscrambleOperators,
                       dark_rate: float = 0.0) -> CountTable:
     """Simulate one recovered-basis coincidence table.
 
+    The operators are resolved once (one build_v call for family r).
     Sampling happens at the physically displayed (unit-max-modulus)
     patterns, from sub-stream (_STREAM_RECOVERED, k) of seed with k = 0 for
     the standard table and r + 1 for family r; rotated tables are then
-    rescaled row-wise back to the exact operator convention, with the
-    factors kept in row_scale.
+    rescaled row-wise by zeta^2 back to the exact operator convention,
+    with the factors kept in row_scale.
     """
-    probs = recovered_probs(state, ops, which, lambdas, corrected=False)
-    if which == "standard":
-        label, k, zeta = "recovered:standard", 0, None
-    else:
-        v = build_v(ops, int(which), lambdas)
-        label, k, zeta = f"recovered:{v.kind}", int(which) + 1, v.zeta
-    table = sample_counts(probs, exposure, seed, dark_rate, stream=(_STREAM_RECOVERED, k),
+    op_a, op_b, v = _operators(ops, which, lambdas)
+    label = "recovered:standard" if v is None else f"recovered:{v.kind}"
+    k = 0 if v is None else int(which) + 1
+    table = sample_counts(_probs(state, op_a, op_b), exposure, seed, dark_rate,
+                          stream=(_STREAM_RECOVERED, k),
                           basis_label_a=label, basis_label_b=label + "*")
-    return table if zeta is None else zeta_correct(table, zeta)
+    return table if v is None else zeta_correct(table, v.zeta)

@@ -89,13 +89,6 @@ def test_tilted_with_uniform_spectrum_matches_mub():
     np.testing.assert_allclose(ratio, ratio[0, 0], atol=1e-12)
 
 
-def test_conjugated_family():
-    fam = bases.mub(3, 1)
-    conj = fam.conjugated()
-    np.testing.assert_array_equal(conj.matrix, fam.matrix.conj())
-    assert conj.kind == fam.kind
-
-
 def test_rotate_matrix_round_trip():
     rng = np.random.default_rng(4)
     t = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))

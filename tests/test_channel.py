@@ -1,6 +1,7 @@
 """Channels: isometries, effective matrices, the channel-state map, fixtures."""
 
 import json
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -65,7 +66,7 @@ def test_effective_t_extracts_the_right_block():
     assert t_ref.dim == 4
     assert t_ref.includes_reference
     np.testing.assert_array_equal(t_ref.matrix, ch.isometry[0:4, 0:4])
-    np.testing.assert_array_equal(t_ref.logical_block, t.matrix)
+    np.testing.assert_array_equal(t_ref.matrix[1:, 1:], t.matrix)
 
 
 def test_effective_t_rejects_amplification():
@@ -125,10 +126,12 @@ def test_drop_reference_removes_first_row_and_column():
 
 
 def test_kraus_operators_resolve_identity():
+    # Logical -> logical channel in Kraus form: the logical block, then one
+    # 1 x d row per lost (reference or environment) output mode.
     for seed in range(5):
         ch = channel.haar_channel(3, 11, seed)
-        ops = channel.kraus_tp(ch)
-        assert ops[0].shape == (3, 3)
+        logical = ch.isometry[:, 1:]
+        ops = [logical[1:4]] + [logical[m:m + 1] for m in (0, *range(4, 11))]
         total = sum(numerics.dag(a) @ a for a in ops)
         np.testing.assert_allclose(total, np.eye(3), atol=1e-12)
 
@@ -178,7 +181,9 @@ def test_fixture_matrix_properties():
     assert t.dim == 7
     assert t.basis_tag is not None and t.basis_tag.kind == "mub:0"
     assert np.linalg.norm(t.matrix) == pytest.approx(1.0)
-    raw = channel.load_fixture_tm0(raw=True)
+    ref = resources.files("qscatter.fixtures").joinpath("fixture_tm0.csv")
+    with resources.as_file(ref) as path:
+        raw = numerics.load_matrix_csv(path)
     assert raw.shape == (7, 7)
     np.testing.assert_allclose(t.matrix, raw / np.linalg.norm(raw),
                                atol=1e-14)

@@ -230,6 +230,58 @@ def test_malformed_target_spectrum_exits_2(tmp_path, capsys, content):
         assert "lam.json" in err and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("field,config,flags", [
+    ("n_mc", {"n_mc": 2.5}, []),
+    ("scan_family", {"scan_family": 5}, []),
+    ("d", {"d": "7"}, []),
+    ("seed", {"seed": True}, []),
+    ("dark_rate", {}, ["--dark-rate", "nan"]),
+    ("reference_amplitude", {}, ["--reference-amplitude", "nan"]),
+    ("n_mc", None, ["certify", "--standard", "std.csv", "--table", "mub_0.csv",
+                    "--n-mc", "-1"]),
+], ids=["n_mc-float", "scan_family-int", "d-string", "seed-bool", "dark_rate-nan",
+        "reference_amplitude-nan", "certify-n_mc-negative"])
+def test_bad_settings_exit_2_naming_the_field(tmp_path, capsys, field, config, flags):
+    argv = flags
+    if config is not None:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(
+            {"d": 3, "n_modes": 8, "exposure": "inf", "n_mc": 0, **config}))
+        argv = ["run", "--scenario", "baseline", "--config", str(cfg_path), *flags]
+    capsys.readouterr()
+    assert cli.main(argv + ["--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {field} ") and len(err.splitlines()) == 1
+    assert not (tmp_path / "o" / "config.json").exists()
+
+
+def test_poisson_means_past_numpy_limit_exit_2(tmp_path, capsys):
+    capsys.readouterr()
+    assert cli.main(["run", "--scenario", "baseline", "--d", "3", "--n-modes", "8",
+                     "--exposure", "1e30", "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert "Poisson" in err and len(err.splitlines()) == 1
+
+    sim = str(tmp_path / "sim")
+    assert cli.main(["simulate", "--d", "3", "--n-modes", "8", "--exposure", "1e4",
+                     "--seed", "1", "--out", sim]) == 0
+    tables = os.path.join(sim, "tables")
+    standard = os.path.join(tables, "standard.csv")
+    with open(standard, encoding="ascii") as fh:
+        lines = fh.read().splitlines()
+    lines[lines.index("a,b,count") + 1] = "0,0,1e30"
+    with open(standard, "w", encoding="ascii") as fh:
+        fh.write("\n".join(lines) + "\n")
+    argv = ["certify", "--standard", standard, "--n-mc", "10",
+            "--out", str(tmp_path / "cert")]
+    for r in range(3):
+        argv += ["--table", os.path.join(tables, f"mub_{r}.csv")]
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Poisson" in err and len(err.splitlines()) == 1
+
+
 def test_baseline_family_tables_draw_independent_noise(tmp_path):
     out = str(tmp_path / "base")
     assert cli.main(["run", "--scenario", "baseline", "--d", "5", "--n-modes", "12",

@@ -12,17 +12,6 @@ from qscatter.errors import (
 )
 
 
-def test_rng_from_int_is_reproducible():
-    a = numerics.rng_from(42).standard_normal(5)
-    b = numerics.rng_from(42).standard_normal(5)
-    np.testing.assert_array_equal(a, b)
-
-
-def test_rng_from_passes_generators_through():
-    gen = np.random.default_rng(0)
-    assert numerics.rng_from(gen) is gen
-
-
 def test_substream_streams_are_distinct_and_stable():
     a1 = numerics.substream(7, 1).standard_normal(4)
     a2 = numerics.substream(7, 1).standard_normal(4)
@@ -75,6 +64,16 @@ def test_haar_unitary_is_unitary_and_seeded():
         assert numerics.is_unitary(u)
     np.testing.assert_array_equal(numerics.haar_unitary(4, 9),
                                   numerics.haar_unitary(4, 9))
+
+
+def test_haar_isometry_draws_from_a_given_generator():
+    gen = np.random.default_rng(0)
+    first = numerics.haar_isometry(4, 2, gen)
+    second = numerics.haar_isometry(4, 2, gen)
+    assert not np.array_equal(first, second)
+    fresh = np.random.default_rng(0)
+    np.testing.assert_array_equal(first, numerics.haar_isometry(4, 2, fresh))
+    np.testing.assert_array_equal(second, numerics.haar_isometry(4, 2, fresh))
 
 
 def test_haar_unitary_trace_statistic():

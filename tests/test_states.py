@@ -1,13 +1,12 @@
-"""Bipartite states: construction, operator action, projections, Schmidt."""
+"""Bipartite states: construction, operator action, projections."""
 
 import numpy as np
 import pytest
 
 from oracles import kron_vector
-from qscatter import numerics, states
+from qscatter import states
 from qscatter.errors import (
     DimensionMismatchError,
-    FormatError,
     InvalidDimensionError,
     NormalizationError,
 )
@@ -108,45 +107,3 @@ def test_project_shape_checks():
     st = states.max_entangled(3)
     with pytest.raises(DimensionMismatchError):
         states.project(st, np.ones(4), np.ones(3))
-
-
-def test_schmidt_reconstructs_the_state():
-    rng = np.random.default_rng(31)
-    for _ in range(10):
-        c = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        st = states.make_state(c)
-        dec = states.schmidt(st)
-        assert np.all(np.diff(dec.values) <= 1e-12)
-        assert st.norm_sq == pytest.approx(float(np.sum(dec.values ** 2)))
-        rebuilt = dec.basis_a @ np.diag(dec.values) @ dec.basis_b.T
-        np.testing.assert_allclose(rebuilt, c, atol=1e-10)
-
-
-def test_schmidt_of_max_entangled_is_flat():
-    dec = states.schmidt(states.max_entangled(7))
-    np.testing.assert_allclose(dec.values, np.full(7, 1 / np.sqrt(7)),
-                               atol=1e-12)
-
-
-def test_state_round_trip(tmp_path):
-    rng = np.random.default_rng(37)
-    c = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    st = states.make_state(c)
-    states.save_state(tmp_path / "st", st)
-    back = states.load_state(tmp_path / "st")
-    np.testing.assert_array_equal(back.coeffs, st.coeffs)
-    assert back.norm_sq == pytest.approx(st.norm_sq)
-
-
-def test_state_load_rejects_tampered_sidecar(tmp_path):
-    st = states.max_entangled(2)
-    states.save_state(tmp_path / "st", st)
-    meta = (tmp_path / "st.json")
-    meta.write_text(meta.read_text().replace('"dim": 2', '"dim": 3'))
-    with pytest.raises(DimensionMismatchError):
-        states.load_state(tmp_path / "st")
-    for garbled in ("{not json", '{"dim": 2}', '{"dim": "x", "norm_sq": 1.0}',
-                    '{"dim": 2, "norm_sq": "one"}'):
-        meta.write_text(garbled)
-        with pytest.raises(FormatError):
-            states.load_state(tmp_path / "st")

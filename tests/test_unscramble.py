@@ -177,3 +177,27 @@ def test_measure_recovered_noiseless_matches_prediction():
     with pytest.raises(NormalizationError):
         unscramble.measure_recovered(state, ops, 1, 1e4)
 
+
+
+@pytest.mark.parametrize("lambdas", [None, np.array([3.0, 2.0, 1.0]) / np.sqrt(14.0)])
+def test_one_build_v_call_per_rotated_table(monkeypatch, lambdas):
+    d = 3
+    _, t_std, t_tagged = _tagged_channel(d, 8, 7, bases.mub(d, 0))
+    state = channel.choi_state(t_std)
+    ops = unscramble.build_w(t_tagged)
+    calls = []
+    build_v = unscramble.build_v
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build_v(*args, **kwargs)
+
+    monkeypatch.setattr(unscramble, "build_v", counted)
+    unscramble.measure_recovered(state, ops, 2, 1e4, seed=1, lambdas=lambdas)
+    assert len(calls) == 1
+    unscramble.recovered_probs(state, ops, 2, lambdas, corrected=False)
+    assert len(calls) == 2
+    # The standard table needs no rotated operators at all.
+    unscramble.measure_recovered(state, ops, "standard", 1e4, seed=1)
+    unscramble.recovered_probs(state, ops, "standard")
+    assert len(calls) == 2

@@ -1,0 +1,59 @@
+#!/usr/bin/env bash
+# Run one grid of qscatter commands under two source trees and diff the outputs.
+#
+# Usage: tools/compare_outputs.sh <parent-src> <change-src>
+#
+# Each argument is a directory holding the qscatter package (the src/ of a
+# checkout). The grid is every scenario at d=7, N=30, n_mc=40, seeds 3 and
+# 11, each run plain and with --exposure 5e3 --dark-rate 0.01
+# --scan-family standard, plus the simulate -> tomo -> unscramble chain at
+# d=5 with certify run on both the simulated and the predicted tables.
+# Every command's files, stdout, stderr and exit code are kept, in one
+# temporary directory per tree, and all paths are relative, so the two
+# trees' outputs can be byte-identical. Prints `diff -r` of the two and
+# exits with its status: 0 when every output file is identical.
+set -euo pipefail
+
+if [ $# -ne 2 ]; then
+    echo "usage: $0 <parent-src> <change-src>" >&2
+    exit 2
+fi
+
+# q <src> <out> <name> <qscatter args...>: one command, run inside <out>.
+q() {
+    local src=$1 out=$2 name=$3 code=0
+    shift 3
+    (cd "$out" && PYTHONPATH="$src" python3 -m qscatter "$@" \
+        >"$name.stdout" 2>"$name.stderr") || code=$?
+    echo "$code" >"$out/$name.exit"
+}
+
+run_grid() {
+    local src out=$2 scenario seed
+    src=$(cd "$1" && pwd)
+    for scenario in baseline scramble tomography unscramble-certify two-channel fixture-a1; do
+        for seed in 3 11; do
+            set -- run --scenario "$scenario" --d 7 --n-modes 30 --n-mc 40 --seed "$seed"
+            q "$src" "$out" "$scenario-$seed" "$@" --out "$scenario-$seed"
+            q "$src" "$out" "$scenario-$seed-noisy" "$@" --exposure 5e3 --dark-rate 0.01 \
+                --scan-family standard --out "$scenario-$seed-noisy"
+        done
+    done
+    q "$src" "$out" simulate simulate --d 5 --n-modes 20 --seed 3 --exposure 1e4 --out sim
+    q "$src" "$out" tomo tomo --scans sim/scans --out rec
+    q "$src" "$out" unscramble unscramble --t-hat rec/t_hat.csv --out ops
+    q "$src" "$out" certify-sim certify --standard sim/tables/standard.csv \
+        --table sim/tables/mub_{0,1,2,3,4}.csv --n-mc 40 --seed 3 --out cert-sim
+    q "$src" "$out" certify-predicted certify \
+        --standard ops/unscramble/predicted_standard.csv \
+        --table ops/unscramble/predicted_mub_{0,1,2,3,4}.csv --out cert-predicted
+}
+
+parent_out=$(mktemp -d)
+change_out=$(mktemp -d)
+trap 'rm -rf "$parent_out" "$change_out"' EXIT
+run_grid "$1" "$parent_out"
+run_grid "$2" "$change_out"
+echo "compared $(find "$parent_out" -type f | wc -l) files against $(find "$change_out" -type f | wc -l)"
+diff -r "$parent_out" "$change_out"
+echo "diff -r: no differences"
