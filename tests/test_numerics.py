@@ -66,6 +66,13 @@ def test_haar_unitary_is_unitary_and_seeded():
                                   numerics.haar_unitary(4, 9))
 
 
+def test_haar_isometry_int_seed_is_reproducible():
+    a = numerics.haar_isometry(5, 3, 42)
+    b = numerics.haar_isometry(5, 3, 42)
+    np.testing.assert_array_equal(a, b)
+    assert not np.array_equal(a, numerics.haar_isometry(5, 3, 43))
+
+
 def test_haar_isometry_draws_from_a_given_generator():
     gen = np.random.default_rng(0)
     first = numerics.haar_isometry(4, 2, gen)
