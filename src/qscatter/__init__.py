@@ -19,11 +19,9 @@ from .bases import (
 from .certify import (
     CertificationReport,
     TargetState,
-    c_lambda,
     estimate_lambda,
     fidelity_exact,
     fidelity_lower_bound,
-    matched_moments,
 )
 from .channel import (
     ChannelModel,

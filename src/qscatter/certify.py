@@ -14,6 +14,11 @@ family the uncancelled coherences are bounded through positivity of the
 density matrix, giving a strict lower bound that is tight on the target
 state itself. Tables enter as raw counts; only count ratios matter, so
 postselected (sub-normalized) states are handled with no extra work.
+
+Both estimators have one implementation, _batched_estimator, a function of
+the raw counts with a leading axis of trials. The point estimate is that
+function on the observed statistics as a single trial; the Monte-Carlo
+error bar is the same function on Poisson redraws of them.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -40,6 +45,8 @@ _STREAM_MC = 21
 _MC_BLOCK_CELLS = 1 << 14
 
 _UNIFORM_TOL = 1e-9
+
+_STANDARD_LABELS = ("standard", "recovered:standard")
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,107 +121,34 @@ def _parse_kind(label: str) -> Tuple[str, Optional[int]]:
     raise NormalizationError(f"cannot classify basis label {label!r}")
 
 
-def _normalized(table: CountTable, dim: int) -> np.ndarray:
-    if table.counts.shape != (dim, dim):
-        raise DimensionMismatchError(
-            f"table shape {table.counts.shape} does not match dim {dim}")
-    return table.normalized()
+def _family_indices(standard_table: CountTable, family_tables: Sequence[CountTable],
+                    target: TargetState) -> List[int]:
+    """The one validation pass of both estimators; returns each family's r.
 
-
-def c_lambda(standard_probs: np.ndarray, target: TargetState) -> float:
-    """Normalization bridge between a tilted table and matched moments.
-
-    Equals d^2 / (sum lambda)^2 times the lambda-weighted mass of the
-    standard table; exactly 1 for a uniform target.
+    The standard table must carry a standard label and every family table
+    a rotated one of index 0..d-1, all d x d; unbiased-family tables are
+    only valid against a uniform target (tilted families handle a
+    nonuniform spectrum).
     """
-    lam = target.lambdas
-    s = float(np.sum(lam))
-    return float(target.dim ** 2 / (s * s) * (lam @ standard_probs @ lam))
-
-
-def matched_moments(table: CountTable, target: TargetState,
-                    standard_probs: np.ndarray) -> np.ndarray:
-    """Diagonal matched-outcome moments Q_r(k, k) of one family table.
-
-    For tilted tables the counts (already corrected to the exact tilted
-    vectors) are normalized and rescaled by c_lambda; unbiased-family
-    tables are only valid against a uniform target, where the two
-    conventions coincide.
-    """
-    kind, _ = _parse_kind(table.basis_label_a)
-    if kind == "standard":
-        raise NormalizationError("matched moments need a rotated-family table")
-    if kind == "mub" and not target.is_uniform:
+    d = target.dim
+    if standard_table.basis_label_a not in _STANDARD_LABELS:
+        raise NormalizationError(
+            f"expected a standard-basis table, got {standard_table.basis_label_a!r}")
+    for table in [standard_table, *family_tables]:
+        if table.counts.shape != (d, d):
+            raise DimensionMismatchError(
+                f"table shape {table.counts.shape} does not match dim {d}")
+    kinds = [_parse_kind(t.basis_label_a) for t in family_tables]
+    if any(kind == "standard" for kind, _ in kinds):
+        raise NormalizationError("family tables must be rotated, got a standard one")
+    if any(not 0 <= r < d for _, r in kinds):
+        raise NormalizationError(
+            f"family labels must index 0..{d - 1}, got {[r for _, r in kinds]}")
+    if any(kind == "mub" for kind, _ in kinds) and not target.is_uniform:
         raise NormalizationError(
             "unbiased-family tables certify uniform targets only; "
             "use tilted families for a nonuniform spectrum")
-    probs = _normalized(table, target.dim)
-    diag = np.diagonal(probs).astype(np.float64)
-    if kind == "tilted":
-        return c_lambda(standard_probs, target) * diag
-    return diag
-
-
-def _cross_measured(standard_probs: np.ndarray, target: TargetState) -> float:
-    lam = target.lambdas
-    weights = np.outer(lam, lam) * standard_probs
-    return float(np.sum(weights) - np.trace(weights))
-
-
-def _cross_bound(standard_probs: np.ndarray, target: TargetState) -> float:
-    """Positivity bound on the coherences a single family cannot cancel.
-
-    Off-diagonal pairs (m, n) group by the cyclic difference m - n; within
-    one group every product of amplitudes sqrt(lambda lambda P) can appear,
-    minus the measured same-pair terms.
-    """
-    d = target.dim
-    lam = target.lambdas
-    u = np.sqrt(np.clip(np.outer(lam, lam) * standard_probs, 0.0, None))
-    total = 0.0
-    idx = np.arange(d)
-    for delta in range(1, d):
-        vals = u[(idx + delta) % d, idx]
-        s = float(np.sum(vals))
-        total += s * s - float(np.sum(vals * vals))
-    return total
-
-
-def fidelity_lower_bound(standard_table: CountTable, family_table: CountTable,
-                         target: TargetState) -> float:
-    """Certified fidelity floor from the standard table plus one family."""
-    d = target.dim
-    probs = _normalized(standard_table, d)
-    q = matched_moments(family_table, target, probs)
-    s = float(np.sum(target.lambdas))
-    return (s * s / d * float(np.sum(q))
-            - _cross_measured(probs, target)
-            - _cross_bound(probs, target))
-
-
-def fidelity_exact(standard_table: CountTable,
-                   family_tables: Sequence[CountTable],
-                   target: TargetState) -> float:
-    """Exact fidelity from the complete set of d rotated families."""
-    d = target.dim
-    seen = {}
-    for table in family_tables:
-        _, r = _parse_kind(table.basis_label_a)
-        if r is None or not 0 <= r < d:
-            raise NormalizationError(
-                f"unexpected family label {table.basis_label_a!r}")
-        if r in seen:
-            raise NormalizationError(f"family {r} supplied twice")
-        seen[r] = table
-    if sorted(seen) != list(range(d)):
-        raise NormalizationError(
-            f"exact fidelity needs families 0..{d - 1}, got {sorted(seen)}")
-    probs = _normalized(standard_table, d)
-    s = float(np.sum(target.lambdas))
-    q_total = 0.0
-    for r in range(d):
-        q_total += float(np.sum(matched_moments(seen[r], target, probs)))
-    return s * s / d ** 2 * q_total - _cross_measured(probs, target)
+    return [r for _, r in kinds]
 
 
 def _row_scale(table: CountTable) -> np.ndarray:
@@ -243,9 +177,13 @@ def _raw_statistics(standard_table: CountTable, family_tables: Sequence[CountTab
 
 def _batched_estimator(standard_table: CountTable, family_tables: Sequence[CountTable],
                        target: TargetState, exact: bool):
-    """fidelity_exact (or fidelity_lower_bound on family_tables[0]) as a
+    """The exact estimator (or the lower bound on family_tables[0]) as a
     function of raw statistics in the layout of _raw_statistics, with a
-    leading axis of n trials: (n, d*d), (n, k, d), (n, k, d) -> (n,)."""
+    leading axis of n trials: (n, d*d), (n, k, d), (n, k, d) -> (n,).
+
+    Returns that function and the tables' observed statistics. The tables
+    must have passed _family_indices.
+    """
     d = target.dim
     lam = target.lambdas
     s2 = float(np.sum(lam)) ** 2
@@ -264,29 +202,68 @@ def _batched_estimator(standard_table: CountTable, family_tables: Sequence[Count
         total, weighted, on_diag = (std @ lin).T
         fam_total = np.sum(fam_scale * (diag + off), axis=2)
         if np.any(total <= 0) or np.any(fam_total <= 0):
-            raise NormalizationError("a resampled table has zero total counts")
+            raise NormalizationError("a table or a redraw of it has zero total counts")
         cross = (weighted - on_diag) / total
         c = np.where(tilted, (d * d / s2 * weighted / total)[:, np.newaxis], 1.0)
         q = c * np.sum(fam_scale * diag, axis=2) / fam_total
         if exact:
             return s2 / d ** 2 * np.sum(q, axis=1) - cross
+        # Positivity bound on the coherences one family cannot cancel: pairs
+        # (m, n) group by the cyclic difference m - n, and within a group
+        # every product of amplitudes sqrt(lambda lambda P) can appear,
+        # minus the measured same-pair terms.
         u = np.sqrt(np.clip(weights * std * std_scale / total[:, np.newaxis], 0.0, None))
         vals = u[:, cyclic]
         bound = np.sum(np.sum(vals, axis=2) ** 2, axis=1) - np.sum(vals * vals, axis=(1, 2))
         return s2 / d * q[:, 0] - cross - bound
 
-    return evaluate
+    return evaluate, _raw_statistics(standard_table, family_tables)
 
 
-def _monte_carlo(standard_table: CountTable, family_tables: Sequence[CountTable],
-                 target: TargetState, exact: bool, n_mc: int, seed: int) -> np.ndarray:
-    """n_mc estimator values over Poisson redraws of the raw statistics.
+def _at_observed(evaluate, observed: Sequence[np.ndarray]) -> float:
+    """The batched estimator on the tables' own statistics, as one trial."""
+    (value,) = evaluate(*(m[np.newaxis] for m in observed))
+    return float(value)
+
+
+def fidelity_lower_bound(standard_table: CountTable, family_table: CountTable,
+                         target: TargetState) -> float:
+    """Certified fidelity floor from the standard table plus one family.
+
+    Validates the tables once, then evaluates the batched estimator on
+    their observed statistics as a single trial.
+    """
+    _family_indices(standard_table, [family_table], target)
+    return _at_observed(*_batched_estimator(standard_table, [family_table], target,
+                                            exact=False))
+
+
+def fidelity_exact(standard_table: CountTable,
+                   family_tables: Sequence[CountTable],
+                   target: TargetState) -> float:
+    """Exact fidelity from the complete set of d rotated families.
+
+    Validates the tables once (each family 0..d-1 exactly once), then
+    evaluates the batched estimator on their observed statistics as a
+    single trial.
+    """
+    d = target.dim
+    rs = sorted(_family_indices(standard_table, family_tables, target))
+    if rs != list(range(d)):
+        raise NormalizationError(
+            f"exact fidelity needs families 0..{d - 1} once each, got {rs}")
+    return _at_observed(*_batched_estimator(standard_table, family_tables, target,
+                                            exact=True))
+
+
+def _monte_carlo(evaluate, means: Sequence[np.ndarray], n_mc: int,
+                 seed: int) -> np.ndarray:
+    """n_mc values of the batched estimator over Poisson redraws of the
+    observed statistics.
 
     All trials come from one sub-stream and are evaluated in blocks of
     about _MC_BLOCK_CELLS drawn cells.
     """
-    evaluate = _batched_estimator(standard_table, family_tables, target, exact)
-    means = _raw_statistics(standard_table, family_tables)
     per_block = max(1, _MC_BLOCK_CELLS // sum(m.size for m in means))
     rng = numerics.substream(seed, _STREAM_MC)
     trials = np.empty(n_mc)
@@ -351,29 +328,26 @@ def certify(standard_table: CountTable,
         else:
             target = estimate_lambda(standard_table)
     d = target.dim
+    rs = sorted(_family_indices(standard_table, family_tables, target))
 
     noiseless = any(t.noiseless for t in [standard_table, *family_tables])
-    rs = sorted(_parse_kind(t.basis_label_a)[1] for t in family_tables)
     exact = rs == list(range(d))
-    if exact:
-        method = "exact"
-        fidelity = fidelity_exact(standard_table, family_tables, target)
-    else:
-        method = "lower_bound"
+    if not exact:
         if len(family_tables) > 1:
             warnings.warn(
                 f"families {rs} do not cover 0..{d - 1}; "
                 "falling back to the single-family lower bound",
                 stacklevel=2)
         family_tables = family_tables[:1]
-        fidelity = fidelity_lower_bound(standard_table, family_tables[0], target)
+    evaluate, observed = _batched_estimator(standard_table, family_tables, target, exact)
+    fidelity = _at_observed(evaluate, observed)
     bounds = target.bounds()
     d_ent = _dimensionality_from(fidelity, bounds)
 
     sigma = 0.0
     n_eff = 0
     if not noiseless and n_mc >= 2:
-        trials = _monte_carlo(standard_table, family_tables, target, exact, n_mc, seed)
+        trials = _monte_carlo(evaluate, observed, n_mc, seed)
         sigma = float(np.std(trials, ddof=1))
         n_eff = n_mc
 
@@ -385,7 +359,7 @@ def certify(standard_table: CountTable,
         fidelity=float(fidelity),
         fidelity_sigma=sigma,
         n_mc=n_eff,
-        method=method,
+        method="exact" if exact else "lower_bound",
         bounds=tuple(float(b) for b in bounds),
         d_ent=d_ent,
         robust_3sigma=robust,

@@ -357,16 +357,17 @@ def _measure_tables(cfg: ScenarioConfig, state: states.BipartiteState,
         return ([_peak_table(cfg, state, f) for f in families],
                 certify.TargetState.uniform(cfg.d))
 
-    def recovered(which, lambdas=None) -> measure.CountTable:
-        probs = unscramble.recovered_probs(state, ops, which, lambdas, corrected=False)
+    def recovered(which) -> measure.CountTable:
+        probs = unscramble.recovered_probs(state, ops, which, corrected=False)
         return unscramble.measure_recovered(state, ops, which,
                                             _peak_scale(cfg.exposure, [probs]),
-                                            cfg.seed, lambdas, cfg.dark_rate)
+                                            cfg.seed, dark_rate=cfg.dark_rate)
 
     std = recovered("standard")
     if target is None:
         target = certify.estimate_lambda(std)
-    return [std] + [recovered(r, target.lambdas) for r in range(cfg.d)], target
+    return [std] + [recovered(unscramble.build_v(ops, r, target.lambdas))
+                    for r in range(cfg.d)], target
 
 
 def _certify(tables: Sequence[measure.CountTable],
@@ -576,8 +577,8 @@ def _cmd_tomo(args: argparse.Namespace) -> int:
 
 
 def _prediction(state: states.BipartiteState, ops: unscramble.UnscrambleOperators,
-                which, kind: str, lambdas=None) -> measure.CountTable:
-    return measure.CountTable(counts=unscramble.predict_table(state, ops, which, lambdas),
+                which, kind: str) -> measure.CountTable:
+    return measure.CountTable(counts=unscramble.predict_table(state, ops, which),
                               basis_label_a=f"recovered:{kind}",
                               basis_label_b=f"recovered:{kind}*",
                               exposure=measure.NOISELESS)
@@ -601,7 +602,7 @@ def _cmd_unscramble(args: argparse.Namespace) -> int:
         v = unscramble.build_v(ops, r, lambdas)
         numerics.save_matrix_csv(
             os.path.join(u_dir, f"v_alice_{r}.csv"), v.normalized_v)
-        predicted.append(_prediction(state, ops, r, v.kind, lambdas))
+        predicted.append(_prediction(state, ops, v, v.kind))
         zeta_meta[v.kind] = v.zeta
     _save_tables(u_dir, predicted,
                  [p.basis_label_a.replace("recovered:", "predicted_").replace(":", "_")

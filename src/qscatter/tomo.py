@@ -160,11 +160,18 @@ def reconstruct(s_records: Sequence[PhaseStepRecord],
                 e_records: Sequence[PhaseStepRecord],
                 family: Optional[BasisFamily] = None,
                 ref_floor: float = 1e-6) -> Reconstruction:
-    """Full pipeline: phase-step records to tagged transmission matrix."""
+    """Full pipeline: phase-step records to tagged transmission matrix.
+
+    family, when given, must be the one the scan tables were recorded in;
+    a different one raises TagConflictError.
+    """
     s = extract_s(s_records)
     e = extract_e(e_records, ref_floor=ref_floor)
     t = assemble_t(s, e)
     if family is not None:
+        if family.kind != s[1]:
+            raise TagConflictError(
+                f"scan tables were recorded in {s[1]!r}, not {family.kind!r}")
         t = tag_basis(t, family)
     mags = np.abs(e[0])
     return Reconstruction(

@@ -30,7 +30,7 @@ from .errors import (
     DimensionMismatchError,
     NormalizationError,
 )
-from .measure import CountTable, sample_counts, zeta_correct
+from .measure import CountTable, probability_table, sample_counts, zeta_correct
 from .states import BipartiteState
 
 _STREAM_RECOVERED = 14
@@ -144,50 +144,56 @@ def build_v(ops: UnscrambleOperators, r: int,
     )
 
 
-def _operators(ops: UnscrambleOperators, which: Union[str, int],
+def _operators(ops: UnscrambleOperators, which: Union[str, int, VOperator],
                lambdas: Optional[Sequence[float]]
                ) -> Tuple[np.ndarray, np.ndarray, Optional[VOperator]]:
     """Resolve one recovered table's operators, building V_r at most once.
 
-    Returns the sender operator as displayed (unit-max-modulus rows), the
-    receiver operator, and the VOperator of family r (None for the
-    standard table, whose eta^-1 W is displayed as is).
+    which is "standard", a family index r, or a VOperator already built
+    (whose family is fixed, so lambdas must then be None). Returns the
+    sender operator as displayed (unit-max-modulus rows), the receiver
+    operator, and the VOperator of family r (None for the standard table,
+    whose eta^-1 W is displayed as is).
     """
-    if which == "standard":
+    if isinstance(which, VOperator):
+        if lambdas is not None:
+            raise NormalizationError(
+                "lambdas apply only when building V_r; a built VOperator fixes its family")
+        v = which
+    elif which == "standard":
         return ops.normalized_w, ops.m_bob, None
-    v = build_v(ops, int(which), lambdas)
+    else:
+        v = build_v(ops, int(which), lambdas)
     return v.normalized_v, v.m_bob, v
 
 
-def _probs(state: BipartiteState, op_a: np.ndarray, op_b: np.ndarray) -> np.ndarray:
-    """|<a, b|psi>|^2 for every row pair of op_a and op_b."""
-    if op_a.shape[1] != state.dim or op_b.shape[1] != state.dim:
-        raise DimensionMismatchError("operators do not match the state dimension")
-    return np.abs(op_a @ state.coeffs @ op_b.T) ** 2
-
-
 def recovered_probs(state: BipartiteState, ops: UnscrambleOperators,
-                    which: Union[str, int] = "standard",
+                    which: Union[str, int, VOperator] = "standard",
                     lambdas: Optional[Sequence[float]] = None,
                     corrected: bool = True) -> np.ndarray:
     """Outcome table of the unscrambled measurement, as raw probabilities.
 
     which = "standard" pairs eta^-1 W with conj(M0); an integer r pairs the
-    rotated V_r operators, built once per call. corrected=True gives the
-    post-processed convention (zeta factors undone); corrected=False gives
-    the physically displayed one (unit-max rows). The standard table is
-    physical either way since eta^-1 W already has unit-max rows.
+    rotated V_r operators, built once per call, and a VOperator already
+    built is used as is. corrected=True gives the post-processed
+    convention (zeta factors undone); corrected=False gives the physically
+    displayed one (unit-max rows). The standard table is physical either
+    way since eta^-1 W already has unit-max rows.
     """
     op_a, op_b, v = _operators(ops, which, lambdas)
     if corrected and v is not None:
         op_a = v.v_alice
-    return _probs(state, op_a, op_b)
+    return probability_table(state, np.conjugate(op_a), np.conjugate(op_b))
 
 
 def predict_table(state: BipartiteState, ops: UnscrambleOperators,
-                  which: Union[str, int] = "standard",
+                  which: Union[str, int, VOperator] = "standard",
                   lambdas: Optional[Sequence[float]] = None) -> np.ndarray:
-    """Normalized prediction of a recovered outcome table (sums to one)."""
+    """Normalized prediction of a recovered outcome table (sums to one).
+
+    which is "standard", a family index r or a built VOperator, as in
+    recovered_probs.
+    """
     probs = recovered_probs(state, ops, which, lambdas, corrected=True)
     total = float(np.sum(probs))
     if total <= 0:
@@ -196,23 +202,24 @@ def predict_table(state: BipartiteState, ops: UnscrambleOperators,
 
 
 def measure_recovered(state: BipartiteState, ops: UnscrambleOperators,
-                      which: Union[str, int], exposure: float,
+                      which: Union[str, int, VOperator], exposure: float,
                       seed: Optional[int] = None,
                       lambdas: Optional[Sequence[float]] = None,
                       dark_rate: float = 0.0) -> CountTable:
     """Simulate one recovered-basis coincidence table.
 
-    The operators are resolved once (one build_v call for family r).
-    Sampling happens at the physically displayed (unit-max-modulus)
-    patterns, from sub-stream (_STREAM_RECOVERED, k) of seed with k = 0 for
-    the standard table and r + 1 for family r; rotated tables are then
-    rescaled row-wise by zeta^2 back to the exact operator convention,
-    with the factors kept in row_scale.
+    which is "standard", a family index r (one build_v call) or a built
+    VOperator (none). Sampling happens at the physically displayed
+    (unit-max-modulus) patterns, from sub-stream (_STREAM_RECOVERED, k) of
+    seed with k = 0 for the standard table and r + 1 for family r; rotated
+    tables are then rescaled row-wise by zeta^2 back to the exact operator
+    convention, with the factors kept in row_scale.
     """
     op_a, op_b, v = _operators(ops, which, lambdas)
     label = "recovered:standard" if v is None else f"recovered:{v.kind}"
-    k = 0 if v is None else int(which) + 1
-    table = sample_counts(_probs(state, op_a, op_b), exposure, seed, dark_rate,
+    k = 0 if v is None else v.r + 1
+    probs = probability_table(state, np.conjugate(op_a), np.conjugate(op_b))
+    table = sample_counts(probs, exposure, seed, dark_rate,
                           stream=(_STREAM_RECOVERED, k),
                           basis_label_a=label, basis_label_b=label + "*")
     return table if v is None else zeta_correct(table, v.zeta)

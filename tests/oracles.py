@@ -76,3 +76,59 @@ def fidelity_uniform_closed_form(standard_table: CountTable,
     for table in [standard_table, *family_tables]:
         total += float(np.sum(np.diagonal(table.normalized())))
     return (total - 1.0) / d
+
+
+def _cross_measured(standard_probs: np.ndarray, lam: np.ndarray) -> float:
+    weights = np.outer(lam, lam) * standard_probs
+    return float(np.sum(weights) - np.trace(weights))
+
+
+def _cross_bound(standard_probs: np.ndarray, lam: np.ndarray) -> float:
+    """Positivity bound on the coherences a single family cannot cancel,
+    summed group by group over the cyclic difference m - n."""
+    d = lam.size
+    u = np.sqrt(np.clip(np.outer(lam, lam) * standard_probs, 0.0, None))
+    total = 0.0
+    idx = np.arange(d)
+    for delta in range(1, d):
+        vals = u[(idx + delta) % d, idx]
+        s = float(np.sum(vals))
+        total += s * s - float(np.sum(vals * vals))
+    return total
+
+
+def _matched_moment_sum(table: CountTable, lam: np.ndarray,
+                        standard_probs: np.ndarray) -> float:
+    """Sum of the diagonal matched-outcome moments of one family table.
+
+    A tilted table is rescaled by d^2 / (sum lambda)^2 times the
+    lambda-weighted mass of the standard table (exactly 1 for a uniform
+    target); an unbiased-family table is taken as it is.
+    """
+    diag = float(np.sum(np.diagonal(table.normalized())))
+    if "tilted" not in table.basis_label_a:
+        return diag
+    s = float(np.sum(lam))
+    return lam.size ** 2 / (s * s) * float(lam @ standard_probs @ lam) * diag
+
+
+def scalar_fidelity_exact(standard_table: CountTable, family_tables,
+                          lambdas: np.ndarray) -> float:
+    """Exact fidelity from the standard table and all d family tables,
+    one scalar table at a time, with no validation."""
+    lam = np.asarray(lambdas, dtype=np.float64)
+    d = lam.size
+    probs = standard_table.normalized()
+    q_total = sum(_matched_moment_sum(t, lam, probs) for t in family_tables)
+    return float(np.sum(lam)) ** 2 / d ** 2 * q_total - _cross_measured(probs, lam)
+
+
+def scalar_fidelity_lower_bound(standard_table: CountTable, family_table: CountTable,
+                                lambdas: np.ndarray) -> float:
+    """Single-family fidelity floor, one scalar table at a time, with no
+    validation."""
+    lam = np.asarray(lambdas, dtype=np.float64)
+    probs = standard_table.normalized()
+    q = _matched_moment_sum(family_table, lam, probs)
+    return (float(np.sum(lam)) ** 2 / lam.size * q
+            - _cross_measured(probs, lam) - _cross_bound(probs, lam))

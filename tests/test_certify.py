@@ -8,6 +8,8 @@ from oracles import (
     fidelity_uniform_closed_form,
     noiseless_table,
     random_density,
+    scalar_fidelity_exact,
+    scalar_fidelity_lower_bound,
     target_ket,
 )
 from qscatter import bases, certify, measure, states
@@ -62,26 +64,37 @@ def test_estimate_lambda():
         certify.estimate_lambda(np.zeros((2, 2)))
 
 
-def test_c_lambda_is_one_for_uniform_targets():
-    rng = np.random.default_rng(2)
-    probs = rng.random((3, 3))
-    probs /= probs.sum()
-    assert certify.c_lambda(probs, certify.TargetState.uniform(3)) == (
-        pytest.approx(1.0, abs=1e-12))
-
-
 def test_matched_moments_rejections():
+    """A standard table cannot stand in for a family, and unbiased-family
+    tables certify uniform targets only."""
     d = 3
     rho = random_density(d * d, np.random.default_rng(3))
     std = _standard_table(rho, d)
     fam = _family_table(rho, bases.mub(d, 0))
     uniform = certify.TargetState.uniform(d)
     skew = certify.TargetState(dim=d, lambdas=np.array([0.8, 0.5196152422706631, 0.3]))
-    probs = std.normalized()
     with pytest.raises(NormalizationError):
-        certify.matched_moments(std, uniform, probs)
+        certify.fidelity_lower_bound(std, std, uniform)
     with pytest.raises(NormalizationError):
-        certify.matched_moments(fam, skew, probs)
+        certify.fidelity_lower_bound(std, fam, skew)
+
+
+def test_table_labels_are_checked():
+    d = 3
+    rho = random_density(d * d, np.random.default_rng(16))
+    fams = [_family_table(rho, bases.mub(d, r)) for r in range(d)]
+    uniform = certify.TargetState.uniform(d)
+    for call in (lambda: certify.fidelity_exact(fams[0], fams, uniform),
+                 lambda: certify.fidelity_lower_bound(fams[0], fams[1], uniform),
+                 lambda: certify.certify(fams[0], fams, n_mc=0)):
+        with pytest.raises(NormalizationError, match="standard"):
+            call()
+    beyond = noiseless_table(fams[0].counts, f"mub:{d}")
+    with pytest.raises(NormalizationError, match="index"):
+        certify.fidelity_lower_bound(_standard_table(rho, d), beyond, uniform)
+    recovered = noiseless_table(_standard_table(rho, d).counts, "recovered:standard")
+    assert certify.fidelity_exact(recovered, fams, uniform) == pytest.approx(
+        certify.fidelity_exact(_standard_table(rho, d), fams, uniform), abs=1e-15)
 
 
 def test_exact_estimator_matches_overlap_uniform():
@@ -286,14 +299,6 @@ def _with_row_scale(table, scale):
         basis_label_b=table.basis_label_b, exposure=table.exposure, row_scale=scale)
 
 
-def _batched_at_observed(std, fams, target, exact):
-    """The batched estimator on the tables' own statistics, as one trial."""
-    stats = certify._raw_statistics(std, fams)
-    evaluate = certify._batched_estimator(std, fams, target, exact)
-    (value,) = evaluate(*(m[np.newaxis] for m in stats))
-    return float(value)
-
-
 @pytest.mark.parametrize("case", ["mub", "tilted", "family_row_scale",
                                   "standard_row_scale", "lower_bound"])
 def test_batched_estimator_matches_scalar_oracles(case):
@@ -311,11 +316,11 @@ def test_batched_estimator_matches_scalar_oracles(case):
         if case == "standard_row_scale":
             std = _with_row_scale(std, rng.random(d) + 0.5)
         if case == "lower_bound":
-            want = certify.fidelity_lower_bound(std, fams[0], target)
-            got = _batched_at_observed(std, fams[:1], target, exact=False)
+            want = scalar_fidelity_lower_bound(std, fams[0], target.lambdas)
+            got = certify.fidelity_lower_bound(std, fams[0], target)
         else:
-            want = certify.fidelity_exact(std, fams, target)
-            got = _batched_at_observed(std, fams, target, exact=True)
+            want = scalar_fidelity_exact(std, fams, target.lambdas)
+            got = certify.fidelity_exact(std, fams, target)
         assert got == pytest.approx(want, abs=1e-12)
 
 

@@ -191,6 +191,15 @@ def test_malformed_json_sidecars_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "'d'" in err and len(err.splitlines()) == 1
 
+    # meta.json naming a family the scan tables were not recorded in
+    meta.update(d=3, family="mub:1")
+    with open(meta_path, "w", encoding="ascii") as fh:
+        json.dump(meta, fh)
+    assert cli.main(["tomo", "--scans", os.path.join(sim, "scans"),
+                     "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "mub:1" in err and len(err.splitlines()) == 1
+
     t_meta_path = os.path.join(rec, "t_hat.json")
     with open(t_meta_path, encoding="ascii") as fh:
         t_meta = json.load(fh)
@@ -303,6 +312,24 @@ def test_tomo_missing_bundle_and_degenerate_reference(tmp_path):
     code = cli.main(["tomo", "--scans", os.path.join(sim, "scans"),
                      "--ref-floor", "0.999", "--out", str(tmp_path / "o2")])
     assert code == 3
+
+
+def test_certify_subcommand_rejects_misplaced_standard_tables(tmp_path, capsys):
+    sim = str(tmp_path / "sim")
+    assert cli.main(["simulate", "--d", "3", "--n-modes", "8", "--exposure", "1e4",
+                     "--seed", "3", "--out", sim]) == 0
+    std, mub_0, mub_1, mub_2 = (os.path.join(sim, "tables", f"{name}.csv")
+                                for name in ("standard", "mub_0", "mub_1", "mub_2"))
+    capsys.readouterr()
+    # a standard table among the family tables, and a family table as the
+    # standard one
+    for argv in (["--standard", std, "--table", mub_0, "--table", std],
+                 ["--standard", mub_0, "--table", mub_0, "--table", mub_1,
+                  "--table", mub_2]):
+        assert cli.main(["certify", *argv, "--n-mc", "0",
+                         "--out", str(tmp_path / "cert")]) == 2
+        err = capsys.readouterr().err
+        assert "standard" in err and len(err.splitlines()) == 1
 
 
 def test_certify_subcommand_require_dent(tmp_path):

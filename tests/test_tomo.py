@@ -165,3 +165,15 @@ def test_reconstruction_error_shrinks_with_exposure():
         errs[exposure] = numerics.dist_up_to_scalar(recon.t.matrix, oracle)
     assert errs[1e7] < errs[1e3] / 10
     assert errs[1e7] < 1e-1
+
+
+def test_reconstruct_rejects_a_family_the_scans_were_not_recorded_in():
+    d = 3
+    scanned = bases.mub(d, 0)
+    full = channel.transmitted_state(channel.haar_channel(d, 8, 5), 1.0)
+    s_rec = measure.phase_step_scan_s(full, scanned, measure.NOISELESS)
+    e_rec = measure.phase_step_scan_e(full, scanned, measure.NOISELESS)
+    for other in (bases.mub(d, 1), bases.standard_family(d)):
+        with pytest.raises(TagConflictError, match="mub:0"):
+            tomo.reconstruct(s_rec, e_rec, other)
+    assert tomo.reconstruct(s_rec, e_rec, scanned).t.basis_tag.kind == "mub:0"

@@ -1,9 +1,11 @@
 """Unscrambling operators: construction, SLM scaling, recovered tables."""
 
+import os
+
 import numpy as np
 import pytest
 
-from qscatter import bases, channel, measure, numerics, tomo, unscramble
+from qscatter import bases, channel, cli, measure, numerics, tomo, unscramble
 from qscatter.errors import (
     ConditioningError,
     DimensionMismatchError,
@@ -179,12 +181,9 @@ def test_measure_recovered_noiseless_matches_prediction():
 
 
 
-@pytest.mark.parametrize("lambdas", [None, np.array([3.0, 2.0, 1.0]) / np.sqrt(14.0)])
-def test_one_build_v_call_per_rotated_table(monkeypatch, lambdas):
-    d = 3
-    _, t_std, t_tagged = _tagged_channel(d, 8, 7, bases.mub(d, 0))
-    state = channel.choi_state(t_std)
-    ops = unscramble.build_w(t_tagged)
+@pytest.fixture
+def build_v_calls(monkeypatch):
+    """The argument tuples of every unscramble.build_v call from here on."""
     calls = []
     build_v = unscramble.build_v
 
@@ -193,11 +192,67 @@ def test_one_build_v_call_per_rotated_table(monkeypatch, lambdas):
         return build_v(*args, **kwargs)
 
     monkeypatch.setattr(unscramble, "build_v", counted)
+    return calls
+
+
+@pytest.mark.parametrize("lambdas", [None, np.array([3.0, 2.0, 1.0]) / np.sqrt(14.0)])
+def test_one_build_v_call_per_rotated_table(build_v_calls, lambdas):
+    d = 3
+    _, t_std, t_tagged = _tagged_channel(d, 8, 7, bases.mub(d, 0))
+    state = channel.choi_state(t_std)
+    ops = unscramble.build_w(t_tagged)
+    v = unscramble.build_v(ops, 2, lambdas)
+    build_v_calls.clear()
     unscramble.measure_recovered(state, ops, 2, 1e4, seed=1, lambdas=lambdas)
-    assert len(calls) == 1
+    assert len(build_v_calls) == 1
     unscramble.recovered_probs(state, ops, 2, lambdas, corrected=False)
-    assert len(calls) == 2
-    # The standard table needs no rotated operators at all.
+    assert len(build_v_calls) == 2
+    # The standard table needs no rotated operators at all, and a built
+    # VOperator is used as it is.
     unscramble.measure_recovered(state, ops, "standard", 1e4, seed=1)
     unscramble.recovered_probs(state, ops, "standard")
-    assert len(calls) == 2
+    unscramble.measure_recovered(state, ops, v, 1e4, seed=1)
+    unscramble.recovered_probs(state, ops, v, corrected=False)
+    unscramble.predict_table(state, ops, v)
+    assert len(build_v_calls) == 2
+
+
+def test_one_build_v_call_per_rotated_table_in_the_cli(build_v_calls, tmp_path):
+    common = ["--d", "5", "--n-modes", "12", "--seed", "2", "--n-mc", "0"]
+    assert cli.main(["run", "--scenario", "unscramble-certify", *common,
+                     "--out", str(tmp_path / "run")]) == 0
+    assert len(build_v_calls) == 5
+    sim, rec = str(tmp_path / "sim"), str(tmp_path / "rec")
+    assert cli.main(["simulate", *common, "--out", sim]) == 0
+    assert cli.main(["tomo", "--scans", os.path.join(sim, "scans"), "--out", rec]) == 0
+    assert cli.main(["unscramble", "--t-hat", os.path.join(rec, "t_hat.csv"),
+                     "--out", str(tmp_path / "ops")]) == 0
+    assert len(build_v_calls) == 10
+
+
+def test_built_v_operator_stands_for_its_family():
+    d = 3
+    lam = np.array([3.0, 2.0, 1.0]) / np.sqrt(14.0)
+    _, t_std, t_tagged = _tagged_channel(d, 8, 8, bases.mub(d, 1))
+    state = channel.choi_state(t_std)
+    ops = unscramble.build_w(t_tagged)
+    v = unscramble.build_v(ops, 2, lam)
+    by_v = unscramble.measure_recovered(state, ops, v, 1e4, seed=4)
+    by_r = unscramble.measure_recovered(state, ops, 2, 1e4, seed=4, lambdas=lam)
+    np.testing.assert_array_equal(by_v.counts, by_r.counts)
+    np.testing.assert_array_equal(by_v.row_scale, by_r.row_scale)
+    assert by_v.basis_label_a == by_r.basis_label_a == "recovered:tilted:2"
+    for corrected in (True, False):
+        np.testing.assert_array_equal(
+            unscramble.recovered_probs(state, ops, v, corrected=corrected),
+            unscramble.recovered_probs(state, ops, 2, lam, corrected=corrected))
+    np.testing.assert_array_equal(unscramble.predict_table(state, ops, v),
+                                  unscramble.predict_table(state, ops, 2, lam))
+    # A built operator fixes its family: lambdas beside it are an error,
+    # not silently ignored.
+    with pytest.raises(NormalizationError):
+        unscramble.recovered_probs(state, ops, v, lam)
+    with pytest.raises(NormalizationError):
+        unscramble.predict_table(state, ops, v, lam)
+    with pytest.raises(NormalizationError):
+        unscramble.measure_recovered(state, ops, v, 1e4, seed=4, lambdas=lam)

@@ -11,7 +11,9 @@
 # Every command's files, stdout, stderr and exit code are kept, in one
 # temporary directory per tree, and all paths are relative, so the two
 # trees' outputs can be byte-identical. Prints `diff -r` of the two and
-# exits with its status: 0 when every output file is identical.
+# exits with its status: 0 when every output file is identical. For each
+# differing JSON file it also prints every differing key path with both
+# values, and the largest absolute difference between numbers.
 set -euo pipefail
 
 if [ $# -ne 2 ]; then
@@ -54,6 +56,52 @@ change_out=$(mktemp -d)
 trap 'rm -rf "$parent_out" "$change_out"' EXIT
 run_grid "$1" "$parent_out"
 run_grid "$2" "$change_out"
+# json_diff <parent-file> <change-file>: each differing key path with both
+# values, then the largest absolute difference between numbers.
+json_diff() {
+    python3 - "$1" "$2" <<'PY'
+import json
+import sys
+
+
+def leaves(value, path):
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from leaves(item, f"{path}.{key}")
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from leaves(item, f"{path}[{i}]")
+    else:
+        yield path, value
+
+
+def is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+parent, change = (dict(leaves(json.load(open(p, encoding="ascii")), ""))
+                  for p in sys.argv[1:])
+largest = None
+for path in sorted(parent.keys() | change.keys()):
+    old, new = parent.get(path, "<missing>"), change.get(path, "<missing>")
+    if old != new:
+        print(f"  {path or '.'}: {old!r} -> {new!r}")
+        if is_number(old) and is_number(new):
+            largest = max(abs(new - old), largest or 0.0)
+print(f"  largest absolute numeric difference: {largest}")
+PY
+}
+
 echo "compared $(find "$parent_out" -type f | wc -l) files against $(find "$change_out" -type f | wc -l)"
-diff -r "$parent_out" "$change_out"
-echo "diff -r: no differences"
+status=0
+diff -r "$parent_out" "$change_out" || status=$?
+if [ "$status" -eq 0 ]; then
+    echo "diff -r: no differences"
+fi
+{ diff -rq "$parent_out" "$change_out" || true; } |
+    sed -n 's/^Files \(.*\.json\) and \(.*\.json\) differ$/\1 \2/p' |
+    while read -r a b; do
+        echo "${a#"$parent_out"/}:"
+        json_diff "$a" "$b"
+    done
+exit "$status"
