@@ -45,22 +45,23 @@ ops = unscramble.build_w(t_hat)
 print(f"condition number of the inversion: {ops.condition_number:.2f}")
 print(f"eta (per-row SLM scales): {np.round(ops.eta, 3)}")
 
-after = unscramble.recovered_probs(scrambled, ops, "standard")
+after = unscramble.recovered_probs(scrambled, ops)
 print(f"diagonal weight after unscrambling:  {diagonal_weight(after):.3f}")
 
 # The recovered state is not exactly maximally entangled: the eta scales
 # act like a nonuniform Schmidt spectrum. The estimated weights below feed
 # the tilted probe families used during certification (demo 04).
-std_counts = unscramble.measure_recovered(scrambled, ops, "standard",
-                                          measure.NOISELESS)
+std_counts = unscramble.measure_recovered(scrambled, ops, None, measure.NOISELESS)
 diag = np.diagonal(std_counts.counts)
 lam = np.sqrt(diag / diag.sum())
 print(f"recovered Schmidt-weight estimate: {np.round(lam, 4)}")
 
-# Rotated probes V_r = M_r (eta^-1 W) need their own per-row scales zeta;
-# measure_recovered undoes them in post-processing and keeps the factors
-# in the table's row_scale field, so downstream resampling stays honest.
-rotated = unscramble.measure_recovered(scrambled, ops, 1, measure.NOISELESS)
+# Rotated probes V_r = M_r (eta^-1 W), built by build_v, need their own
+# per-row scales zeta; measure_recovered undoes them in post-processing and
+# keeps the factors in the table's row_scale field, so downstream
+# resampling stays honest.
+v_1 = unscramble.build_v(ops, 1)
+rotated = unscramble.measure_recovered(scrambled, ops, v_1, measure.NOISELESS)
 print(f"rotated-probe table label: {rotated.basis_label_a!r}, "
       f"row_scale spread {rotated.row_scale.min():.3f}.."
       f"{rotated.row_scale.max():.3f}")

@@ -93,7 +93,6 @@ from .tomo import (
     extract_s,
     fix_gauge,
     reconstruct,
-    tag_basis,
 )
 from .unscramble import (
     UnscrambleOperators,

@@ -4,7 +4,7 @@ For prime d the d Fourier-type bases with quadratic phases, together with
 the standard basis, form a complete set of d+1 mutually unbiased bases.
 Vectors are stored as the rows of BasisFamily.matrix. Tilted families warp
 the unbiased vectors toward a non-uniform Schmidt spectrum and are not
-orthogonal; their constant per-vector norm is recorded alongside.
+orthogonal; their rows share one sub-unit norm.
 
 Conventions used throughout the package:
   * omega = exp(+2*pi*i/d);
@@ -18,7 +18,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -36,33 +35,23 @@ from .numerics import PROB_TOL, ComplexMatrix
 class BasisFamily:
     """One measurement family: d kets of dimension d, stored as matrix rows.
 
-    kind is "standard", "mub:r" or "tilted:r". per_vector_norm holds the
-    2-norm of each row (all ones except for tilted families). lambdas is
-    the Schmidt weight vector a tilted family was built from, else None.
+    kind is "standard", "mub:r" or "tilted:r".
     """
 
-    dim: int
     kind: str
     matrix: ComplexMatrix
-    per_vector_norm: np.ndarray
-    lambdas: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
         m = numerics.as_matrix(self.matrix)
-        if m.shape != (self.dim, self.dim):
-            raise DimensionMismatchError(
-                f"basis matrix shape {m.shape} does not match dim {self.dim}")
-        norms = np.linalg.norm(m, axis=1)
-        if np.any(norms == 0):
+        if m.shape[0] != m.shape[1]:
+            raise DimensionMismatchError(f"basis matrix must be square, got {m.shape}")
+        if np.any(np.linalg.norm(m, axis=1) == 0):
             raise NormalizationError("basis family contains a zero vector")
-        if np.max(np.abs(norms - np.asarray(self.per_vector_norm))) > 1e-12:
-            raise NormalizationError("per_vector_norm does not match the rows")
         object.__setattr__(self, "matrix", numerics.frozen(m))
-        object.__setattr__(self, "per_vector_norm", numerics.frozen(np.asarray(
-            self.per_vector_norm, dtype=np.float64)))
-        if self.lambdas is not None:
-            object.__setattr__(self, "lambdas", numerics.frozen(np.asarray(
-                self.lambdas, dtype=np.float64)))
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[0]
 
 
 def _require_prime(d: int) -> None:
@@ -88,9 +77,7 @@ def _phase_table(d: int, r: int) -> ComplexMatrix:
 def standard_family(d: int) -> BasisFamily:
     if d < 2 or int(d) != d:
         raise InvalidDimensionError(f"dimension must be an integer >= 2, got {d}")
-    return BasisFamily(dim=int(d), kind="standard",
-                       matrix=np.eye(int(d), dtype=np.complex128),
-                       per_vector_norm=np.ones(int(d)))
+    return BasisFamily(kind="standard", matrix=np.eye(int(d), dtype=np.complex128))
 
 
 def mub(d: int, r: int) -> BasisFamily:
@@ -99,8 +86,7 @@ def mub(d: int, r: int) -> BasisFamily:
     if not 0 <= r < d:
         raise InvalidDimensionError(f"family index r={r} outside [0, {d})")
     matrix = _phase_table(d, r) / np.sqrt(d)
-    fam = BasisFamily(dim=d, kind=f"mub:{r}", matrix=matrix,
-                      per_vector_norm=np.ones(d))
+    fam = BasisFamily(kind=f"mub:{r}", matrix=matrix)
     if not numerics.is_unitary(fam.matrix):
         raise NormalizationError(f"mub({d},{r}) failed its unitarity check")
     return fam
@@ -123,7 +109,7 @@ def tilted(d: int, r: int, lambdas) -> BasisFamily:
 
     Matched to a target with Schmidt weights lambda (index order preserved,
     weights address physical modes). Rows are not orthogonal and share one
-    sub-unit norm, recorded in per_vector_norm.
+    sub-unit norm.
     """
     _require_prime(d)
     if not 0 <= r < d:
@@ -133,9 +119,7 @@ def tilted(d: int, r: int, lambdas) -> BasisFamily:
     if denom <= 0:
         raise NormalizationError("Schmidt weights sum to zero")
     matrix = _phase_table(d, r) * (np.sqrt(lam) / denom)[None, :]
-    norms = np.linalg.norm(matrix, axis=1)
-    return BasisFamily(dim=d, kind=f"tilted:{r}", matrix=matrix,
-                       per_vector_norm=norms, lambdas=lam)
+    return BasisFamily(kind=f"tilted:{r}", matrix=matrix)
 
 
 def rotate_matrix(t: ComplexMatrix, family: BasisFamily,
@@ -159,8 +143,8 @@ def rotate_matrix(t: ComplexMatrix, family: BasisFamily,
     return np.conjugate(m) @ t @ m.T
 
 
-def parse_basis_spec(spec: str, d: int, lambdas=None) -> BasisFamily:
-    """Parse a command-line basis spec: standard | mub:r | tilted:r."""
+def parse_basis_spec(spec: str, d: int) -> BasisFamily:
+    """Parse a command-line basis spec: standard | mub:r."""
     spec = spec.strip()
     if spec == "standard":
         return standard_family(d)
@@ -172,9 +156,4 @@ def parse_basis_spec(spec: str, d: int, lambdas=None) -> BasisFamily:
             raise InvalidDimensionError(f"bad basis index in {spec!r}") from None
         if name == "mub":
             return mub(d, r)
-        if name == "tilted":
-            if lambdas is None:
-                raise NormalizationError(
-                    f"basis {spec!r} needs Schmidt weights (target lambda)")
-            return tilted(d, r, lambdas)
     raise InvalidDimensionError(f"unknown basis spec {spec!r}")

@@ -71,22 +71,29 @@ class EffectiveT:
     in (None means standard basis).
     """
 
-    dim: int
     matrix: ComplexMatrix
     includes_reference: bool = False
     basis_tag: Optional[BasisFamily] = None
 
     def __post_init__(self) -> None:
         m = numerics.as_matrix(self.matrix)
-        if m.shape != (self.dim, self.dim):
+        if m.shape[0] != m.shape[1]:
             raise DimensionMismatchError(
-                f"matrix shape {m.shape} does not match dim {self.dim}")
+                f"transmission matrix must be square, got {m.shape}")
+        if self.basis_tag is not None and self.basis_tag.dim != m.shape[0]:
+            raise DimensionMismatchError(
+                f"basis tag {self.basis_tag.kind!r} has dim {self.basis_tag.dim}, "
+                f"matrix has dim {m.shape[0]}")
         sv = np.linalg.svd(m, compute_uv=False)
         if sv.size and float(sv[0]) > 1.0 + 1e-9:
             raise NormalizationError(
                 f"transmission matrix has singular value {float(sv[0])} > 1; "
                 "sub-blocks of a unitary cannot amplify")
         object.__setattr__(self, "matrix", numerics.frozen(m))
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[0]
 
 
 def effective_t(channel: ChannelModel, include_reference: bool = False) -> EffectiveT:
@@ -98,7 +105,7 @@ def effective_t(channel: ChannelModel, include_reference: bool = False) -> Effec
     first = 0 if include_reference else 1
     v = channel.isometry
     sub = v[first:v.shape[1], first:]
-    return EffectiveT(dim=sub.shape[0], matrix=sub, includes_reference=include_reference)
+    return EffectiveT(matrix=sub, includes_reference=include_reference)
 
 
 def choi_state(t: EffectiveT) -> states.BipartiteState:
@@ -155,7 +162,7 @@ def compose_two_channels(u_a: ComplexMatrix, u_b: ComplexMatrix) -> EffectiveT:
     for name, u in (("A", a), ("B", b)):
         if not numerics.is_unitary(u):
             raise NormalizationError(f"side-{name} matrix is not unitary")
-    return EffectiveT(dim=a.shape[0], matrix=b @ a.T)
+    return EffectiveT(matrix=b @ a.T)
 
 
 # ---------------------------------------------------------------------------
@@ -207,8 +214,7 @@ def load_fixture_tm0() -> EffectiveT:
     ref = resources.files("qscatter.fixtures").joinpath("fixture_tm0.csv")
     with resources.as_file(ref) as path:
         m = numerics.load_matrix_csv(path)
-    return EffectiveT(dim=7, matrix=m / np.linalg.norm(m),
-                      includes_reference=False, basis_tag=mub(7, 0))
+    return EffectiveT(matrix=m / np.linalg.norm(m), basis_tag=mub(7, 0))
 
 
 def load_fixture_lambda() -> np.ndarray:

@@ -51,9 +51,6 @@ from .errors import (
 
 _STREAM_CHANNEL = 1
 
-_SCENARIOS = ("baseline", "scramble", "tomography", "unscramble-certify",
-              "two-channel", "fixture-a1")
-
 REPORT_SCHEMA = "report_v2"
 
 
@@ -102,12 +99,12 @@ class ScenarioConfig:
             raise ConfigError("reference_amplitude must be positive")
         if self.n_mc < 0:
             raise ConfigError("n_mc must be nonnegative")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
         try:
             bases.parse_basis_spec(self.scan_family, self.d)
         except ToolkitError as exc:
             raise ConfigError(f"bad scan_family: {exc}") from exc
-        if self.scan_family.startswith("tilted"):
-            raise ConfigError("scan_family must be unitary (standard or mub:r)")
 
 
 def config_to_dict(cfg: ScenarioConfig) -> Dict[str, object]:
@@ -261,11 +258,11 @@ def _load_scan_bundle(scan_dir: str):
                                {"d": int, "family": str})
     family = bases.parse_basis_spec(meta["family"], meta["d"])
     s_rec, e_rec = [], []
-    for step, theta in enumerate(measure.THETA_GRID):
+    for step in range(4):
         s_tab = measure.load_count_table(os.path.join(scan_dir, f"s_step{step}.csv"))
         e_tab = measure.load_count_table(os.path.join(scan_dir, f"e_step{step}.csv"))
-        s_rec.append(measure.PhaseStepRecord(step=step, theta=theta, table=s_tab))
-        e_rec.append(measure.PhaseStepRecord(step=step, theta=theta, table=e_tab))
+        s_rec.append(measure.PhaseStepRecord(step=step, table=s_tab))
+        e_rec.append(measure.PhaseStepRecord(step=step, table=e_tab))
     return s_rec, e_rec, family
 
 
@@ -304,11 +301,10 @@ def _load_t_hat(path: str) -> channel.EffectiveT:
         raise FormatError(f"{meta_path}: 'includes_reference' must be true or false")
     if not isinstance(basis_tag, (str, type(None))):
         raise FormatError(f"{meta_path}: 'basis_tag' must be a string or null")
-    t = channel.EffectiveT(dim=matrix.shape[0], matrix=matrix,
-                           includes_reference=includes_reference)
-    if basis_tag is not None:
-        t = tomo.tag_basis(t, bases.parse_basis_spec(basis_tag, t.dim))
-    return t
+    family = (None if basis_tag is None
+              else bases.parse_basis_spec(basis_tag, matrix.shape[0]))
+    return channel.EffectiveT(matrix=matrix, includes_reference=includes_reference,
+                              basis_tag=family)
 
 
 def _build_ops(t: channel.EffectiveT,
@@ -357,13 +353,13 @@ def _measure_tables(cfg: ScenarioConfig, state: states.BipartiteState,
         return ([_peak_table(cfg, state, f) for f in families],
                 certify.TargetState.uniform(cfg.d))
 
-    def recovered(which) -> measure.CountTable:
-        probs = unscramble.recovered_probs(state, ops, which, corrected=False)
-        return unscramble.measure_recovered(state, ops, which,
+    def recovered(v: Optional[unscramble.VOperator]) -> measure.CountTable:
+        probs = unscramble.recovered_probs(state, ops, v, corrected=False)
+        return unscramble.measure_recovered(state, ops, v,
                                             _peak_scale(cfg.exposure, [probs]),
                                             cfg.seed, dark_rate=cfg.dark_rate)
 
-    std = recovered("standard")
+    std = recovered(None)
     if target is None:
         target = certify.estimate_lambda(std)
     return [std] + [recovered(unscramble.build_v(ops, r, target.lambdas))
@@ -456,7 +452,7 @@ def _scenario_fixture_a1(cfg: ScenarioConfig, out_dir: str):
     t_meas = channel.load_fixture_tm0()
     target = certify.TargetState(dim=7, lambdas=channel.load_fixture_lambda())
     t_std = bases.rotate_matrix(t_meas.matrix, t_meas.basis_tag, inverse=True)
-    state = channel.choi_state(channel.EffectiveT(dim=7, matrix=t_std))
+    state = channel.choi_state(channel.EffectiveT(matrix=t_std))
     # The fixture is evaluated exactly, whatever exposure and dark rate are set.
     exact = replace(cfg, exposure=measure.NOISELESS, dark_rate=0.0)
     tables, _ = _measure_tables(exact, state, _build_ops(t_meas, out_dir), target)
@@ -481,6 +477,8 @@ _SCENARIO_RUNNERS = {
     "two-channel": _scenario_two_channel,
     "fixture-a1": _scenario_fixture_a1,
 }
+
+_SCENARIOS = tuple(_SCENARIO_RUNNERS)
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir: str) -> Dict[str, object]:
@@ -577,8 +575,9 @@ def _cmd_tomo(args: argparse.Namespace) -> int:
 
 
 def _prediction(state: states.BipartiteState, ops: unscramble.UnscrambleOperators,
-                which, kind: str) -> measure.CountTable:
-    return measure.CountTable(counts=unscramble.predict_table(state, ops, which),
+                v: Optional[unscramble.VOperator]) -> measure.CountTable:
+    kind = "standard" if v is None else v.kind
+    return measure.CountTable(counts=unscramble.predict_table(state, ops, v),
                               basis_label_a=f"recovered:{kind}",
                               basis_label_b=f"recovered:{kind}*",
                               exposure=measure.NOISELESS)
@@ -594,15 +593,15 @@ def _cmd_unscramble(args: argparse.Namespace) -> int:
         t_std = bases.rotate_matrix(t.matrix, t.basis_tag, inverse=True)
     else:
         t_std = t.matrix
-    state = channel.choi_state(channel.EffectiveT(dim=t.dim, matrix=t_std))
+    state = channel.choi_state(channel.EffectiveT(matrix=t_std))
     u_dir = os.path.join(args.out, "unscramble")
-    predicted = [_prediction(state, ops, "standard", "standard")]
+    predicted = [_prediction(state, ops, None)]
     zeta_meta = {}
     for r in range(t.dim):
         v = unscramble.build_v(ops, r, lambdas)
         numerics.save_matrix_csv(
             os.path.join(u_dir, f"v_alice_{r}.csv"), v.normalized_v)
-        predicted.append(_prediction(state, ops, v, v.kind))
+        predicted.append(_prediction(state, ops, v))
         zeta_meta[v.kind] = v.zeta
     _save_tables(u_dir, predicted,
                  [p.basis_label_a.replace("recovered:", "predicted_").replace(":", "_")
@@ -634,6 +633,8 @@ def _require_dent(required: Optional[int], d_ent: int) -> None:
 def _cmd_certify(args: argparse.Namespace) -> int:
     if args.n_mc < 0:
         raise ConfigError("n_mc must be nonnegative")
+    if args.seed < 0:
+        raise ConfigError("seed must be nonnegative")
     paths = [args.standard, *args.table]
     tables = [measure.load_count_table(p) for p in paths]
     target = None

@@ -148,14 +148,15 @@ class PhaseStepRecord:
     """One phase step of a scan: step index k means theta = k * pi/2."""
 
     step: int
-    theta: float
     table: CountTable
 
     def __post_init__(self) -> None:
         if not 0 <= self.step < 4:
             raise InvalidDimensionError(f"step must be in [0, 4), got {self.step}")
-        if abs(self.theta - THETA_GRID[self.step]) > 1e-12:
-            raise InvalidDimensionError("theta does not match the step index")
+
+    @property
+    def theta(self) -> float:
+        return THETA_GRID[self.step]
 
 
 def _with_reference(amplitude: complex, pixels: np.ndarray) -> np.ndarray:
@@ -178,7 +179,7 @@ def _phase_scan(state: states.BipartiteState, family: BasisFamily, exposure: flo
         table = sample_counts(probs, exposure, seed, dark_rate, stream=(stream, step),
                               basis_label_a=f"{name}:{family.kind}:step{step}",
                               basis_label_b=family.kind)
-        records.append(PhaseStepRecord(step=step, theta=theta, table=table))
+        records.append(PhaseStepRecord(step=step, table=table))
     return records
 
 

@@ -23,28 +23,27 @@ from .numerics import PROB_TOL, ComplexMatrix
 class BipartiteState:
     """Pure (possibly sub-normalized) state of two qudits.
 
-    coeffs[i, j] multiplies |i>_A |j>_B. norm_sq is cached at construction.
+    coeffs[i, j] multiplies |i>_A |j>_B; dim and norm_sq are read from it.
     """
 
-    dim: int
     coeffs: ComplexMatrix
-    norm_sq: float
 
     def __post_init__(self) -> None:
-        if self.dim < 2:
-            raise InvalidDimensionError(f"dim must be >= 2, got {self.dim}")
         c = numerics.as_matrix(self.coeffs)
-        if c.shape != (self.dim, self.dim):
+        if c.shape[0] != c.shape[1]:
             raise DimensionMismatchError(
-                f"coeffs shape {c.shape} does not match dim {self.dim}"
-            )
+                f"coefficient matrix must be square, got {c.shape}")
+        if c.shape[0] < 2:
+            raise InvalidDimensionError(f"dim must be >= 2, got {c.shape[0]}")
         object.__setattr__(self, "coeffs", numerics.frozen(c))
-        n = float(np.real(np.vdot(c, c)))
-        if abs(n - self.norm_sq) > 1e-9 * max(1.0, n):
-            raise NormalizationError(
-                f"cached norm_sq {self.norm_sq} disagrees with coefficients ({n})"
-            )
-        object.__setattr__(self, "norm_sq", n)
+
+    @property
+    def dim(self) -> int:
+        return self.coeffs.shape[0]
+
+    @property
+    def norm_sq(self) -> float:
+        return float(np.real(np.vdot(self.coeffs, self.coeffs)))
 
 
 def make_state(coeffs, *, physical: bool = False) -> BipartiteState:
@@ -55,21 +54,17 @@ def make_state(coeffs, *, physical: bool = False) -> BipartiteState:
     (unscrambling with SLM row normalization in particular) may legitimately
     exceed unit norm and skip the check.
     """
-    c = numerics.as_matrix(coeffs)
-    if c.shape[0] != c.shape[1]:
-        raise DimensionMismatchError(f"coefficient matrix must be square, got {c.shape}")
-    n = float(np.real(np.vdot(c, c)))
+    state = BipartiteState(coeffs)
+    n = state.norm_sq
     if n <= 0.0:
         raise NormalizationError("state has zero norm")
     if physical and n > 1.0 + PROB_TOL:
         raise NormalizationError(f"physical state has norm_sq {n} > 1")
-    return BipartiteState(dim=c.shape[0], coeffs=c, norm_sq=n)
+    return state
 
 
 def max_entangled(d: int) -> BipartiteState:
     """|Phi+> = sum_i |ii> / sqrt(d)."""
-    if d < 2:
-        raise InvalidDimensionError(f"dim must be >= 2, got {d}")
     return make_state(np.eye(d, dtype=np.complex128) / np.sqrt(d), physical=True)
 
 

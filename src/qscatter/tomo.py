@@ -14,7 +14,7 @@ up to one global complex factor that the gauge convention removes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -74,8 +74,10 @@ def extract_e(records: Sequence[PhaseStepRecord],
     DegenerateReferenceError when any entry falls below ref_floor times
     the largest one: a vanishing entry means that basis direction never
     interferes with the reference and the division step would only
-    amplify noise.
+    amplify noise. ref_floor must be a finite number in [0, 1).
     """
+    if not 0.0 <= ref_floor < 1.0:
+        raise NormalizationError(f"ref_floor must lie in [0, 1), got {ref_floor}")
     values, label = _quarter_combination(records)
     if values.shape[0] != 1:
         raise DimensionMismatchError(
@@ -114,7 +116,7 @@ def assemble_t(s: Tuple[np.ndarray, str], e: Tuple[np.ndarray, str]) -> Effectiv
 
     s and e are the (values, family label) pairs of extract_s and
     extract_e; they must agree in dimension and in scan family. The result
-    is expressed in the scan family (untagged here; see tag_basis) and
+    is expressed in the scan family (untagged here; reconstruct tags it) and
     normalized to unit Frobenius norm with a real-positive leading entry.
     """
     (s_values, s_label), (e_diag, e_label) = s, e
@@ -124,27 +126,7 @@ def assemble_t(s: Tuple[np.ndarray, str], e: Tuple[np.ndarray, str]) -> Effectiv
         raise NormalizationError(f"S scanned in {s_label!r} but E in {e_label!r}")
     ratio = s_values / np.conjugate(e_diag)[np.newaxis, :]
     t_hat = fix_gauge(numerics.dag(ratio))
-    return EffectiveT(dim=t_hat.shape[0], matrix=t_hat, includes_reference=False)
-
-
-def tag_basis(t: EffectiveT, family: BasisFamily) -> EffectiveT:
-    """Record the scan family an assembled matrix is expressed in.
-
-    Retagging with an equivalent family is a no-op; a different family
-    raises TagConflictError since silently reinterpreting the matrix would
-    corrupt everything downstream.
-    """
-    if family.dim != t.dim:
-        raise DimensionMismatchError("family does not match the matrix dimension")
-    if t.basis_tag is not None:
-        same = (t.basis_tag.kind == family.kind
-                and np.allclose(t.basis_tag.matrix, family.matrix))
-        if not same:
-            raise TagConflictError(
-                f"matrix already tagged {t.basis_tag.kind!r}; refusing {family.kind!r}")
-        return t
-    return EffectiveT(dim=t.dim, matrix=t.matrix,
-                      includes_reference=t.includes_reference, basis_tag=family)
+    return EffectiveT(matrix=t_hat, includes_reference=False)
 
 
 @dataclass(frozen=True)
@@ -172,7 +154,7 @@ def reconstruct(s_records: Sequence[PhaseStepRecord],
         if family.kind != s[1]:
             raise TagConflictError(
                 f"scan tables were recorded in {s[1]!r}, not {family.kind!r}")
-        t = tag_basis(t, family)
+        t = replace(t, basis_tag=family)
     mags = np.abs(e[0])
     return Reconstruction(
         t=t,

@@ -9,6 +9,7 @@ import pytest
 from oracles import kron_vector
 from qscatter import bases, channel, numerics, states
 from qscatter.errors import (
+    DimensionMismatchError,
     FormatError,
     InvalidDimensionError,
     NormalizationError,
@@ -71,7 +72,15 @@ def test_effective_t_extracts_the_right_block():
 
 def test_effective_t_rejects_amplification():
     with pytest.raises(NormalizationError):
-        channel.EffectiveT(dim=2, matrix=2.0 * np.eye(2))
+        channel.EffectiveT(matrix=2.0 * np.eye(2))
+
+
+def test_effective_t_rejects_a_tag_of_another_dimension():
+    t = channel.EffectiveT(matrix=np.eye(3) / np.sqrt(3), basis_tag=bases.mub(3, 1))
+    assert t.dim == 3 and t.basis_tag.kind == "mub:1"
+    with pytest.raises(DimensionMismatchError):
+        channel.EffectiveT(matrix=np.eye(3) / np.sqrt(3),
+                           basis_tag=bases.standard_family(4))
 
 
 def test_choi_state_matches_brute_force_postselection():

@@ -29,6 +29,7 @@ def _cfg(scenario="baseline", **kw):
     {"dark_rate": -0.1},
     {"reference_amplitude": 0.0},
     {"n_mc": -1},
+    {"seed": -1},
     {"scan_family": "tilted:0"},
     {"scan_family": "mub:7"},
     {"seed": 1.5},
@@ -248,8 +249,10 @@ def test_malformed_target_spectrum_exits_2(tmp_path, capsys, content):
     ("reference_amplitude", {}, ["--reference-amplitude", "nan"]),
     ("n_mc", None, ["certify", "--standard", "std.csv", "--table", "mub_0.csv",
                     "--n-mc", "-1"]),
+    ("seed", None, ["certify", "--standard", "std.csv", "--table", "mub_0.csv",
+                    "--seed", "-1"]),
 ], ids=["n_mc-float", "scan_family-int", "d-string", "seed-bool", "dark_rate-nan",
-        "reference_amplitude-nan", "certify-n_mc-negative"])
+        "reference_amplitude-nan", "certify-n_mc-negative", "certify-seed-negative"])
 def test_bad_settings_exit_2_naming_the_field(tmp_path, capsys, field, config, flags):
     argv = flags
     if config is not None:
@@ -303,7 +306,7 @@ def test_baseline_family_tables_draw_independent_noise(tmp_path):
             assert not np.array_equal(counts[a], counts[b]), (a, b)
 
 
-def test_tomo_missing_bundle_and_degenerate_reference(tmp_path):
+def test_tomo_missing_bundle_and_degenerate_reference(tmp_path, capsys):
     assert cli.main(["tomo", "--scans", str(tmp_path / "nope"),
                      "--out", str(tmp_path / "o")]) == 2
     sim = str(tmp_path / "sim")
@@ -312,6 +315,13 @@ def test_tomo_missing_bundle_and_degenerate_reference(tmp_path):
     code = cli.main(["tomo", "--scans", os.path.join(sim, "scans"),
                      "--ref-floor", "0.999", "--out", str(tmp_path / "o2")])
     assert code == 3
+    # A floor outside [0, 1) would switch the degenerate-reference check off.
+    for floor in ("nan", "-1"):
+        capsys.readouterr()
+        assert cli.main(["tomo", "--scans", os.path.join(sim, "scans"),
+                         "--ref-floor", floor, "--out", str(tmp_path / "o3")]) == 2
+        err = capsys.readouterr().err
+        assert "ref_floor" in err and len(err.splitlines()) == 1
 
 
 def test_certify_subcommand_rejects_misplaced_standard_tables(tmp_path, capsys):

@@ -172,9 +172,7 @@ def test_phase_step_record_validation():
     table = measure.CountTable(counts=np.ones((1, 1)), basis_label_a="a",
                                basis_label_b="b", exposure=1.0)
     with pytest.raises(InvalidDimensionError):
-        measure.PhaseStepRecord(step=4, theta=0.0, table=table)
-    with pytest.raises(InvalidDimensionError):
-        measure.PhaseStepRecord(step=1, theta=0.1, table=table)
+        measure.PhaseStepRecord(step=4, table=table)
 
 
 def test_zeta_correct_scales_rows_once():

@@ -38,11 +38,6 @@ def test_state_coeffs_are_immutable():
         st.coeffs[0, 0] = 1.0
 
 
-def test_cached_norm_must_match():
-    with pytest.raises(NormalizationError):
-        states.BipartiteState(dim=2, coeffs=np.eye(2), norm_sq=1.0)
-
-
 def test_max_entangled_structure():
     st = states.max_entangled(5)
     np.testing.assert_allclose(st.coeffs, np.eye(5) / np.sqrt(5))

@@ -25,8 +25,7 @@ def _synthetic_records(ref, sig, dark=0.0, label="standard", kind="s"):
             basis_label_b=label,
             exposure=measure.NOISELESS,
         )
-        records.append(measure.PhaseStepRecord(step=step, theta=theta,
-                                               table=table))
+        records.append(measure.PhaseStepRecord(step=step, table=table))
     return records
 
 
@@ -93,6 +92,14 @@ def test_extract_e_flags_degenerate_reference():
         tomo.extract_e(square)
 
 
+def test_extract_e_rejects_a_floor_outside_unit_interval():
+    records = _synthetic_records(np.ones((1, 3)), np.ones((1, 3)), kind="e")
+    for floor in (np.nan, -1.0, 1.0, np.inf):
+        with pytest.raises(NormalizationError, match="ref_floor"):
+            tomo.extract_e(records, ref_floor=floor)
+    tomo.extract_e(records, ref_floor=0.0)
+
+
 def test_fix_gauge_normalizes_and_is_scalar_invariant():
     rng = np.random.default_rng(8)
     for _ in range(10):
@@ -116,20 +123,6 @@ def test_assemble_t_rejects_mismatched_scans():
         tomo.assemble_t(s, (np.ones(2, dtype=np.complex128), "mub:1"))
     t = tomo.assemble_t(s, (np.ones(2, dtype=np.complex128), "standard"))
     np.testing.assert_allclose(t.matrix, np.eye(2) / np.sqrt(2), atol=1e-15)
-
-
-def test_tag_basis_rules():
-    t = channel.EffectiveT(dim=3, matrix=np.eye(3) / np.sqrt(3),
-                           includes_reference=False)
-    fam = bases.mub(3, 1)
-    tagged = tomo.tag_basis(t, fam)
-    assert tagged.basis_tag.kind == "mub:1"
-    same = tomo.tag_basis(tagged, bases.mub(3, 1))
-    assert same.basis_tag.kind == "mub:1"
-    with pytest.raises(TagConflictError):
-        tomo.tag_basis(tagged, bases.standard_family(3))
-    with pytest.raises(DimensionMismatchError):
-        tomo.tag_basis(t, bases.standard_family(4))
 
 
 @pytest.mark.parametrize("family_spec", ["standard", "mub:1"])

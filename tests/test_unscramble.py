@@ -18,8 +18,8 @@ def _tagged_channel(d, n_modes, seed, family):
     ch = channel.haar_channel(d, n_modes, seed)
     t_std = channel.effective_t(ch)
     rotated = bases.rotate_matrix(t_std.matrix, family)
-    t_tagged = channel.EffectiveT(dim=d, matrix=rotated,
-                                  includes_reference=False, basis_tag=family)
+    t_tagged = channel.EffectiveT(matrix=rotated, includes_reference=False,
+                                  basis_tag=family)
     return ch, t_std, t_tagged
 
 
@@ -48,22 +48,20 @@ def test_build_w_formula_and_tags():
 
 
 def test_build_w_untagged_defaults_to_standard():
-    t = channel.EffectiveT(dim=3, matrix=np.eye(3) / np.sqrt(3),
-                           includes_reference=False)
+    t = channel.EffectiveT(matrix=np.eye(3) / np.sqrt(3), includes_reference=False)
     ops = unscramble.build_w(t)
     assert ops.basis_kind == "standard"
     np.testing.assert_allclose(ops.m_bob, np.eye(3))
 
 
 def test_build_w_rejections():
-    with_ref = channel.EffectiveT(dim=3, matrix=np.eye(3) / 2,
-                                  includes_reference=True)
+    with_ref = channel.EffectiveT(matrix=np.eye(3) / 2, includes_reference=True)
     with pytest.raises(NormalizationError):
         unscramble.build_w(with_ref)
     lam = np.array([3.0, 2.0, 1.0]) / np.sqrt(14.0)
     fam = bases.tilted(3, 0, lam)
-    t = channel.EffectiveT(dim=3, matrix=np.eye(3) / 2,
-                           includes_reference=False, basis_tag=fam)
+    t = channel.EffectiveT(matrix=np.eye(3) / 2, includes_reference=False,
+                           basis_tag=fam)
     with pytest.raises(NormalizationError):
         unscramble.build_w(t)
 
@@ -74,7 +72,7 @@ def test_unscrambling_restores_standard_correlations():
         _, t_std, t_tagged = _tagged_channel(d, 11, seed, fam)
         state = channel.choi_state(t_std)
         ops = unscramble.build_w(t_tagged)
-        probs = unscramble.recovered_probs(state, ops, "standard")
+        probs = unscramble.recovered_probs(state, ops)
         off = probs - np.diag(np.diagonal(probs))
         np.testing.assert_allclose(off, 0.0, atol=1e-14 * probs.max())
         weighted = np.diagonal(probs) * ops.eta ** 2
@@ -97,7 +95,7 @@ def test_build_v_rotation_formula():
     lam = np.array([3.0, 2.0, 1.0]) / np.sqrt(14.0)
     tilted_v = unscramble.build_v(ops, 0, lam)
     assert tilted_v.kind == "tilted:0"
-    np.testing.assert_allclose(tilted_v.family.lambdas, lam)
+    np.testing.assert_array_equal(tilted_v.family.matrix, bases.tilted(3, 0, lam).matrix)
 
 
 def test_recovered_probs_zeta_convention():
@@ -107,16 +105,15 @@ def test_recovered_probs_zeta_convention():
     state = channel.choi_state(t_std)
     ops = unscramble.build_w(t_tagged)
     v = unscramble.build_v(ops, 2)
-    corrected = unscramble.recovered_probs(state, ops, 2, corrected=True)
-    physical = unscramble.recovered_probs(state, ops, 2, corrected=False)
+    corrected = unscramble.recovered_probs(state, ops, v, corrected=True)
+    physical = unscramble.recovered_probs(state, ops, v, corrected=False)
     np.testing.assert_allclose(corrected,
                                physical * (v.zeta ** 2)[:, np.newaxis],
                                atol=1e-14)
 
 
 def test_recovered_probs_dimension_check():
-    t = channel.EffectiveT(dim=3, matrix=np.eye(3) / 2,
-                           includes_reference=False)
+    t = channel.EffectiveT(matrix=np.eye(3) / 2, includes_reference=False)
     ops = unscramble.build_w(t)
     from qscatter import states
     with pytest.raises(DimensionMismatchError):
@@ -129,7 +126,7 @@ def test_predict_table_normalizes():
     _, t_std, t_tagged = _tagged_channel(d, 7, 4, fam)
     state = channel.choi_state(t_std)
     ops = unscramble.build_w(t_tagged)
-    table = unscramble.predict_table(state, ops, 1)
+    table = unscramble.predict_table(state, ops, unscramble.build_v(ops, 1))
     assert table.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.all(table >= 0)
 
@@ -137,8 +134,8 @@ def test_predict_table_normalizes():
 def test_predict_table_rejects_zero_weight():
     from qscatter import states
     ops = unscramble.UnscrambleOperators(
-        dim=2, w_alice=np.eye(2), m_bob=np.zeros((2, 2)),
-        eta=np.ones(2), basis_kind="standard", condition_number=1.0)
+        w_alice=np.eye(2), m_bob=np.zeros((2, 2)), basis_kind="standard",
+        condition_number=1.0)
     with pytest.raises(NormalizationError):
         unscramble.predict_table(states.max_entangled(2), ops)
 
@@ -150,20 +147,26 @@ def test_measure_recovered_standard_and_rotated():
     state = channel.choi_state(t_std)
     ops = unscramble.build_w(t_tagged)
 
-    std = unscramble.measure_recovered(state, ops, "standard", 1e4, seed=3)
+    std = unscramble.measure_recovered(state, ops, None, 1e4, seed=3)
     assert std.basis_label_a == "recovered:standard"
     assert std.basis_label_b == "recovered:standard*"
     assert std.row_scale is None and std.seed == 3
 
-    rot = unscramble.measure_recovered(state, ops, 1, 1e4, seed=3)
     v = unscramble.build_v(ops, 1)
+    rot = unscramble.measure_recovered(state, ops, v, 1e4, seed=3)
     assert rot.basis_label_a == "recovered:mub:1"
     np.testing.assert_allclose(rot.row_scale, v.zeta ** 2)
 
-    again = unscramble.measure_recovered(state, ops, 1, 1e4, seed=3)
+    again = unscramble.measure_recovered(state, ops, v, 1e4, seed=3)
     np.testing.assert_array_equal(rot.counts, again.counts)
-    other = unscramble.measure_recovered(state, ops, 2, 1e4, seed=3)
+    other = unscramble.measure_recovered(state, ops, unscramble.build_v(ops, 2),
+                                         1e4, seed=3)
     assert not np.array_equal(rot.counts, other.counts)
+
+    lam = np.array([3.0, 2.0, 1.0]) / np.sqrt(14.0)
+    tilted = unscramble.measure_recovered(state, ops, unscramble.build_v(ops, 2, lam),
+                                          1e4, seed=3)
+    assert tilted.basis_label_a == "recovered:tilted:2"
 
 
 def test_measure_recovered_noiseless_matches_prediction():
@@ -172,12 +175,13 @@ def test_measure_recovered_noiseless_matches_prediction():
     _, t_std, t_tagged = _tagged_channel(d, 7, 6, fam)
     state = channel.choi_state(t_std)
     ops = unscramble.build_w(t_tagged)
-    table = unscramble.measure_recovered(state, ops, 1, measure.NOISELESS)
-    exact = unscramble.recovered_probs(state, ops, 1, corrected=True)
+    v = unscramble.build_v(ops, 1)
+    table = unscramble.measure_recovered(state, ops, v, measure.NOISELESS)
+    exact = unscramble.recovered_probs(state, ops, v, corrected=True)
     np.testing.assert_allclose(table.counts, exact, atol=1e-12)
     assert table.noiseless and table.seed is None
     with pytest.raises(NormalizationError):
-        unscramble.measure_recovered(state, ops, 1, 1e4)
+        unscramble.measure_recovered(state, ops, v, 1e4)
 
 
 
@@ -202,19 +206,14 @@ def test_one_build_v_call_per_rotated_table(build_v_calls, lambdas):
     state = channel.choi_state(t_std)
     ops = unscramble.build_w(t_tagged)
     v = unscramble.build_v(ops, 2, lambdas)
-    build_v_calls.clear()
-    unscramble.measure_recovered(state, ops, 2, 1e4, seed=1, lambdas=lambdas)
     assert len(build_v_calls) == 1
-    unscramble.recovered_probs(state, ops, 2, lambdas, corrected=False)
-    assert len(build_v_calls) == 2
-    # The standard table needs no rotated operators at all, and a built
-    # VOperator is used as it is.
-    unscramble.measure_recovered(state, ops, "standard", 1e4, seed=1)
-    unscramble.recovered_probs(state, ops, "standard")
-    unscramble.measure_recovered(state, ops, v, 1e4, seed=1)
-    unscramble.recovered_probs(state, ops, v, corrected=False)
-    unscramble.predict_table(state, ops, v)
-    assert len(build_v_calls) == 2
+    # A built VOperator is used as it is, and the standard table needs no
+    # rotated operators at all.
+    for table in (None, v):
+        unscramble.measure_recovered(state, ops, table, 1e4, seed=1)
+        unscramble.recovered_probs(state, ops, table, corrected=False)
+        unscramble.predict_table(state, ops, table)
+    assert len(build_v_calls) == 1
 
 
 def test_one_build_v_call_per_rotated_table_in_the_cli(build_v_calls, tmp_path):
@@ -228,31 +227,3 @@ def test_one_build_v_call_per_rotated_table_in_the_cli(build_v_calls, tmp_path):
     assert cli.main(["unscramble", "--t-hat", os.path.join(rec, "t_hat.csv"),
                      "--out", str(tmp_path / "ops")]) == 0
     assert len(build_v_calls) == 10
-
-
-def test_built_v_operator_stands_for_its_family():
-    d = 3
-    lam = np.array([3.0, 2.0, 1.0]) / np.sqrt(14.0)
-    _, t_std, t_tagged = _tagged_channel(d, 8, 8, bases.mub(d, 1))
-    state = channel.choi_state(t_std)
-    ops = unscramble.build_w(t_tagged)
-    v = unscramble.build_v(ops, 2, lam)
-    by_v = unscramble.measure_recovered(state, ops, v, 1e4, seed=4)
-    by_r = unscramble.measure_recovered(state, ops, 2, 1e4, seed=4, lambdas=lam)
-    np.testing.assert_array_equal(by_v.counts, by_r.counts)
-    np.testing.assert_array_equal(by_v.row_scale, by_r.row_scale)
-    assert by_v.basis_label_a == by_r.basis_label_a == "recovered:tilted:2"
-    for corrected in (True, False):
-        np.testing.assert_array_equal(
-            unscramble.recovered_probs(state, ops, v, corrected=corrected),
-            unscramble.recovered_probs(state, ops, 2, lam, corrected=corrected))
-    np.testing.assert_array_equal(unscramble.predict_table(state, ops, v),
-                                  unscramble.predict_table(state, ops, 2, lam))
-    # A built operator fixes its family: lambdas beside it are an error,
-    # not silently ignored.
-    with pytest.raises(NormalizationError):
-        unscramble.recovered_probs(state, ops, v, lam)
-    with pytest.raises(NormalizationError):
-        unscramble.predict_table(state, ops, v, lam)
-    with pytest.raises(NormalizationError):
-        unscramble.measure_recovered(state, ops, v, 1e4, seed=4, lambdas=lam)

@@ -7,10 +7,13 @@
 # checkout). The grid is every scenario at d=7, N=30, n_mc=40, seeds 3 and
 # 11, each run plain and with --exposure 5e3 --dark-rate 0.01
 # --scan-family standard, plus the simulate -> tomo -> unscramble chain at
-# d=5 with certify run on both the simulated and the predicted tables.
+# d=5 with certify run on both the simulated and the predicted tables, and
+# unscramble --lambdas with a fixed non-uniform spectrum followed by
+# certify --target on its predicted tilted tables.
 # Every command's files, stdout, stderr and exit code are kept, in one
 # temporary directory per tree, and all paths are relative, so the two
-# trees' outputs can be byte-identical. Prints `diff -r` of the two and
+# trees' outputs can be byte-identical. Names each command that exits
+# nonzero under the change tree, then prints `diff -r` of the two and
 # exits with its status: 0 when every output file is identical. For each
 # differing JSON file it also prints every differing key path with both
 # values, and the largest absolute difference between numbers.
@@ -41,14 +44,27 @@ run_grid() {
                 --scan-family standard --out "$scenario-$seed-noisy"
         done
     done
+    # --table takes one path per flag.
+    local sim_tables=() mub_tables=() tilted_tables=() r
+    for r in 0 1 2 3 4; do
+        sim_tables+=(--table "sim/tables/mub_$r.csv")
+        mub_tables+=(--table "ops/unscramble/predicted_mub_$r.csv")
+        tilted_tables+=(--table "ops-tilted/unscramble/predicted_tilted_$r.csv")
+    done
     q "$src" "$out" simulate simulate --d 5 --n-modes 20 --seed 3 --exposure 1e4 --out sim
     q "$src" "$out" tomo tomo --scans sim/scans --out rec
     q "$src" "$out" unscramble unscramble --t-hat rec/t_hat.csv --out ops
     q "$src" "$out" certify-sim certify --standard sim/tables/standard.csv \
-        --table sim/tables/mub_{0,1,2,3,4}.csv --n-mc 40 --seed 3 --out cert-sim
+        "${sim_tables[@]}" --n-mc 40 --seed 3 --out cert-sim
     q "$src" "$out" certify-predicted certify \
-        --standard ops/unscramble/predicted_standard.csv \
-        --table ops/unscramble/predicted_mub_{0,1,2,3,4}.csv --out cert-predicted
+        --standard ops/unscramble/predicted_standard.csv "${mub_tables[@]}" \
+        --out cert-predicted
+    printf '{"lambda": [0.5, 0.5, 0.5, 0.4, 0.3]}\n' >"$out/lambda.json"
+    q "$src" "$out" unscramble-tilted unscramble --t-hat rec/t_hat.csv \
+        --lambdas lambda.json --out ops-tilted
+    q "$src" "$out" certify-tilted certify \
+        --standard ops-tilted/unscramble/predicted_standard.csv "${tilted_tables[@]}" \
+        --target lambda.json --out cert-tilted
 }
 
 parent_out=$(mktemp -d)
@@ -93,6 +109,9 @@ PY
 }
 
 echo "compared $(find "$parent_out" -type f | wc -l) files against $(find "$change_out" -type f | wc -l)"
+for f in "$change_out"/*.exit; do
+    [ "$(cat "$f")" = 0 ] || echo "exit $(cat "$f") under the change: $(basename "$f" .exit)"
+done
 status=0
 diff -r "$parent_out" "$change_out" || status=$?
 if [ "$status" -eq 0 ]; then
