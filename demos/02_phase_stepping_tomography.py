@@ -52,6 +52,6 @@ for exposure in (1e3, 1e4, 1e5, 1e6, measure.NOISELESS):
 # holds |exp(-i theta_k) ref + signal|^2, so no single table is readable
 # on its own; only the quarter combination is.
 s_rec = measure.phase_step_scan_s(probe, family, measure.NOISELESS)
-stack = np.stack([rec.table.counts for rec in s_rec])
+stack = np.stack([table.counts for table in s_rec])
 print(f"\nraw scan stack shape: {stack.shape} (4 steps x {d} x {d})")
 print(f"per-step totals: {np.round(stack.sum(axis=(1, 2)), 4)}")

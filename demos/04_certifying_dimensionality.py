@@ -45,14 +45,13 @@ print(f"single-family lower bound on the same data: {floor:.4f}")
 # certificate holds while F clears the bound, and a separate flag says
 # whether the 3 sigma margin also clears it.
 print("\npeak counts   F          3 sigma   d_ent   robust")
-peak = 1.0 / d  # brightest cell of every family table for this state
+peak = 1.0 / d  # brightest cell probability of every family table here
+dark = 0.01 * peak  # dark_rate is a probability, added to every cell
 for exposure in (1e5, 1e3, 1e2, 30.0):
-    scale = exposure / peak
-    dark = 0.01 * peak
     std = measure.measure_correlations(phi, bases.standard_family(d),
-                                       scale, seed=2, dark_rate=dark)
+                                       exposure, seed=2, dark_rate=dark)
     fams = [measure.measure_correlations(phi, bases.mub(d, r),
-                                         scale, seed=2, dark_rate=dark)
+                                         exposure, seed=2, dark_rate=dark)
             for r in range(d)]
     rep = certify.certify(std, fams, target=uniform, n_mc=400, seed=2)
     print(f"{exposure:11.0e}   {rep.fidelity:.4f}   {3*rep.fidelity_sigma:8.4f}"

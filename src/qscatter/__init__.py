@@ -55,7 +55,6 @@ from .measure import (
     NOISELESS,
     THETA_GRID,
     CountTable,
-    PhaseStepRecord,
     load_count_table,
     measure_correlations,
     phase_step_scan_e,

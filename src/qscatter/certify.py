@@ -31,6 +31,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import numerics
+from .bases import check_lambdas
 from .errors import (
     DimensionMismatchError,
     NormalizationError,
@@ -61,17 +62,8 @@ class TargetState:
     lambdas: np.ndarray
 
     def __post_init__(self) -> None:
-        lam = np.asarray(self.lambdas, dtype=np.float64)
-        if lam.shape != (self.dim,):
-            raise DimensionMismatchError(
-                f"lambda shape {lam.shape} does not match dim {self.dim}")
-        if not np.all(np.isfinite(lam)) or np.any(lam < 0):
-            raise NormalizationError("lambda entries must be finite and nonnegative")
-        total = float(np.sum(lam * lam))
-        if abs(total - 1.0) > 1e-6:
-            raise NormalizationError(
-                f"sum(lambda^2) = {total:.8f}, expected 1")
-        object.__setattr__(self, "lambdas", numerics.frozen(lam))
+        object.__setattr__(self, "lambdas",
+                           numerics.frozen(check_lambdas(self.lambdas, self.dim)))
 
     @classmethod
     def uniform(cls, dim: int) -> "TargetState":

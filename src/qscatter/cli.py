@@ -18,12 +18,10 @@ Every scenario, and `simulate`, is a short sequence of shared stages: draw
 the medium, scan it, reconstruct its transmission matrix, build the
 correction, measure the coincidence tables, certify.
 
-Exposure policy: the exposure setting is the Poisson mean of the brightest
-cell in each acquisition ("integrate until the peak cell has collected that
-many counts"). Within one four-step phase scan a single factor is shared by
-all steps so the interference ratios stay meaningful; each coincidence
-table is its own acquisition. Cell means are exposure-scaled probabilities
-throughout, so noiseless mode (exposure = inf) is exact.
+The exposure setting is passed unchanged to every sampler in `measure`,
+which reads it as the Poisson mean of each acquisition's brightest cell:
+each coincidence table is one acquisition, each four-step phase scan
+another. exposure = inf is the noiseless mode.
 """
 
 from __future__ import annotations
@@ -105,6 +103,8 @@ class ScenarioConfig:
             bases.parse_basis_spec(self.scan_family, self.d)
         except ToolkitError as exc:
             raise ConfigError(f"bad scan_family: {exc}") from exc
+        if self.scenario == "fixture-a1" and self.d != 7:
+            raise ConfigError("the shipped fixture is 7-dimensional; use d=7")
 
 
 def config_to_dict(cfg: ScenarioConfig) -> Dict[str, object]:
@@ -205,16 +205,6 @@ def _save_tables(directory: str, tables: Sequence[measure.CountTable],
 # ---------------------------------------------------------------------------
 
 
-def _peak_scale(exposure: float, probs: Sequence[np.ndarray]) -> float:
-    """Exposure factor that puts the brightest cell at `exposure` counts."""
-    if math.isinf(exposure):
-        return exposure
-    peak = max(float(np.max(p)) for p in probs)
-    if peak <= 0:
-        raise ConditioningError("all-dark acquisition; cannot set exposure scale")
-    return exposure / peak
-
-
 def _draw_channel(cfg: ScenarioConfig, out_dir: str) -> channel.ChannelModel:
     """Draw the medium from the channel sub-stream and save it."""
     ch = channel.haar_channel(cfg.d, cfg.n_modes,
@@ -226,22 +216,16 @@ def _draw_channel(cfg: ScenarioConfig, out_dir: str) -> channel.ChannelModel:
 def _scan(cfg: ScenarioConfig, ch: channel.ChannelModel, out_dir: str):
     """Run the S and E phase-step scans through the medium, reference lit.
 
-    Each scan is one acquisition: a single exposure factor is shared by its
-    four steps. Saves the scan bundle and returns the scanned state, both
-    record lists and the scan family.
+    Saves the scan bundle and returns the scanned state, both scans' step
+    tables and the scan family.
     """
     family = bases.parse_basis_spec(cfg.scan_family, cfg.d)
     full = channel.transmitted_state(ch, cfg.reference_amplitude)
-    scans = []
-    for scan in (measure.phase_step_scan_s, measure.phase_step_scan_e):
-        probe = [rec.table.counts for rec in scan(full, family, measure.NOISELESS)]
-        scans.append(scan(full, family, _peak_scale(cfg.exposure, probe),
-                          cfg.seed, cfg.dark_rate))
-    s_rec, e_rec = scans
+    s_tabs, e_tabs = (scan(full, family, cfg.exposure, cfg.seed, cfg.dark_rate)
+                      for scan in (measure.phase_step_scan_s, measure.phase_step_scan_e))
     scan_dir = os.path.join(out_dir, "scans")
-    _save_tables(scan_dir, [rec.table for rec in s_rec + e_rec],
-                 [f"s_step{rec.step}" for rec in s_rec]
-                 + [f"e_step{rec.step}" for rec in e_rec])
+    _save_tables(scan_dir, s_tabs + e_tabs,
+                 [f"{kind}_step{step}" for kind in "se" for step in range(4)])
     meta = {
         "family": family.kind,
         "d": family.dim,
@@ -250,20 +234,17 @@ def _scan(cfg: ScenarioConfig, ch: channel.ChannelModel, out_dir: str):
         "seed": cfg.seed,
     }
     _write_json(os.path.join(scan_dir, "meta.json"), meta)
-    return full, s_rec, e_rec, family
+    return full, s_tabs, e_tabs, family
 
 
 def _load_scan_bundle(scan_dir: str):
     meta = numerics._read_json(os.path.join(scan_dir, "meta.json"),
                                {"d": int, "family": str})
     family = bases.parse_basis_spec(meta["family"], meta["d"])
-    s_rec, e_rec = [], []
-    for step in range(4):
-        s_tab = measure.load_count_table(os.path.join(scan_dir, f"s_step{step}.csv"))
-        e_tab = measure.load_count_table(os.path.join(scan_dir, f"e_step{step}.csv"))
-        s_rec.append(measure.PhaseStepRecord(step=step, table=s_tab))
-        e_rec.append(measure.PhaseStepRecord(step=step, table=e_tab))
-    return s_rec, e_rec, family
+    names = ([f"{kind}_step{k}.csv" for k in range(4)] for kind in "se")
+    s_tabs, e_tabs = ([measure.load_count_table(os.path.join(scan_dir, n)) for n in scan]
+                      for scan in names)
+    return s_tabs, e_tabs, family
 
 
 def _save_t_hat(out_dir: str, recon: tomo.Reconstruction) -> None:
@@ -285,8 +266,8 @@ def _scan_and_reconstruct(cfg: ScenarioConfig, ch: channel.ChannelModel,
 
     Returns the scanned state and the reconstruction.
     """
-    full, s_rec, e_rec, family = _scan(cfg, ch, out_dir)
-    recon = tomo.reconstruct(s_rec, e_rec, family=family)
+    full, s_tabs, e_tabs, family = _scan(cfg, ch, out_dir)
+    recon = tomo.reconstruct(s_tabs, e_tabs, family=family)
     _save_t_hat(out_dir, recon)
     return full, recon
 
@@ -324,23 +305,12 @@ def _build_ops(t: channel.EffectiveT,
     return ops
 
 
-def _peak_table(cfg: ScenarioConfig, state: states.BipartiteState,
-                family: bases.BasisFamily) -> measure.CountTable:
-    """One table of `state`, Alice in `family` and Bob in its conjugate."""
-    probs = measure.probability_table(state, family.matrix,
-                                      np.conjugate(family.matrix))
-    return measure.measure_correlations(state, family,
-                                        _peak_scale(cfg.exposure, [probs]),
-                                        cfg.seed, cfg.dark_rate)
-
-
 def _measure_tables(cfg: ScenarioConfig, state: states.BipartiteState,
                     ops: Optional[unscramble.UnscrambleOperators] = None,
                     target: Optional[certify.TargetState] = None
                     ) -> Tuple[List[measure.CountTable], certify.TargetState]:
     """The standard table and the d rotated-family tables, each its own
-    acquisition at peak exposure; returns them, standard first, and the
-    certification target.
+    acquisition; returns them, standard first, and the certification target.
 
     Without ops the state is measured directly in the standard and unbiased
     families against the uniform target. With ops the measurements go
@@ -350,14 +320,13 @@ def _measure_tables(cfg: ScenarioConfig, state: states.BipartiteState,
     if ops is None:
         families = [bases.standard_family(cfg.d)] + [bases.mub(cfg.d, r)
                                                     for r in range(cfg.d)]
-        return ([_peak_table(cfg, state, f) for f in families],
+        return ([measure.measure_correlations(state, f, cfg.exposure, cfg.seed,
+                                              cfg.dark_rate) for f in families],
                 certify.TargetState.uniform(cfg.d))
 
     def recovered(v: Optional[unscramble.VOperator]) -> measure.CountTable:
-        probs = unscramble.recovered_probs(state, ops, v, corrected=False)
-        return unscramble.measure_recovered(state, ops, v,
-                                            _peak_scale(cfg.exposure, [probs]),
-                                            cfg.seed, dark_rate=cfg.dark_rate)
+        return unscramble.measure_recovered(state, ops, v, cfg.exposure, cfg.seed,
+                                            dark_rate=cfg.dark_rate)
 
     std = recovered(None)
     if target is None:
@@ -447,8 +416,6 @@ def _scenario_two_channel(cfg: ScenarioConfig, out_dir: str):
 
 
 def _scenario_fixture_a1(cfg: ScenarioConfig, out_dir: str):
-    if cfg.d != 7:
-        raise ConfigError("the shipped fixture is 7-dimensional; use d=7")
     t_meas = channel.load_fixture_tm0()
     target = certify.TargetState(dim=7, lambdas=channel.load_fixture_lambda())
     t_std = bases.rotate_matrix(t_meas.matrix, t_meas.basis_tag, inverse=True)
@@ -552,11 +519,14 @@ def _parse_float(text: str, name: str) -> float:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args, "tomography")
+    for spec in args.basis or []:
+        bases.parse_basis_spec(spec, cfg.d)  # a bad spec fails before any write
+    specs = args.basis or ["standard"] + [f"mub:{r}" for r in range(cfg.d)]
     ch = _draw_channel(cfg, args.out)
     _scan(cfg, ch, args.out)
     logical = channel.transmitted_state(ch)
-    specs = args.basis or ["standard"] + [f"mub:{r}" for r in range(cfg.d)]
-    tables = [_peak_table(cfg, logical, bases.parse_basis_spec(spec, cfg.d))
+    tables = [measure.measure_correlations(logical, bases.parse_basis_spec(spec, cfg.d),
+                                           cfg.exposure, cfg.seed, cfg.dark_rate)
               for spec in specs]
     _save_tables(os.path.join(args.out, "tables"), tables)
     print(f"wrote channel, scan bundle and {len(specs)} tables to {args.out}")
@@ -564,8 +534,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_tomo(args: argparse.Namespace) -> int:
-    s_rec, e_rec, family = _load_scan_bundle(args.scans)
-    recon = tomo.reconstruct(s_rec, e_rec, family=family,
+    s_tabs, e_tabs, family = _load_scan_bundle(args.scans)
+    recon = tomo.reconstruct(s_tabs, e_tabs, family=family,
                              ref_floor=args.ref_floor)
     _save_t_hat(args.out, recon)
     print(f"reconstructed {recon.t.dim}x{recon.t.dim} matrix "

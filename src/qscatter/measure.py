@@ -1,10 +1,16 @@
 """Coincidence measurements: ideal probabilities, Poisson counts, phase scans.
 
-Exposure semantics: a cell with ideal probability p yields Poisson counts
-with mean exposure * (p + dark_rate). exposure = inf is the noiseless
-sentinel; sampling is bypassed and the table holds the exact probabilities.
-Count tables remember the basis labels, the exposure and the seed so
-downstream estimators and resamplers never guess.
+Exposure policy: every sampler takes `exposure` as the Poisson mean of the
+acquisition's brightest cell ("integrate until the peak cell has collected
+that many counts"). A cell with ideal probability p then yields Poisson
+counts with mean scale * (p + dark_rate), where scale = exposure / max(p)
+over the acquisition. A coincidence table is one acquisition; the four
+steps of a phase scan are one acquisition together, so they share one
+scale and their interference ratios stay meaningful. exposure = inf is the
+noiseless sentinel: sampling is bypassed and the table holds the exact
+probabilities. Count tables record the scale their cells were drawn at,
+the basis labels and the seed, so downstream estimators and resamplers
+never guess.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ import numpy as np
 from . import numerics, states
 from .bases import BasisFamily
 from .errors import (
+    ConditioningError,
     DimensionMismatchError,
     FormatError,
     InvalidDimensionError,
@@ -92,19 +99,19 @@ def probability_table(state: states.BipartiteState, kets_a, kets_b) -> np.ndarra
     return np.abs(amp) ** 2
 
 
-def sample_counts(probs, exposure: float, seed: Optional[int],
-                  dark_rate: float = 0.0, *, stream: Sequence[int] = (),
-                  basis_label_a: str = "custom", basis_label_b: str = "custom") -> CountTable:
-    """Poisson-sample a probability table into a CountTable.
+def _peak_scale(exposure: float, probs: Sequence[np.ndarray]) -> float:
+    """Poisson scale that puts the brightest cell of `probs` at `exposure` counts."""
+    if math.isinf(exposure):
+        return NOISELESS
+    peak = max(float(np.max(p)) for p in probs)
+    if peak <= 0:
+        raise ConditioningError("all-dark acquisition; cannot set exposure scale")
+    return exposure / peak
 
-    exposure = inf returns the exact cell means (probabilities plus dark
-    rate), bypassing the generator entirely; seed may then be None. Sampled
-    mode needs an integer root seed: the counts are drawn from its
-    sub-stream numerics.substream(seed, *stream) and the table records the
-    root seed. Every caller passes a stream of its own per table, so one
-    root seed serves a whole run while the tables' counting noise stays
-    independent.
-    """
+
+def _checked(probs, dark_rate: float) -> np.ndarray:
+    """A probability table as a 2-D array, rounding-level negatives clipped;
+    also rejects a negative dark rate."""
     p = np.asarray(probs, dtype=np.float64)
     if p.ndim == 1:
         p = p[np.newaxis, :]
@@ -112,17 +119,44 @@ def sample_counts(probs, exposure: float, seed: Optional[int],
         raise NormalizationError("negative probability in table")
     if dark_rate < 0:
         raise NormalizationError("dark_rate must be nonnegative")
-    p = np.clip(p, 0.0, None) + dark_rate
-    if math.isinf(exposure):
+    return np.clip(p, 0.0, None)
+
+
+def _draw(p: np.ndarray, scale: float, seed: Optional[int], dark_rate: float,
+          stream: Sequence[int], basis_label_a: str, basis_label_b: str) -> CountTable:
+    """Poisson counts with means scale * (p + dark_rate); scale = inf gives
+    the means themselves."""
+    p = p + dark_rate
+    if math.isinf(scale):
         return CountTable(counts=p, basis_label_a=basis_label_a,
                           basis_label_b=basis_label_b, exposure=NOISELESS, seed=None)
     if not isinstance(seed, (int, np.integer)):
         raise NormalizationError("sampled mode needs an explicit integer seed")
     counts = numerics._poisson(numerics.substream(seed, *stream),
-                               exposure * p).astype(np.float64)
+                               scale * p).astype(np.float64)
     return CountTable(counts=counts, basis_label_a=basis_label_a,
-                      basis_label_b=basis_label_b, exposure=float(exposure),
+                      basis_label_b=basis_label_b, exposure=float(scale),
                       seed=int(seed))
+
+
+def sample_counts(probs, exposure: float, seed: Optional[int],
+                  dark_rate: float = 0.0, *, stream: Sequence[int] = (),
+                  basis_label_a: str = "custom", basis_label_b: str = "custom") -> CountTable:
+    """Poisson-sample a probability table, one acquisition, into a CountTable.
+
+    The brightest cell's mean is `exposure` counts (dark counts come on
+    top), and the table records the scale that implies. exposure = inf
+    returns the exact cell means (probabilities plus dark rate), bypassing
+    the generator entirely; seed may then be None. Sampled mode needs an
+    integer root seed: the counts are drawn from its sub-stream
+    numerics.substream(seed, *stream) and the table records the root seed.
+    Every caller passes a stream of its own per table, so one root seed
+    serves a whole run while the tables' counting noise stays independent.
+    An all-dark table raises ConditioningError.
+    """
+    p = _checked(probs, dark_rate)
+    return _draw(p, _peak_scale(exposure, [p]), seed, dark_rate, stream,
+                 basis_label_a, basis_label_b)
 
 
 def measure_correlations(state: states.BipartiteState, family: BasisFamily,
@@ -143,22 +177,6 @@ def measure_correlations(state: states.BipartiteState, family: BasisFamily,
                          basis_label_a=family.kind, basis_label_b=family.kind + "*")
 
 
-@dataclass(frozen=True, eq=False)
-class PhaseStepRecord:
-    """One phase step of a scan: step index k means theta = k * pi/2."""
-
-    step: int
-    table: CountTable
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.step < 4:
-            raise InvalidDimensionError(f"step must be in [0, 4), got {self.step}")
-
-    @property
-    def theta(self) -> float:
-        return THETA_GRID[self.step]
-
-
 def _with_reference(amplitude: complex, pixels: np.ndarray) -> np.ndarray:
     """Kets amplitude|ref> + |pixel row>, one per row, reference mode first."""
     return np.hstack([np.full((pixels.shape[0], 1), amplitude, dtype=np.complex128),
@@ -167,26 +185,26 @@ def _with_reference(amplitude: complex, pixels: np.ndarray) -> np.ndarray:
 
 def _phase_scan(state: states.BipartiteState, family: BasisFamily, exposure: float,
                 seed: Optional[int], dark_rate: float, name: str, stream: int,
-                kets) -> List[PhaseStepRecord]:
-    """The four steps of one scan; kets(exp(i theta)) gives Alice's and
-    Bob's kets, and each step draws from sub-stream (stream, step)."""
+                kets) -> List[CountTable]:
+    """The four step tables of one scan, in step order; kets(exp(i theta))
+    gives Alice's and Bob's kets. The steps share one scale, set by their
+    joint peak, and step k draws from sub-stream (stream, k)."""
     if state.dim != family.dim + 1:
         raise DimensionMismatchError(f"scan needs a state on {family.dim}+1 modes "
                                      f"(reference first), got dim {state.dim}")
-    records = []
-    for step, theta in enumerate(THETA_GRID):
-        probs = probability_table(state, *kets(np.exp(1j * theta)))
-        table = sample_counts(probs, exposure, seed, dark_rate, stream=(stream, step),
-                              basis_label_a=f"{name}:{family.kind}:step{step}",
-                              basis_label_b=family.kind)
-        records.append(PhaseStepRecord(step=step, table=table))
-    return records
+    probs = [_checked(probability_table(state, *kets(np.exp(1j * theta))), dark_rate)
+             for theta in THETA_GRID]
+    scale = _peak_scale(exposure, probs)
+    return [_draw(p, scale, seed, dark_rate, (stream, step),
+                  f"{name}:{family.kind}:step{step}", family.kind)
+            for step, p in enumerate(probs)]
 
 
 def phase_step_scan_s(state: states.BipartiteState, family: BasisFamily,
                       exposure: float, seed: Optional[int] = None,
-                      dark_rate: float = 0.0) -> List[PhaseStepRecord]:
-    """Interference scan for the signal matrix S.
+                      dark_rate: float = 0.0) -> List[CountTable]:
+    """Interference scan for the signal matrix S: four tables, step k at
+    theta = k pi/2.
 
     For each step theta Alice projects onto exp(i theta)|ref> + |w_m> and
     Bob onto |v_n>, where w_m is the conjugated m-th family vector and v_n
@@ -202,8 +220,9 @@ def phase_step_scan_s(state: states.BipartiteState, family: BasisFamily,
 
 def phase_step_scan_e(state: states.BipartiteState, family: BasisFamily,
                       exposure: float, seed: Optional[int] = None,
-                      dark_rate: float = 0.0) -> List[PhaseStepRecord]:
-    """Interference scan for the reference (E) diagonal.
+                      dark_rate: float = 0.0) -> List[CountTable]:
+    """Interference scan for the reference (E) diagonal: four tables, step
+    k at theta = k pi/2.
 
     Alice projects onto the bare reference mode; Bob steps the phase of his
     reference against each family vector. Yields 1 x d tables.

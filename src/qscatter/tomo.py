@@ -28,44 +28,39 @@ from .errors import (
     NormalizationError,
     TagConflictError,
 )
-from .measure import PhaseStepRecord
+from .measure import CountTable
 
 
-def _quarter_combination(records: Sequence[PhaseStepRecord]) -> Tuple[np.ndarray, str]:
-    if len(records) != 4:
-        raise NormalizationError(f"need exactly 4 phase steps, got {len(records)}")
-    by_step = {}
-    for rec in records:
-        if rec.step in by_step:
-            raise NormalizationError(f"duplicate phase step {rec.step}")
-        by_step[rec.step] = rec
-    if sorted(by_step) != [0, 1, 2, 3]:
-        raise NormalizationError("phase steps must cover 0..3")
-    shape = by_step[0].table.counts.shape
-    label = by_step[0].table.basis_label_b
-    for rec in by_step.values():
-        if rec.table.counts.shape != shape:
+def _quarter_combination(tables: Sequence[CountTable]) -> Tuple[np.ndarray, str]:
+    """Combine four phase-step tables, given in step order (step k at
+    theta = k pi/2)."""
+    if len(tables) != 4:
+        raise NormalizationError(f"need exactly 4 phase steps, got {len(tables)}")
+    shape = tables[0].counts.shape
+    label = tables[0].basis_label_b
+    for table in tables:
+        if table.counts.shape != shape:
             raise DimensionMismatchError("phase-step tables differ in shape")
-        if rec.table.basis_label_b != label:
+        if table.basis_label_b != label:
             raise NormalizationError("phase-step tables differ in basis label")
-    r = [by_step[k].table.counts for k in range(4)]
+    r = [table.counts for table in tables]
     return ((r[0] - r[2]) + 1j * (r[1] - r[3])) / 4.0, label
 
 
-def extract_s(records: Sequence[PhaseStepRecord]) -> Tuple[np.ndarray, str]:
+def extract_s(tables: Sequence[CountTable]) -> Tuple[np.ndarray, str]:
     """Combine the four signal-scan tables into the S matrix.
 
     Returns the square matrix of cross terms S[m, n] = ref_n * conj(sig_nm)
     and the scan family label the tables were recorded in.
     """
-    values, label = _quarter_combination(records)
+    values, label = _quarter_combination(tables)
     if values.shape[0] != values.shape[1]:
         raise DimensionMismatchError(
             f"signal scan must be square, got shape {values.shape}")
     return values, label
 
 
-def extract_e(records: Sequence[PhaseStepRecord],
+def extract_e(tables: Sequence[CountTable],
               ref_floor: float = 1e-6) -> Tuple[np.ndarray, str]:
     """Combine the four reference-scan tables into the E diagonal.
 
@@ -78,7 +73,7 @@ def extract_e(records: Sequence[PhaseStepRecord],
     """
     if not 0.0 <= ref_floor < 1.0:
         raise NormalizationError(f"ref_floor must lie in [0, 1), got {ref_floor}")
-    values, label = _quarter_combination(records)
+    values, label = _quarter_combination(tables)
     if values.shape[0] != 1:
         raise DimensionMismatchError(
             f"reference scan must yield 1 x d tables, got shape {values.shape}")
@@ -138,17 +133,18 @@ class Reconstruction:
     condition_number: float
 
 
-def reconstruct(s_records: Sequence[PhaseStepRecord],
-                e_records: Sequence[PhaseStepRecord],
+def reconstruct(s_tables: Sequence[CountTable],
+                e_tables: Sequence[CountTable],
                 family: Optional[BasisFamily] = None,
                 ref_floor: float = 1e-6) -> Reconstruction:
-    """Full pipeline: phase-step records to tagged transmission matrix.
+    """Full pipeline: the S and E scans' tables, each in step order, to a
+    tagged transmission matrix.
 
     family, when given, must be the one the scan tables were recorded in;
     a different one raises TagConflictError.
     """
-    s = extract_s(s_records)
-    e = extract_e(e_records, ref_floor=ref_floor)
+    s = extract_s(s_tables)
+    e = extract_e(e_tables, ref_floor=ref_floor)
     t = assemble_t(s, e)
     if family is not None:
         if family.kind != s[1]:

@@ -189,7 +189,8 @@ def measure_recovered(state: BipartiteState, ops: UnscrambleOperators,
     """Simulate one recovered-basis coincidence table.
 
     v is None for the standard table or a VOperator from build_v. Sampling
-    happens at the physically displayed (unit-max-modulus) patterns, from
+    happens at the physically displayed (unit-max-modulus) patterns, one
+    acquisition whose brightest cell has mean `exposure` counts, from
     sub-stream (_STREAM_RECOVERED, k) of seed with k = 0 for the standard
     table and r + 1 for family r; rotated tables are then rescaled row-wise
     by zeta^2 back to the exact operator convention, with the factors kept

@@ -331,8 +331,7 @@ def _calibration_run(exact):
     d = 7
     phi = states.max_entangled(d)
     uniform = certify.TargetState.uniform(d)
-    peak = 1.0 / d
-    dark = 0.01 * peak
+    dark = 0.01 / d  # one percent of the brightest cell's probability
 
     def tables(exposure, seed):
         std = measure.measure_correlations(phi, bases.standard_family(d), exposure,
@@ -344,7 +343,7 @@ def _calibration_run(exact):
 
     std, fams = tables(measure.NOISELESS, None)
     f_true = certify.certify(std, fams, target=uniform).fidelity
-    runs = [certify.certify(*tables(100.0 / peak, seed), target=uniform, n_mc=100,
+    runs = [certify.certify(*tables(100.0, seed), target=uniform, n_mc=100,
                             seed=seed) for seed in range(150)]
     f_hat = np.array([r.fidelity for r in runs])
     sigma = np.array([r.fidelity_sigma for r in runs])

@@ -240,6 +240,43 @@ def test_malformed_target_spectrum_exits_2(tmp_path, capsys, content):
         assert "lam.json" in err and len(err.splitlines()) == 1
 
 
+def test_target_spectrum_off_normalization_exits_2_from_both_commands(tmp_path, capsys):
+    # sum(lambda^2) = 1 + 1e-7: past the shared PROB_TOL slack of one check.
+    sim, rec = str(tmp_path / "sim"), str(tmp_path / "rec")
+    assert cli.main(["simulate", "--d", "3", "--n-modes", "8", "--exposure", "inf",
+                     "--seed", "1", "--out", sim]) == 0
+    assert cli.main(["tomo", "--scans", os.path.join(sim, "scans"), "--out", rec]) == 0
+    good = np.array([0.6, 0.6, math.sqrt(0.28)])
+    good_path, lam = tmp_path / "good.json", tmp_path / "lam.json"
+    good_path.write_text(json.dumps({"lambda": good.tolist()}))
+    lam.write_text(json.dumps({"lambda": (good * math.sqrt(1 + 1e-7)).tolist()}))
+    ops = str(tmp_path / "ops")
+    assert cli.main(["unscramble", "--t-hat", os.path.join(rec, "t_hat.csv"),
+                     "--lambdas", str(good_path), "--out", ops]) == 0
+    predicted = os.path.join(ops, "unscramble", "predicted_{}.csv")
+    capsys.readouterr()
+    for argv in (["unscramble", "--t-hat", os.path.join(rec, "t_hat.csv"),
+                  "--lambdas", str(lam)],
+                 ["certify", "--standard", predicted.format("standard"),
+                  "--table", predicted.format("tilted_0"),
+                  "--target", str(lam), "--n-mc", "0"]):
+        assert cli.main(argv + ["--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "sum(lambda^2)" in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--scenario", "fixture-a1", "--d", "5", "--n-modes", "12"],
+    ["simulate", "--d", "3", "--n-modes", "8", "--basis", "tilted:1"],
+], ids=["fixture-a1-d5", "simulate-tilted-basis"])
+def test_config_errors_exit_2_before_any_output(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    capsys.readouterr()
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("field,config,flags", [
     ("n_mc", {"n_mc": 2.5}, []),
     ("scan_family", {"scan_family": 5}, []),

@@ -6,6 +6,7 @@ import pytest
 from oracles import kron_vector
 from qscatter import bases, cli, measure, numerics, states
 from qscatter.errors import (
+    ConditioningError,
     DimensionMismatchError,
     FormatError,
     InvalidDimensionError,
@@ -67,7 +68,8 @@ def test_sample_counts_noiseless_returns_exact_means():
 def test_sample_counts_poisson_statistics():
     probs = np.array([[0.5]])
     t = measure.sample_counts(probs, 1e5, 7)
-    assert t.counts[0, 0] == pytest.approx(5e4, rel=0.02)
+    assert t.counts[0, 0] == pytest.approx(1e5, rel=0.02)
+    assert t.exposure == 2e5
     t2 = measure.sample_counts(probs, 1e5, 7)
     np.testing.assert_array_equal(t.counts, t2.counts)
     assert t.seed == 7
@@ -93,6 +95,23 @@ def test_sample_counts_error_paths():
         measure.sample_counts(np.array([[0.5]]), 100.0, 1, dark_rate=-0.1)
 
 
+def test_sample_counts_puts_the_brightest_cell_at_the_exposure():
+    probs = np.array([[0.1, 0.3], [0.0, 0.6]])
+    for exposure in (30.0, 1e4):
+        t = measure.sample_counts(probs, exposure, 5, dark_rate=0.01)
+        assert t.exposure * np.max(probs) == pytest.approx(exposure, rel=1e-12)
+
+
+def test_all_dark_acquisition_raises_conditioning_error():
+    # Dark counts do not set the scale: only the signal's peak does.
+    for dark in (0.0, 0.1):
+        with pytest.raises(ConditioningError):
+            measure.sample_counts(np.zeros((2, 2)), 100.0, 1, dark_rate=dark)
+    # A negative probability is rejected before any peak is taken.
+    with pytest.raises(NormalizationError):
+        measure.sample_counts(np.array([[-0.5, 0.0]]), 100.0, 1)
+
+
 def test_measure_correlations_diagonal_for_max_entangled():
     st = states.max_entangled(5)
     for fam in (bases.standard_family(5), bases.mub(5, 2)):
@@ -103,6 +122,14 @@ def test_measure_correlations_diagonal_for_max_entangled():
         np.testing.assert_allclose(off, 0.0, atol=1e-12)
         np.testing.assert_allclose(np.diagonal(table.counts), 1 / 5,
                                    atol=1e-12)
+
+
+def test_measure_correlations_scale_to_the_peak_cell():
+    st = states.make_state(np.diag([3.0, 2.0, 1.0]))
+    fam = bases.mub(3, 1)
+    probs = measure.probability_table(st, fam.matrix, np.conjugate(fam.matrix))
+    table = measure.measure_correlations(st, fam, 500.0, seed=2)
+    assert table.exposure * np.max(probs) == pytest.approx(500.0, rel=1e-12)
 
 
 def test_measure_correlations_families_draw_independent_noise():
@@ -133,29 +160,42 @@ def test_phase_scans_have_documented_shapes_and_labels():
     d = 3
     st, _ = _scan_state(d, 0)
     fam = bases.mub(d, 1)
-    s_rec = measure.phase_step_scan_s(st, fam, measure.NOISELESS)
-    e_rec = measure.phase_step_scan_e(st, fam, measure.NOISELESS)
-    assert [r.step for r in s_rec] == [0, 1, 2, 3]
-    assert [r.theta for r in s_rec] == list(measure.THETA_GRID)
-    for rec in s_rec:
-        assert rec.table.counts.shape == (d, d)
-        assert rec.table.basis_label_a == f"scan-s:mub:1:step{rec.step}"
-        assert rec.table.basis_label_b == "mub:1"
-    for rec in e_rec:
-        assert rec.table.counts.shape == (1, d)
-        assert rec.table.basis_label_a == f"scan-e:mub:1:step{rec.step}"
+    s_tabs = measure.phase_step_scan_s(st, fam, measure.NOISELESS)
+    e_tabs = measure.phase_step_scan_e(st, fam, measure.NOISELESS)
+    assert len(s_tabs) == len(e_tabs) == len(measure.THETA_GRID)
+    for step, table in enumerate(s_tabs):
+        assert table.counts.shape == (d, d)
+        assert table.basis_label_a == f"scan-s:mub:1:step{step}"
+        assert table.basis_label_b == "mub:1"
+    for step, table in enumerate(e_tabs):
+        assert table.counts.shape == (1, d)
+        assert table.basis_label_a == f"scan-e:mub:1:step{step}"
 
 
 def test_phase_scan_steps_record_root_seed_and_differ():
     d = 3
     st, _ = _scan_state(d, 1)
     fam = bases.standard_family(d)
-    rec = measure.phase_step_scan_s(st, fam, 1e4, seed=9)
-    assert all(r.table.seed == 9 for r in rec)
+    tabs = measure.phase_step_scan_s(st, fam, 1e4, seed=9)
+    assert all(t.seed == 9 for t in tabs)
     again = measure.phase_step_scan_s(st, fam, 1e4, seed=9)
-    for a, b in zip(rec, again):
-        np.testing.assert_array_equal(a.table.counts, b.table.counts)
-    assert not np.array_equal(rec[0].table.counts, rec[1].table.counts)
+    for a, b in zip(tabs, again):
+        np.testing.assert_array_equal(a.counts, b.counts)
+    assert not np.array_equal(tabs[0].counts, tabs[1].counts)
+
+
+@pytest.mark.parametrize("scan", [measure.phase_step_scan_s, measure.phase_step_scan_e])
+def test_phase_scan_steps_share_one_scale_set_by_their_joint_peak(scan):
+    d = 3
+    st, _ = _scan_state(d, 3)
+    fam = bases.mub(d, 2)
+    noiseless = scan(st, fam, measure.NOISELESS)
+    peak = max(np.max(t.counts) for t in noiseless)
+    tabs = scan(st, fam, 200.0, seed=4, dark_rate=0.01)
+    assert len({t.exposure for t in tabs}) == 1
+    assert tabs[0].exposure * peak == pytest.approx(200.0, rel=1e-12)
+    # The shared scale is set by the joint peak, not each step's own.
+    assert min(np.max(t.counts) for t in noiseless) < peak
 
 
 def test_phase_scan_rejects_wrong_state_dimension():
@@ -166,13 +206,6 @@ def test_phase_scan_rejects_wrong_state_dimension():
     st4, _ = _scan_state(3, 2)
     with pytest.raises(NormalizationError):
         measure.phase_step_scan_s(st4, fam, 1e4)
-
-
-def test_phase_step_record_validation():
-    table = measure.CountTable(counts=np.ones((1, 1)), basis_label_a="a",
-                               basis_label_b="b", exposure=1.0)
-    with pytest.raises(InvalidDimensionError):
-        measure.PhaseStepRecord(step=4, table=table)
 
 
 def test_zeta_correct_scales_rows_once():

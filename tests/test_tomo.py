@@ -12,21 +12,17 @@ from qscatter.errors import (
 )
 
 
-def _synthetic_records(ref, sig, dark=0.0, label="standard", kind="s"):
-    """Four-step records with intensities |exp(-i theta) ref + sig|^2."""
+def _synthetic_tables(ref, sig, dark=0.0, label="standard", kind="s"):
+    """Four step tables, in step order, with intensities
+    |exp(-i theta) ref + sig|^2."""
     ref = np.asarray(ref, dtype=np.complex128)
     sig = np.asarray(sig, dtype=np.complex128)
-    records = []
-    for step, theta in enumerate(measure.THETA_GRID):
-        counts = np.abs(np.exp(-1j * theta) * ref + sig) ** 2 + dark
-        table = measure.CountTable(
-            counts=counts,
-            basis_label_a=f"scan-{kind}:{label}:step{step}",
-            basis_label_b=label,
-            exposure=measure.NOISELESS,
-        )
-        records.append(measure.PhaseStepRecord(step=step, table=table))
-    return records
+    return [measure.CountTable(
+                counts=np.abs(np.exp(-1j * theta) * ref + sig) ** 2 + dark,
+                basis_label_a=f"scan-{kind}:{label}:step{step}",
+                basis_label_b=label,
+                exposure=measure.NOISELESS)
+            for step, theta in enumerate(measure.THETA_GRID)]
 
 
 def test_extract_s_recovers_cross_terms_exactly():
@@ -34,7 +30,7 @@ def test_extract_s_recovers_cross_terms_exactly():
     d = 4
     ref = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     sig = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    values, label = tomo.extract_s(_synthetic_records(ref, sig))
+    values, label = tomo.extract_s(_synthetic_tables(ref, sig))
     np.testing.assert_allclose(values, ref * np.conjugate(sig), atol=1e-12)
     assert values.shape == (d, d) and label == "standard"
 
@@ -44,26 +40,24 @@ def test_extract_s_cancels_uniform_dark_offset():
     d = 3
     ref = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     sig = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    clean, _ = tomo.extract_s(_synthetic_records(ref, sig))
-    dark, _ = tomo.extract_s(_synthetic_records(ref, sig, dark=7.5))
+    clean, _ = tomo.extract_s(_synthetic_tables(ref, sig))
+    dark, _ = tomo.extract_s(_synthetic_tables(ref, sig, dark=7.5))
     np.testing.assert_allclose(dark, clean, atol=1e-12)
 
 
 def test_extract_s_validates_record_sets():
     ref = np.ones((2, 2))
     sig = np.full((2, 2), 1 + 1j)
-    records = _synthetic_records(ref, sig)
+    tables = _synthetic_tables(ref, sig)
     with pytest.raises(NormalizationError):
-        tomo.extract_s(records[:3])
-    with pytest.raises(NormalizationError):
-        tomo.extract_s(records[:3] + [records[2]])
-    other = _synthetic_records(np.ones((3, 3)), np.ones((3, 3)))
+        tomo.extract_s(tables[:3])
+    other = _synthetic_tables(np.ones((3, 3)), np.ones((3, 3)))
     with pytest.raises(DimensionMismatchError):
-        tomo.extract_s(records[:3] + [other[3]])
-    relabeled = _synthetic_records(ref, sig, label="mub:1")
+        tomo.extract_s(tables[:3] + [other[3]])
+    relabeled = _synthetic_tables(ref, sig, label="mub:1")
     with pytest.raises(NormalizationError):
-        tomo.extract_s(records[:3] + [relabeled[3]])
-    wide = _synthetic_records(np.ones((1, 4)), np.ones((1, 4)))
+        tomo.extract_s(tables[:3] + [relabeled[3]])
+    wide = _synthetic_tables(np.ones((1, 4)), np.ones((1, 4)))
     with pytest.raises(DimensionMismatchError):
         tomo.extract_s(wide)
 
@@ -73,7 +67,7 @@ def test_extract_e_recovers_reference_diagonal():
     d = 5
     ref = rng.standard_normal((1, d)) + 1j * rng.standard_normal((1, d))
     sig = rng.standard_normal((1, d)) + 1j * rng.standard_normal((1, d))
-    diag, label = tomo.extract_e(_synthetic_records(ref, sig, kind="e"))
+    diag, label = tomo.extract_e(_synthetic_tables(ref, sig, kind="e"))
     np.testing.assert_allclose(diag, (ref * np.conjugate(sig))[0],
                                atol=1e-12)
     assert diag.shape == (d,) and label == "standard"
@@ -83,21 +77,21 @@ def test_extract_e_flags_degenerate_reference():
     sig = np.array([[1.0, 1.0, 1e-9]], dtype=np.complex128)
     ref = np.ones((1, 3), dtype=np.complex128)
     with pytest.raises(DegenerateReferenceError):
-        tomo.extract_e(_synthetic_records(ref, sig, kind="e"))
+        tomo.extract_e(_synthetic_tables(ref, sig, kind="e"))
     with pytest.raises(DegenerateReferenceError):
-        tomo.extract_e(_synthetic_records(np.zeros((1, 3)), np.zeros((1, 3)),
-                                          kind="e"))
-    square = _synthetic_records(np.ones((3, 3)), np.ones((3, 3)))
+        tomo.extract_e(_synthetic_tables(np.zeros((1, 3)), np.zeros((1, 3)),
+                                         kind="e"))
+    square = _synthetic_tables(np.ones((3, 3)), np.ones((3, 3)))
     with pytest.raises(DimensionMismatchError):
         tomo.extract_e(square)
 
 
 def test_extract_e_rejects_a_floor_outside_unit_interval():
-    records = _synthetic_records(np.ones((1, 3)), np.ones((1, 3)), kind="e")
+    tables = _synthetic_tables(np.ones((1, 3)), np.ones((1, 3)), kind="e")
     for floor in (np.nan, -1.0, 1.0, np.inf):
         with pytest.raises(NormalizationError, match="ref_floor"):
-            tomo.extract_e(records, ref_floor=floor)
-    tomo.extract_e(records, ref_floor=0.0)
+            tomo.extract_e(tables, ref_floor=floor)
+    tomo.extract_e(tables, ref_floor=0.0)
 
 
 def test_fix_gauge_normalizes_and_is_scalar_invariant():

@@ -169,6 +169,18 @@ def test_measure_recovered_standard_and_rotated():
     assert tilted.basis_label_a == "recovered:tilted:2"
 
 
+def test_measure_recovered_puts_the_brightest_displayed_cell_at_the_exposure():
+    d = 3
+    fam = bases.mub(d, 0)
+    _, t_std, t_tagged = _tagged_channel(d, 9, 8, fam)
+    state = channel.choi_state(t_std)
+    ops = unscramble.build_w(t_tagged)
+    for v in (None, unscramble.build_v(ops, 1)):
+        probs = unscramble.recovered_probs(state, ops, v, corrected=False)
+        table = unscramble.measure_recovered(state, ops, v, 300.0, seed=2)
+        assert table.exposure * np.max(probs) == pytest.approx(300.0, rel=1e-12)
+
+
 def test_measure_recovered_noiseless_matches_prediction():
     d = 3
     fam = bases.standard_family(d)
