@@ -67,10 +67,11 @@ print(f"its rank bounds:         {np.round(skewed.bounds(), 4)}")
 print(f"rank-5 bound B_5 = {skewed.bounds()[4]:.4f}")
 
 # End-to-end: the same certification reached through the scenario runner,
-# which also writes config.json, the raw tables and report.json to disk.
-out_dir = tempfile.mkdtemp(prefix="qscatter_fixture_")
-out = cli.run_scenario(cli.ScenarioConfig(scenario="fixture-a1", d=7,
-                                          n_modes=60, n_mc=0), out_dir)
+# which also writes config.json, the raw tables and report.json to disk,
+# here to a temporary directory removed when the run is done.
+with tempfile.TemporaryDirectory(prefix="qscatter_fixture_") as out_dir:
+    out = cli.run_scenario(cli.ScenarioConfig(scenario="fixture-a1", d=7,
+                                              n_modes=60, n_mc=0), out_dir)
 res = out["results"]
 print(f"\nfixture scenario: F = {res['fidelity']:.4f}, "
-      f"d_ent = {res['d_ent']} of 7 (report in {out_dir}/)")
+      f"d_ent = {res['d_ent']} of 7")

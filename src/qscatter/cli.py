@@ -555,10 +555,10 @@ def _prediction(state: states.BipartiteState, ops: unscramble.UnscrambleOperator
 
 def _cmd_unscramble(args: argparse.Namespace) -> int:
     t = _load_t_hat(args.t_hat)
-    ops = _build_ops(t, args.out)
     lambdas = None
     if args.lambdas:
         lambdas = _load_lambda_file(args.lambdas, t.dim)
+    ops = _build_ops(t, args.out)
     if t.basis_tag is not None:
         t_std = bases.rotate_matrix(t.matrix, t.basis_tag, inverse=True)
     else:
@@ -583,7 +583,8 @@ def _cmd_unscramble(args: argparse.Namespace) -> int:
 
 
 def _load_lambda_file(path: str, dim: int) -> np.ndarray:
-    """The target spectrum of a {"lambda": [...]} file: dim finite weights."""
+    """The target spectrum of a {"lambda": [...]} file: dim finite weights
+    that pass bases.check_lambdas, checked before anything is written."""
     values = numerics._read_json(path, {"lambda": list})["lambda"]
     try:
         lam = np.array(values, dtype=np.float64)
@@ -591,7 +592,7 @@ def _load_lambda_file(path: str, dim: int) -> np.ndarray:
         lam = np.array([])
     if lam.shape != (dim,) or not np.all(np.isfinite(lam)):
         raise ConfigError(f"lambda file {path}: 'lambda' must list {dim} finite numbers")
-    return lam
+    return bases.check_lambdas(lam, dim)
 
 
 def _require_dent(required: Optional[int], d_ent: int) -> None:

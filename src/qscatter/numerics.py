@@ -166,8 +166,12 @@ def is_prime(n: int) -> bool:
 #   <header lines>           (format-specific; an optional `rows,cols` line
 #                             followed by the two sizes declares the shape)
 #   <columns line>           (i,j,re,im for matrices, a,b,count for tables)
-#   <i>,<j>,<v>[,<v>...]     (one line per cell, row-major, 17 significant
-#                             digits)
+#   <i>,<j>,<v>[,<v>...]     (one line per cell, row-major, each value as
+#                             %.17g prints it: 17 significant digits, so the
+#                             reader gets every float back bit for bit)
+# A grid whose every value is an integer of magnitude below 2**53 and none
+# of them -0.0 (every scan and every raw count table) is printed with %d,
+# which gives the same text as %.17g for those values, only faster.
 # ---------------------------------------------------------------------------
 
 
@@ -179,21 +183,29 @@ def _write_cells(path: Union[str, os.PathLike], header: Sequence[str],
                  columns: str, grids: Sequence[np.ndarray]) -> None:
     """Write header lines, the columns line, then one line per grid cell.
 
-    Cell (i, j) carries grids[0][i, j], grids[1][i, j], ... in order. Lines
-    are formatted and written one grid row at a time, so memory stays at
-    one row of text whatever the grid size.
+    Cell (i, j) carries grids[0][i, j], grids[1][i, j], ... in order, each
+    as %.17g prints it. When every value of every grid is an integer below
+    2**53 in magnitude and none is -0.0, the values are printed with %d
+    instead: the same text for such values, and cheaper to format. One
+    row template is built per call and lines are formatted and written one
+    grid row at a time, so memory stays at one row of text whatever the
+    grid size.
     """
     rows, cols = grids[0].shape
-    cell = ",".join(["%.17g"] * len(grids))
+    values = np.stack(grids, axis=-1).reshape(rows, cols * len(grids))
+    integral = bool(np.all((values == np.round(values)) & (np.abs(values) < 2.0 ** 53))
+                    and not np.any((values == 0) & np.signbit(values)))
+    if integral:
+        values = values.astype(np.int64)
+    cell = ",".join(["%d" if integral else "%.17g"] * len(grids))
+    template = "".join([f"@,{j},{cell}\n" for j in range(cols)])
     parent = os.path.dirname(os.fspath(path))
     if parent:
         os.makedirs(parent, exist_ok=True)
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("".join(line + "\n" for line in [*header, columns]))
         for i in range(rows):
-            template = "".join([f"{i},{j},{cell}\n" for j in range(cols)])
-            values = np.stack([g[i] for g in grids], axis=1).ravel().tolist()
-            fh.write(template % tuple(values))
+            fh.write(template.replace("@", str(i)) % tuple(values[i].tolist()))
 
 
 def _read_cells(path: Union[str, os.PathLike], columns: str,

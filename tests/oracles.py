@@ -48,6 +48,20 @@ def target_ket(lambdas: np.ndarray) -> np.ndarray:
     return w
 
 
+def write_cells_per_cell(path, header, columns, grids) -> None:
+    """Cell-grid CSV written one cell at a time: the header lines, the
+    columns line, then `i,j,v0,v1,...` per cell in row-major order, every
+    value through %.17g."""
+    rows, cols = np.asarray(grids[0]).shape
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        for line in [*header, columns]:
+            fh.write(line + "\n")
+        for i in range(rows):
+            for j in range(cols):
+                values = ["%.17g" % float(g[i][j]) for g in grids]
+                fh.write(",".join([str(i), str(j), *values]) + "\n")
+
+
 def noiseless_table(probs: np.ndarray, label: str) -> CountTable:
     """Wrap exact probabilities as a noiseless CountTable with paired labels.
 

@@ -263,6 +263,7 @@ def test_target_spectrum_off_normalization_exits_2_from_both_commands(tmp_path, 
         assert cli.main(argv + ["--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert "sum(lambda^2)" in err and len(err.splitlines()) == 1
+        assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("argv", [

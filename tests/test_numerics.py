@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+from oracles import write_cells_per_cell
 from qscatter import cli, numerics
 from qscatter.errors import (
     ConditioningError,
@@ -172,6 +175,58 @@ def test_matrix_csv_rejects_malformed_files(tmp_path):
     sparse.write_text("rows,cols\n2,2\ni,j,re,im\n0,0,1,0\n")
     with pytest.raises(ValueError):
         numerics.load_matrix_csv(sparse)
+
+
+# Values where %d and %.17g could part ways: signed zeros, both sides of
+# 2**53 (2**53 + 1 is not a float; 2**53 + 2 is the next one), integers
+# %.17g prints in exponent form from 1e17 on, and subnormals.
+_EDGE_VALUES = [0.0, -0.0, 1.0, -1.0, 2.0 ** 53 - 1, 2.0 ** 53, 2.0 ** 53 + 2,
+                -(2.0 ** 53 - 1), -(2.0 ** 53), 1e16, 1e16 + 2, 99999999999999984.0,
+                1e17, 5e-324, 2.2250738585072009e-308, -1e-310, 0.1, -2.5]
+
+
+@st.composite
+def _cell_grids(draw):
+    """1 or 2 grids of one shape, either all integer-valued (as scans and
+    raw count tables are) or drawn from floats and the edge values."""
+    rows = draw(st.integers(1, 12))
+    cols = draw(st.sampled_from([1, 2, 3, 8, 11]))
+    width = draw(st.integers(1, 2))
+    integers = st.integers(-(2 ** 53) + 1, 2 ** 53 - 1).map(float)
+    elements = draw(st.sampled_from([
+        st.one_of(st.integers(0, 10 ** 6).map(float), integers),
+        st.one_of(st.sampled_from(_EDGE_VALUES), integers,
+                  st.floats(1e16, 1e17), st.floats(allow_nan=False, allow_infinity=False)),
+    ]))
+    cells = draw(st.lists(elements, min_size=rows * cols * width,
+                          max_size=rows * cols * width))
+    grid = np.array(cells, dtype=np.float64).reshape(width, rows, cols)
+    return list(grid)
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture],
+          deadline=None)
+@given(grids=_cell_grids())
+@example(grids=[np.array([[7.0]])])
+@example(grids=[np.array([[-0.0]])])
+@example(grids=[np.array([[2.0 ** 53 - 1, -(2.0 ** 53 - 1)], [2.0 ** 53, 2.0 ** 53 + 2]])])
+@example(grids=[np.arange(16.0).reshape(2, 8) * 1e16])
+@example(grids=[np.array([[5e-324, 1e-310, 2.2250738585072009e-308]])])
+@example(grids=list(np.random.default_rng(3).poisson(50.0, (2, 40, 8)).astype(float)))
+@example(grids=list(np.random.default_rng(4).standard_normal((2, 40, 8))))
+@example(grids=[np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[0.5, 0.0], [-0.0, 1.0]])])
+def test_write_cells_matches_the_per_cell_writer_and_reads_back_exactly(tmp_path, grids):
+    rows, cols = grids[0].shape
+    header = ["rows,cols", f"{rows},{cols}"]
+    columns = "i,j" + ",v" * len(grids)
+    ours, reference = tmp_path / "ours.csv", tmp_path / "reference.csv"
+    numerics._write_cells(ours, header, columns, grids)
+    write_cells_per_cell(reference, header, columns, grids)
+    assert ours.read_bytes() == reference.read_bytes()
+    read_header, back = numerics._read_cells(ours, columns, len(grids))
+    assert read_header == header
+    np.testing.assert_array_equal(back.view(np.int64),
+                                  np.stack(grids, axis=-1).view(np.int64))
 
 
 @pytest.mark.parametrize("corruption", ["truncated", "duplicate", "out-of-range", "zz",

@@ -9,9 +9,12 @@
 # --scan-family standard, plus the simulate -> tomo -> unscramble chain at
 # d=5 with certify run on both the simulated and the predicted tables, and
 # unscramble --lambdas with a fixed non-uniform spectrum followed by
-# certify --target on its predicted tilted tables, plus two configuration
-# errors that must exit 2 before writing anything (run --scenario fixture-a1
-# --d 5, and simulate --basis tilted:1), each with its own --out.
+# certify --target on its predicted tilted tables, plus one noiseless
+# tomography run at d=7 through N=2000 modes (a 2000-row channel.csv),
+# plus three errors that must exit 2 before writing anything
+# (run --scenario fixture-a1 --d 5, simulate --basis tilted:1, and
+# unscramble --lambdas with a spectrum whose squares sum to 1.8), each with
+# its own --out.
 # Every command's files, stdout, stderr and exit code are kept, in one
 # temporary directory per tree, and all paths are relative, so the two
 # trees' outputs can be byte-identical. Names each command that exits
@@ -67,10 +70,15 @@ run_grid() {
     q "$src" "$out" certify-tilted certify \
         --standard ops-tilted/unscramble/predicted_standard.csv "${tilted_tables[@]}" \
         --target lambda.json --out cert-tilted
+    q "$src" "$out" tomography-n2000 run --scenario tomography --d 7 --n-modes 2000 \
+        --exposure inf --seed 3 --out tomography-n2000
     q "$src" "$out" fixture-a1-d5 run --scenario fixture-a1 --d 5 --n-modes 12 \
         --out fixture-a1-d5
     q "$src" "$out" simulate-tilted simulate --d 5 --n-modes 20 --seed 3 \
         --basis tilted:1 --out simulate-tilted
+    printf '{"lambda": [0.6, 0.6, 0.6, 0.6, 0.6]}\n' >"$out/lambda-bad.json"
+    q "$src" "$out" unscramble-bad-lambdas unscramble --t-hat rec/t_hat.csv \
+        --lambdas lambda-bad.json --out unscramble-bad-lambdas
 }
 
 parent_out=$(mktemp -d)
