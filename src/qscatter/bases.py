@@ -63,15 +63,20 @@ def _require_prime(d: int) -> None:
 
 
 def _phase_table(d: int, r: int) -> ComplexMatrix:
-    """Phase factors omega^(km) * (quadratic phase)^(r m^2), rows k, cols m."""
+    """Phase factors omega^(km) * (quadratic phase)^(r m^2), rows k, cols m.
+
+    Every factor is a root of unity, so the table indexes the n roots
+    exp(2 pi i e / n) by its integer exponent e: n exponentials in place
+    of d^2, with the same bits.
+    """
     k = np.arange(d)[:, None]
     m = np.arange(d)[None, :]
     if d == 2:
         # i^(2km + r m^2): quartic quadratic phase, else r=0 and r=1 collide.
         expo = np.mod(2 * k * m + r * m * m, 4)
-        return np.exp(0.5j * np.pi * expo)
+        return np.exp(0.5j * np.pi * np.arange(4))[expo]
     expo = np.mod(k * m + r * m * m, d)
-    return np.exp(2j * np.pi * expo / d)
+    return np.exp(2j * np.pi * np.arange(d) / d)[expo]
 
 
 def standard_family(d: int) -> BasisFamily:

@@ -18,7 +18,10 @@ postselected (sub-normalized) states are handled with no extra work.
 Both estimators have one implementation, _batched_estimator, a function of
 the raw counts with a leading axis of trials. The point estimate is that
 function on the observed statistics as a single trial; the Monte-Carlo
-error bar is the same function on Poisson redraws of them.
+error bar is the same function on Poisson redraws of them. Those
+statistics are d-length per family table (its diagonal and off-diagonal
+row sums), so each family table is read once, as it arrives from any
+iterable, and the d tables of a run are never held together.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -113,34 +116,23 @@ def _parse_kind(label: str) -> Tuple[str, Optional[int]]:
     raise NormalizationError(f"cannot classify basis label {label!r}")
 
 
-def _family_indices(standard_table: CountTable, family_tables: Sequence[CountTable],
-                    target: TargetState) -> List[int]:
-    """The one validation pass of both estimators; returns each family's r.
+class _Family(NamedTuple):
+    """What the estimators read of one rotated-family table: its kind and
+    index, and per row the raw diagonal cell, the raw off-diagonal sum and
+    the row correction."""
 
-    The standard table must carry a standard label and every family table
-    a rotated one of index 0..d-1, all d x d; unbiased-family tables are
-    only valid against a uniform target (tilted families handle a
-    nonuniform spectrum).
-    """
-    d = target.dim
-    if standard_table.basis_label_a not in _STANDARD_LABELS:
-        raise NormalizationError(
-            f"expected a standard-basis table, got {standard_table.basis_label_a!r}")
-    for table in [standard_table, *family_tables]:
-        if table.counts.shape != (d, d):
-            raise DimensionMismatchError(
-                f"table shape {table.counts.shape} does not match dim {d}")
-    kinds = [_parse_kind(t.basis_label_a) for t in family_tables]
-    if any(kind == "standard" for kind, _ in kinds):
-        raise NormalizationError("family tables must be rotated, got a standard one")
-    if any(not 0 <= r < d for _, r in kinds):
-        raise NormalizationError(
-            f"family labels must index 0..{d - 1}, got {[r for _, r in kinds]}")
-    if any(kind == "mub" for kind, _ in kinds) and not target.is_uniform:
-        raise NormalizationError(
-            "unbiased-family tables certify uniform targets only; "
-            "use tilted families for a nonuniform spectrum")
-    return [r for _, r in kinds]
+    kind: str
+    r: int
+    diag: np.ndarray
+    off: np.ndarray
+    scale: np.ndarray
+    noiseless: bool
+
+
+def _check_shape(table: CountTable, d: int) -> None:
+    if table.counts.shape != (d, d):
+        raise DimensionMismatchError(
+            f"table shape {table.counts.shape} does not match dim {d}")
 
 
 def _row_scale(table: CountTable) -> np.ndarray:
@@ -148,33 +140,66 @@ def _row_scale(table: CountTable) -> np.ndarray:
     return np.ones(d) if table.row_scale is None else table.row_scale
 
 
-def _raw_statistics(standard_table: CountTable, family_tables: Sequence[CountTable]
-                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The raw counts the estimators read, before any row correction.
+def _raw(table: CountTable) -> np.ndarray:
+    """The table's counts before any row correction."""
+    return table.counts / _row_scale(table)[:, np.newaxis]
 
-    Returns every standard cell (flattened, d*d), and each family row's
-    diagonal cell and off-diagonal sum, (k, d) each. A family table enters
-    the estimators only through its diagonal and its row totals (a row
-    correction scales whole rows), and a sum of independent Poisson cells
-    is Poisson with the summed mean, so redrawing these statistics is
-    exactly a Poisson redraw of every cell.
+
+def _reduce(table: CountTable, d: int) -> _Family:
+    """Validate one family table and keep only what the estimators read.
+
+    A family table enters the estimators only through its diagonal and its
+    row totals (a row correction scales whole rows), and a sum of
+    independent Poisson cells is Poisson with the summed mean, so redrawing
+    these statistics is exactly a Poisson redraw of every cell.
     """
-    def raw(table: CountTable) -> np.ndarray:
-        return table.counts / _row_scale(table)[:, np.newaxis]
+    _check_shape(table, d)
+    kind, r = _parse_kind(table.basis_label_a)
+    if kind == "standard":
+        raise NormalizationError("family tables must be rotated, got a standard one")
+    if not 0 <= r < d:
+        raise NormalizationError(
+            f"family labels must index 0..{d - 1}, got {table.basis_label_a!r}")
+    raw = _raw(table)
+    diag = np.diagonal(raw).copy()
+    return _Family(kind, r, diag, np.sum(raw, axis=1) - diag, _row_scale(table),
+                   table.noiseless)
 
-    diag = np.stack([np.diagonal(raw(t)) for t in family_tables])
-    rows = np.stack([np.sum(raw(t), axis=1) for t in family_tables])
-    return raw(standard_table).ravel(), diag, rows - diag
+
+def _read_families(standard_table: CountTable, family_tables: Iterable[CountTable],
+                   d: int) -> List[_Family]:
+    """The one validation pass of both estimators: checks the standard table,
+    then reads each family table once, in order, reducing it as it passes.
+
+    The standard table must carry a standard label and every family table
+    a rotated one of index 0..d-1, all d x d. Only the reductions are kept,
+    so no more than one family table is held at a time.
+    """
+    if standard_table.basis_label_a not in _STANDARD_LABELS:
+        raise NormalizationError(
+            f"expected a standard-basis table, got {standard_table.basis_label_a!r}")
+    _check_shape(standard_table, d)
+    return [_reduce(table, d) for table in family_tables]
 
 
-def _batched_estimator(standard_table: CountTable, family_tables: Sequence[CountTable],
+def _check_target(families: Sequence[_Family], target: TargetState) -> None:
+    """Unbiased-family tables are only valid against a uniform target
+    (tilted families handle a nonuniform spectrum)."""
+    if any(f.kind == "mub" for f in families) and not target.is_uniform:
+        raise NormalizationError(
+            "unbiased-family tables certify uniform targets only; "
+            "use tilted families for a nonuniform spectrum")
+
+
+def _batched_estimator(standard_table: CountTable, families: Sequence[_Family],
                        target: TargetState, exact: bool):
-    """The exact estimator (or the lower bound on family_tables[0]) as a
-    function of raw statistics in the layout of _raw_statistics, with a
-    leading axis of n trials: (n, d*d), (n, k, d), (n, k, d) -> (n,).
+    """The exact estimator (or the lower bound on families[0]) as a function
+    of raw statistics with a leading axis of n trials: every standard cell
+    (n, d*d), and each family row's diagonal cell and off-diagonal sum,
+    (n, k, d) each; returns (n,).
 
-    Returns that function and the tables' observed statistics. The tables
-    must have passed _family_indices.
+    Returns that function and the observed statistics in that layout,
+    without the trial axis. The families come from _read_families.
     """
     d = target.dim
     lam = target.lambdas
@@ -184,8 +209,8 @@ def _batched_estimator(standard_table: CountTable, family_tables: Sequence[Count
     # Total, sum lam_i lam_j S_ij and sum lam_i^2 S_ii of the corrected table.
     lin = std_scale[:, np.newaxis] * np.stack(
         [np.ones(d * d), weights, np.diag(lam * lam).ravel()], axis=1)
-    fam_scale = np.stack([_row_scale(t) for t in family_tables])
-    tilted = np.array([_parse_kind(t.basis_label_a)[0] == "tilted" for t in family_tables])
+    fam_scale = np.stack([f.scale for f in families])
+    tilted = np.array([f.kind == "tilted" for f in families])
     # Flat index of cell ((i + delta) % d, i), one row per delta = 1..d-1.
     idx = np.arange(d)
     cyclic = ((idx + np.arange(1, d)[:, np.newaxis]) % d) * d + idx
@@ -209,7 +234,9 @@ def _batched_estimator(standard_table: CountTable, family_tables: Sequence[Count
         bound = np.sum(np.sum(vals, axis=2) ** 2, axis=1) - np.sum(vals * vals, axis=(1, 2))
         return s2 / d * q[:, 0] - cross - bound
 
-    return evaluate, _raw_statistics(standard_table, family_tables)
+    observed = (_raw(standard_table).ravel(), np.stack([f.diag for f in families]),
+                np.stack([f.off for f in families]))
+    return evaluate, observed
 
 
 def _at_observed(evaluate, observed: Sequence[np.ndarray]) -> float:
@@ -225,26 +252,29 @@ def fidelity_lower_bound(standard_table: CountTable, family_table: CountTable,
     Validates the tables once, then evaluates the batched estimator on
     their observed statistics as a single trial.
     """
-    _family_indices(standard_table, [family_table], target)
-    return _at_observed(*_batched_estimator(standard_table, [family_table], target,
+    families = _read_families(standard_table, [family_table], target.dim)
+    _check_target(families, target)
+    return _at_observed(*_batched_estimator(standard_table, families, target,
                                             exact=False))
 
 
 def fidelity_exact(standard_table: CountTable,
-                   family_tables: Sequence[CountTable],
+                   family_tables: Iterable[CountTable],
                    target: TargetState) -> float:
     """Exact fidelity from the complete set of d rotated families.
 
-    Validates the tables once (each family 0..d-1 exactly once), then
-    evaluates the batched estimator on their observed statistics as a
-    single trial.
+    Reads each family table once, in one validation pass (each family
+    0..d-1 exactly once), then evaluates the batched estimator on their
+    observed statistics as a single trial.
     """
     d = target.dim
-    rs = sorted(_family_indices(standard_table, family_tables, target))
+    families = _read_families(standard_table, family_tables, d)
+    _check_target(families, target)
+    rs = sorted(f.r for f in families)
     if rs != list(range(d)):
         raise NormalizationError(
             f"exact fidelity needs families 0..{d - 1} once each, got {rs}")
-    return _at_observed(*_batched_estimator(standard_table, family_tables, target,
+    return _at_observed(*_batched_estimator(standard_table, families, target,
                                             exact=True))
 
 
@@ -296,7 +326,7 @@ def _dimensionality_from(fidelity: float, bounds: np.ndarray) -> int:
 
 
 def certify(standard_table: CountTable,
-            family_tables: Sequence[CountTable],
+            family_tables: Iterable[CountTable],
             target: Optional[TargetState] = None,
             n_mc: int = 200,
             seed: int = 0) -> CertificationReport:
@@ -310,28 +340,33 @@ def certify(standard_table: CountTable,
     spread of the estimator over n_mc Poisson redraws of the counts it
     reads, with the target and bases held fixed; it is 0 (and n_mc is
     reported as 0) when any table is noiseless.
+
+    family_tables may be any iterable, a generator included: each table is
+    read once, as it arrives, and only its d-length statistics are kept
+    (see _reduce), so the rotated tables never need to be held together.
     """
-    if not family_tables:
+    d = standard_table.counts.shape[0] if target is None else target.dim
+    families = _read_families(standard_table, family_tables, d)
+    if not families:
         raise NormalizationError("certification needs at least one rotated family")
     if target is None:
-        kinds = {_parse_kind(t.basis_label_a)[0] for t in family_tables}
-        if kinds == {"mub"}:
-            target = TargetState.uniform(standard_table.counts.shape[0])
+        if {f.kind for f in families} == {"mub"}:
+            target = TargetState.uniform(d)
         else:
             target = estimate_lambda(standard_table)
-    d = target.dim
-    rs = sorted(_family_indices(standard_table, family_tables, target))
+    _check_target(families, target)
+    rs = sorted(f.r for f in families)
 
-    noiseless = any(t.noiseless for t in [standard_table, *family_tables])
+    noiseless = standard_table.noiseless or any(f.noiseless for f in families)
     exact = rs == list(range(d))
     if not exact:
-        if len(family_tables) > 1:
+        if len(families) > 1:
             warnings.warn(
                 f"families {rs} do not cover 0..{d - 1}; "
                 "falling back to the single-family lower bound",
                 stacklevel=2)
-        family_tables = family_tables[:1]
-    evaluate, observed = _batched_estimator(standard_table, family_tables, target, exact)
+        families = families[:1]
+    evaluate, observed = _batched_estimator(standard_table, families, target, exact)
     fidelity = _at_observed(evaluate, observed)
     bounds = target.bounds()
     d_ent = _dimensionality_from(fidelity, bounds)

@@ -16,7 +16,10 @@ file and its SHA-256 rather than repeating the counts.
 
 Every scenario, and `simulate`, is a short sequence of shared stages: draw
 the medium, scan it, reconstruct its transmission matrix, build the
-correction, measure the coincidence tables, certify.
+correction, measure the coincidence tables, certify. Each count table is
+written as soon as it is measured and handed on; certification reads each
+rotated-family table once and keeps only its d-length statistics, so no
+stage holds more than the standard table and one family table at a time.
 
 The exposure setting is passed unchanged to every sampler in `measure`,
 which reads it as the Poisson mean of each acquisition's brightest cell:
@@ -34,7 +37,7 @@ import numbers
 import os
 import sys
 from dataclasses import asdict, dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -183,20 +186,25 @@ def _report(scenario: str, results: Dict[str, object],
             "tables": tables}
 
 
-def _save_tables(directory: str, tables: Sequence[measure.CountTable],
-                 names: Optional[Sequence[str]] = None) -> Dict[str, str]:
-    """Write each table to <directory>/<name>.csv and map its label to the path.
+def _save_table(directory: str, table: measure.CountTable,
+                name: Optional[str] = None) -> str:
+    """Write a table to <directory>/<name>.csv and return that path.
 
     A table's name defaults to its label with ':' replaced by '_'.
     """
-    if names is None:
-        names = [t.basis_label_a.replace(":", "_") for t in tables]
-    paths = {}
-    for table, name in zip(tables, names):
-        path = os.path.join(directory, name + ".csv")
-        measure.save_count_table(path, table)
-        paths[table.basis_label_a] = path
-    return paths
+    if name is None:
+        name = table.basis_label_a.replace(":", "_")
+    path = os.path.join(directory, name + ".csv")
+    measure.save_count_table(path, table)
+    return path
+
+
+def _saving(directory: str, tables: Iterable[measure.CountTable],
+            paths: Dict[str, str]) -> Iterator[measure.CountTable]:
+    """Write each table as it passes and map its label to its path in `paths`."""
+    for table in tables:
+        paths[table.basis_label_a] = _save_table(directory, table)
+        yield table
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +232,9 @@ def _scan(cfg: ScenarioConfig, ch: channel.ChannelModel, out_dir: str):
     s_tabs, e_tabs = (scan(full, family, cfg.exposure, cfg.seed, cfg.dark_rate)
                       for scan in (measure.phase_step_scan_s, measure.phase_step_scan_e))
     scan_dir = os.path.join(out_dir, "scans")
-    _save_tables(scan_dir, s_tabs + e_tabs,
-                 [f"{kind}_step{step}" for kind in "se" for step in range(4)])
+    for kind, tabs in (("s", s_tabs), ("e", e_tabs)):
+        for step, table in enumerate(tabs):
+            _save_table(scan_dir, table, f"{kind}_step{step}")
     meta = {
         "family": family.kind,
         "d": family.dim,
@@ -308,9 +317,12 @@ def _build_ops(t: channel.EffectiveT,
 def _measure_tables(cfg: ScenarioConfig, state: states.BipartiteState,
                     ops: Optional[unscramble.UnscrambleOperators] = None,
                     target: Optional[certify.TargetState] = None
-                    ) -> Tuple[List[measure.CountTable], certify.TargetState]:
+                    ) -> Tuple[measure.CountTable, Iterator[measure.CountTable],
+                               certify.TargetState]:
     """The standard table and the d rotated-family tables, each its own
-    acquisition; returns them, standard first, and the certification target.
+    acquisition; returns the standard table, a generator that measures the
+    rotated tables one at a time as they are asked for, and the
+    certification target.
 
     Without ops the state is measured directly in the standard and unbiased
     families against the uniform target. With ops the measurements go
@@ -318,10 +330,12 @@ def _measure_tables(cfg: ScenarioConfig, state: states.BipartiteState,
     by default the spectrum nominated from the standard table.
     """
     if ops is None:
-        families = [bases.standard_family(cfg.d)] + [bases.mub(cfg.d, r)
-                                                    for r in range(cfg.d)]
-        return ([measure.measure_correlations(state, f, cfg.exposure, cfg.seed,
-                                              cfg.dark_rate) for f in families],
+        def direct(family: bases.BasisFamily) -> measure.CountTable:
+            return measure.measure_correlations(state, family, cfg.exposure, cfg.seed,
+                                                cfg.dark_rate)
+
+        return (direct(bases.standard_family(cfg.d)),
+                (direct(bases.mub(cfg.d, r)) for r in range(cfg.d)),
                 certify.TargetState.uniform(cfg.d))
 
     def recovered(v: Optional[unscramble.VOperator]) -> measure.CountTable:
@@ -331,16 +345,16 @@ def _measure_tables(cfg: ScenarioConfig, state: states.BipartiteState,
     std = recovered(None)
     if target is None:
         target = certify.estimate_lambda(std)
-    return [std] + [recovered(unscramble.build_v(ops, r, target.lambdas))
-                    for r in range(cfg.d)], target
+    return (std, (recovered(unscramble.build_v(ops, r, target.lambdas))
+                  for r in range(cfg.d)), target)
 
 
-def _certify(tables: Sequence[measure.CountTable],
+def _certify(standard: measure.CountTable, families: Iterable[measure.CountTable],
              target: Optional[certify.TargetState], n_mc: int,
              seed: int) -> Tuple[certify.CertificationReport, Dict[str, object]]:
-    """Certify a standard table (first) and rotated-family tables; returns
-    the certification and its results block."""
-    rep = certify.certify(tables[0], tables[1:], target=target, n_mc=n_mc, seed=seed)
+    """Certify a standard table and rotated-family tables, read once each;
+    returns the certification and its results block."""
+    rep = certify.certify(standard, families, target=target, n_mc=n_mc, seed=seed)
     return rep, {
         "fidelity": rep.fidelity,
         "fidelity_sigma": rep.fidelity_sigma,
@@ -354,8 +368,24 @@ def _certify(tables: Sequence[measure.CountTable],
     }
 
 
+def _certify_saved(out_dir: str, standard: measure.CountTable,
+                   families: Iterable[measure.CountTable],
+                   target: Optional[certify.TargetState], n_mc: int, seed: int
+                   ) -> Tuple[certify.CertificationReport, Dict[str, object],
+                              Dict[str, str]]:
+    """Write the standard table to <out_dir>/tables, then pass each family
+    table through its write into certification; returns the certification,
+    its results block and each table's path by label."""
+    table_dir = os.path.join(out_dir, "tables")
+    paths = {standard.basis_label_a: _save_table(table_dir, standard)}
+    rep, results = _certify(standard, _saving(table_dir, families, paths), target,
+                            n_mc, seed)
+    return rep, results, paths
+
+
 # ---------------------------------------------------------------------------
-# Scenarios: each returns its results block and the tables to save
+# Scenarios: each writes its tables as it measures them and returns its
+# results block and each table's path by label
 # ---------------------------------------------------------------------------
 
 
@@ -366,11 +396,11 @@ def _scenario_direct(cfg: ScenarioConfig, out_dir: str):
         state = states.max_entangled(cfg.d)
     else:
         state = channel.transmitted_state(_draw_channel(cfg, out_dir))
-    tables, target = _measure_tables(cfg, state)
-    rep, results = _certify(tables, target, cfg.n_mc, cfg.seed)
+    rep, results, paths = _certify_saved(out_dir, *_measure_tables(cfg, state),
+                                         cfg.n_mc, cfg.seed)
     if cfg.scenario == "scramble":
         results["certified"] = rep.entangled
-    return results, tables
+    return results, paths
 
 
 def _scenario_tomography(cfg: ScenarioConfig, out_dir: str):
@@ -383,20 +413,21 @@ def _scenario_tomography(cfg: ScenarioConfig, out_dir: str):
         "e_ratio": recon.e_ratio,
         "condition_number": recon.condition_number,
         "basis_tag": family.kind,
-    }, []
+    }, {}
 
 
 def _scenario_unscramble_certify(cfg: ScenarioConfig, out_dir: str):
     full, recon = _scan_and_reconstruct(cfg, _draw_channel(cfg, out_dir), out_dir)
     ops = _build_ops(recon.t, out_dir)
-    tables, target = _measure_tables(cfg, channel.drop_reference(full), ops)
-    _, results = _certify(tables, target, cfg.n_mc, cfg.seed)
+    _, results, paths = _certify_saved(
+        out_dir, *_measure_tables(cfg, channel.drop_reference(full), ops),
+        cfg.n_mc, cfg.seed)
     results["reconstruction"] = {
         "e_ratio": recon.e_ratio,
         "condition_number": recon.condition_number,
     }
     results["eta"] = ops.eta
-    return results, tables
+    return results, paths
 
 
 def _scenario_two_channel(cfg: ScenarioConfig, out_dir: str):
@@ -408,11 +439,12 @@ def _scenario_two_channel(cfg: ScenarioConfig, out_dir: str):
     two_sided = states.apply_one_sided(phi, u_a, u_b)
     combined = channel.compose_two_channels(u_a, u_b)
     one_sided = states.apply_one_sided(phi, None, combined.matrix)
-    tables, target = _measure_tables(cfg, two_sided, _build_ops(combined, out_dir))
-    _, results = _certify(tables, target, cfg.n_mc, cfg.seed)
+    _, results, paths = _certify_saved(
+        out_dir, *_measure_tables(cfg, two_sided, _build_ops(combined, out_dir)),
+        cfg.n_mc, cfg.seed)
     results["equivalence_residual"] = float(
         np.max(np.abs(two_sided.coeffs - one_sided.coeffs)))
-    return results, tables
+    return results, paths
 
 
 def _scenario_fixture_a1(cfg: ScenarioConfig, out_dir: str):
@@ -422,18 +454,24 @@ def _scenario_fixture_a1(cfg: ScenarioConfig, out_dir: str):
     state = channel.choi_state(channel.EffectiveT(matrix=t_std))
     # The fixture is evaluated exactly, whatever exposure and dark rate are set.
     exact = replace(cfg, exposure=measure.NOISELESS, dark_rate=0.0)
-    tables, _ = _measure_tables(exact, state, _build_ops(t_meas, out_dir), target)
-    rep, results = _certify(tables, target, 0, cfg.seed)
+    std, families, _ = _measure_tables(exact, state, _build_ops(t_meas, out_dir), target)
     dominant = []
-    for table in tables[1:]:
-        probs = table.normalized()
-        dominant.append(bool(np.all(
-            np.diag(probs) >= np.max(probs - np.diag(np.diag(probs)), axis=1))))
+
+    def checked(tables: Iterable[measure.CountTable]) -> Iterator[measure.CountTable]:
+        # Each rotated table's diagonal dominance, taken as it passes.
+        for table in tables:
+            probs = table.normalized()
+            dominant.append(bool(np.all(
+                np.diag(probs) >= np.max(probs - np.diag(np.diag(probs)), axis=1))))
+            yield table
+
+    rep, results, paths = _certify_saved(out_dir, std, checked(families), target, 0,
+                                         cfg.seed)
     results["b5"] = rep.bounds[4]
     results["lambda_fixture"] = target.lambdas
-    results["lambda_recovered"] = certify.estimate_lambda(tables[0]).lambdas
+    results["lambda_recovered"] = certify.estimate_lambda(std).lambdas
     results["tilted_diagonal_dominant"] = dominant
-    return results, tables
+    return results, paths
 
 
 _SCENARIO_RUNNERS = {
@@ -452,8 +490,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str) -> Dict[str, object]:
     """Execute a scenario, writing artifacts and the final report."""
     os.makedirs(out_dir, exist_ok=True)
     _write_json(os.path.join(out_dir, "config.json"), config_to_dict(cfg))
-    results, tables = _SCENARIO_RUNNERS[cfg.scenario](cfg, out_dir)
-    paths = _save_tables(os.path.join(out_dir, "tables"), tables)
+    results, paths = _SCENARIO_RUNNERS[cfg.scenario](cfg, out_dir)
     report = _report(cfg.scenario, results, paths, out_dir)
     report["config"] = config_to_dict(cfg)
     emit_report(report, out_dir)
@@ -525,10 +562,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     ch = _draw_channel(cfg, args.out)
     _scan(cfg, ch, args.out)
     logical = channel.transmitted_state(ch)
-    tables = [measure.measure_correlations(logical, bases.parse_basis_spec(spec, cfg.d),
-                                           cfg.exposure, cfg.seed, cfg.dark_rate)
-              for spec in specs]
-    _save_tables(os.path.join(args.out, "tables"), tables)
+    table_dir = os.path.join(args.out, "tables")
+    for spec in specs:
+        _save_table(table_dir, measure.measure_correlations(
+            logical, bases.parse_basis_spec(spec, cfg.d), cfg.exposure, cfg.seed,
+            cfg.dark_rate))
     print(f"wrote channel, scan bundle and {len(specs)} tables to {args.out}")
     return 0
 
@@ -544,13 +582,17 @@ def _cmd_tomo(args: argparse.Namespace) -> int:
     return 0
 
 
-def _prediction(state: states.BipartiteState, ops: unscramble.UnscrambleOperators,
-                v: Optional[unscramble.VOperator]) -> measure.CountTable:
+def _save_prediction(directory: str, state: states.BipartiteState,
+                     ops: unscramble.UnscrambleOperators,
+                     v: Optional[unscramble.VOperator]) -> None:
+    """Write the noiseless table the correction predicts through V_r (the
+    standard one for v None) to <directory>/predicted_<kind>.csv."""
     kind = "standard" if v is None else v.kind
-    return measure.CountTable(counts=unscramble.predict_table(state, ops, v),
-                              basis_label_a=f"recovered:{kind}",
-                              basis_label_b=f"recovered:{kind}*",
-                              exposure=measure.NOISELESS)
+    table = measure.CountTable(counts=unscramble.predict_table(state, ops, v),
+                               basis_label_a=f"recovered:{kind}",
+                               basis_label_b=f"recovered:{kind}*",
+                               exposure=measure.NOISELESS)
+    _save_table(directory, table, "predicted_" + kind.replace(":", "_"))
 
 
 def _cmd_unscramble(args: argparse.Namespace) -> int:
@@ -565,17 +607,14 @@ def _cmd_unscramble(args: argparse.Namespace) -> int:
         t_std = t.matrix
     state = channel.choi_state(channel.EffectiveT(matrix=t_std))
     u_dir = os.path.join(args.out, "unscramble")
-    predicted = [_prediction(state, ops, None)]
+    _save_prediction(u_dir, state, ops, None)
     zeta_meta = {}
     for r in range(t.dim):
         v = unscramble.build_v(ops, r, lambdas)
         numerics.save_matrix_csv(
             os.path.join(u_dir, f"v_alice_{r}.csv"), v.normalized_v)
-        predicted.append(_prediction(state, ops, v))
+        _save_prediction(u_dir, state, ops, v)
         zeta_meta[v.kind] = v.zeta
-    _save_tables(u_dir, predicted,
-                 [p.basis_label_a.replace("recovered:", "predicted_").replace(":", "_")
-                  for p in predicted])
     _write_json(os.path.join(u_dir, "zeta.json"), zeta_meta)
     print(f"wrote unscrambling operators and predictions to {u_dir} "
           f"(condition number {ops.condition_number:.2f})")
@@ -606,14 +645,21 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         raise ConfigError("n_mc must be nonnegative")
     if args.seed < 0:
         raise ConfigError("seed must be nonnegative")
-    paths = [args.standard, *args.table]
-    tables = [measure.load_count_table(p) for p in paths]
+    standard = measure.load_count_table(args.standard)
     target = None
     if args.target:
-        d = tables[0].counts.shape[0]
+        d = standard.counts.shape[0]
         target = certify.TargetState(dim=d, lambdas=_load_lambda_file(args.target, d))
-    rep, results = _certify(tables, target, args.n_mc, args.seed)
-    table_paths = {t.basis_label_a: p for t, p in zip(tables, paths)}
+    table_paths = {standard.basis_label_a: args.standard}
+
+    def loaded() -> Iterator[measure.CountTable]:
+        # Each family table is read as certification asks for it.
+        for path in args.table:
+            table = measure.load_count_table(path)
+            table_paths[table.basis_label_a] = path
+            yield table
+
+    rep, results = _certify(standard, loaded(), target, args.n_mc, args.seed)
     emit_report(_report("certify", results, table_paths, args.out), args.out)
     print(rep.summary())
     _require_dent(args.require_dent, rep.d_ent)

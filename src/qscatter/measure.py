@@ -70,8 +70,10 @@ class CountTable:
         object.__setattr__(self, "counts", numerics.frozen(c))
         if self.row_scale is not None:
             rs = np.asarray(self.row_scale, dtype=np.float64)
-            if rs.shape != (c.shape[0],) or np.any(rs <= 0):
-                raise NormalizationError("row_scale must hold one positive factor per row")
+            if (rs.shape != (c.shape[0],) or not np.all(np.isfinite(rs))
+                    or np.any(rs <= 0)):
+                raise NormalizationError(
+                    "row_scale must hold one finite positive factor per row")
             object.__setattr__(self, "row_scale", numerics.frozen(rs))
 
     @property

@@ -48,6 +48,16 @@ def target_ket(lambdas: np.ndarray) -> np.ndarray:
     return w
 
 
+def phase_table(d: int, r: int) -> np.ndarray:
+    """omega^(km) * (quadratic phase)^(r m^2), rows k, cols m, with one
+    complex exponential per cell (i^(2km + r m^2) at d = 2)."""
+    k = np.arange(d)[:, None]
+    m = np.arange(d)[None, :]
+    if d == 2:
+        return np.exp(0.5j * np.pi * np.mod(2 * k * m + r * m * m, 4))
+    return np.exp(2j * np.pi * np.mod(k * m + r * m * m, d) / d)
+
+
 def write_cells_per_cell(path, header, columns, grids) -> None:
     """Cell-grid CSV written one cell at a time: the header lines, the
     columns line, then `i,j,v0,v1,...` per cell in row-major order, every

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import phase_table
 from qscatter import bases, numerics
 from qscatter.errors import (
     DimensionMismatchError,
@@ -17,6 +18,15 @@ def test_standard_family_is_identity():
     assert fam.kind == "standard"
     np.testing.assert_array_equal(fam.matrix, np.eye(4))
     assert fam.dim == 4
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7, 11, 31, 61, 101, 211])
+def test_phase_table_matches_one_exponential_per_cell_bit_for_bit(d):
+    for r in range(7):
+        got = bases._phase_table(d, r)
+        want = phase_table(d, r)
+        assert got.shape == want.shape == (d, d)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_mub_rows_are_orthonormal():

@@ -246,6 +246,51 @@ def test_certify_lower_bound_fallback_warns():
         certify.certify(std, [], n_mc=0)
 
 
+def _once(tables):
+    """The tables as a one-shot generator: a second pass sees nothing."""
+    yield from tables
+
+
+def _counted(table):
+    """A noiseless table as whole counts, 1e4 per unit of probability."""
+    return measure.CountTable(counts=np.round(table.counts * 1e4),
+                              basis_label_a=table.basis_label_a,
+                              basis_label_b=table.basis_label_b, exposure=1e4, seed=0)
+
+
+@pytest.mark.parametrize("case", ["mub", "tilted"])
+def test_estimators_read_a_one_shot_generator_like_a_list(case):
+    """Each family table is read once, so a generator gives the same bits as
+    a list, in any order, on the exact path, the lower-bound fallback (which
+    still warns) and the empty input (which still raises)."""
+    d = 5
+    rng = np.random.default_rng(17)
+    rho = random_density(d * d, rng)
+    target = (certify.TargetState.uniform(d) if case == "mub"
+              else _random_target(d, rng))
+    family = bases.mub if case == "mub" else (
+        lambda dim, r: bases.tilted(dim, r, target.lambdas))
+    std = _counted(_standard_table(rho, d))
+    fams = [_with_row_scale(_counted(_family_table(rho, family(d, r))),
+                            rng.random(d) + 0.5) for r in range(d)]
+    assert (certify.fidelity_exact(std, _once(fams), target)
+            == certify.fidelity_exact(std, fams, target))
+    for tables in (fams, fams[:1], fams[::-1]):
+        streamed = certify.certify(std, _once(tables), target=target, n_mc=32, seed=5)
+        held = certify.certify(std, tables, target=target, n_mc=32, seed=5)
+        assert streamed.n_mc == held.n_mc == 32
+        assert (streamed.fidelity, streamed.fidelity_sigma, streamed.method) == (
+            held.fidelity, held.fidelity_sigma, held.method)
+    with pytest.warns(UserWarning, match="lower bound"):
+        fallback = certify.certify(std, _once(fams[:2]), target=target, n_mc=0)
+    assert fallback.method == "lower_bound"
+    assert fallback.fidelity == certify.fidelity_lower_bound(std, fams[0], target)
+    with pytest.raises(NormalizationError):
+        certify.certify(std, _once([]), target=target, n_mc=0)
+    with pytest.raises(NormalizationError):
+        certify.fidelity_exact(std, _once([]), target)
+
+
 def test_certify_noiseless_tables_skip_resampling():
     d = 3
     rho = random_density(d * d, np.random.default_rng(12))

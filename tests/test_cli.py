@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -380,6 +381,29 @@ def test_certify_subcommand_rejects_misplaced_standard_tables(tmp_path, capsys):
         assert "standard" in err and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("factor", ["inf", "nan"])
+@pytest.mark.parametrize("n_mc", ["0", "10"])
+def test_certify_rejects_a_non_finite_row_scale(tmp_path, capsys, factor, n_mc):
+    sim = str(tmp_path / "sim")
+    assert cli.main(["simulate", "--d", "3", "--n-modes", "8", "--exposure", "1e4",
+                     "--seed", "3", "--out", sim]) == 0
+    tables = os.path.join(sim, "tables")
+    mub_1 = os.path.join(tables, "mub_1.csv")
+    with open(mub_1, encoding="ascii") as fh:
+        lines = fh.read().splitlines(keepends=True)
+    # the optional row_scale section goes between the header and the cells
+    lines[2:2] = ["row_scale\n", f"{factor},1,1\n"]
+    with open(mub_1, "w", encoding="ascii", newline="\n") as fh:
+        fh.writelines(lines)
+    capsys.readouterr()
+    argv = ["certify", "--standard", os.path.join(tables, "standard.csv")]
+    for r in range(3):
+        argv += ["--table", os.path.join(tables, f"mub_{r}.csv")]
+    assert cli.main(argv + ["--n-mc", n_mc, "--out", str(tmp_path / "cert")]) == 2
+    err = capsys.readouterr().err
+    assert "row_scale" in err and len(err.splitlines()) == 1
+
+
 def test_certify_subcommand_require_dent(tmp_path):
     sim = str(tmp_path / "sim")
     assert cli.main(["simulate", "--d", "3", "--n-modes", "8",
@@ -452,6 +476,26 @@ def test_report_tables_reference_files_by_hash(tmp_path):
     assert cli.main(argv) == 0
     certified = _checked_table_paths(cert)
     assert sorted(certified) == sorted([*ran, "recovered:standard"])
+
+
+def test_a_run_holds_one_family_table_at_a_time(tmp_path):
+    """Tables are written as they are measured and certification keeps only
+    d-length statistics of each, so a run's traced peak grows as d^2, not
+    as the d^3 of holding all d + 1 tables: at d = 61 it stays below 60
+    d x d float arrays (the d + 1 tables alone take 62)."""
+    d = 61
+    argv = ["run", "--scenario", "unscramble-certify", "--d", str(d),
+            "--n-modes", str(2 * d), "--exposure", "1e4", "--n-mc", "20"]
+    # a first run imports everything the pipeline uses, so the traced one
+    # counts the run's own working set
+    assert cli.main(argv + ["--out", str(tmp_path / "warm")]) == 0
+    tracemalloc.start()
+    try:
+        assert cli.main(argv + ["--out", str(tmp_path / "traced")]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 60 * d * d * 8
 
 
 def test_main_requires_subcommand():

@@ -30,6 +30,14 @@ def test_count_table_validation():
                            row_scale=np.array([1.0, -1.0]))
 
 
+@pytest.mark.parametrize("factor", [np.inf, np.nan])
+def test_count_table_rejects_a_non_finite_row_scale(factor):
+    with pytest.raises(NormalizationError, match="finite"):
+        measure.CountTable(counts=np.ones((2, 2)), basis_label_a="a",
+                           basis_label_b="b", exposure=1.0,
+                           row_scale=np.array([factor, 1.0]))
+
+
 def test_count_table_helpers():
     t = measure.CountTable(counts=np.array([[1.0, 3.0]]), basis_label_a="a",
                            basis_label_b="b", exposure=measure.NOISELESS)

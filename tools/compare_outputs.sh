@@ -6,8 +6,11 @@
 # Each argument is a directory holding the qscatter package (the src/ of a
 # checkout). The grid is every scenario at d=7, N=30, n_mc=40, seeds 3 and
 # 11, each run plain and with --exposure 5e3 --dark-rate 0.01
-# --scan-family standard, plus the simulate -> tomo -> unscramble chain at
-# d=5 with certify run on both the simulated and the predicted tables, and
+# --scan-family standard, plus one such noisy unscramble-certify at d=31,
+# N=62 (two-digit family names), plus the simulate -> tomo -> unscramble
+# chain at d=5 with certify run on both the simulated and the predicted
+# tables, once more on the simulated ones with the --table flags in reverse
+# order (so the report's label -> path map is built in that order), and
 # unscramble --lambdas with a fixed non-uniform spectrum followed by
 # certify --target on its predicted tilted tables, plus one noiseless
 # tomography run at d=7 through N=2000 modes (a 2000-row channel.csv),
@@ -49,10 +52,14 @@ run_grid() {
                 --scan-family standard --out "$scenario-$seed-noisy"
         done
     done
+    q "$src" "$out" unscramble-certify-d31-noisy run --scenario unscramble-certify \
+        --d 31 --n-modes 62 --n-mc 40 --seed 3 --exposure 5e3 --dark-rate 0.01 \
+        --scan-family standard --out unscramble-certify-d31-noisy
     # --table takes one path per flag.
-    local sim_tables=() mub_tables=() tilted_tables=() r
+    local sim_tables=() reversed_tables=() mub_tables=() tilted_tables=() r
     for r in 0 1 2 3 4; do
         sim_tables+=(--table "sim/tables/mub_$r.csv")
+        reversed_tables=(--table "sim/tables/mub_$r.csv" "${reversed_tables[@]}")
         mub_tables+=(--table "ops/unscramble/predicted_mub_$r.csv")
         tilted_tables+=(--table "ops-tilted/unscramble/predicted_tilted_$r.csv")
     done
@@ -61,6 +68,8 @@ run_grid() {
     q "$src" "$out" unscramble unscramble --t-hat rec/t_hat.csv --out ops
     q "$src" "$out" certify-sim certify --standard sim/tables/standard.csv \
         "${sim_tables[@]}" --n-mc 40 --seed 3 --out cert-sim
+    q "$src" "$out" certify-sim-reversed certify --standard sim/tables/standard.csv \
+        "${reversed_tables[@]}" --n-mc 40 --seed 3 --out cert-sim-reversed
     q "$src" "$out" certify-predicted certify \
         --standard ops/unscramble/predicted_standard.csv "${mub_tables[@]}" \
         --out cert-predicted
