@@ -65,7 +65,6 @@ from .measure import (
     zeta_correct,
 )
 from .numerics import (
-    condition_number,
     dag,
     dist_up_to_scalar,
     haar_isometry,
@@ -85,14 +84,7 @@ from .states import (
     project,
     weighted_source,
 )
-from .tomo import (
-    Reconstruction,
-    assemble_t,
-    extract_e,
-    extract_s,
-    fix_gauge,
-    reconstruct,
-)
+from .tomo import Reconstruction, reconstruct
 from .unscramble import (
     UnscrambleOperators,
     VOperator,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from typing import Optional, Union
 
@@ -68,12 +68,15 @@ class EffectiveT:
     matrix[k, i] couples input mode i to output mode k. When
     includes_reference is set, index 0 is the reference on both sides.
     basis_tag records the scan family a reconstructed matrix is expressed
-    in (None means standard basis).
+    in (None means standard basis). singular_values, in descending order,
+    are computed once at construction; condition_number and the inversion
+    in unscramble.build_w read them.
     """
 
     matrix: ComplexMatrix
     includes_reference: bool = False
     basis_tag: Optional[BasisFamily] = None
+    singular_values: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         m = numerics.as_matrix(self.matrix)
@@ -90,10 +93,17 @@ class EffectiveT:
                 f"transmission matrix has singular value {float(sv[0])} > 1; "
                 "sub-blocks of a unitary cannot amplify")
         object.__setattr__(self, "matrix", numerics.frozen(m))
+        object.__setattr__(self, "singular_values", numerics.frozen(sv))
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+    @property
+    def condition_number(self) -> float:
+        """Largest over smallest singular value; inf for a singular matrix."""
+        sv = self.singular_values
+        return float("inf") if sv[-1] == 0 else float(sv[0] / sv[-1])
 
 
 def effective_t(channel: ChannelModel, include_reference: bool = False) -> EffectiveT:

@@ -247,12 +247,18 @@ def _scan(cfg: ScenarioConfig, ch: channel.ChannelModel, out_dir: str):
 
 
 def _load_scan_bundle(scan_dir: str):
-    meta = numerics._read_json(os.path.join(scan_dir, "meta.json"),
-                               {"d": int, "family": str})
-    family = bases.parse_basis_spec(meta["family"], meta["d"])
+    """Read the eight step tables, then build the family meta.json names at
+    the width of the S tables; any other `d` there raises FormatError."""
+    meta_path = os.path.join(scan_dir, "meta.json")
+    meta = numerics._read_json(meta_path, {"d": int, "family": str})
     names = ([f"{kind}_step{k}.csv" for k in range(4)] for kind in "se")
     s_tabs, e_tabs = ([measure.load_count_table(os.path.join(scan_dir, n)) for n in scan]
                       for scan in names)
+    width = s_tabs[0].counts.shape[1]
+    if meta["d"] != width:
+        raise FormatError(f"{meta_path}: 'd' is {meta['d']}, "
+                          f"but the S tables are {width} wide")
+    family = bases.parse_basis_spec(meta["family"], meta["d"])
     return s_tabs, e_tabs, family
 
 

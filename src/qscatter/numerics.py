@@ -1,11 +1,10 @@
 """Dense complex linear algebra kernel.
 
 Everything else in the package builds on the helpers here: tolerance policy,
-Haar-random isometries, inversion, gauge-insensitive matrix distance, the
-cell-grid CSV codec behind both the complex-matrix and the count-table
-files, and the reader of their JSON sidecars. All matrices are dense
-complex128 numpy arrays, row-major, sized for dimensions up to a few
-hundred.
+Haar-random isometries, gauge-insensitive matrix distance, the cell-grid CSV
+codec behind both the complex-matrix and the count-table files, and the
+reader of their JSON sidecars. All matrices are dense complex128 numpy
+arrays, row-major, sized for dimensions up to a few hundred.
 """
 
 from __future__ import annotations
@@ -107,29 +106,6 @@ def haar_isometry(n: int, k: int, seed) -> ComplexMatrix:
 def haar_unitary(n: int, seed) -> ComplexMatrix:
     """Draw an n x n unitary from the Haar measure."""
     return haar_isometry(n, n, seed)
-
-
-def solve_or_pinv(m: ComplexMatrix) -> ComplexMatrix:
-    """Invert a square matrix, degrading to pinv when near-singular.
-
-    Returns the inverse matrix; callers that care can inspect condition(m).
-    """
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise DimensionMismatchError(f"cannot invert non-square shape {m.shape}")
-    sv = np.linalg.svd(m, compute_uv=False)
-    if sv[0] == 0:
-        raise ConditioningError("matrix is exactly zero")
-    if sv[-1] < PINV_RCOND * sv[0]:
-        return np.linalg.pinv(m, rcond=PINV_RCOND)
-    return np.linalg.inv(m)
-
-
-def condition_number(m: ComplexMatrix) -> float:
-    sv = np.linalg.svd(as_matrix(m), compute_uv=False)
-    if sv[-1] == 0:
-        return float("inf")
-    return float(sv[0] / sv[-1])
 
 
 def dist_up_to_scalar(a: ComplexMatrix, b: ComplexMatrix) -> float:
@@ -258,16 +234,20 @@ def _read_cells(path: Union[str, os.PathLike], columns: str,
     if outside.any():
         i, j = idx[np.argmax(outside)].astype(np.int64)
         raise FormatError(f"{path}: cell ({i}, {j}) outside the {rows}x{cols} grid")
-    idx = idx.astype(np.int64)
-    flat = idx[:, 0] * cols + idx[:, 1]
-    seen = np.bincount(flat, minlength=rows * cols)
-    for problem, mask in (("duplicate", seen > 1), ("missing", seen == 0)):
-        if mask.any():
-            i, j = divmod(int(np.argmax(mask)), cols)
-            raise FormatError(f"{path}: {problem} cell ({i}, {j})")
-    grid = np.empty((rows * cols, width))
-    grid[flat] = cells[:, 2:]
-    return header, grid.reshape(rows, cols, width)
+    # Sorted row-major, the k-th cell must be cell k: a check in the number
+    # of cells listed, not in the grid size the header or the indices claim.
+    order = np.lexsort((idx[:, 1], idx[:, 0]))
+    ij = idx[order].astype(np.int64)
+    dup = np.flatnonzero(np.all(ij[1:] == ij[:-1], axis=1))
+    if dup.size:
+        raise FormatError(f"{path}: duplicate cell ({ij[dup[0], 0]}, {ij[dup[0], 1]})")
+    k = np.arange(len(ij))  # k < len(ij), so min(cols, len(ij)) splits k as cols does
+    gap = np.flatnonzero(np.any(ij != np.column_stack(np.divmod(k, min(cols, k.size))),
+                                axis=1))
+    if gap.size or k.size < rows * cols:
+        i, j = divmod(int(gap[0]) if gap.size else k.size, cols)
+        raise FormatError(f"{path}: missing cell ({i}, {j})")
+    return header, cells[order, 2:].reshape(rows, cols, width)
 
 
 def save_matrix_csv(path: Union[str, os.PathLike], m: ComplexMatrix) -> None:

@@ -85,8 +85,10 @@ def build_w(t: EffectiveT) -> UnscrambleOperators:
     """Invert a tagged transmission matrix into unscrambling operators.
 
     The matrix may carry any unitary-family tag (untagged means standard).
-    Near-singular matrices degrade to a pseudo-inverse; the condition
-    number is recorded so callers can judge the result.
+    It is inverted exactly unless its smallest singular value falls below
+    PINV_RCOND times its largest; then the pseudo-inverse with that cutoff
+    is used. The choice and the recorded condition number both read the
+    singular values t carries. An all-zero matrix raises ConditioningError.
     """
     if t.includes_reference:
         raise NormalizationError(
@@ -97,12 +99,18 @@ def build_w(t: EffectiveT) -> UnscrambleOperators:
     if fam.kind.startswith("tilted"):
         raise NormalizationError("scan family must be unitary (standard or unbiased)")
     m0 = np.asarray(fam.matrix)
-    inv = numerics.solve_or_pinv(t.matrix)
+    sv = t.singular_values
+    if sv[0] == 0:
+        raise ConditioningError("matrix is exactly zero")
+    if sv[-1] < numerics.PINV_RCOND * sv[0]:
+        inv = np.linalg.pinv(t.matrix, rcond=numerics.PINV_RCOND)
+    else:
+        inv = np.linalg.inv(t.matrix)
     return UnscrambleOperators(
         w_alice=inv.T @ m0,
         m_bob=np.conjugate(m0),
         basis_kind=fam.kind,
-        condition_number=numerics.condition_number(t.matrix),
+        condition_number=t.condition_number,
     )
 
 

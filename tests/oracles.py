@@ -5,9 +5,20 @@ Kronecker products, quadratic forms, brute-force postselection) so the
 tests do not reuse the code paths they are checking.
 """
 
+from dataclasses import dataclass, replace
+from typing import Optional, Sequence, Tuple
+
 import numpy as np
 
-from qscatter.errors import NormalizationError
+from qscatter import numerics
+from qscatter.bases import BasisFamily
+from qscatter.channel import EffectiveT
+from qscatter.errors import (
+    DegenerateReferenceError,
+    DimensionMismatchError,
+    NormalizationError,
+    TagConflictError,
+)
 from qscatter.measure import NOISELESS, CountTable
 
 
@@ -70,6 +81,20 @@ def write_cells_per_cell(path, header, columns, grids) -> None:
             for j in range(cols):
                 values = ["%.17g" % float(g[i][j]) for g in grids]
                 fh.write(",".join([str(i), str(j), *values]) + "\n")
+
+
+def first_bad_cell(cells, rows: int, cols: int):
+    """`duplicate cell (i, j)` for the lowest cell (row-major) listed more
+    than once, else `missing cell (i, j)` for the lowest one not listed,
+    else None, from a count kept for every cell of the rows x cols grid."""
+    seen = np.zeros((rows, cols), dtype=np.int64)
+    for i, j in cells:
+        seen[i, j] += 1
+    for problem, mask in (("duplicate", seen > 1), ("missing", seen == 0)):
+        if mask.any():
+            i, j = np.argwhere(mask)[0]
+            return f"{problem} cell ({i}, {j})"
+    return None
 
 
 def noiseless_table(probs: np.ndarray, label: str) -> CountTable:
@@ -156,3 +181,113 @@ def scalar_fidelity_lower_bound(standard_table: CountTable, family_table: CountT
     q = _matched_moment_sum(family_table, lam, probs)
     return (float(np.sum(lam)) ** 2 / lam.size * q
             - _cross_measured(probs, lam) - _cross_bound(probs, lam))
+
+
+# ---------------------------------------------------------------------------
+# Reference tomography: the scan-to-T chain as four separate steps, each
+# step's output passed on as a (values, family label) pair, the tag added by
+# dataclasses.replace and the condition number from a second SVD. tomo's
+# single reconstruct path must agree with it bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def _quarter_combination(tables: Sequence[CountTable]) -> Tuple[np.ndarray, str]:
+    if len(tables) != 4:
+        raise NormalizationError(f"need exactly 4 phase steps, got {len(tables)}")
+    shape = tables[0].counts.shape
+    label = tables[0].basis_label_b
+    for table in tables:
+        if table.counts.shape != shape:
+            raise DimensionMismatchError("phase-step tables differ in shape")
+        if table.basis_label_b != label:
+            raise NormalizationError("phase-step tables differ in basis label")
+    r = [table.counts for table in tables]
+    return ((r[0] - r[2]) + 1j * (r[1] - r[3])) / 4.0, label
+
+
+def extract_s(tables: Sequence[CountTable]) -> Tuple[np.ndarray, str]:
+    values, label = _quarter_combination(tables)
+    if values.shape[0] != values.shape[1]:
+        raise DimensionMismatchError(
+            f"signal scan must be square, got shape {values.shape}")
+    return values, label
+
+
+def extract_e(tables: Sequence[CountTable],
+              ref_floor: float = 1e-6) -> Tuple[np.ndarray, str]:
+    if not 0.0 <= ref_floor < 1.0:
+        raise NormalizationError(f"ref_floor must lie in [0, 1), got {ref_floor}")
+    values, label = _quarter_combination(tables)
+    if values.shape[0] != 1:
+        raise DimensionMismatchError(
+            f"reference scan must yield 1 x d tables, got shape {values.shape}")
+    diag = values[0]
+    mags = np.abs(diag)
+    top = float(np.max(mags))
+    if top == 0.0:
+        raise DegenerateReferenceError("reference scan recorded no interference")
+    ratio = float(np.min(mags) / top)
+    if ratio < ref_floor:
+        raise DegenerateReferenceError(
+            f"reference interference spans a {ratio:.2e} dynamic range; "
+            f"below the {ref_floor:.2e} floor")
+    return diag, label
+
+
+def fix_gauge(matrix: np.ndarray) -> np.ndarray:
+    m = numerics.as_matrix(matrix)
+    norm = float(np.linalg.norm(m))
+    if norm == 0.0:
+        raise NormalizationError("cannot gauge-fix an all-zero matrix")
+    m = m / norm
+    flat = m.ravel()
+    anchor = np.flatnonzero(np.abs(flat) > 1e-12)
+    if anchor.size == 0:
+        raise NormalizationError("cannot gauge-fix an all-zero matrix")
+    a = flat[anchor[0]]
+    return m * (np.conjugate(a) / abs(a))
+
+
+def assemble_t(s: Tuple[np.ndarray, str], e: Tuple[np.ndarray, str]) -> EffectiveT:
+    (s_values, s_label), (e_diag, e_label) = s, e
+    if e_diag.shape != s_values.shape[1:]:
+        raise DimensionMismatchError("S and E dimensions differ")
+    if s_label != e_label:
+        raise NormalizationError(f"S scanned in {s_label!r} but E in {e_label!r}")
+    ratio = s_values / np.conjugate(e_diag)[np.newaxis, :]
+    t_hat = fix_gauge(numerics.dag(ratio))
+    return EffectiveT(matrix=t_hat, includes_reference=False)
+
+
+def condition_number(m: np.ndarray) -> float:
+    sv = np.linalg.svd(numerics.as_matrix(m), compute_uv=False)
+    if sv[-1] == 0:
+        return float("inf")
+    return float(sv[0] / sv[-1])
+
+
+@dataclass(frozen=True)
+class ReferenceReconstruction:
+    t: EffectiveT
+    e_ratio: float
+    condition_number: float
+
+
+def reconstruct_in_steps(s_tables: Sequence[CountTable],
+                         e_tables: Sequence[CountTable],
+                         family: Optional[BasisFamily] = None,
+                         ref_floor: float = 1e-6) -> ReferenceReconstruction:
+    s = extract_s(s_tables)
+    e = extract_e(e_tables, ref_floor=ref_floor)
+    t = assemble_t(s, e)
+    if family is not None:
+        if family.kind != s[1]:
+            raise TagConflictError(
+                f"scan tables were recorded in {s[1]!r}, not {family.kind!r}")
+        t = replace(t, basis_tag=family)
+    mags = np.abs(e[0])
+    return ReferenceReconstruction(
+        t=t,
+        e_ratio=float(np.min(mags) / np.max(mags)),
+        condition_number=condition_number(t.matrix),
+    )

@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qscatter import cli, measure
+from qscatter import bases, cli, measure
 from qscatter.errors import ConfigError
 
 FAST = dict(d=3, n_modes=8, n_mc=16)
@@ -361,6 +361,53 @@ def test_tomo_missing_bundle_and_degenerate_reference(tmp_path, capsys):
                          "--ref-floor", floor, "--out", str(tmp_path / "o3")]) == 2
         err = capsys.readouterr().err
         assert "ref_floor" in err and len(err.splitlines()) == 1
+
+
+def test_tomo_rejects_a_meta_d_other_than_the_table_width(tmp_path, capsys,
+                                                         monkeypatch):
+    """meta.json's d is checked against the S tables before any family is
+    built at that size."""
+    sim = str(tmp_path / "sim")
+    assert cli.main(["simulate", "--d", "7", "--n-modes", "16", "--exposure", "inf",
+                     "--seed", "1", "--out", sim]) == 0
+    meta_path = os.path.join(sim, "scans", "meta.json")
+    with open(meta_path, encoding="ascii") as fh:
+        meta = json.load(fh)
+    with open(meta_path, "w", encoding="ascii") as fh:
+        json.dump(dict(meta, d=11), fh)
+    dims = []
+    parse = bases.parse_basis_spec
+
+    def recorded(spec, d):
+        dims.append(d)
+        return parse(spec, d)
+
+    monkeypatch.setattr(bases, "parse_basis_spec", recorded)
+    capsys.readouterr()
+    assert cli.main(["tomo", "--scans", os.path.join(sim, "scans"),
+                     "--out", str(tmp_path / "rec")]) == 2
+    err = capsys.readouterr().err
+    assert "meta.json" in err and len(err.splitlines()) == 1
+    assert 11 not in dims
+
+
+# Grids of 10^14 cells: their bookkeeping alone would exceed any 47-bit
+# address space, so the reader must judge them from the cells listed.
+@pytest.mark.parametrize("argv, name, text", [
+    (["certify", "--standard"], "big.csv",
+     "basisA,basisB,exposure,seed\nstandard,standard*,1e4,none\na,b,count\n"
+     "0,0,1\n10000000,10000000,1\n"),
+    (["unscramble", "--t-hat"], "t_hat.csv",
+     "rows,cols\n10000000,10000000\ni,j,re,im\n0,0,1,0\n"),
+], ids=["certify", "unscramble"])
+def test_a_huge_claimed_grid_exits_2_without_allocating_it(tmp_path, capsys,
+                                                           argv, name, text):
+    path = tmp_path / name
+    path.write_text(text, encoding="ascii")
+    extra = ["--table", str(path)] if argv[0] == "certify" else []
+    assert cli.main([*argv, str(path), *extra, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "missing cell (0, 1)" in err and len(err.splitlines()) == 1
 
 
 def test_certify_subcommand_rejects_misplaced_standard_tables(tmp_path, capsys):

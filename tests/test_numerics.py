@@ -1,12 +1,14 @@
 """Linear-algebra kernel: tolerances, Haar draws, inversion, CSV format."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import write_cells_per_cell
-from qscatter import cli, numerics
+from oracles import first_bad_cell, write_cells_per_cell
+from qscatter import channel, cli, numerics, unscramble
 from qscatter.errors import (
     ConditioningError,
     DimensionMismatchError,
@@ -106,34 +108,52 @@ def test_is_unitary_negative_cases():
     assert not numerics.is_unitary(np.ones((2, 3)))
 
 
+def _unit_sv(m):
+    """m scaled so its largest singular value is 1, as a transmission
+    matrix must have."""
+    return m / np.linalg.norm(m, 2)
+
+
 def test_solve_or_pinv_matches_true_inverse():
+    """unscramble.build_w inverts a well-conditioned T exactly: with an
+    untagged T, W^T is T^-1."""
     rng = np.random.default_rng(11)
     for _ in range(10):
-        m = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-        inv = numerics.solve_or_pinv(m)
+        m = _unit_sv(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
+        inv = unscramble.build_w(channel.EffectiveT(matrix=m)).w_alice.T
         np.testing.assert_allclose(inv @ m, np.eye(5), atol=1e-10)
 
 
 def test_solve_or_pinv_degrades_to_pseudo_inverse():
+    """Below PINV_RCOND times the largest singular value, build_w takes the
+    pseudo-inverse with that cutoff."""
     u = numerics.haar_unitary(3, 0)
     v = numerics.haar_unitary(3, 1)
     m = u @ np.diag([1.0, 0.5, 1e-15]) @ v
-    inv = numerics.solve_or_pinv(m)
+    inv = unscramble.build_w(channel.EffectiveT(matrix=m)).w_alice.T
     expected = np.linalg.pinv(m, rcond=numerics.PINV_RCOND)
     np.testing.assert_allclose(inv, expected, atol=1e-12)
 
 
 def test_solve_or_pinv_rejects_zero_and_non_square():
-    with pytest.raises(ConditioningError):
-        numerics.solve_or_pinv(np.zeros((3, 3)))
+    with pytest.raises(ConditioningError, match="exactly zero"):
+        unscramble.build_w(channel.EffectiveT(matrix=np.zeros((3, 3))))
     with pytest.raises(DimensionMismatchError):
-        numerics.solve_or_pinv(np.ones((2, 3)))
+        channel.EffectiveT(matrix=np.ones((2, 3)))
 
 
 def test_condition_number_known_values():
-    m = np.diag([4.0, 2.0, 1.0])
-    assert numerics.condition_number(m) == pytest.approx(4.0)
-    assert numerics.condition_number(np.diag([1.0, 0.0])) == np.inf
+    """EffectiveT keeps its singular values, read-only and descending, and
+    their ratio as its condition number."""
+    t = channel.EffectiveT(matrix=np.diag([1.0, 2.0, 4.0]) / 4)
+    np.testing.assert_allclose(t.singular_values, [1.0, 0.5, 0.25])
+    assert not t.singular_values.flags.writeable
+    assert t.condition_number == pytest.approx(4.0)
+    assert channel.EffectiveT(matrix=np.diag([1.0, 0.0])).condition_number == np.inf
+    assert channel.EffectiveT(matrix=np.zeros((2, 2))).condition_number == np.inf
+    m = _unit_sv(np.random.default_rng(2).standard_normal((6, 6)))
+    assert channel.EffectiveT(matrix=m).condition_number == pytest.approx(
+        np.linalg.cond(m), rel=1e-12)
 
 
 def test_dist_up_to_scalar_gauge_invariance():
@@ -248,3 +268,28 @@ def test_matrix_csv_rejects_corrupt_cells(tmp_path, corruption):
         numerics.load_matrix_csv(path)
     assert cli.main(["unscramble", "--t-hat", path,
                      "--out", str(tmp_path / "out")]) == 2
+
+
+def test_read_cells_names_the_lowest_duplicate_then_the_lowest_missing_cell(tmp_path):
+    """Cells listed in any order, some dropped and some repeated, are judged
+    as a count over the whole grid judges them (oracles.first_bad_cell);
+    a complete grid reads back with every value in its place."""
+    rng = np.random.default_rng(23)
+    path = tmp_path / "m.csv"
+    for _ in range(200):
+        rows, cols = (int(n) for n in rng.integers(1, 5, size=2))
+        cells = [(i, j) for i in range(rows) for j in range(cols) if rng.random() > 0.1]
+        cells = cells or [(0, 0)]
+        cells += [cells[k] for k in rng.integers(len(cells), size=rng.integers(0, 3))]
+        rng.shuffle(cells)
+        lines = ["rows,cols", f"{rows},{cols}", "i,j,re,im",
+                 *[f"{i},{j},{i},{j}" for i, j in cells]]
+        path.write_text("\n".join(lines) + "\n", encoding="ascii")
+        expected = first_bad_cell(cells, rows, cols)
+        if expected is None:
+            np.testing.assert_array_equal(
+                numerics.load_matrix_csv(path),
+                np.arange(rows)[:, None] + 1j * np.arange(cols)[None, :])
+        else:
+            with pytest.raises(FormatError, match=re.escape(expected) + "$"):
+                numerics.load_matrix_csv(path)

@@ -12,12 +12,15 @@
 # tables, once more on the simulated ones with the --table flags in reverse
 # order (so the report's label -> path map is built in that order), and
 # unscramble --lambdas with a fixed non-uniform spectrum followed by
-# certify --target on its predicted tilted tables, plus one noiseless
+# certify --target on its predicted tilted tables, plus unscramble on a
+# copy of the noisy --scan-family standard tomography run's t_hat.csv
+# without its t_hat.json (an untagged matrix), plus one noiseless
 # tomography run at d=7 through N=2000 modes (a 2000-row channel.csv),
 # plus three errors that must exit 2 before writing anything
 # (run --scenario fixture-a1 --d 5, simulate --basis tilted:1, and
 # unscramble --lambdas with a spectrum whose squares sum to 1.8), each with
-# its own --out.
+# its own --out, plus tomo --ref-floor 0.999 on the d=5 scans, which must
+# exit 3 with its degenerate-reference message.
 # Every command's files, stdout, stderr and exit code are kept, in one
 # temporary directory per tree, and all paths are relative, so the two
 # trees' outputs can be byte-identical. Names each command that exits
@@ -79,6 +82,10 @@ run_grid() {
     q "$src" "$out" certify-tilted certify \
         --standard ops-tilted/unscramble/predicted_standard.csv "${tilted_tables[@]}" \
         --target lambda.json --out cert-tilted
+    mkdir "$out/untagged"
+    cp "$out/tomography-3-noisy/t_hat.csv" "$out/untagged/t_hat.csv"
+    q "$src" "$out" unscramble-untagged unscramble --t-hat untagged/t_hat.csv \
+        --out ops-untagged
     q "$src" "$out" tomography-n2000 run --scenario tomography --d 7 --n-modes 2000 \
         --exposure inf --seed 3 --out tomography-n2000
     q "$src" "$out" fixture-a1-d5 run --scenario fixture-a1 --d 5 --n-modes 12 \
@@ -88,6 +95,8 @@ run_grid() {
     printf '{"lambda": [0.6, 0.6, 0.6, 0.6, 0.6]}\n' >"$out/lambda-bad.json"
     q "$src" "$out" unscramble-bad-lambdas unscramble --t-hat rec/t_hat.csv \
         --lambdas lambda-bad.json --out unscramble-bad-lambdas
+    q "$src" "$out" tomo-ref-floor tomo --scans sim/scans --ref-floor 0.999 \
+        --out tomo-ref-floor
 }
 
 parent_out=$(mktemp -d)
