@@ -148,6 +148,10 @@ def is_prime(n: int) -> bool:
 # A grid whose every value is an integer of magnitude below 2**53 and none
 # of them -0.0 (every scan and every raw count table) is printed with %d,
 # which gives the same text as %.17g for those values, only faster.
+# The reader also takes CRLF line endings, empty lines anywhere and spaces
+# around fields, but not a cell line holding only whitespace. It hands the
+# cell lines to numpy's parser untouched; cells in the order written pass
+# the layout check in two vectorised comparisons.
 # ---------------------------------------------------------------------------
 
 
@@ -188,26 +192,36 @@ def _read_cells(path: Union[str, os.PathLike], columns: str,
                 width: int) -> Tuple[List[str], np.ndarray]:
     """Read a file written by _write_cells with `width` values per cell.
 
-    Returns the header lines above `columns` and a (rows, cols, width)
-    float array. The shape is the one the header declares, else the one
-    spanned by the largest indices seen. Every cell of that grid must
-    appear exactly once with finite values, and the file must end with a
-    newline as written, so one cut inside its last number is seen too;
-    anything else raises FormatError.
+    Returns the header lines above `columns`, stripped and without empty
+    ones, and a (rows, cols, width) float array. The shape is the one the
+    header declares, else the one spanned by the largest indices seen.
+    Every cell of that grid must appear exactly once with finite values, and
+    the file must end with a newline as written, so one cut inside its last
+    number is seen too; anything else raises FormatError. Line endings may
+    be LF or CRLF, and empty lines and spaces around fields are skipped, but
+    a cell line holding only whitespace is malformed. Cells out of the
+    writer's order are judged by sorting them, and the lowest duplicate,
+    then the lowest missing cell is named.
     """
     try:
         with open(path, "r", encoding="ascii") as fh:
-            raw = fh.readlines()
+            text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise FormatError(f"{path}: cannot read: {exc}") from exc
-    if raw and not raw[-1].endswith("\n"):
+    if text and not text.endswith("\n"):
         raise FormatError(f"{path}: last line has no newline; the file was cut short")
-    lines = [ln.strip() for ln in raw if ln.strip()]
-    if columns not in lines:
+    lines = text.split("\n")
+    header = []
+    for k, line in enumerate(lines):
+        line = line.strip()
+        if line == columns:
+            break
+        if line:
+            header.append(line)
+    else:
         raise FormatError(f"{path}: no {columns!r} line")
-    k = lines.index(columns)
-    header, body = lines[:k], lines[k + 1:]
-    if not body:
+    body = lines[k + 1:]
+    if not any(body):
         raise FormatError(f"{path}: no cells")
     try:
         cells = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
@@ -223,6 +237,14 @@ def _read_cells(path: Union[str, os.PathLike], columns: str,
     if not np.all(np.isfinite(cells)):
         raise FormatError(f"{path}: non-finite cell entry")
     idx = cells[:, :2]
+    # The writer's order: cell k is (k // cols, k % cols) for k < rows * cols.
+    # Without a declared shape the last cell gives it; int() may truncate a
+    # non-integer index there, but then the comparison fails.
+    rows, cols = shape if shape is not None else (int(n) + 1 for n in idx[-1])
+    if cols >= 1 and rows * cols == len(cells):
+        k = np.arange(len(cells))
+        if np.all(idx[:, 0] == k // cols) and np.all(idx[:, 1] == k % cols):
+            return header, np.ascontiguousarray(cells[:, 2:]).reshape(rows, cols, width)
     if np.any(idx != np.round(idx)):
         raise FormatError(f"{path}: non-integer cell index")
     if shape is None:
@@ -232,15 +254,18 @@ def _read_cells(path: Union[str, os.PathLike], columns: str,
         raise FormatError(f"{path}: bad dimensions {rows}x{cols}")
     outside = (idx < 0).any(axis=1) | (idx[:, 0] >= rows) | (idx[:, 1] >= cols)
     if outside.any():
-        i, j = idx[np.argmax(outside)].astype(np.int64)
+        i, j = (int(n) for n in idx[np.argmax(outside)])
         raise FormatError(f"{path}: cell ({i}, {j}) outside the {rows}x{cols} grid")
     # Sorted row-major, the k-th cell must be cell k: a check in the number
     # of cells listed, not in the grid size the header or the indices claim.
+    # The indices stay floats (exact integers here), as a declared grid may
+    # hold indices past the int64 range.
     order = np.lexsort((idx[:, 1], idx[:, 0]))
-    ij = idx[order].astype(np.int64)
+    ij = idx[order]
     dup = np.flatnonzero(np.all(ij[1:] == ij[:-1], axis=1))
     if dup.size:
-        raise FormatError(f"{path}: duplicate cell ({ij[dup[0], 0]}, {ij[dup[0], 1]})")
+        i, j = (int(n) for n in ij[dup[0]])
+        raise FormatError(f"{path}: duplicate cell ({i}, {j})")
     k = np.arange(len(ij))  # k < len(ij), so min(cols, len(ij)) splits k as cols does
     gap = np.flatnonzero(np.any(ij != np.column_stack(np.divmod(k, min(cols, k.size))),
                                 axis=1))

@@ -76,8 +76,9 @@ def reconstruct(s_tables: Sequence[CountTable],
     below ref_floor times the largest one (e_ratio, the smallest over the
     largest, is returned): a vanishing entry means that basis direction
     never interferes with the reference and the division would only
-    amplify noise. ref_floor must be a finite number in [0, 1). family,
-    when given, must be the one the scan tables were recorded in; a
+    amplify noise. ref_floor must be a finite number in [0, 1); at 0 an
+    e_ratio of exactly 0 is still rejected, as T cannot be divided by it.
+    family, when given, must be the one the scan tables were recorded in; a
     different one raises TagConflictError.
     """
     s, s_label = _quarter_combination(s_tables)
@@ -98,6 +99,10 @@ def reconstruct(s_tables: Sequence[CountTable],
         raise DegenerateReferenceError(
             f"reference interference spans a {e_ratio:.2e} dynamic range; "
             f"below the {ref_floor:.2e} floor")
+    if e_ratio == 0.0:  # only a zero floor lets it through to here
+        raise DegenerateReferenceError(
+            f"reference interference vanishes at family vector {int(np.argmin(mags))}; "
+            f"T cannot be divided by it")
     if e.shape[1:] != s.shape[1:]:
         raise DimensionMismatchError("S and E dimensions differ")
     if s_label != e_label:

@@ -16,6 +16,7 @@ from qscatter.channel import EffectiveT
 from qscatter.errors import (
     DegenerateReferenceError,
     DimensionMismatchError,
+    FormatError,
     NormalizationError,
     TagConflictError,
 )
@@ -95,6 +96,67 @@ def first_bad_cell(cells, rows: int, cols: int):
             i, j = np.argwhere(mask)[0]
             return f"{problem} cell ({i}, {j})"
     return None
+
+
+def read_cells_by_lines(path, columns: str, width: int):
+    """numerics._read_cells one line at a time: every line is stripped in
+    Python and empty ones are dropped before np.loadtxt, so a
+    whitespace-only line is skipped wherever it is, and the layout is
+    always checked by sorting. Returns (header, (rows, cols, width) array)
+    or raises FormatError."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            raw = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise FormatError(f"{path}: cannot read: {exc}") from exc
+    if raw and not raw[-1].endswith("\n"):
+        raise FormatError(f"{path}: last line has no newline; the file was cut short")
+    lines = [ln.strip() for ln in raw if ln.strip()]
+    if columns not in lines:
+        raise FormatError(f"{path}: no {columns!r} line")
+    k = lines.index(columns)
+    header, body = lines[:k], lines[k + 1:]
+    if not body:
+        raise FormatError(f"{path}: no cells")
+    try:
+        cells = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+        shape = None
+        if "rows,cols" in header:
+            dims = header[header.index("rows,cols") + 1].split(",")
+            shape = (int(dims[0]), int(dims[1]))
+    except (ValueError, IndexError) as exc:
+        raise FormatError(f"{path}: malformed entry ({exc})") from exc
+    if cells.shape[1] != 2 + width:
+        raise FormatError(f"{path}: cells have {cells.shape[1]} fields, "
+                          f"expected {2 + width}")
+    if not np.all(np.isfinite(cells)):
+        raise FormatError(f"{path}: non-finite cell entry")
+    idx = cells[:, :2]
+    if np.any(idx != np.round(idx)):
+        raise FormatError(f"{path}: non-integer cell index")
+    if shape is None:
+        shape = tuple(int(n) + 1 for n in idx.max(axis=0))
+    rows, cols = shape
+    if rows < 1 or cols < 1:
+        raise FormatError(f"{path}: bad dimensions {rows}x{cols}")
+    outside = (idx < 0).any(axis=1) | (idx[:, 0] >= rows) | (idx[:, 1] >= cols)
+    if outside.any():
+        i, j = idx[np.argmax(outside)].astype(np.int64)
+        raise FormatError(f"{path}: cell ({i}, {j}) outside the {rows}x{cols} grid")
+    # Sorted row-major, the k-th cell must be cell k: a check in the number
+    # of cells listed, not in the grid size the header or the indices claim.
+    order = np.lexsort((idx[:, 1], idx[:, 0]))
+    ij = idx[order].astype(np.int64)
+    dup = np.flatnonzero(np.all(ij[1:] == ij[:-1], axis=1))
+    if dup.size:
+        raise FormatError(f"{path}: duplicate cell ({ij[dup[0], 0]}, {ij[dup[0], 1]})")
+    k = np.arange(len(ij))  # k < len(ij), so min(cols, len(ij)) splits k as cols does
+    gap = np.flatnonzero(np.any(ij != np.column_stack(np.divmod(k, min(cols, k.size))),
+                                axis=1))
+    if gap.size or k.size < rows * cols:
+        i, j = divmod(int(gap[0]) if gap.size else k.size, cols)
+        raise FormatError(f"{path}: missing cell ({i}, {j})")
+    return header, cells[order, 2:].reshape(rows, cols, width)
 
 
 def noiseless_table(probs: np.ndarray, label: str) -> CountTable:
@@ -231,6 +293,10 @@ def extract_e(tables: Sequence[CountTable],
         raise DegenerateReferenceError(
             f"reference interference spans a {ratio:.2e} dynamic range; "
             f"below the {ref_floor:.2e} floor")
+    if ratio == 0.0:
+        raise DegenerateReferenceError(
+            f"reference interference vanishes at family vector {int(np.argmin(mags))}; "
+            f"T cannot be divided by it")
     return diag, label
 
 

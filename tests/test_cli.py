@@ -1,5 +1,6 @@
 """Command-line interface: config handling, scenarios, exit codes."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -361,6 +362,25 @@ def test_tomo_missing_bundle_and_degenerate_reference(tmp_path, capsys):
                          "--ref-floor", floor, "--out", str(tmp_path / "o3")]) == 2
         err = capsys.readouterr().err
         assert "ref_floor" in err and len(err.splitlines()) == 1
+
+
+def test_tomo_with_a_zero_floor_rejects_a_zero_reference_entry(tmp_path, capsys):
+    """E entry 1 is made exactly 0 by giving that column one count in all
+    four reference steps; --ref-floor 0 exits 3 with one stderr line."""
+    sim = str(tmp_path / "sim")
+    assert cli.main(["simulate", "--d", "3", "--n-modes", "8",
+                     "--exposure", "inf", "--seed", "1", "--out", sim]) == 0
+    for k in range(4):
+        path = os.path.join(sim, "scans", f"e_step{k}.csv")
+        table = measure.load_count_table(path)
+        counts = table.counts.copy()
+        counts[0, 1] = 5.0
+        measure.save_count_table(path, dataclasses.replace(table, counts=counts))
+    capsys.readouterr()
+    assert cli.main(["tomo", "--scans", os.path.join(sim, "scans"), "--ref-floor", "0",
+                     "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "family vector 1" in err and len(err.splitlines()) == 1
 
 
 def test_tomo_rejects_a_meta_d_other_than_the_table_width(tmp_path, capsys,

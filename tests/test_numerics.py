@@ -1,13 +1,14 @@
 """Linear-algebra kernel: tolerances, Haar draws, inversion, CSV format."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import first_bad_cell, write_cells_per_cell
+from oracles import first_bad_cell, read_cells_by_lines, write_cells_per_cell
 from qscatter import channel, cli, numerics, unscramble
 from qscatter.errors import (
     ConditioningError,
@@ -293,3 +294,183 @@ def test_read_cells_names_the_lowest_duplicate_then_the_lowest_missing_cell(tmp_
         else:
             with pytest.raises(FormatError, match=re.escape(expected) + "$"):
                 numerics.load_matrix_csv(path)
+
+
+# ---------------------------------------------------------------------------
+# The reader against oracles.read_cells_by_lines, the line-at-a-time reader
+# it replaced, on corrupted copies of real files.
+
+
+@pytest.fixture(scope="module")
+def artifacts(tmp_path_factory):
+    """(text, columns, width) of three real files of a d=3 run: a
+    row-scaled recovered table, a noiseless predicted table and t_hat.csv."""
+    out = tmp_path_factory.mktemp("artifacts")
+    assert cli.main(["run", "--scenario", "unscramble-certify", "--d", "3",
+                     "--n-modes", "8", "--exposure", "1e3", "--n-mc", "0", "--seed", "1",
+                     "--out", str(out / "run")]) == 0
+    assert cli.main(["unscramble", "--t-hat", str(out / "run" / "t_hat.csv"),
+                     "--out", str(out / "ops")]) == 0
+    files = [(out / "run" / "tables" / "recovered_tilted_0.csv", "a,b,count", 1),
+             (out / "ops" / "unscramble" / "predicted_mub_0.csv", "a,b,count", 1),
+             (out / "run" / "t_hat.csv", "i,j,re,im", 2)]
+    texts = [(path.read_text(encoding="ascii"), columns, width)
+             for path, columns, width in files]
+    assert "\nrow_scale\n" in texts[0][0] and ",inf,none\n" in texts[1][0]
+    return texts
+
+
+def _blank_cell_line(text: str, columns: str) -> bool:
+    """True when a line below the columns line holds only whitespace."""
+    lines = text.split("\n")
+    stripped = [line.strip() for line in lines]
+    if columns not in stripped:
+        return False
+    return any(line and not line.strip() for line in lines[stripped.index(columns) + 1:])
+
+
+def _check_reader(path, columns, width, capsys) -> None:
+    """_read_cells gives the header and bits oracles.read_cells_by_lines
+    gives, or FormatError where that raises it or where a cell line holds
+    only whitespace, and nothing else, not even a warning. A count table it
+    rejects makes certify exit 2 with one stderr line."""
+    text = path.read_text(encoding="ascii")  # universal newlines, as both readers
+    try:
+        with warnings.catch_warnings():
+            # it casts an index past 2**63 to int64 for its message
+            warnings.simplefilter("ignore", RuntimeWarning)
+            want = read_cells_by_lines(path, columns, width)
+    except FormatError:
+        want = None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if want is not None and not _blank_cell_line(text, columns):
+            header, grid = numerics._read_cells(path, columns, width)
+            assert header == want[0]
+            np.testing.assert_array_equal(grid.view(np.int64), want[1].view(np.int64))
+            return
+        with pytest.raises(FormatError):
+            numerics._read_cells(path, columns, width)
+    if columns == "a,b,count":
+        capsys.readouterr()
+        assert cli.main(["certify", "--standard", str(path), "--table", str(path),
+                         "--n-mc", "0", "--out", str(path.parent / "cert")]) == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+def test_read_cells_agrees_with_the_line_reader_on_every_truncation(
+        tmp_path, artifacts, capsys):
+    path = tmp_path / "cut.csv"
+    for text, columns, width in artifacts:
+        for data in (text.encode("ascii"), text.replace("\n", "\r\n").encode("ascii")):
+            for end in range(len(data) + 1):
+                path.write_bytes(data[:end])
+                _check_reader(path, columns, width, capsys)
+
+
+_NUMBER_TOKENS = ["0", "-1", "7", "2.5", "-0", "+2", "1e999", "nan", "inf", "-inf", "",
+                  " ", "x", "1e", "0x1", "3 4", " 5 ", "99999999999999999999", "1,2"]
+_HEADER_TOKENS = ["rows", "cols", "rows,cols", "a,b,count", "i,j,re,im", "row_scale",
+                  "basisA", "3", "2", "0", "-1", "", " ", "inf", "none", "1.5", "x",
+                  "99999999999999999999"]
+
+
+@st.composite
+def _corrupted(draw, text: str, columns: str) -> str:
+    """text with one to three of: its lines permuted, a field replaced (in
+    a cell line, or in a header line down to the columns line), a line
+    duplicated, an extra cell line, empty or whitespace-only lines
+    inserted; and then, maybe, CRLF line endings."""
+    lines = text.splitlines(keepends=True)
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["permute", "number", "header", "duplicate",
+                                     "extra", "blank"]))
+        at = draw(st.integers(0, len(lines)))
+        if kind == "permute":
+            lines = list(draw(st.permutations(lines)))
+        elif kind in ("number", "header") and lines:
+            top = (lines.index(columns + "\n") if columns + "\n" in lines
+                   else len(lines) - 1)
+            i = draw(st.integers(0, top) if kind == "header"
+                     else st.integers(min(top + 1, len(lines) - 1), len(lines) - 1))
+            fields = lines[i][:-1].split(",")
+            tokens = _HEADER_TOKENS if kind == "header" else _NUMBER_TOKENS
+            fields[draw(st.integers(0, len(fields) - 1))] = draw(st.one_of(
+                st.sampled_from(tokens), st.integers(-3, 5).map(str),
+                st.floats(allow_nan=False).map(repr)))
+            lines[i] = ",".join(fields) + "\n"
+        elif kind == "duplicate" and lines:
+            lines.insert(at, lines[draw(st.integers(0, len(lines) - 1))])
+        elif kind == "extra":
+            values = draw(st.lists(st.integers(-2, 4).map(str), min_size=2, max_size=5))
+            lines.insert(at, ",".join(values) + "\n")
+        elif kind == "blank":
+            for _ in range(draw(st.integers(1, 3))):
+                lines.insert(draw(st.integers(0, len(lines))),
+                             draw(st.sampled_from(["\n", " \n", "\t\n", "  \t \n"])))
+    text = "".join(lines)
+    return text.replace("\n", "\r\n") if draw(st.booleans()) else text
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture],
+          deadline=None, max_examples=300)
+@given(data=st.data())
+def test_read_cells_agrees_with_the_line_reader_on_corrupted_files(
+        tmp_path, artifacts, capsys, data):
+    text, columns, width = data.draw(st.sampled_from(artifacts))
+    path = tmp_path / "corrupted.csv"
+    path.write_bytes(data.draw(_corrupted(text, columns)).encode("ascii"))
+    _check_reader(path, columns, width, capsys)
+
+
+def test_read_cells_reads_crlf_empty_lines_and_spaced_fields_but_not_blank_cell_lines(
+        tmp_path, artifacts):
+    """CRLF endings, empty lines and spaces around fields read as the file
+    as written; an empty cell block is "no cells" with no numpy warning; a
+    cell line holding only whitespace is FormatError."""
+    text, columns, width = artifacts[2]
+    path = tmp_path / "t_hat.csv"
+    path.write_text(text, encoding="ascii")
+    header, grid = numerics._read_cells(path, columns, width)
+    lines = text.splitlines()
+    k = lines.index(columns) + 1
+    spaced = [*lines[:k], "", *[" " + line.replace(",", " , ") + "\t" for line in lines[k:]], ""]
+    path.write_bytes(("\r\n".join(spaced) + "\r\n").encode("ascii"))
+    spaced_header, spaced_grid = numerics._read_cells(path, columns, width)
+    assert spaced_header == header
+    np.testing.assert_array_equal(spaced_grid.view(np.int64), grid.view(np.int64))
+    for block in ([], [""], ["", ""]):
+        path.write_text("\n".join([*lines[:k], *block]) + "\n", encoding="ascii")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FormatError, match="no cells$"):
+                numerics._read_cells(path, columns, width)
+    path.write_text("\n".join([*lines[:k + 1], "  ", *lines[k + 1:]]) + "\n",
+                    encoding="ascii")
+    with pytest.raises(FormatError, match="malformed entry"):
+        numerics._read_cells(path, columns, width)
+
+
+def test_read_cells_names_indices_past_the_int64_range_without_a_warning(tmp_path):
+    path = tmp_path / "m.csv"
+    big = 2 ** 63
+    for rows, cells, message in [
+            (3, [(0, 0), (float(big), 0)], f"cell ({big}, 0) outside the 3x1 grid"),
+            (10 ** 30, [(float(big), 0), (float(big), 0)], f"duplicate cell ({big}, 0)"),
+            (10 ** 30, [(float(big), 0)], "missing cell (0, 0)")]:
+        path.write_text("\n".join(["rows,cols", f"{rows},1", "i,j,re,im",
+                                   *[f"{i!r},{j},1,0" for i, j in cells]]) + "\n",
+                        encoding="ascii")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FormatError, match=re.escape(message) + "$"):
+                numerics.load_matrix_csv(path)
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e999"])
+def test_read_cells_rejects_a_non_finite_value(tmp_path, token):
+    path = tmp_path / "m.csv"
+    path.write_text(f"rows,cols\n1,2\ni,j,re,im\n0,0,1,0\n0,1,2,{token}\n",
+                    encoding="ascii")
+    with pytest.raises(FormatError, match="non-finite cell entry$"):
+        numerics.load_matrix_csv(path)

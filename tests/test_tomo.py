@@ -125,6 +125,16 @@ def test_extract_e_flags_degenerate_reference():
                                     match="1 x d")
 
 
+def test_a_zero_floor_still_rejects_a_zero_reference_entry():
+    """At ref_floor 0 an E entry of exactly 0 is not below the floor, but
+    T cannot be divided by it: DegenerateReferenceError, not a division by
+    zero."""
+    s_tables = _synthetic_tables(np.ones((3, 3)), np.ones((3, 3)))
+    e_tables = _synthetic_tables(np.ones((1, 3)), np.array([[1.0, 0.0, 1.0]]), kind="e")
+    _assert_rejected_like_the_steps(DegenerateReferenceError, s_tables, e_tables,
+                                    ref_floor=0.0, match="family vector 1")
+
+
 def test_extract_e_rejects_a_floor_outside_unit_interval():
     s_tables = _synthetic_tables(np.ones((3, 3)), np.ones((3, 3)))
     tables = _e_tables(3)

@@ -11,6 +11,8 @@
 # chain at d=5 with certify run on both the simulated and the predicted
 # tables, once more on the simulated ones with the --table flags in reverse
 # order (so the report's label -> path map is built in that order), and
+# once more on CRLF copies of the simulated tables, each with one empty
+# line between its first two cells, and
 # unscramble --lambdas with a fixed non-uniform spectrum followed by
 # certify --target on its predicted tilted tables, plus unscramble on a
 # copy of the noisy --scan-family standard tomography run's t_hat.csv
@@ -59,9 +61,10 @@ run_grid() {
         --d 31 --n-modes 62 --n-mc 40 --seed 3 --exposure 5e3 --dark-rate 0.01 \
         --scan-family standard --out unscramble-certify-d31-noisy
     # --table takes one path per flag.
-    local sim_tables=() reversed_tables=() mub_tables=() tilted_tables=() r
+    local sim_tables=() reversed_tables=() crlf_tables=() mub_tables=() tilted_tables=() r name
     for r in 0 1 2 3 4; do
         sim_tables+=(--table "sim/tables/mub_$r.csv")
+        crlf_tables+=(--table "crlf/mub_$r.csv")
         reversed_tables=(--table "sim/tables/mub_$r.csv" "${reversed_tables[@]}")
         mub_tables+=(--table "ops/unscramble/predicted_mub_$r.csv")
         tilted_tables+=(--table "ops-tilted/unscramble/predicted_tilted_$r.csv")
@@ -73,6 +76,13 @@ run_grid() {
         "${sim_tables[@]}" --n-mc 40 --seed 3 --out cert-sim
     q "$src" "$out" certify-sim-reversed certify --standard sim/tables/standard.csv \
         "${reversed_tables[@]}" --n-mc 40 --seed 3 --out cert-sim-reversed
+    mkdir "$out/crlf"
+    for name in standard mub_0 mub_1 mub_2 mub_3 mub_4; do
+        awk '{ printf "%s\r\n", $0 } prev == "a,b,count" { printf "\r\n" } { prev = $0 }' \
+            "$out/sim/tables/$name.csv" >"$out/crlf/$name.csv"
+    done
+    q "$src" "$out" certify-crlf certify --standard crlf/standard.csv \
+        "${crlf_tables[@]}" --n-mc 40 --seed 3 --out cert-crlf
     q "$src" "$out" certify-predicted certify \
         --standard ops/unscramble/predicted_standard.csv "${mub_tables[@]}" \
         --out cert-predicted
