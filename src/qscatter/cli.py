@@ -170,38 +170,43 @@ def emit_report(report: Dict[str, object], out_dir: str) -> str:
 
 
 def _report(scenario: str, results: Dict[str, object],
-            table_paths: Dict[str, str], out_dir: str) -> Dict[str, object]:
+            tables: Dict[str, Tuple[str, str]], out_dir: str) -> Dict[str, object]:
     """Report skeleton whose tables block points at each table's CSV file.
 
-    Each label maps to the file's path, relative to out_dir where the
-    report is written, and the SHA-256 of its bytes.
+    `tables` maps each label to the file's path and the SHA-256 of its
+    bytes; the report gives the path relative to out_dir, where it is
+    written.
     """
-    tables = {}
-    for label, path in table_paths.items():
-        with open(path, "rb") as fh:
-            digest = hashlib.sha256(fh.read()).hexdigest()
-        tables[label] = {"path": os.path.relpath(path, out_dir).replace(os.sep, "/"),
-                         "sha256": digest}
     return {"schema": REPORT_SCHEMA, "scenario": scenario, "results": results,
-            "tables": tables}
+            "tables": {label: {"path": os.path.relpath(path, out_dir).replace(os.sep, "/"),
+                               "sha256": digest}
+                       for label, (path, digest) in tables.items()}}
+
+
+def _hashed(path: str) -> Tuple[str, str]:
+    """A table file that was read, not written: its path and the SHA-256 of
+    its bytes."""
+    with open(path, "rb") as fh:
+        return path, hashlib.sha256(fh.read()).hexdigest()
 
 
 def _save_table(directory: str, table: measure.CountTable,
-                name: Optional[str] = None) -> str:
-    """Write a table to <directory>/<name>.csv and return that path.
+                name: Optional[str] = None) -> Tuple[str, str]:
+    """Write a table to <directory>/<name>.csv and return that path and the
+    SHA-256 of the bytes written.
 
     A table's name defaults to its label with ':' replaced by '_'.
     """
     if name is None:
         name = table.basis_label_a.replace(":", "_")
     path = os.path.join(directory, name + ".csv")
-    measure.save_count_table(path, table)
-    return path
+    return path, measure.save_count_table(path, table)
 
 
 def _saving(directory: str, tables: Iterable[measure.CountTable],
-            paths: Dict[str, str]) -> Iterator[measure.CountTable]:
-    """Write each table as it passes and map its label to its path in `paths`."""
+            paths: Dict[str, Tuple[str, str]]) -> Iterator[measure.CountTable]:
+    """Write each table as it passes and map its label to its path and
+    digest in `paths`."""
     for table in tables:
         paths[table.basis_label_a] = _save_table(directory, table)
         yield table
@@ -378,10 +383,10 @@ def _certify_saved(out_dir: str, standard: measure.CountTable,
                    families: Iterable[measure.CountTable],
                    target: Optional[certify.TargetState], n_mc: int, seed: int
                    ) -> Tuple[certify.CertificationReport, Dict[str, object],
-                              Dict[str, str]]:
+                              Dict[str, Tuple[str, str]]]:
     """Write the standard table to <out_dir>/tables, then pass each family
     table through its write into certification; returns the certification,
-    its results block and each table's path by label."""
+    its results block and each table's path and digest by label."""
     table_dir = os.path.join(out_dir, "tables")
     paths = {standard.basis_label_a: _save_table(table_dir, standard)}
     rep, results = _certify(standard, _saving(table_dir, families, paths), target,
@@ -391,7 +396,7 @@ def _certify_saved(out_dir: str, standard: measure.CountTable,
 
 # ---------------------------------------------------------------------------
 # Scenarios: each writes its tables as it measures them and returns its
-# results block and each table's path by label
+# results block and each table's path and digest by label
 # ---------------------------------------------------------------------------
 
 
@@ -666,7 +671,8 @@ def _cmd_certify(args: argparse.Namespace) -> int:
             yield table
 
     rep, results = _certify(standard, loaded(), target, args.n_mc, args.seed)
-    emit_report(_report("certify", results, table_paths, args.out), args.out)
+    read = {label: _hashed(path) for label, path in table_paths.items()}
+    emit_report(_report("certify", results, read, args.out), args.out)
     print(rep.summary())
     _require_dent(args.require_dent, rep.d_ent)
     return 0

@@ -262,7 +262,9 @@ def zeta_correct(table: CountTable, zeta) -> CountTable:
 # ---------------------------------------------------------------------------
 
 
-def save_count_table(path: Union[str, os.PathLike], table: CountTable) -> None:
+def save_count_table(path: Union[str, os.PathLike], table: CountTable) -> str:
+    """Write a table in the format above and return the SHA-256 hex digest
+    of the bytes written."""
     exp = "inf" if table.noiseless else numerics._fmt(table.exposure)
     seed = "none" if table.seed is None else str(table.seed)
     for label in (table.basis_label_a, table.basis_label_b):
@@ -273,7 +275,7 @@ def save_count_table(path: Union[str, os.PathLike], table: CountTable) -> None:
     if table.row_scale is not None:
         header.append("row_scale")
         header.append(",".join(numerics._fmt(s) for s in table.row_scale))
-    numerics._write_cells(path, header, "a,b,count", [table.counts])
+    return numerics._write_cells(path, header, "a,b,count", [table.counts])
 
 
 def load_count_table(path: Union[str, os.PathLike]) -> CountTable:

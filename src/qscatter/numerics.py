@@ -9,9 +9,12 @@ arrays, row-major, sized for dimensions up to a few hundred.
 
 from __future__ import annotations
 
+import functools
+import hashlib
+import itertools
 import json
 import os
-from typing import List, Mapping, Sequence, Tuple, Union
+from typing import Iterator, List, Mapping, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -145,9 +148,14 @@ def is_prime(n: int) -> bool:
 #   <i>,<j>,<v>[,<v>...]     (one line per cell, row-major, each value as
 #                             %.17g prints it: 17 significant digits, so the
 #                             reader gets every float back bit for bit)
-# A grid whose every value is an integer of magnitude below 2**53 and none
-# of them -0.0 (every scan and every raw count table) is printed with %d,
-# which gives the same text as %.17g for those values, only faster.
+# The writer prints those values through one renderer, _render_g17: numpy
+# code giving the text format(x, '.17g') gives, a block of values at a time.
+# It finds the 17 significant digits of |x| with exact double-double
+# arithmetic (Dekker's TwoProduct against a double-double table of powers of
+# ten) and hands each value it cannot prove to format() itself: subnormals,
+# magnitudes outside its table (below 1e-280 or from 1e280 on), non-finite
+# values, and digits whose error bound straddles a rounding tie. Grids of
+# fewer than _RENDER_MIN values are printed by %.17g (format()) alone.
 # The reader also takes CRLF line endings, empty lines anywhere and spaces
 # around fields, but not a cell line holding only whitespace. It hands the
 # cell lines to numpy's parser untouched; cells in the order written pass
@@ -159,33 +167,231 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+# Values rendered per block: writing a block peaks near 1.1 MB (about 270
+# bytes a value, traced).
+_CHUNK = 4096
+# Below this many values a grid is printed by %.17g alone: the renderer's
+# fixed cost is about 90 numpy calls a block. Writing a file of 49 values
+# (a d=7 table) took 0.17-0.21 ms that way and 0.41-0.82 ms through the
+# renderer, and the two crossed between 250 and 530 values (2-vCPU VM,
+# best of 7 x 100 writes, three runs).
+_RENDER_MIN = 512
+_SPLIT = 134217729.0  # 2**27 + 1 splits a double into two 26-bit halves
+_POW_MIN, _POW_MAX = -300, 300  # the exponents k of the 10**k table
+_EXP_MIN = _POW_MIN - 30  # the exponent table spells out -330..330
+_WORD = np.dtype("<u8")  # rendered text is handled as little-endian 8-byte words
+
+
+class _G17Tables(NamedTuple):
+    hi: np.ndarray  # [k - _POW_MIN]: 10**k rounded to the nearest double
+    hi_hi: np.ndarray  # hi split into two 26-bit halves for TwoProduct
+    hi_lo: np.ndarray
+    lo: np.ndarray  # 10**k - hi, rounded; 0 where 10**k is a double (0 <= k <= 22)
+    digits: np.ndarray  # [g]: g's four digits as a word, each followed by a zero byte
+    zeros: np.ndarray  # [g]: trailing zeros of g's four digits (4 for g = 0)
+    head: np.ndarray  # [50 sign + 10 z + digit]: "-" if sign, "0." and z - 1 zeros if z, digit
+    exponent: np.ndarray  # [0]: empty; [x - _EXP_MIN + 1]: "e+xx", "e-xxx"
+    lanes: np.ndarray  # [n + 12]: mask of a digit word's first n digits (n clipped to 0..4)
+    point_word: np.ndarray  # [k]: the word holding digit k (k <= 15), and a point
+    point_bits: np.ndarray  # in the zero byte after that digit (byte 7 for digit 0)
+
+
+def _words(texts: Sequence[bytes]) -> np.ndarray:
+    """Each text, at most 8 bytes, zero-padded into one word."""
+    return np.frombuffer(b"".join(text.ljust(8, b"\0") for text in texts), _WORD)
+
+
+@functools.lru_cache(maxsize=None)
+def _g17_tables() -> _G17Tables:
+    """The renderer's lookup tables, built from Python integers on first use."""
+    hi, lo = [], []
+    for k in range(_POW_MIN, _POW_MAX + 1):
+        if k >= 0:
+            hi.append(float(10 ** k))
+            lo.append(float(10 ** k - int(hi[-1])))
+        else:
+            # int / int rounds correctly; hi is p / q exactly, q a power of 2
+            hi.append(1 / 10 ** -k)
+            p, q = hi[-1].as_integer_ratio()
+            lo.append((q - p * 10 ** -k) / (q * 10 ** -k))
+    hi = np.array(hi)
+    c = _SPLIT * hi
+    hi_hi = c - (c - hi)
+    four = [b"%04d" % g for g in range(10000)]
+    tables = _G17Tables(
+        hi=hi, hi_hi=hi_hi, hi_lo=hi - hi_hi, lo=np.array(lo),
+        digits=_words([bytes([byte for ch in text for byte in (ch, 0)]) for text in four]),
+        zeros=np.array([4] + [len(text) - len(text.rstrip(b"0")) for text in four[1:]]),
+        head=_words([sign + lead + bytes([48 + digit]) for sign in (b"", b"-")
+                     for lead in (b"", b"0.", b"0.0", b"0.00", b"0.000")
+                     for digit in range(10)]),
+        exponent=_words([b""] + [b"e%+03d" % x for x in range(_EXP_MIN, -_EXP_MIN + 1)]),
+        lanes=np.array([(1 << 16 * min(max(n, 0), 4)) - 1 for n in range(-12, 17)], _WORD),
+        point_word=np.array([0] + [(k + 3) // 4 for k in range(1, 16)]),
+        point_bits=np.array([46 << 56] + [46 << 8 * (2 * ((k - 1) % 4) + 1)
+                                          for k in range(1, 16)], _WORD))
+    for table in tables:  # shared by every call
+        table.flags.writeable = False
+    return tables
+
+
+def _scaled(t: _G17Tables, a: np.ndarray, x: np.ndarray):
+    """V = a * 10**(16 - x) as ph + pl, exact up to about 1e-14: ph is
+    a * hi rounded, and Dekker's TwoProduct gives its error exactly, to which
+    a * lo is added. Returns floor(V), and pl and the point halfway to the
+    next integer, both less ph."""
+    k = 16 - _POW_MIN - x
+    c = _SPLIT * a
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    ph = a * t.hi.take(k)
+    h_hi, h_lo = t.hi_hi.take(k), t.hi_lo.take(k)
+    pl = ((a_hi * h_hi - ph) + a_hi * h_lo + a_lo * h_hi) + a_lo * h_lo + a * t.lo.take(k)
+    fl = np.floor(pl)
+    return ph.astype(np.int64) + fl.astype(np.int64), pl, fl + 0.5
+
+
+def _decimal17(t: _G17Tables, v: np.ndarray):
+    """(D, x, unproven) with |v| = D * 10**(x - 16) rounded half to even,
+    10**16 <= D < 10**17, and D = x = 0 for a zero.
+
+    x starts as floor(log10 |v|); a V = |v| * 10**(16 - x) outside
+    [1e16, 1e17) moves x by one and is taken again, and a D of 1e17 from
+    rounding up is 1e16 at x + 1.
+    Exact ties are decided where 10**(16 - x) is an exact double; elsewhere
+    D is proved only when V lies more than 2**-30 from a tie. Where D is not
+    proved (also subnormals, magnitudes outside [1e-280, 1e280) and
+    non-finite values) unproven is set and D is 0.
+    """
+    a = np.abs(v)
+    unproven = ~((a >= 1e-280) & (a < 1e280))
+    a[unproven] = 1.0
+    x = np.floor(np.log10(a)).astype(np.int64)
+    n, pl, half = _scaled(t, a, x)
+    off = np.flatnonzero((n < 10 ** 16) | (n >= 10 ** 17))
+    if off.size:
+        low = n[off] < 10 ** 16
+        x[off] += np.where(low, -1, 1)
+        n[off], pl[off], half[off] = _scaled(t, a[off], x[off])
+        # A V within its error of 1e16 may fall short of it at x and reach
+        # 1e17 at x - 1, or the reverse. |v| is then within 1e-30 of a power
+        # of ten, at which it prints as D = 1e16.
+        flip = off[np.where(low, n[off] >= 10 ** 17, n[off] < 10 ** 16)]
+        x[flip] += n[flip] >= 10 ** 17
+        n[flip], pl[flip], half[flip] = 10 ** 16, 0.0, 0.5
+    exact = t.lo.take(16 - _POW_MIN - x) == 0
+    d = n + (pl > half) + ((pl == half) & exact & (n % 2 == 1))
+    unproven |= (((np.abs(pl - half) < 2.0 ** -30) & ~exact)
+                 | (n < 10 ** 16) | (n >= 10 ** 17))
+    carry = d == 10 ** 17
+    d[carry] = 10 ** 16
+    x[carry] += 1
+    zero = v == 0
+    d[zero | unproven] = 0
+    x[zero] = 0
+    return d, x, unproven & ~zero
+
+
+def _render_g17(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Each float64 of `values` as format(x, '.17g') prints it.
+
+    Returns a (6, n) array of little-endian words, one column per value:
+    the column's bytes, zero bytes dropped, are the value's text, and its
+    last byte is zero. Also returns the indices of the values printed by
+    format() itself (see the cell-grid comment above). Fixed notation
+    holds decimal exponents -4 <= x < 17 and exponent notation the rest;
+    trailing zeros of the fraction, and a bare point, are left out, as %g
+    does.
+    """
+    t = _g17_tables()
+    v = np.asarray(values, dtype=np.float64).ravel()
+    d, x, unproven = _decimal17(t, v)
+    # D = lead | g0 g1 g2 g3, four groups of four digits
+    lead = d // 10 ** 16
+    top = d - lead * 10 ** 16
+    bottom = top % 10 ** 8
+    top //= 10 ** 8
+    g = [top // 10 ** 4, top % 10 ** 4, bottom // 10 ** 4, bottom % 10 ** 4]
+    trailing = 12 + t.zeros.take(g[0])  # 16 for D = 0
+    for w in (1, 2, 3):
+        trailing = np.where(g[w] != 0, 12 - 4 * w + t.zeros.take(g[w]), trailing)
+    fixed = (x >= -4) & (x < 17)
+    shown = np.where(fixed, np.maximum(17 - trailing, x + 1), 17 - trailing)
+    out = np.empty((6, v.size), _WORD)
+    t.head.take(50 * np.signbit(v) + 10 * np.where(fixed & (x < 0), -x, 0) + lead,
+            out=out[0])
+    for w in range(4):
+        t.digits.take(g[w], out=out[1 + w])
+        out[1 + w] &= t.lanes.take(shown - 4 * w + 11)
+    t.exponent.take(np.where(fixed, 0, x - _EXP_MIN + 1), out=out[5])
+    point = np.where(fixed, x, 0)  # the point follows this digit ...
+    rows = np.flatnonzero((point >= 0) & (shown > point + 1))  # ... if any follow it
+    point = point[rows]
+    out.reshape(-1)[t.point_word.take(point) * v.size + rows] |= t.point_bits.take(point)
+    fallback = np.flatnonzero(unproven)
+    for r in fallback:
+        out[:, r] = np.frombuffer(_fmt(v[r]).encode("ascii").ljust(48, b"\0"), _WORD)
+    return out, fallback
+
+
+def _cell_lines(values: np.ndarray, cols: int) -> Iterator[bytes]:
+    """The `i,j,v0,v1,...` lines of a (cells, width) value array, its cells
+    row-major in rows of `cols`, in blocks of about _CHUNK values."""
+    cells, width = values.shape
+    if values.size < _RENDER_MIN:
+        cell = ",".join(["%.17g"] * width)
+        template = "".join([f"@,{j},{cell}\n" for j in range(cols)])
+        yield "".join([template.replace("@", str(i)) % tuple(row) for i, row in
+                       enumerate(values.reshape(-1, cols * width).tolist())]).encode("ascii")
+        return
+    # A line is "i," and "j," as zero-padded words, then each value's six
+    # words with its separator in the last byte.
+    index_words = []
+    for n in (cells // cols, cols):
+        text = np.array([b"%d," % k for k in range(n)])
+        size = -(-text.itemsize // 8)
+        index_words.append(text.astype(f"S{8 * size}").view(_WORD).reshape(n, size))
+    row_words, col_words = index_words
+    start = row_words.shape[1] + col_words.shape[1]
+    per = max(1, _CHUNK // width)  # cells per block
+    for first in range(0, cells, per):
+        k = np.arange(first, min(cells, first + per))
+        text = _render_g17(values[first:first + k.size])[0]
+        i = k // cols
+        block = np.empty((k.size, start + 6 * width), _WORD)
+        block[:, :row_words.shape[1]] = row_words[i]
+        block[:, row_words.shape[1]:start] = col_words[k - i * cols]
+        for w in range(width):
+            block[:, start + 6 * w:start + 6 * w + 6] = text[:, w::width].T
+            block[:, start + 6 * w + 5] |= (10 if w == width - 1 else 44) << 56
+        del text  # free before the two copies below
+        yield block.tobytes().translate(None, b"\0")
+
+
 def _write_cells(path: Union[str, os.PathLike], header: Sequence[str],
-                 columns: str, grids: Sequence[np.ndarray]) -> None:
-    """Write header lines, the columns line, then one line per grid cell.
+                 columns: str, grids: Sequence[np.ndarray]) -> str:
+    """Write header lines, the columns line, then one line per grid cell,
+    and return the SHA-256 hex digest of the bytes written.
 
     Cell (i, j) carries grids[0][i, j], grids[1][i, j], ... in order, each
-    as %.17g prints it. When every value of every grid is an integer below
-    2**53 in magnitude and none is -0.0, the values are printed with %d
-    instead: the same text for such values, and cheaper to format. One
-    row template is built per call and lines are formatted and written one
-    grid row at a time, so memory stays at one row of text whatever the
-    grid size.
+    as format(x, '.17g') prints it. The lines are rendered and written in
+    blocks of about _CHUNK values, so beyond the stacked values memory stays
+    near 1 MB whatever the grid size.
     """
     rows, cols = grids[0].shape
-    values = np.stack(grids, axis=-1).reshape(rows, cols * len(grids))
-    integral = bool(np.all((values == np.round(values)) & (np.abs(values) < 2.0 ** 53))
-                    and not np.any((values == 0) & np.signbit(values)))
-    if integral:
-        values = values.astype(np.int64)
-    cell = ",".join(["%d" if integral else "%.17g"] * len(grids))
-    template = "".join([f"@,{j},{cell}\n" for j in range(cols)])
+    values = np.stack(grids, axis=-1).astype(np.float64, copy=False).reshape(
+        rows * cols, len(grids))
     parent = os.path.dirname(os.fspath(path))
     if parent:
         os.makedirs(parent, exist_ok=True)
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("".join(line + "\n" for line in [*header, columns]))
-        for i in range(rows):
-            fh.write(template.replace("@", str(i)) % tuple(values[i].tolist()))
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        for block in itertools.chain(
+                ["".join(line + "\n" for line in [*header, columns]).encode("ascii")],
+                _cell_lines(values, cols)):
+            fh.write(block)
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def _read_cells(path: Union[str, os.PathLike], columns: str,

@@ -115,7 +115,7 @@ def _unit_sv(m):
     return m / np.linalg.norm(m, 2)
 
 
-def test_solve_or_pinv_matches_true_inverse():
+def test_build_w_inverts_a_well_conditioned_t():
     """unscramble.build_w inverts a well-conditioned T exactly: with an
     untagged T, W^T is T^-1."""
     rng = np.random.default_rng(11)
@@ -125,7 +125,7 @@ def test_solve_or_pinv_matches_true_inverse():
         np.testing.assert_allclose(inv @ m, np.eye(5), atol=1e-10)
 
 
-def test_solve_or_pinv_degrades_to_pseudo_inverse():
+def test_build_w_takes_the_pseudo_inverse_below_the_cutoff():
     """Below PINV_RCOND times the largest singular value, build_w takes the
     pseudo-inverse with that cutoff."""
     u = numerics.haar_unitary(3, 0)
@@ -136,14 +136,14 @@ def test_solve_or_pinv_degrades_to_pseudo_inverse():
     np.testing.assert_allclose(inv, expected, atol=1e-12)
 
 
-def test_solve_or_pinv_rejects_zero_and_non_square():
+def test_build_w_rejects_a_zero_t_and_effective_t_a_non_square_one():
     with pytest.raises(ConditioningError, match="exactly zero"):
         unscramble.build_w(channel.EffectiveT(matrix=np.zeros((3, 3))))
     with pytest.raises(DimensionMismatchError):
         channel.EffectiveT(matrix=np.ones((2, 3)))
 
 
-def test_condition_number_known_values():
+def test_effective_t_condition_number_known_values():
     """EffectiveT keeps its singular values, read-only and descending, and
     their ratio as its condition number."""
     t = channel.EffectiveT(matrix=np.diag([1.0, 2.0, 4.0]) / 4)
@@ -198,12 +198,55 @@ def test_matrix_csv_rejects_malformed_files(tmp_path):
         numerics.load_matrix_csv(sparse)
 
 
-# Values where %d and %.17g could part ways: signed zeros, both sides of
-# 2**53 (2**53 + 1 is not a float; 2**53 + 2 is the next one), integers
-# %.17g prints in exponent form from 1e17 on, and subnormals.
+def _around(x):
+    """x and the floats one ulp below and above it."""
+    return [np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)]
+
+
+# Values where the renderer and format(x, '.17g') could part ways: signed
+# zeros, subnormals (printed by format() itself), both sides of 2**53
+# (2**53 + 1 is not a float), integers of 17 digits and from 1e17 on, where
+# %g turns to exponent notation, and both sides of 1e-4, where it turns back.
 _EDGE_VALUES = [0.0, -0.0, 1.0, -1.0, 2.0 ** 53 - 1, 2.0 ** 53, 2.0 ** 53 + 2,
                 -(2.0 ** 53 - 1), -(2.0 ** 53), 1e16, 1e16 + 2, 99999999999999984.0,
-                1e17, 5e-324, 2.2250738585072009e-308, -1e-310, 0.1, -2.5]
+                1e17, 5e-324, 2.2250738585072009e-308, -1e-310, 0.1, -2.5,
+                *_around(1e-4)]
+
+
+def _rendered(values):
+    """The renderer's text for each value, and the indices of the values it
+    left to format()."""
+    words, fallback = numerics._render_g17(np.array(values, dtype=np.float64))
+    return [column.tobytes().replace(b"\0", b"").decode("ascii") for column in words.T], fallback
+
+
+# The renderer's seams: the edge values; each power of ten from 1e-40 to
+# 1e20 one ulp either side; doubles below 10**k whose 17 digits round up to
+# 1e<k> (the digits carry into the next decade); and exact decimal ties,
+# rounded half to even, where 10**(16 - x) is an exact double (the first
+# two) and where it is not (3 * 2**-24 = 1.78813934326171875e-07).
+_RENDER_EDGES = [*_EDGE_VALUES, *_around(1e16), *_around(1e17), *_around(2.0 ** 53),
+                 5e-324, 2.2250738585072014e-308,
+                 *[y for k in range(-40, 21) for y in _around(float(f"1e{k}"))],
+                 1e-14, 1e-70, 1e-73, 1e-78, 1e-79, 1e98, 1e129,
+                 100000000000000.125, 100000000000000.375, 3 * 2.0 ** -24]
+
+
+def test_render_g17_prints_the_edge_values_as_format_does():
+    values = [sign * x for x in _RENDER_EDGES for sign in (1.0, -1.0)]
+    texts, fallback = _rendered(values)
+    assert texts == [format(x, ".17g") for x in values]
+    # format() prints only the subnormals, the smallest normal and the tie
+    # the renderer cannot prove; zeros and the other ties it prints itself.
+    assert {abs(values[k]) for k in fallback} == {
+        5e-324, 1e-310, 2.2250738585072009e-308, 2.2250738585072014e-308, 3 * 2.0 ** -24}
+
+
+@settings(deadline=None)
+@given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
+                       max_size=64))
+def test_render_g17_prints_every_float_as_format_does(values):
+    assert _rendered(values)[0] == [format(x, ".17g") for x in values]
 
 
 @st.composite
@@ -236,6 +279,14 @@ def _cell_grids(draw):
 @example(grids=list(np.random.default_rng(3).poisson(50.0, (2, 40, 8)).astype(float)))
 @example(grids=list(np.random.default_rng(4).standard_normal((2, 40, 8))))
 @example(grids=[np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[0.5, 0.0], [-0.0, 1.0]])])
+# Grids past one 4096-value block of the renderer, so values meet block seams:
+# integer counts, values falling to 1e-70 (exponent notation from row 5 on),
+# complex cells of mixed magnitudes and the renderer's seams.
+@example(grids=[np.random.default_rng(5).poisson(50.0, (67, 67)).astype(float)])
+@example(grids=[np.random.default_rng(6).random((70, 70)) * 10.0 ** -np.arange(70)[:, None]])
+@example(grids=list(np.random.default_rng(7).standard_normal((2, 45, 50))
+                    * 10.0 ** np.random.default_rng(8).integers(-30, 25, (2, 45, 50))))
+@example(grids=[np.resize(np.array(_RENDER_EDGES), (90, 51))])
 def test_write_cells_matches_the_per_cell_writer_and_reads_back_exactly(tmp_path, grids):
     rows, cols = grids[0].shape
     header = ["rows,cols", f"{rows},{cols}"]
@@ -248,6 +299,32 @@ def test_write_cells_matches_the_per_cell_writer_and_reads_back_exactly(tmp_path
     assert read_header == header
     np.testing.assert_array_equal(back.view(np.int64),
                                   np.stack(grids, axis=-1).view(np.int64))
+
+
+@pytest.mark.parametrize("render_min", [numerics._RENDER_MIN, 0])
+def test_every_written_grid_matches_the_per_cell_writer(tmp_path, monkeypatch, render_min):
+    """A d=7 run and an unscramble of its t_hat.csv write row-scaled
+    recovered tables, a predicted table in exponent notation and a
+    channel.csv of small entries; each file is the per-cell writer's bytes
+    for the grid read back from it. With render_min 0 the renderer also
+    prints the grids below _RENDER_MIN, which format() prints as written."""
+    monkeypatch.setattr(numerics, "_RENDER_MIN", render_min)
+    run, ops = tmp_path / "run", tmp_path / "ops"
+    assert cli.main(["run", "--scenario", "unscramble-certify", "--d", "7",
+                     "--n-modes", "60", "--exposure", "1e4", "--n-mc", "10",
+                     "--out", str(run)]) == 0
+    assert cli.main(["unscramble", "--t-hat", str(run / "t_hat.csv"), "--out", str(ops)]) == 0
+    texts = {path: path.read_text("ascii") for path in sorted(tmp_path.rglob("*.csv"))}
+    by_name = {path.name: text for path, text in texts.items()}
+    assert "row_scale" in by_name["recovered_tilted_0.csv"]
+    assert "e-" in by_name["predicted_standard.csv"]
+    assert "\n0,0,0.0" in by_name["channel.csv"]
+    reference = tmp_path / "reference.csv"
+    for path, text in texts.items():
+        columns, width = ("i,j,re,im", 2) if "\ni,j,re,im\n" in text else ("a,b,count", 1)
+        header, grid = numerics._read_cells(path, columns, width)
+        write_cells_per_cell(reference, header, columns, list(np.moveaxis(grid, -1, 0)))
+        assert path.read_bytes() == reference.read_bytes(), path
 
 
 @pytest.mark.parametrize("corruption", ["truncated", "duplicate", "out-of-range", "zz",

@@ -9,7 +9,9 @@
 # --scan-family standard, plus one such noisy unscramble-certify at d=31,
 # N=62 (two-digit family names), plus the simulate -> tomo -> unscramble
 # chain at d=5 with certify run on both the simulated and the predicted
-# tables, once more on the simulated ones with the --table flags in reverse
+# tables, the same chain without certify at d=67 (its 4489-cell tables and
+# 8978-value matrices span more than one of the writer's 4096-value blocks,
+# and its predicted tables print small entries in exponent notation), once more on the simulated ones with the --table flags in reverse
 # order (so the report's label -> path map is built in that order), and
 # once more on CRLF copies of the simulated tables, each with one empty
 # line between its first two cells, and
@@ -72,6 +74,10 @@ run_grid() {
     q "$src" "$out" simulate simulate --d 5 --n-modes 20 --seed 3 --exposure 1e4 --out sim
     q "$src" "$out" tomo tomo --scans sim/scans --out rec
     q "$src" "$out" unscramble unscramble --t-hat rec/t_hat.csv --out ops
+    q "$src" "$out" simulate-d67 simulate --d 67 --n-modes 134 --seed 3 --exposure 1e4 \
+        --out sim-d67
+    q "$src" "$out" tomo-d67 tomo --scans sim-d67/scans --out rec-d67
+    q "$src" "$out" unscramble-d67 unscramble --t-hat rec-d67/t_hat.csv --out ops-d67
     q "$src" "$out" certify-sim certify --standard sim/tables/standard.csv \
         "${sim_tables[@]}" --n-mc 40 --seed 3 --out cert-sim
     q "$src" "$out" certify-sim-reversed certify --standard sim/tables/standard.csv \
