@@ -12,7 +12,9 @@ All randomness flows from one root seed through named sub-streams (channel
 draws, each sampling stage, Monte-Carlo resampling), so any artifact can be
 reproduced in isolation. Reports are canonical JSON: same config and seed
 give byte-identical output. A report's tables block names each table's CSV
-file and its SHA-256 rather than repeating the counts.
+file and its SHA-256 rather than repeating the counts. Each command writes
+through one output object, `_Output`, which stages its files beside --out
+and moves them in only once the command has succeeded.
 
 Every scenario, and `simulate`, is a short sequence of shared stages: draw
 the medium, scan it, reconstruct its transmission matrix, build the
@@ -30,12 +32,13 @@ another. exposure = inf is the noiseless mode.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import numbers
 import os
+import shutil
 import sys
+import tempfile
 from dataclasses import asdict, dataclass, replace
 from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
@@ -136,80 +139,112 @@ def config_from_dict(data: Dict[str, object]) -> ScenarioConfig:
 
 
 def _sanitize(obj):
-    """Make reports JSON-safe: numpy scalars/arrays to plain Python."""
+    """Make reports JSON-safe: numpy values to plain Python, infinities to "inf"."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        obj = obj.tolist()
     if isinstance(obj, dict):
         return {str(k): _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_sanitize(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_sanitize(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, float)):
-        f = float(obj)
-        if math.isinf(f):
-            return "inf"
-        return f
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
+    if isinstance(obj, float) and math.isinf(obj):
+        return "inf"
     return obj
 
 
-def _write_json(path: str, obj) -> None:
-    """Write canonical JSON: sorted keys, fixed indentation, full precision."""
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(json.dumps(_sanitize(obj), sort_keys=True, indent=2,
-                            allow_nan=False) + "\n")
+def _canonical(obj) -> str:
+    """Canonical JSON text: sorted keys, fixed indentation, full precision."""
+    return json.dumps(_sanitize(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def emit_report(report: Dict[str, object], out_dir: str) -> str:
+    """Write a report to <out_dir>/report.json and return that path."""
     path = os.path.join(out_dir, "report.json")
-    _write_json(path, report)
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(_canonical(report))
     return path
 
 
-def _report(scenario: str, results: Dict[str, object],
-            tables: Dict[str, Tuple[str, str]], out_dir: str) -> Dict[str, object]:
-    """Report skeleton whose tables block points at each table's CSV file.
+class _Output:
+    """Every file one command writes, staged beside out_dir and committed whole.
 
-    `tables` maps each label to the file's path and the SHA-256 of its
-    bytes; the report gives the path relative to out_dir, where it is
-    written.
+    Construction rejects an out_dir that is not a directory or cannot be
+    made, and makes the staging directory. Leaving the `with` block normally
+    moves each top-level entry written into out_dir with one rename, and it
+    replaces the entry of that name whole; entries not written stay. Leaving
+    it by an exception changes nothing under out_dir. `tables` is the
+    report's tables block: by label, each table's path from out_dir and the
+    SHA-256 of its bytes.
     """
-    return {"schema": REPORT_SCHEMA, "scenario": scenario, "results": results,
-            "tables": {label: {"path": os.path.relpath(path, out_dir).replace(os.sep, "/"),
-                               "sha256": digest}
-                       for label, (path, digest) in tables.items()}}
 
+    def __init__(self, out_dir: str) -> None:
+        self.out_dir = out_dir
+        self.tables: Dict[str, Dict[str, str]] = {}
+        if os.path.lexists(out_dir) and not os.path.isdir(out_dir):
+            raise ConfigError(f"--out {out_dir} exists and is not a directory")
+        real = os.path.realpath(out_dir)
+        # A rename cannot leave its file system: a mount point stages inside.
+        parent, name = (real, "") if os.path.ismount(real) else os.path.split(real)
+        try:
+            os.makedirs(parent, exist_ok=True)
+            self.stage = tempfile.mkdtemp(prefix=f".{name}.", suffix=".staging", dir=parent)
+        except OSError as exc:
+            raise ConfigError(f"--out {out_dir} cannot be written: {exc}") from exc
 
-def _hashed(path: str) -> Tuple[str, str]:
-    """A table file that was read, not written: its path and the SHA-256 of
-    its bytes."""
-    with open(path, "rb") as fh:
-        return path, hashlib.sha256(fh.read()).hexdigest()
+    def __enter__(self) -> "_Output":
+        return self
 
+    def __exit__(self, kind, exc, tb) -> None:
+        try:
+            if kind is None:
+                os.makedirs(self.out_dir, exist_ok=True)
+                for name in sorted(os.listdir(self.stage)):
+                    staged = os.path.join(self.stage, name)
+                    target = os.path.join(self.out_dir, name)
+                    # A rename cannot put anything over a directory, nor a
+                    # directory over a file: such an old entry moves into the
+                    # staging directory first, as .<name> (no name written
+                    # starts with a dot), and is removed with it.
+                    if os.path.lexists(target) and (os.path.isdir(target)
+                                                    or os.path.isdir(staged)):
+                        os.replace(target, os.path.join(self.stage, "." + name))
+                    os.replace(staged, target)
+        finally:
+            shutil.rmtree(self.stage, ignore_errors=True)
 
-def _save_table(directory: str, table: measure.CountTable,
-                name: Optional[str] = None) -> Tuple[str, str]:
-    """Write a table to <directory>/<name>.csv and return that path and the
-    SHA-256 of the bytes written.
+    def path(self, rel: str) -> str:
+        """The staged path of `rel`, its directory made."""
+        path = os.path.join(self.stage, rel)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        return path
 
-    A table's name defaults to its label with ':' replaced by '_'.
-    """
-    if name is None:
-        name = table.basis_label_a.replace(":", "_")
-    path = os.path.join(directory, name + ".csv")
-    return path, measure.save_count_table(path, table)
+    def json(self, rel: str, obj) -> None:
+        with open(self.path(rel), "w", encoding="ascii", newline="\n") as fh:
+            fh.write(_canonical(obj))
 
+    def measured(self, table: measure.CountTable) -> measure.CountTable:
+        """Write a measured table to tables/<label>.csv, ':' as '_', name it in
+        the tables block and pass it on."""
+        path = "tables/" + table.basis_label_a.replace(":", "_") + ".csv"
+        digest = measure.save_count_table(self.path(path), table)
+        self.tables[table.basis_label_a] = {"path": path, "sha256": digest}
+        return table
 
-def _saving(directory: str, tables: Iterable[measure.CountTable],
-            paths: Dict[str, Tuple[str, str]]) -> Iterator[measure.CountTable]:
-    """Write each table as it passes and map its label to its path and
-    digest in `paths`."""
-    for table in tables:
-        paths[table.basis_label_a] = _save_table(directory, table)
-        yield table
+    def read(self, path: str) -> measure.CountTable:
+        """Read an input table and name it in the tables block, with the
+        SHA-256 of the bytes read."""
+        table, digest = measure.read_count_table(path)
+        self.tables[table.basis_label_a] = {
+            "path": os.path.relpath(path, self.out_dir).replace(os.sep, "/"),
+            "sha256": digest}
+        return table
+
+    def report(self, scenario: str, results: Dict[str, object],
+               **extra: object) -> Dict[str, object]:
+        """Write report.json and return the report."""
+        report = {"schema": REPORT_SCHEMA, "scenario": scenario, "results": results,
+                  "tables": self.tables, **extra}
+        emit_report(report, self.stage)
+        return report
 
 
 # ---------------------------------------------------------------------------
@@ -218,15 +253,15 @@ def _saving(directory: str, tables: Iterable[measure.CountTable],
 # ---------------------------------------------------------------------------
 
 
-def _draw_channel(cfg: ScenarioConfig, out_dir: str) -> channel.ChannelModel:
+def _draw_channel(cfg: ScenarioConfig, out: _Output) -> channel.ChannelModel:
     """Draw the medium from the channel sub-stream and save it."""
     ch = channel.haar_channel(cfg.d, cfg.n_modes,
                               numerics.substream(cfg.seed, _STREAM_CHANNEL))
-    channel.save_channel(os.path.join(out_dir, "channel"), ch)
+    channel.save_channel(out.path("channel"), ch)
     return ch
 
 
-def _scan(cfg: ScenarioConfig, ch: channel.ChannelModel, out_dir: str):
+def _scan(cfg: ScenarioConfig, ch: channel.ChannelModel, out: _Output):
     """Run the S and E phase-step scans through the medium, reference lit.
 
     Saves the scan bundle and returns the scanned state, both scans' step
@@ -236,18 +271,16 @@ def _scan(cfg: ScenarioConfig, ch: channel.ChannelModel, out_dir: str):
     full = channel.transmitted_state(ch, cfg.reference_amplitude)
     s_tabs, e_tabs = (scan(full, family, cfg.exposure, cfg.seed, cfg.dark_rate)
                       for scan in (measure.phase_step_scan_s, measure.phase_step_scan_e))
-    scan_dir = os.path.join(out_dir, "scans")
     for kind, tabs in (("s", s_tabs), ("e", e_tabs)):
         for step, table in enumerate(tabs):
-            _save_table(scan_dir, table, f"{kind}_step{step}")
-    meta = {
+            measure.save_count_table(out.path(f"scans/{kind}_step{step}.csv"), table)
+    out.json("scans/meta.json", {
         "family": family.kind,
         "d": family.dim,
         "theta_grid": list(measure.THETA_GRID),
-        "exposure": "inf" if math.isinf(cfg.exposure) else cfg.exposure,
+        "exposure": cfg.exposure,
         "seed": cfg.seed,
-    }
-    _write_json(os.path.join(scan_dir, "meta.json"), meta)
+    })
     return full, s_tabs, e_tabs, family
 
 
@@ -267,29 +300,20 @@ def _load_scan_bundle(scan_dir: str):
     return s_tabs, e_tabs, family
 
 
-def _save_t_hat(out_dir: str, recon: tomo.Reconstruction) -> None:
+def _reconstruct(out: _Output, s_tabs, e_tabs, family: bases.BasisFamily,
+                 **kwargs) -> tomo.Reconstruction:
+    """Reconstruct the transmission matrix from the scans and save it."""
+    recon = tomo.reconstruct(s_tabs, e_tabs, family=family, **kwargs)
     t = recon.t
-    numerics.save_matrix_csv(os.path.join(out_dir, "t_hat.csv"), t.matrix)
-    meta = {
+    numerics.save_matrix_csv(out.path("t_hat.csv"), t.matrix)
+    out.json("t_hat.json", {
         "dim": t.dim,
         "includes_reference": t.includes_reference,
         "basis_tag": None if t.basis_tag is None else t.basis_tag.kind,
         "e_ratio": recon.e_ratio,
         "condition_number": recon.condition_number,
-    }
-    _write_json(os.path.join(out_dir, "t_hat.json"), meta)
-
-
-def _scan_and_reconstruct(cfg: ScenarioConfig, ch: channel.ChannelModel,
-                          out_dir: str):
-    """Scan the medium, then reconstruct and save its transmission matrix.
-
-    Returns the scanned state and the reconstruction.
-    """
-    full, s_tabs, e_tabs, family = _scan(cfg, ch, out_dir)
-    recon = tomo.reconstruct(s_tabs, e_tabs, family=family)
-    _save_t_hat(out_dir, recon)
-    return full, recon
+    })
+    return recon
 
 
 def _load_t_hat(path: str) -> channel.EffectiveT:
@@ -308,32 +332,29 @@ def _load_t_hat(path: str) -> channel.EffectiveT:
                               basis_tag=family)
 
 
-def _build_ops(t: channel.EffectiveT,
-               out_dir: str) -> unscramble.UnscrambleOperators:
+def _build_ops(t: channel.EffectiveT, out: _Output) -> unscramble.UnscrambleOperators:
     """Invert a transmission matrix into the correction and save it."""
     ops = unscramble.build_w(t)
-    u_dir = os.path.join(out_dir, "unscramble")
-    numerics.save_matrix_csv(os.path.join(u_dir, "w_alice.csv"), ops.normalized_w)
-    numerics.save_matrix_csv(os.path.join(u_dir, "m_bob.csv"), ops.m_bob)
-    meta = {
+    numerics.save_matrix_csv(out.path("unscramble/w_alice.csv"), ops.normalized_w)
+    numerics.save_matrix_csv(out.path("unscramble/m_bob.csv"), ops.m_bob)
+    out.json("unscramble/meta.json", {
         "dim": ops.dim,
         "basis_kind": ops.basis_kind,
         "eta": ops.eta,
         "condition_number": ops.condition_number,
-    }
-    _write_json(os.path.join(u_dir, "meta.json"), meta)
+    })
     return ops
 
 
-def _measure_tables(cfg: ScenarioConfig, state: states.BipartiteState,
+def _measure_tables(cfg: ScenarioConfig, state: states.BipartiteState, out: _Output,
                     ops: Optional[unscramble.UnscrambleOperators] = None,
                     target: Optional[certify.TargetState] = None
                     ) -> Tuple[measure.CountTable, Iterator[measure.CountTable],
                                certify.TargetState]:
     """The standard table and the d rotated-family tables, each its own
-    acquisition; returns the standard table, a generator that measures the
-    rotated tables one at a time as they are asked for, and the
-    certification target.
+    acquisition and each written through `out` as it is measured; returns
+    the standard table, an iterator that measures the rotated tables one at
+    a time as they are asked for, and the certification target.
 
     Without ops the state is measured directly in the standard and unbiased
     families against the uniform target. With ops the measurements go
@@ -342,16 +363,16 @@ def _measure_tables(cfg: ScenarioConfig, state: states.BipartiteState,
     """
     if ops is None:
         def direct(family: bases.BasisFamily) -> measure.CountTable:
-            return measure.measure_correlations(state, family, cfg.exposure, cfg.seed,
-                                                cfg.dark_rate)
+            return out.measured(measure.measure_correlations(
+                state, family, cfg.exposure, cfg.seed, cfg.dark_rate))
 
         return (direct(bases.standard_family(cfg.d)),
                 (direct(bases.mub(cfg.d, r)) for r in range(cfg.d)),
                 certify.TargetState.uniform(cfg.d))
 
     def recovered(v: Optional[unscramble.VOperator]) -> measure.CountTable:
-        return unscramble.measure_recovered(state, ops, v, cfg.exposure, cfg.seed,
-                                            dark_rate=cfg.dark_rate)
+        return out.measured(unscramble.measure_recovered(
+            state, ops, v, cfg.exposure, cfg.seed, dark_rate=cfg.dark_rate))
 
     std = recovered(None)
     if target is None:
@@ -379,44 +400,28 @@ def _certify(standard: measure.CountTable, families: Iterable[measure.CountTable
     }
 
 
-def _certify_saved(out_dir: str, standard: measure.CountTable,
-                   families: Iterable[measure.CountTable],
-                   target: Optional[certify.TargetState], n_mc: int, seed: int
-                   ) -> Tuple[certify.CertificationReport, Dict[str, object],
-                              Dict[str, Tuple[str, str]]]:
-    """Write the standard table to <out_dir>/tables, then pass each family
-    table through its write into certification; returns the certification,
-    its results block and each table's path and digest by label."""
-    table_dir = os.path.join(out_dir, "tables")
-    paths = {standard.basis_label_a: _save_table(table_dir, standard)}
-    rep, results = _certify(standard, _saving(table_dir, families, paths), target,
-                            n_mc, seed)
-    return rep, results, paths
-
-
 # ---------------------------------------------------------------------------
-# Scenarios: each writes its tables as it measures them and returns its
-# results block and each table's path and digest by label
+# Scenarios: each writes its artifacts through the output object, its tables
+# as it measures them, and returns its results block
 # ---------------------------------------------------------------------------
 
 
-def _scenario_direct(cfg: ScenarioConfig, out_dir: str):
+def _scenario_direct(cfg: ScenarioConfig, out: _Output):
     """baseline measures the source state itself; scramble measures it
     after a medium, with no correction."""
     if cfg.scenario == "baseline":
         state = states.max_entangled(cfg.d)
     else:
-        state = channel.transmitted_state(_draw_channel(cfg, out_dir))
-    rep, results, paths = _certify_saved(out_dir, *_measure_tables(cfg, state),
-                                         cfg.n_mc, cfg.seed)
+        state = channel.transmitted_state(_draw_channel(cfg, out))
+    rep, results = _certify(*_measure_tables(cfg, state, out), cfg.n_mc, cfg.seed)
     if cfg.scenario == "scramble":
         results["certified"] = rep.entangled
-    return results, paths
+    return results
 
 
-def _scenario_tomography(cfg: ScenarioConfig, out_dir: str):
-    ch = _draw_channel(cfg, out_dir)
-    _, recon = _scan_and_reconstruct(cfg, ch, out_dir)
+def _scenario_tomography(cfg: ScenarioConfig, out: _Output):
+    ch = _draw_channel(cfg, out)
+    recon = _reconstruct(out, *_scan(cfg, ch, out)[1:])
     family = recon.t.basis_tag
     oracle = bases.rotate_matrix(channel.effective_t(ch).matrix, family)
     return {
@@ -424,48 +429,47 @@ def _scenario_tomography(cfg: ScenarioConfig, out_dir: str):
         "e_ratio": recon.e_ratio,
         "condition_number": recon.condition_number,
         "basis_tag": family.kind,
-    }, {}
+    }
 
 
-def _scenario_unscramble_certify(cfg: ScenarioConfig, out_dir: str):
-    full, recon = _scan_and_reconstruct(cfg, _draw_channel(cfg, out_dir), out_dir)
-    ops = _build_ops(recon.t, out_dir)
-    _, results, paths = _certify_saved(
-        out_dir, *_measure_tables(cfg, channel.drop_reference(full), ops),
-        cfg.n_mc, cfg.seed)
+def _scenario_unscramble_certify(cfg: ScenarioConfig, out: _Output):
+    full, *scans = _scan(cfg, _draw_channel(cfg, out), out)
+    recon = _reconstruct(out, *scans)
+    ops = _build_ops(recon.t, out)
+    _, results = _certify(*_measure_tables(cfg, channel.drop_reference(full), out, ops),
+                          cfg.n_mc, cfg.seed)
     results["reconstruction"] = {
         "e_ratio": recon.e_ratio,
         "condition_number": recon.condition_number,
     }
     results["eta"] = ops.eta
-    return results, paths
+    return results
 
 
-def _scenario_two_channel(cfg: ScenarioConfig, out_dir: str):
+def _scenario_two_channel(cfg: ScenarioConfig, out: _Output):
     u_a, u_b = (numerics.haar_unitary(
         cfg.d, numerics.substream(cfg.seed, _STREAM_CHANNEL, side)) for side in (0, 1))
-    numerics.save_matrix_csv(os.path.join(out_dir, "u_alice.csv"), u_a)
-    numerics.save_matrix_csv(os.path.join(out_dir, "u_bob.csv"), u_b)
+    numerics.save_matrix_csv(out.path("u_alice.csv"), u_a)
+    numerics.save_matrix_csv(out.path("u_bob.csv"), u_b)
     phi = states.max_entangled(cfg.d)
     two_sided = states.apply_one_sided(phi, u_a, u_b)
     combined = channel.compose_two_channels(u_a, u_b)
     one_sided = states.apply_one_sided(phi, None, combined.matrix)
-    _, results, paths = _certify_saved(
-        out_dir, *_measure_tables(cfg, two_sided, _build_ops(combined, out_dir)),
-        cfg.n_mc, cfg.seed)
+    _, results = _certify(*_measure_tables(cfg, two_sided, out, _build_ops(combined, out)),
+                          cfg.n_mc, cfg.seed)
     results["equivalence_residual"] = float(
         np.max(np.abs(two_sided.coeffs - one_sided.coeffs)))
-    return results, paths
+    return results
 
 
-def _scenario_fixture_a1(cfg: ScenarioConfig, out_dir: str):
+def _scenario_fixture_a1(cfg: ScenarioConfig, out: _Output):
     t_meas = channel.load_fixture_tm0()
     target = certify.TargetState(dim=7, lambdas=channel.load_fixture_lambda())
     t_std = bases.rotate_matrix(t_meas.matrix, t_meas.basis_tag, inverse=True)
     state = channel.choi_state(channel.EffectiveT(matrix=t_std))
     # The fixture is evaluated exactly, whatever exposure and dark rate are set.
     exact = replace(cfg, exposure=measure.NOISELESS, dark_rate=0.0)
-    std, families, _ = _measure_tables(exact, state, _build_ops(t_meas, out_dir), target)
+    std, families, _ = _measure_tables(exact, state, out, _build_ops(t_meas, out), target)
     dominant = []
 
     def checked(tables: Iterable[measure.CountTable]) -> Iterator[measure.CountTable]:
@@ -476,13 +480,12 @@ def _scenario_fixture_a1(cfg: ScenarioConfig, out_dir: str):
                 np.diag(probs) >= np.max(probs - np.diag(np.diag(probs)), axis=1))))
             yield table
 
-    rep, results, paths = _certify_saved(out_dir, std, checked(families), target, 0,
-                                         cfg.seed)
+    rep, results = _certify(std, checked(families), target, 0, cfg.seed)
     results["b5"] = rep.bounds[4]
     results["lambda_fixture"] = target.lambdas
     results["lambda_recovered"] = certify.estimate_lambda(std).lambdas
     results["tilted_diagonal_dominant"] = dominant
-    return results, paths
+    return results
 
 
 _SCENARIO_RUNNERS = {
@@ -498,14 +501,12 @@ _SCENARIOS = tuple(_SCENARIO_RUNNERS)
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir: str) -> Dict[str, object]:
-    """Execute a scenario, writing artifacts and the final report."""
-    os.makedirs(out_dir, exist_ok=True)
-    _write_json(os.path.join(out_dir, "config.json"), config_to_dict(cfg))
-    results, paths = _SCENARIO_RUNNERS[cfg.scenario](cfg, out_dir)
-    report = _report(cfg.scenario, results, paths, out_dir)
-    report["config"] = config_to_dict(cfg)
-    emit_report(report, out_dir)
-    return report
+    """Execute a scenario and commit its artifacts and report to out_dir;
+    returns the report."""
+    with _Output(out_dir) as out:
+        out.json("config.json", config_to_dict(cfg))
+        results = _SCENARIO_RUNNERS[cfg.scenario](cfg, out)
+        return out.report(cfg.scenario, results, config=config_to_dict(cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +525,6 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
                    help="source weight of the reference mode")
     p.add_argument("--n-mc", type=int, help="Monte-Carlo resamples for error bars")
     p.add_argument("--scan-family", help="scan basis: standard or mub:r")
-    p.add_argument("--out", default="out", help="output directory")
 
 
 def _resolve_config(args: argparse.Namespace, scenario: str) -> ScenarioConfig:
@@ -537,9 +537,7 @@ def _resolve_config(args: argparse.Namespace, scenario: str) -> ScenarioConfig:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")
-    data["scenario"] = data.get("scenario", scenario)
-    if scenario:
-        data["scenario"] = scenario
+    data["scenario"] = scenario
     overrides = {
         "d": args.d,
         "n_modes": args.n_modes,
@@ -570,64 +568,60 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     for spec in args.basis or []:
         bases.parse_basis_spec(spec, cfg.d)  # a bad spec fails before any write
     specs = args.basis or ["standard"] + [f"mub:{r}" for r in range(cfg.d)]
-    ch = _draw_channel(cfg, args.out)
-    _scan(cfg, ch, args.out)
-    logical = channel.transmitted_state(ch)
-    table_dir = os.path.join(args.out, "tables")
-    for spec in specs:
-        _save_table(table_dir, measure.measure_correlations(
-            logical, bases.parse_basis_spec(spec, cfg.d), cfg.exposure, cfg.seed,
-            cfg.dark_rate))
+    with _Output(args.out) as out:
+        ch = _draw_channel(cfg, out)
+        _scan(cfg, ch, out)
+        logical = channel.transmitted_state(ch)
+        for spec in specs:
+            out.measured(measure.measure_correlations(
+                logical, bases.parse_basis_spec(spec, cfg.d), cfg.exposure, cfg.seed,
+                cfg.dark_rate))
     print(f"wrote channel, scan bundle and {len(specs)} tables to {args.out}")
     return 0
 
 
 def _cmd_tomo(args: argparse.Namespace) -> int:
-    s_tabs, e_tabs, family = _load_scan_bundle(args.scans)
-    recon = tomo.reconstruct(s_tabs, e_tabs, family=family,
-                             ref_floor=args.ref_floor)
-    _save_t_hat(args.out, recon)
+    with _Output(args.out) as out:
+        recon = _reconstruct(out, *_load_scan_bundle(args.scans), ref_floor=args.ref_floor)
     print(f"reconstructed {recon.t.dim}x{recon.t.dim} matrix "
-          f"(family {family.kind}, e_ratio {recon.e_ratio:.3e}, "
+          f"(family {recon.t.basis_tag.kind}, e_ratio {recon.e_ratio:.3e}, "
           f"condition number {recon.condition_number:.2f})")
     return 0
 
 
-def _save_prediction(directory: str, state: states.BipartiteState,
+def _save_prediction(out: _Output, state: states.BipartiteState,
                      ops: unscramble.UnscrambleOperators,
                      v: Optional[unscramble.VOperator]) -> None:
     """Write the noiseless table the correction predicts through V_r (the
-    standard one for v None) to <directory>/predicted_<kind>.csv."""
+    standard one for v None) to unscramble/predicted_<kind>.csv."""
     kind = "standard" if v is None else v.kind
     table = measure.CountTable(counts=unscramble.predict_table(state, ops, v),
                                basis_label_a=f"recovered:{kind}",
                                basis_label_b=f"recovered:{kind}*",
                                exposure=measure.NOISELESS)
-    _save_table(directory, table, "predicted_" + kind.replace(":", "_"))
+    measure.save_count_table(
+        out.path("unscramble/predicted_" + kind.replace(":", "_") + ".csv"), table)
 
 
 def _cmd_unscramble(args: argparse.Namespace) -> int:
-    t = _load_t_hat(args.t_hat)
-    lambdas = None
-    if args.lambdas:
-        lambdas = _load_lambda_file(args.lambdas, t.dim)
-    ops = _build_ops(t, args.out)
-    if t.basis_tag is not None:
-        t_std = bases.rotate_matrix(t.matrix, t.basis_tag, inverse=True)
-    else:
-        t_std = t.matrix
-    state = channel.choi_state(channel.EffectiveT(matrix=t_std))
-    u_dir = os.path.join(args.out, "unscramble")
-    _save_prediction(u_dir, state, ops, None)
-    zeta_meta = {}
-    for r in range(t.dim):
-        v = unscramble.build_v(ops, r, lambdas)
-        numerics.save_matrix_csv(
-            os.path.join(u_dir, f"v_alice_{r}.csv"), v.normalized_v)
-        _save_prediction(u_dir, state, ops, v)
-        zeta_meta[v.kind] = v.zeta
-    _write_json(os.path.join(u_dir, "zeta.json"), zeta_meta)
-    print(f"wrote unscrambling operators and predictions to {u_dir} "
+    with _Output(args.out) as out:
+        t = _load_t_hat(args.t_hat)
+        lambdas = _load_lambda_file(args.lambdas, t.dim) if args.lambdas else None
+        ops = _build_ops(t, out)
+        t_std = (t.matrix if t.basis_tag is None
+                 else bases.rotate_matrix(t.matrix, t.basis_tag, inverse=True))
+        state = channel.choi_state(channel.EffectiveT(matrix=t_std))
+        _save_prediction(out, state, ops, None)
+        zeta_meta = {}
+        for r in range(t.dim):
+            v = unscramble.build_v(ops, r, lambdas)
+            numerics.save_matrix_csv(out.path(f"unscramble/v_alice_{r}.csv"),
+                                     v.normalized_v)
+            _save_prediction(out, state, ops, v)
+            zeta_meta[v.kind] = v.zeta
+        out.json("unscramble/zeta.json", zeta_meta)
+    print(f"wrote unscrambling operators and predictions to "
+          f"{os.path.join(args.out, 'unscramble')} "
           f"(condition number {ops.condition_number:.2f})")
     return 0
 
@@ -656,23 +650,16 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         raise ConfigError("n_mc must be nonnegative")
     if args.seed < 0:
         raise ConfigError("seed must be nonnegative")
-    standard = measure.load_count_table(args.standard)
-    target = None
-    if args.target:
-        d = standard.counts.shape[0]
-        target = certify.TargetState(dim=d, lambdas=_load_lambda_file(args.target, d))
-    table_paths = {standard.basis_label_a: args.standard}
-
-    def loaded() -> Iterator[measure.CountTable]:
+    with _Output(args.out) as out:
+        standard = out.read(args.standard)
+        target = None
+        if args.target:
+            d = standard.counts.shape[0]
+            target = certify.TargetState(dim=d, lambdas=_load_lambda_file(args.target, d))
         # Each family table is read as certification asks for it.
-        for path in args.table:
-            table = measure.load_count_table(path)
-            table_paths[table.basis_label_a] = path
-            yield table
-
-    rep, results = _certify(standard, loaded(), target, args.n_mc, args.seed)
-    read = {label: _hashed(path) for label, path in table_paths.items()}
-    emit_report(_report("certify", results, read, args.out), args.out)
+        rep, results = _certify(standard, map(out.read, args.table), target, args.n_mc,
+                                args.seed)
+        out.report("certify", results)
     print(rep.summary())
     _require_dent(args.require_dent, rep.d_ent)
     return 0
@@ -705,14 +692,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_tomo = sub.add_parser("tomo", help="reconstruct T from a scan bundle")
     p_tomo.add_argument("--scans", required=True, help="scan bundle directory")
-    p_tomo.add_argument("--out", default="out", help="output directory")
     p_tomo.add_argument("--ref-floor", type=float, default=1e-6,
                         help="relative reference-interference floor")
     p_tomo.set_defaults(handler=_cmd_tomo)
 
     p_un = sub.add_parser("unscramble", help="build corrective operators")
     p_un.add_argument("--t-hat", required=True, help="t_hat.csv path")
-    p_un.add_argument("--out", default="out", help="output directory")
     p_un.add_argument("--lambdas", help="target spectrum JSON for tilted probes")
     p_un.set_defaults(handler=_cmd_unscramble)
 
@@ -724,7 +709,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("--target", help="target spectrum JSON")
     p_cert.add_argument("--n-mc", type=int, default=1000)
     p_cert.add_argument("--seed", type=int, default=0)
-    p_cert.add_argument("--out", default="out", help="output directory")
     p_cert.add_argument("--require-dent", type=int,
                         help="exit 4 unless d_ent reaches this")
     p_cert.set_defaults(handler=_cmd_certify)
@@ -735,6 +719,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--require-dent", type=int,
                        help="exit 4 unless d_ent reaches this")
     p_run.set_defaults(handler=_cmd_run)
+    for p in sub.choices.values():
+        p.add_argument("--out", default="out", help="output directory")
     return parser
 
 

@@ -15,10 +15,11 @@ never guess.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import os
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -279,7 +280,14 @@ def save_count_table(path: Union[str, os.PathLike], table: CountTable) -> str:
 
 
 def load_count_table(path: Union[str, os.PathLike]) -> CountTable:
-    header, grid = numerics._read_cells(path, "a,b,count", 1)
+    return read_count_table(path)[0]
+
+
+def read_count_table(path: Union[str, os.PathLike]) -> Tuple[CountTable, str]:
+    """A table as load_count_table reads it, and the SHA-256 hex digest of
+    the file's bytes, from one read."""
+    digest = hashlib.sha256()
+    header, grid = numerics._read_cells(path, "a,b,count", 1, digest)
     if (len(header) not in (2, 4) or header[0] != "basisA,basisB,exposure,seed"
             or header[2:3] not in ([], ["row_scale"])):
         raise FormatError(f"{path}: not a count-table CSV")
@@ -293,4 +301,4 @@ def load_count_table(path: Union[str, os.PathLike]) -> CountTable:
     except ValueError as exc:
         raise FormatError(f"{path}: malformed count-table header ({exc})") from exc
     return CountTable(counts=grid[:, :, 0], basis_label_a=label_a, basis_label_b=label_b,
-                      exposure=exposure, seed=seed, row_scale=row_scale)
+                      exposure=exposure, seed=seed, row_scale=row_scale), digest.hexdigest()

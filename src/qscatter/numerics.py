@@ -394,8 +394,8 @@ def _write_cells(path: Union[str, os.PathLike], header: Sequence[str],
     return digest.hexdigest()
 
 
-def _read_cells(path: Union[str, os.PathLike], columns: str,
-                width: int) -> Tuple[List[str], np.ndarray]:
+def _read_cells(path: Union[str, os.PathLike], columns: str, width: int,
+                digest=None) -> Tuple[List[str], np.ndarray]:
     """Read a file written by _write_cells with `width` values per cell.
 
     Returns the header lines above `columns`, stripped and without empty
@@ -407,13 +407,18 @@ def _read_cells(path: Union[str, os.PathLike], columns: str,
     be LF or CRLF, and empty lines and spaces around fields are skipped, but
     a cell line holding only whitespace is malformed. Cells out of the
     writer's order are judged by sorting them, and the lowest duplicate,
-    then the lowest missing cell is named.
+    then the lowest missing cell is named. A hashlib object given as
+    `digest` is fed the file's bytes as read.
     """
     try:
-        with open(path, "r", encoding="ascii") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
+        # universal newlines, as text mode reads them
+        text = data.decode("ascii").replace("\r\n", "\n").replace("\r", "\n")
     except (OSError, UnicodeDecodeError) as exc:
         raise FormatError(f"{path}: cannot read: {exc}") from exc
+    if digest is not None:
+        digest.update(data)
     if text and not text.endswith("\n"):
         raise FormatError(f"{path}: last line has no newline; the file was cut short")
     lines = text.split("\n")

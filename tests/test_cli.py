@@ -1,10 +1,14 @@
 """Command-line interface: config handling, scenarios, exit codes."""
 
+import builtins
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import os
+import shutil
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -20,6 +24,61 @@ def _cfg(scenario="baseline", **kw):
     merged = dict(FAST, scenario=scenario)
     merged.update(kw)
     return cli.ScenarioConfig(**merged)
+
+
+def _tree(path):
+    """Every file under `path` by relative path, with its bytes, and every
+    directory, with None."""
+    tree = {}
+    for root, dirs, files in os.walk(path):
+        rel = os.path.relpath(root, path)
+        tree.update({os.path.join(rel, d): None for d in dirs})
+        for name in files:
+            with open(os.path.join(root, name), "rb") as fh:
+                tree[os.path.join(rel, name)] = fh.read()
+    return tree
+
+
+def _staging_dirs(path):
+    return [str(p) for p in path.rglob("*.staging")]
+
+
+@pytest.fixture(scope="module")
+def filled_out(tmp_path_factory):
+    """An --out that a successful unscramble-certify run filled with one
+    entry of every kind a command writes."""
+    out = tmp_path_factory.mktemp("filled") / "out"
+    assert cli.main(["run", "--scenario", "unscramble-certify", "--d", "3",
+                     "--n-modes", "8", "--exposure", "1e4", "--seed", "6",
+                     "--n-mc", "4", "--out", str(out)]) == 0
+    return out
+
+
+@pytest.fixture
+def fails(tmp_path, capsys, filled_out):
+    """fails(argv, code) runs main(argv + ["--out", ...]) twice: into a
+    missing --out, which must stay absent, and into a copy of filled_out,
+    which must keep every byte. Both must return `code` with the same
+    stderr and leave no staging directory; returns that stderr."""
+    count = itertools.count()
+
+    def run(argv, code):
+        k = next(count)
+        missing, filled = tmp_path / f"missing-{k}", tmp_path / f"filled-{k}"
+        shutil.copytree(filled_out, filled)
+        before = _tree(filled)
+        errs = []
+        for out in (missing, filled):
+            capsys.readouterr()
+            assert cli.main([*argv, "--out", str(out)]) == code
+            errs.append(capsys.readouterr().err)
+        assert not missing.exists()
+        assert _tree(filled) == before
+        assert _staging_dirs(tmp_path) == []
+        assert errs[0] == errs[1]
+        return errs[0]
+
+    return run
 
 
 @pytest.mark.parametrize("overrides", [
@@ -100,21 +159,19 @@ def test_run_scenario_two_channel_equivalence(tmp_path):
     assert res["d_ent"] == 3
 
 
-def test_main_run_exit_codes(tmp_path):
+def test_main_run_exit_codes(tmp_path, fails):
     ok = cli.main(["run", "--scenario", "baseline", "--d", "3",
                    "--n-modes", "8", "--exposure", "inf", "--n-mc", "0",
                    "--out", str(tmp_path / "a")])
     assert ok == 0
-    bad_d = cli.main(["run", "--scenario", "baseline", "--d", "4",
-                      "--n-modes", "8", "--out", str(tmp_path / "b")])
-    assert bad_d == 2
+    fails(["run", "--scenario", "baseline", "--d", "4", "--n-modes", "8"], 2)
     unmet = cli.main(["run", "--scenario", "scramble", "--d", "3",
                       "--n-modes", "8", "--exposure", "inf", "--n-mc", "0",
                       "--require-dent", "2", "--out", str(tmp_path / "c")])
     assert unmet == 4
 
 
-def test_main_config_file_with_flag_overrides(tmp_path):
+def test_main_config_file_with_flag_overrides(tmp_path, fails):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(
         {"d": 3, "n_modes": 8, "exposure": "inf", "n_mc": 0, "seed": 1}))
@@ -129,8 +186,7 @@ def test_main_config_file_with_flag_overrides(tmp_path):
     assert stored["d"] == 3
     garbled = tmp_path / "garbled.json"
     garbled.write_text("not json")
-    assert cli.main(["run", "--scenario", "baseline",
-                     "--config", str(garbled), "--out", str(out)]) == 2
+    fails(["run", "--scenario", "baseline", "--config", str(garbled)], 2)
 
 
 def test_subcommand_chain(tmp_path):
@@ -167,7 +223,7 @@ def test_subcommand_chain(tmp_path):
     assert report["results"]["d_ent"] >= 2
 
 
-def test_malformed_json_sidecars_exit_2(tmp_path, capsys):
+def test_malformed_json_sidecars_exit_2(tmp_path, fails):
     sim = str(tmp_path / "sim")
     assert cli.main(["simulate", "--d", "3", "--n-modes", "8", "--exposure", "inf",
                      "--seed", "1", "--out", sim]) == 0
@@ -180,27 +236,20 @@ def test_malformed_json_sidecars_exit_2(tmp_path, capsys):
     del meta["d"]
     with open(meta_path, "w", encoding="ascii") as fh:
         json.dump(meta, fh)
-    capsys.readouterr()
-    assert cli.main(["tomo", "--scans", os.path.join(sim, "scans"),
-                     "--out", str(tmp_path / "o")]) == 2
-    err = capsys.readouterr().err
+    err = fails(["tomo", "--scans", os.path.join(sim, "scans")], 2)
     assert "'d'" in err and len(err.splitlines()) == 1
 
     meta["d"] = "three"
     with open(meta_path, "w", encoding="ascii") as fh:
         json.dump(meta, fh)
-    assert cli.main(["tomo", "--scans", os.path.join(sim, "scans"),
-                     "--out", str(tmp_path / "o")]) == 2
-    err = capsys.readouterr().err
+    err = fails(["tomo", "--scans", os.path.join(sim, "scans")], 2)
     assert "'d'" in err and len(err.splitlines()) == 1
 
     # meta.json naming a family the scan tables were not recorded in
     meta.update(d=3, family="mub:1")
     with open(meta_path, "w", encoding="ascii") as fh:
         json.dump(meta, fh)
-    assert cli.main(["tomo", "--scans", os.path.join(sim, "scans"),
-                     "--out", str(tmp_path / "o")]) == 2
-    err = capsys.readouterr().err
+    err = fails(["tomo", "--scans", os.path.join(sim, "scans")], 2)
     assert "mub:1" in err and len(err.splitlines()) == 1
 
     t_meta_path = os.path.join(rec, "t_hat.json")
@@ -209,40 +258,34 @@ def test_malformed_json_sidecars_exit_2(tmp_path, capsys):
     for key, value in (("includes_reference", "no"), ("basis_tag", 3)):
         with open(t_meta_path, "w", encoding="ascii") as fh:
             json.dump({**t_meta, key: value}, fh)
-        assert cli.main(["unscramble", "--t-hat", os.path.join(rec, "t_hat.csv"),
-                         "--out", str(tmp_path / "o")]) == 2
-        err = capsys.readouterr().err
+        err = fails(["unscramble", "--t-hat", os.path.join(rec, "t_hat.csv")], 2)
         assert f"'{key}'" in err and len(err.splitlines()) == 1
 
     with open(t_meta_path, "w", encoding="ascii") as fh:
         fh.write("{not json")
-    assert cli.main(["unscramble", "--t-hat", os.path.join(rec, "t_hat.csv"),
-                     "--out", str(tmp_path / "o")]) == 2
-    err = capsys.readouterr().err
+    err = fails(["unscramble", "--t-hat", os.path.join(rec, "t_hat.csv")], 2)
     assert "t_hat.json" in err and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("content", ["[1, 2]", '{"lambda": 5}',
                                      '{"lambda": [NaN, 0.5, 0.5]}'])
-def test_malformed_target_spectrum_exits_2(tmp_path, capsys, content):
+def test_malformed_target_spectrum_exits_2(tmp_path, fails, content):
     sim, rec = str(tmp_path / "sim"), str(tmp_path / "rec")
     assert cli.main(["simulate", "--d", "3", "--n-modes", "8", "--exposure", "inf",
                      "--seed", "1", "--out", sim]) == 0
     assert cli.main(["tomo", "--scans", os.path.join(sim, "scans"), "--out", rec]) == 0
     lam = tmp_path / "lam.json"
     lam.write_text(content)
-    capsys.readouterr()
     for argv in (["unscramble", "--t-hat", os.path.join(rec, "t_hat.csv"),
                   "--lambdas", str(lam)],
                  ["certify", "--standard", os.path.join(sim, "tables", "standard.csv"),
                   "--table", os.path.join(sim, "tables", "mub_0.csv"),
                   "--target", str(lam), "--n-mc", "0"]):
-        assert cli.main(argv + ["--out", str(tmp_path / "o")]) == 2
-        err = capsys.readouterr().err
+        err = fails(argv, 2)
         assert "lam.json" in err and len(err.splitlines()) == 1
 
 
-def test_target_spectrum_off_normalization_exits_2_from_both_commands(tmp_path, capsys):
+def test_target_spectrum_off_normalization_exits_2_from_both_commands(tmp_path, fails):
     # sum(lambda^2) = 1 + 1e-7: past the shared PROB_TOL slack of one check.
     sim, rec = str(tmp_path / "sim"), str(tmp_path / "rec")
     assert cli.main(["simulate", "--d", "3", "--n-modes", "8", "--exposure", "inf",
@@ -256,28 +299,21 @@ def test_target_spectrum_off_normalization_exits_2_from_both_commands(tmp_path, 
     assert cli.main(["unscramble", "--t-hat", os.path.join(rec, "t_hat.csv"),
                      "--lambdas", str(good_path), "--out", ops]) == 0
     predicted = os.path.join(ops, "unscramble", "predicted_{}.csv")
-    capsys.readouterr()
     for argv in (["unscramble", "--t-hat", os.path.join(rec, "t_hat.csv"),
                   "--lambdas", str(lam)],
                  ["certify", "--standard", predicted.format("standard"),
                   "--table", predicted.format("tilted_0"),
                   "--target", str(lam), "--n-mc", "0"]):
-        assert cli.main(argv + ["--out", str(tmp_path / "o")]) == 2
-        err = capsys.readouterr().err
+        err = fails(argv, 2)
         assert "sum(lambda^2)" in err and len(err.splitlines()) == 1
-        assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("argv", [
     ["run", "--scenario", "fixture-a1", "--d", "5", "--n-modes", "12"],
     ["simulate", "--d", "3", "--n-modes", "8", "--basis", "tilted:1"],
 ], ids=["fixture-a1-d5", "simulate-tilted-basis"])
-def test_config_errors_exit_2_before_any_output(tmp_path, capsys, argv):
-    out = tmp_path / "o"
-    capsys.readouterr()
-    assert cli.main(argv + ["--out", str(out)]) == 2
-    assert len(capsys.readouterr().err.splitlines()) == 1
-    assert not out.exists()
+def test_config_errors_exit_2_before_any_output(fails, argv):
+    assert len(fails(argv, 2).splitlines()) == 1
 
 
 @pytest.mark.parametrize("field,config,flags", [
@@ -293,25 +329,20 @@ def test_config_errors_exit_2_before_any_output(tmp_path, capsys, argv):
                     "--seed", "-1"]),
 ], ids=["n_mc-float", "scan_family-int", "d-string", "seed-bool", "dark_rate-nan",
         "reference_amplitude-nan", "certify-n_mc-negative", "certify-seed-negative"])
-def test_bad_settings_exit_2_naming_the_field(tmp_path, capsys, field, config, flags):
+def test_bad_settings_exit_2_naming_the_field(tmp_path, fails, field, config, flags):
     argv = flags
     if config is not None:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(
             {"d": 3, "n_modes": 8, "exposure": "inf", "n_mc": 0, **config}))
         argv = ["run", "--scenario", "baseline", "--config", str(cfg_path), *flags]
-    capsys.readouterr()
-    assert cli.main(argv + ["--out", str(tmp_path / "o")]) == 2
-    err = capsys.readouterr().err
+    err = fails(argv, 2)
     assert err.startswith(f"config error: {field} ") and len(err.splitlines()) == 1
-    assert not (tmp_path / "o" / "config.json").exists()
 
 
-def test_poisson_means_past_numpy_limit_exit_2(tmp_path, capsys):
-    capsys.readouterr()
-    assert cli.main(["run", "--scenario", "baseline", "--d", "3", "--n-modes", "8",
-                     "--exposure", "1e30", "--out", str(tmp_path / "run")]) == 2
-    err = capsys.readouterr().err
+def test_poisson_means_past_numpy_limit_exit_2(tmp_path, fails):
+    err = fails(["run", "--scenario", "baseline", "--d", "3", "--n-modes", "8",
+                 "--exposure", "1e30"], 2)
     assert "Poisson" in err and len(err.splitlines()) == 1
 
     sim = str(tmp_path / "sim")
@@ -324,13 +355,10 @@ def test_poisson_means_past_numpy_limit_exit_2(tmp_path, capsys):
     lines[lines.index("a,b,count") + 1] = "0,0,1e30"
     with open(standard, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
-    argv = ["certify", "--standard", standard, "--n-mc", "10",
-            "--out", str(tmp_path / "cert")]
+    argv = ["certify", "--standard", standard, "--n-mc", "10"]
     for r in range(3):
         argv += ["--table", os.path.join(tables, f"mub_{r}.csv")]
-    capsys.readouterr()
-    assert cli.main(argv) == 2
-    err = capsys.readouterr().err
+    err = fails(argv, 2)
     assert "Poisson" in err and len(err.splitlines()) == 1
 
 
@@ -346,25 +374,20 @@ def test_baseline_family_tables_draw_independent_noise(tmp_path):
             assert not np.array_equal(counts[a], counts[b]), (a, b)
 
 
-def test_tomo_missing_bundle_and_degenerate_reference(tmp_path, capsys):
-    assert cli.main(["tomo", "--scans", str(tmp_path / "nope"),
-                     "--out", str(tmp_path / "o")]) == 2
+def test_tomo_missing_bundle_and_degenerate_reference(tmp_path, fails):
+    fails(["tomo", "--scans", str(tmp_path / "nope")], 2)
     sim = str(tmp_path / "sim")
     assert cli.main(["simulate", "--d", "3", "--n-modes", "8",
                      "--exposure", "inf", "--seed", "1", "--out", sim]) == 0
-    code = cli.main(["tomo", "--scans", os.path.join(sim, "scans"),
-                     "--ref-floor", "0.999", "--out", str(tmp_path / "o2")])
-    assert code == 3
+    fails(["tomo", "--scans", os.path.join(sim, "scans"), "--ref-floor", "0.999"], 3)
     # A floor outside [0, 1) would switch the degenerate-reference check off.
     for floor in ("nan", "-1"):
-        capsys.readouterr()
-        assert cli.main(["tomo", "--scans", os.path.join(sim, "scans"),
-                         "--ref-floor", floor, "--out", str(tmp_path / "o3")]) == 2
-        err = capsys.readouterr().err
+        err = fails(["tomo", "--scans", os.path.join(sim, "scans"),
+                     "--ref-floor", floor], 2)
         assert "ref_floor" in err and len(err.splitlines()) == 1
 
 
-def test_tomo_with_a_zero_floor_rejects_a_zero_reference_entry(tmp_path, capsys):
+def test_tomo_with_a_zero_floor_rejects_a_zero_reference_entry(tmp_path, fails):
     """E entry 1 is made exactly 0 by giving that column one count in all
     four reference steps; --ref-floor 0 exits 3 with one stderr line."""
     sim = str(tmp_path / "sim")
@@ -376,14 +399,11 @@ def test_tomo_with_a_zero_floor_rejects_a_zero_reference_entry(tmp_path, capsys)
         counts = table.counts.copy()
         counts[0, 1] = 5.0
         measure.save_count_table(path, dataclasses.replace(table, counts=counts))
-    capsys.readouterr()
-    assert cli.main(["tomo", "--scans", os.path.join(sim, "scans"), "--ref-floor", "0",
-                     "--out", str(tmp_path / "o")]) == 3
-    err = capsys.readouterr().err
+    err = fails(["tomo", "--scans", os.path.join(sim, "scans"), "--ref-floor", "0"], 3)
     assert "family vector 1" in err and len(err.splitlines()) == 1
 
 
-def test_tomo_rejects_a_meta_d_other_than_the_table_width(tmp_path, capsys,
+def test_tomo_rejects_a_meta_d_other_than_the_table_width(tmp_path, fails,
                                                          monkeypatch):
     """meta.json's d is checked against the S tables before any family is
     built at that size."""
@@ -403,10 +423,7 @@ def test_tomo_rejects_a_meta_d_other_than_the_table_width(tmp_path, capsys,
         return parse(spec, d)
 
     monkeypatch.setattr(bases, "parse_basis_spec", recorded)
-    capsys.readouterr()
-    assert cli.main(["tomo", "--scans", os.path.join(sim, "scans"),
-                     "--out", str(tmp_path / "rec")]) == 2
-    err = capsys.readouterr().err
+    err = fails(["tomo", "--scans", os.path.join(sim, "scans")], 2)
     assert "meta.json" in err and len(err.splitlines()) == 1
     assert 11 not in dims
 
@@ -420,37 +437,33 @@ def test_tomo_rejects_a_meta_d_other_than_the_table_width(tmp_path, capsys,
     (["unscramble", "--t-hat"], "t_hat.csv",
      "rows,cols\n10000000,10000000\ni,j,re,im\n0,0,1,0\n"),
 ], ids=["certify", "unscramble"])
-def test_a_huge_claimed_grid_exits_2_without_allocating_it(tmp_path, capsys,
+def test_a_huge_claimed_grid_exits_2_without_allocating_it(tmp_path, fails,
                                                            argv, name, text):
     path = tmp_path / name
     path.write_text(text, encoding="ascii")
     extra = ["--table", str(path)] if argv[0] == "certify" else []
-    assert cli.main([*argv, str(path), *extra, "--out", str(tmp_path / "out")]) == 2
-    err = capsys.readouterr().err
+    err = fails([*argv, str(path), *extra], 2)
     assert "missing cell (0, 1)" in err and len(err.splitlines()) == 1
 
 
-def test_certify_subcommand_rejects_misplaced_standard_tables(tmp_path, capsys):
+def test_certify_subcommand_rejects_misplaced_standard_tables(tmp_path, fails):
     sim = str(tmp_path / "sim")
     assert cli.main(["simulate", "--d", "3", "--n-modes", "8", "--exposure", "1e4",
                      "--seed", "3", "--out", sim]) == 0
     std, mub_0, mub_1, mub_2 = (os.path.join(sim, "tables", f"{name}.csv")
                                 for name in ("standard", "mub_0", "mub_1", "mub_2"))
-    capsys.readouterr()
     # a standard table among the family tables, and a family table as the
     # standard one
     for argv in (["--standard", std, "--table", mub_0, "--table", std],
                  ["--standard", mub_0, "--table", mub_0, "--table", mub_1,
                   "--table", mub_2]):
-        assert cli.main(["certify", *argv, "--n-mc", "0",
-                         "--out", str(tmp_path / "cert")]) == 2
-        err = capsys.readouterr().err
+        err = fails(["certify", *argv, "--n-mc", "0"], 2)
         assert "standard" in err and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("factor", ["inf", "nan"])
 @pytest.mark.parametrize("n_mc", ["0", "10"])
-def test_certify_rejects_a_non_finite_row_scale(tmp_path, capsys, factor, n_mc):
+def test_certify_rejects_a_non_finite_row_scale(tmp_path, fails, factor, n_mc):
     sim = str(tmp_path / "sim")
     assert cli.main(["simulate", "--d", "3", "--n-modes", "8", "--exposure", "1e4",
                      "--seed", "3", "--out", sim]) == 0
@@ -462,12 +475,10 @@ def test_certify_rejects_a_non_finite_row_scale(tmp_path, capsys, factor, n_mc):
     lines[2:2] = ["row_scale\n", f"{factor},1,1\n"]
     with open(mub_1, "w", encoding="ascii", newline="\n") as fh:
         fh.writelines(lines)
-    capsys.readouterr()
     argv = ["certify", "--standard", os.path.join(tables, "standard.csv")]
     for r in range(3):
         argv += ["--table", os.path.join(tables, f"mub_{r}.csv")]
-    assert cli.main(argv + ["--n-mc", n_mc, "--out", str(tmp_path / "cert")]) == 2
-    err = capsys.readouterr().err
+    err = fails(argv + ["--n-mc", n_mc], 2)
     assert "row_scale" in err and len(err.splitlines()) == 1
 
 
@@ -563,6 +574,124 @@ def test_a_run_holds_one_family_table_at_a_time(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 60 * d * d * 8
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--scenario", "baseline", "--d", "3", "--n-modes", "8"],
+    ["simulate", "--d", "3", "--n-modes", "8"],
+    ["tomo", "--scans", "scans"],
+    ["unscramble", "--t-hat", "t_hat.csv"],
+    ["certify", "--standard", "standard.csv", "--table", "mub_0.csv"],
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("under", [False, True], ids=["a-file", "under-a-file"])
+def test_an_out_that_is_or_lies_under_a_file_exits_2_before_any_work(
+        tmp_path, capsys, monkeypatch, argv, under):
+    """The inputs named do not exist: the --out check comes first."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "file").write_text("kept\n")
+    out = os.path.join("file", "out") if under else "file"
+    assert cli.main([*argv, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --out ") and len(err.splitlines()) == 1
+    assert sorted(os.listdir(tmp_path)) == ["file"]
+    assert (tmp_path / "file").read_text() == "kept\n"
+
+
+def test_a_rerun_at_a_smaller_d_leaves_exactly_the_tables_its_report_names(tmp_path):
+    out = tmp_path / "out"
+    argv = ["run", "--scenario", "baseline", "--n-modes", "12", "--exposure", "1e4",
+            "--n-mc", "0", "--out", str(out)]
+    assert cli.main(argv + ["--d", "5"]) == 0
+    (out / "notes.txt").write_text("not written by qscatter\n")
+    assert cli.main(argv + ["--d", "3"]) == 0
+    named = _checked_table_paths(str(out)).values()
+    assert sorted(os.listdir(out / "tables")) == sorted(os.path.basename(p) for p in named)
+    assert len(named) == 4
+    assert sorted(os.listdir(out)) == ["config.json", "notes.txt", "report.json", "tables"]
+    assert (out / "notes.txt").read_text() == "not written by qscatter\n"
+    assert _staging_dirs(tmp_path) == []
+
+
+def test_an_out_that_is_a_mount_point_stages_inside_itself(tmp_path, monkeypatch,
+                                                           filled_out):
+    """A rename cannot leave its file system, so the staging directory of a
+    mount point (here one that os.path.ismount is made to report) lies
+    inside it; a failure still leaves it as it was, and a success commits."""
+    out = tmp_path / "out"
+    shutil.copytree(filled_out, out)
+    real = os.path.realpath(out)
+    ismount, mkdtemp = os.path.ismount, tempfile.mkdtemp
+    monkeypatch.setattr(os.path, "ismount", lambda p: p == real or ismount(p))
+    stages = []
+    monkeypatch.setattr(tempfile, "mkdtemp", lambda **kw: stages.append(kw["dir"])
+                        or mkdtemp(**kw))
+    argv = ["run", "--scenario", "baseline", "--d", "3", "--n-modes", "8", "--n-mc", "0",
+            "--out", str(out)]
+    before = _tree(out)
+    assert cli.main(argv + ["--exposure", "1e30"]) == 2
+    assert _tree(out) == before
+    assert cli.main(argv) == 0
+    assert stages == [real, real]
+    named = _checked_table_paths(str(out)).values()
+    assert sorted(os.listdir(out / "tables")) == sorted(os.path.basename(p) for p in named)
+    assert (out / "unscramble" / "w_alice.csv").exists()
+    assert _staging_dirs(tmp_path) == []
+
+
+def test_a_conditioning_failure_mid_run_leaves_out_unchanged(fails):
+    """Two photons per scan acquisition leave the reference with no
+    interference, so the run fails at reconstruction, after the channel and
+    the scans are written."""
+    err = fails(["run", "--scenario", "unscramble-certify", "--d", "7", "--n-modes", "60",
+                 "--exposure", "2", "--seed", "1", "--n-mc", "0"], 3)
+    assert err.startswith("conditioning error: ") and len(err.splitlines()) == 1
+
+
+def test_an_unmet_require_dent_still_writes_a_complete_report(tmp_path):
+    run = str(tmp_path / "run")
+    assert cli.main(["run", "--scenario", "scramble", "--d", "3", "--n-modes", "8",
+                     "--exposure", "inf", "--n-mc", "0", "--require-dent", "2",
+                     "--out", run]) == 4
+    tables = _checked_table_paths(run)
+    assert len(tables) == 4
+    cert = str(tmp_path / "cert")
+    argv = ["certify", "--standard", tables.pop("standard"), "--n-mc", "0",
+            "--require-dent", "2", "--out", cert]
+    for path in tables.values():
+        argv += ["--table", path]
+    assert cli.main(argv) == 4
+    assert len(_checked_table_paths(cert)) == 4
+    with open(os.path.join(cert, "report.json"), encoding="ascii") as fh:
+        assert json.load(fh)["results"]["d_ent"] <= 1
+    assert _staging_dirs(tmp_path) == []
+
+
+def test_certify_reads_each_input_table_once(tmp_path, monkeypatch):
+    """CRLF copies: each report digest is still that of the bytes on disk."""
+    sim = tmp_path / "sim"
+    assert cli.main(["simulate", "--d", "3", "--n-modes", "8", "--exposure", "1e4",
+                     "--seed", "3", "--out", str(sim)]) == 0
+    paths = []
+    for name in ("standard", "mub_0", "mub_1", "mub_2"):
+        text = (sim / "tables" / f"{name}.csv").read_bytes()
+        paths.append(tmp_path / f"{name}.csv")
+        paths[-1].write_bytes(text.replace(b"\n", b"\r\n"))
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    argv = ["certify", "--standard", str(paths[0]), "--n-mc", "4",
+            "--out", str(tmp_path / "cert")]
+    for path in paths[1:]:
+        argv += ["--table", str(path)]
+    assert cli.main(argv) == 0
+    monkeypatch.undo()
+    assert [opened.count(str(path)) for path in paths] == [1, 1, 1, 1]
+    assert len(_checked_table_paths(str(tmp_path / "cert"))) == 4
 
 
 def test_main_requires_subcommand():

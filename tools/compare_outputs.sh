@@ -24,7 +24,13 @@
 # (run --scenario fixture-a1 --d 5, simulate --basis tilted:1, and
 # unscramble --lambdas with a spectrum whose squares sum to 1.8), each with
 # its own --out, plus tomo --ref-floor 0.999 on the d=5 scans, which must
-# exit 3 with its degenerate-reference message.
+# exit 3 with its degenerate-reference message. Three steps check what
+# --out holds after a rerun or a failure: a baseline run at d=5 and then at
+# d=3 into one --out (tables/ must hold only the d=3 tables), an
+# unscramble-certify run at --exposure 2 --seed 1 that exits 3 at
+# reconstruction (its --out must stay absent), and a baseline run at
+# --exposure 1e30 that exits 2 while sampling, aimed at a copy of a filled
+# --out (the copy must stay as it was).
 # Every command's files, stdout, stderr and exit code are kept, in one
 # temporary directory per tree, and all paths are relative, so the two
 # trees' outputs can be byte-identical. Names each command that exits
@@ -113,6 +119,15 @@ run_grid() {
         --lambdas lambda-bad.json --out unscramble-bad-lambdas
     q "$src" "$out" tomo-ref-floor tomo --scans sim/scans --ref-floor 0.999 \
         --out tomo-ref-floor
+    for d in 5 3; do
+        q "$src" "$out" rerun-d$d run --scenario baseline --d $d --n-modes 12 --n-mc 0 \
+            --seed 3 --out rerun
+    done
+    q "$src" "$out" exit3-mid-run run --scenario unscramble-certify --d 7 --n-modes 60 \
+        --exposure 2 --seed 1 --n-mc 0 --out exit3-mid-run
+    cp -r "$out/baseline-3" "$out/filled"
+    q "$src" "$out" exit2-into-filled run --scenario baseline --d 3 --n-modes 8 \
+        --exposure 1e30 --out filled
 }
 
 parent_out=$(mktemp -d)
