@@ -13,8 +13,8 @@ draws, each sampling stage, Monte-Carlo resampling), so any artifact can be
 reproduced in isolation. Reports are canonical JSON: same config and seed
 give byte-identical output. A report's tables block names each table's CSV
 file and its SHA-256 rather than repeating the counts. Each command writes
-through one output object, `_Output`, which stages its files beside --out
-and moves them in only once the command has succeeded.
+through one output object, `_Output`, which stages its files inside --out
+and moves them into place only once the command has succeeded.
 
 Every scenario, and `simulate`, is a short sequence of shared stages: draw
 the medium, scan it, reconstruct its transmission matrix, build the
@@ -32,6 +32,8 @@ another. exposure = inf is the noiseless mode.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import hashlib
 import json
 import math
 import numbers
@@ -164,60 +166,74 @@ def emit_report(report: Dict[str, object], out_dir: str) -> str:
     return path
 
 
-class _Output:
-    """Every file one command writes, staged beside out_dir and committed whole.
+class _Output(contextlib.AbstractContextManager):
+    """Every file one command writes, staged inside out_dir and committed whole.
 
-    Construction rejects an out_dir that is not a directory or cannot be
-    made, and makes the staging directory. Leaving the `with` block normally
-    moves each top-level entry written into out_dir with one rename, and it
-    replaces the entry of that name whole; entries not written stay. Leaving
-    it by an exception changes nothing under out_dir. `tables` is the
-    report's tables block: by label, each table's path from out_dir and the
-    SHA-256 of its bytes.
+    Construction, before any work, rejects an out_dir that is not a writable
+    directory and an input under an entry named in `writes`. A missing
+    out_dir is made and stages itself; an existing one stages in a new
+    directory inside it, whose entries, on success, are each renamed over
+    the entry of that name. On an exception an existing out_dir keeps every
+    byte, and a missing one is removed again. `tables` is the report's
+    tables block: by label, each table's path from out_dir and the SHA-256
+    of its bytes.
     """
 
-    def __init__(self, out_dir: str) -> None:
+    def __init__(self, out_dir: str, inputs: Iterable[str] = (),
+                 writes: Sequence[str] = ()) -> None:
         self.out_dir = out_dir
         self.tables: Dict[str, Dict[str, str]] = {}
         if os.path.lexists(out_dir) and not os.path.isdir(out_dir):
             raise ConfigError(f"--out {out_dir} exists and is not a directory")
-        real = os.path.realpath(out_dir)
-        # A rename cannot leave its file system: a mount point stages inside.
-        parent, name = (real, "") if os.path.ismount(real) else os.path.split(real)
+        for path in filter(None, inputs):  # an optional input may be None
+            rel = os.path.relpath(os.path.realpath(path), os.path.realpath(out_dir))
+            if rel.split(os.sep)[0] in writes:
+                raise ConfigError(f"input {path} lies under an entry of --out {out_dir} "
+                                  "that this command replaces")
+        # The topmost directory made here, if any, goes again on a failure.
+        self.made, top = None, os.path.abspath(out_dir)
+        while not os.path.lexists(top):
+            self.made, top = top, os.path.dirname(top)
         try:
-            os.makedirs(parent, exist_ok=True)
-            self.stage = tempfile.mkdtemp(prefix=f".{name}.", suffix=".staging", dir=parent)
+            os.makedirs(out_dir, exist_ok=True)
+            self.stage = (out_dir if self.made is not None else
+                          tempfile.mkdtemp(prefix=".", suffix=".staging", dir=out_dir))
         except OSError as exc:
+            if self.made is not None:
+                shutil.rmtree(self.made, ignore_errors=True)
             raise ConfigError(f"--out {out_dir} cannot be written: {exc}") from exc
-
-    def __enter__(self) -> "_Output":
-        return self
 
     def __exit__(self, kind, exc, tb) -> None:
         try:
-            if kind is None:
-                os.makedirs(self.out_dir, exist_ok=True)
+            if kind is None and self.made is None:
                 for name in sorted(os.listdir(self.stage)):
-                    staged = os.path.join(self.stage, name)
-                    target = os.path.join(self.out_dir, name)
-                    # A rename cannot put anything over a directory, nor a
-                    # directory over a file: such an old entry moves into the
-                    # staging directory first, as .<name> (no name written
-                    # starts with a dot), and is removed with it.
-                    if os.path.lexists(target) and (os.path.isdir(target)
-                                                    or os.path.isdir(staged)):
-                        os.replace(target, os.path.join(self.stage, "." + name))
-                    os.replace(staged, target)
+                    self._commit(name)
         finally:
-            shutil.rmtree(self.stage, ignore_errors=True)
+            if kind is not None or self.made is None:  # a made out_dir holds the stage
+                shutil.rmtree(self.made or self.stage, ignore_errors=True)
+
+    def _commit(self, name: str) -> None:
+        staged, target = os.path.join(self.stage, name), os.path.join(self.out_dir, name)
+        # A rename cannot put anything over a directory, nor a directory over
+        # a file: such an old entry moves aside as .<name> (no name written
+        # starts with a dot), and back if the new one cannot take its place.
+        aside = os.path.join(self.stage, "." + name)
+        moved = os.path.lexists(target) and (os.path.isdir(target) or os.path.isdir(staged))
+        if moved:
+            os.replace(target, aside)
+        try:
+            os.replace(staged, target)
+        except OSError:
+            if moved:
+                os.replace(aside, target)
+            raise
 
     def path(self, rel: str) -> str:
-        """The staged path of `rel`, its directory made."""
-        path = os.path.join(self.stage, rel)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        return path
+        """The staged path of `rel`; the cell-grid writers make its directory."""
+        return os.path.join(self.stage, rel)
 
     def json(self, rel: str, obj) -> None:
+        os.makedirs(os.path.dirname(self.path(rel)), exist_ok=True)
         with open(self.path(rel), "w", encoding="ascii", newline="\n") as fh:
             fh.write(_canonical(obj))
 
@@ -232,10 +248,11 @@ class _Output:
     def read(self, path: str) -> measure.CountTable:
         """Read an input table and name it in the tables block, with the
         SHA-256 of the bytes read."""
-        table, digest = measure.read_count_table(path)
+        digest = hashlib.sha256()
+        table = measure.load_count_table(path, digest)
         self.tables[table.basis_label_a] = {
             "path": os.path.relpath(path, self.out_dir).replace(os.sep, "/"),
-            "sha256": digest}
+            "sha256": digest.hexdigest()}
         return table
 
     def report(self, scenario: str, results: Dict[str, object],
@@ -435,6 +452,7 @@ def _scenario_tomography(cfg: ScenarioConfig, out: _Output):
 def _scenario_unscramble_certify(cfg: ScenarioConfig, out: _Output):
     full, *scans = _scan(cfg, _draw_channel(cfg, out), out)
     recon = _reconstruct(out, *scans)
+    del scans  # the eight step tables are not held through certification
     ops = _build_ops(recon.t, out)
     _, results = _certify(*_measure_tables(cfg, channel.drop_reference(full), out, ops),
                           cfg.n_mc, cfg.seed)
@@ -538,29 +556,16 @@ def _resolve_config(args: argparse.Namespace, scenario: str) -> ScenarioConfig:
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")
     data["scenario"] = scenario
-    overrides = {
-        "d": args.d,
-        "n_modes": args.n_modes,
-        "seed": args.seed,
-        "dark_rate": args.dark_rate,
-        "reference_amplitude": args.reference_amplitude,
-        "n_mc": args.n_mc,
-        "scan_family": args.scan_family,
-    }
+    for key in ("d", "n_modes", "seed", "dark_rate", "reference_amplitude", "n_mc",
+                "scan_family"):
+        if getattr(args, key) is not None:
+            data[key] = getattr(args, key)
     if args.exposure is not None:
-        overrides["exposure"] = (math.inf if args.exposure == "inf"
-                                 else _parse_float(args.exposure, "exposure"))
-    for key, value in overrides.items():
-        if value is not None:
-            data[key] = value
+        try:
+            data["exposure"] = float(args.exposure)  # "inf" included
+        except ValueError as exc:
+            raise ConfigError(f"bad exposure: {args.exposure!r}") from exc
     return config_from_dict(data)
-
-
-def _parse_float(text: str, name: str) -> float:
-    try:
-        return float(text)
-    except ValueError as exc:
-        raise ConfigError(f"bad {name}: {text!r}") from exc
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -581,7 +586,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_tomo(args: argparse.Namespace) -> int:
-    with _Output(args.out) as out:
+    with _Output(args.out, [args.scans], ("t_hat.csv", "t_hat.json")) as out:
         recon = _reconstruct(out, *_load_scan_bundle(args.scans), ref_floor=args.ref_floor)
     print(f"reconstructed {recon.t.dim}x{recon.t.dim} matrix "
           f"(family {recon.t.basis_tag.kind}, e_ratio {recon.e_ratio:.3e}, "
@@ -604,7 +609,7 @@ def _save_prediction(out: _Output, state: states.BipartiteState,
 
 
 def _cmd_unscramble(args: argparse.Namespace) -> int:
-    with _Output(args.out) as out:
+    with _Output(args.out, [args.t_hat, args.lambdas], ("unscramble",)) as out:
         t = _load_t_hat(args.t_hat)
         lambdas = _load_lambda_file(args.lambdas, t.dim) if args.lambdas else None
         ops = _build_ops(t, out)
@@ -650,7 +655,8 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         raise ConfigError("n_mc must be nonnegative")
     if args.seed < 0:
         raise ConfigError("seed must be nonnegative")
-    with _Output(args.out) as out:
+    inputs = [args.standard, *args.table, args.target]
+    with _Output(args.out, inputs, ("report.json",)) as out:
         standard = out.read(args.standard)
         target = None
         if args.target:

@@ -15,11 +15,10 @@ never guess.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import os
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -279,14 +278,9 @@ def save_count_table(path: Union[str, os.PathLike], table: CountTable) -> str:
     return numerics._write_cells(path, header, "a,b,count", [table.counts])
 
 
-def load_count_table(path: Union[str, os.PathLike]) -> CountTable:
-    return read_count_table(path)[0]
-
-
-def read_count_table(path: Union[str, os.PathLike]) -> Tuple[CountTable, str]:
-    """A table as load_count_table reads it, and the SHA-256 hex digest of
-    the file's bytes, from one read."""
-    digest = hashlib.sha256()
+def load_count_table(path: Union[str, os.PathLike], digest=None) -> CountTable:
+    """A table saved by save_count_table; a hashlib object given as `digest`
+    is fed the file's bytes as read."""
     header, grid = numerics._read_cells(path, "a,b,count", 1, digest)
     if (len(header) not in (2, 4) or header[0] != "basisA,basisB,exposure,seed"
             or header[2:3] not in ([], ["row_scale"])):
@@ -301,4 +295,4 @@ def read_count_table(path: Union[str, os.PathLike]) -> Tuple[CountTable, str]:
     except ValueError as exc:
         raise FormatError(f"{path}: malformed count-table header ({exc})") from exc
     return CountTable(counts=grid[:, :, 0], basis_label_a=label_a, basis_label_b=label_b,
-                      exposure=exposure, seed=seed, row_scale=row_scale), digest.hexdigest()
+                      exposure=exposure, seed=seed, row_scale=row_scale)

@@ -8,7 +8,6 @@ import json
 import math
 import os
 import shutil
-import tempfile
 import tracemalloc
 
 import numpy as np
@@ -57,14 +56,15 @@ def filled_out(tmp_path_factory):
 @pytest.fixture
 def fails(tmp_path, capsys, filled_out):
     """fails(argv, code) runs main(argv + ["--out", ...]) twice: into a
-    missing --out, which must stay absent, and into a copy of filled_out,
-    which must keep every byte. Both must return `code` with the same
-    stderr and leave no staging directory; returns that stderr."""
+    missing, nested --out, none of whose missing directories may be left,
+    and into a copy of filled_out, which must keep every byte. Both must
+    return `code` with the same stderr and leave no staging directory;
+    returns that stderr."""
     count = itertools.count()
 
     def run(argv, code):
         k = next(count)
-        missing, filled = tmp_path / f"missing-{k}", tmp_path / f"filled-{k}"
+        missing, filled = tmp_path / f"missing-{k}" / "a" / "b", tmp_path / f"filled-{k}"
         shutil.copytree(filled_out, filled)
         before = _tree(filled)
         errs = []
@@ -72,7 +72,7 @@ def fails(tmp_path, capsys, filled_out):
             capsys.readouterr()
             assert cli.main([*argv, "--out", str(out)]) == code
             errs.append(capsys.readouterr().err)
-        assert not missing.exists()
+        assert not (tmp_path / f"missing-{k}").exists()
         assert _tree(filled) == before
         assert _staging_dirs(tmp_path) == []
         assert errs[0] == errs[1]
@@ -612,29 +612,70 @@ def test_a_rerun_at_a_smaller_d_leaves_exactly_the_tables_its_report_names(tmp_p
     assert _staging_dirs(tmp_path) == []
 
 
-def test_an_out_that_is_a_mount_point_stages_inside_itself(tmp_path, monkeypatch,
-                                                           filled_out):
-    """A rename cannot leave its file system, so the staging directory of a
-    mount point (here one that os.path.ismount is made to report) lies
-    inside it; a failure still leaves it as it was, and a success commits."""
+def test_the_parent_of_out_is_never_written(tmp_path, monkeypatch, filled_out):
+    """Staging lies inside --out, so `--out .` works below a directory that
+    cannot be written, and nothing is made or removed beside --out, whether
+    the command fails or succeeds."""
+    parent = tmp_path / "parent"
+    shutil.copytree(filled_out, parent / "out")
+    monkeypatch.chdir(parent / "out")
+    argv = ["run", "--scenario", "baseline", "--d", "3", "--n-modes", "8", "--n-mc", "0",
+            "--out", "."]
+    parent.chmod(0o555)
+    try:
+        stamp = os.stat(parent).st_mtime_ns
+        assert cli.main(argv + ["--exposure", "1e30"]) == 2
+        assert cli.main(argv) == 0
+        assert os.stat(parent).st_mtime_ns == stamp
+    finally:
+        parent.chmod(0o755)
+    assert os.listdir(parent) == ["out"]
+    named = _checked_table_paths(str(parent / "out")).values()
+    assert sorted(os.listdir(parent / "out" / "tables")) == sorted(
+        os.path.basename(p) for p in named)
+    assert (parent / "out" / "unscramble" / "w_alice.csv").exists()
+    assert _staging_dirs(tmp_path) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["unscramble", "--t-hat", "{out}/unscramble/t_hat.csv"],
+    ["unscramble", "--t-hat", "{out}/t_hat.csv", "--lambdas", "{out}/unscramble/l.json"],
+    ["tomo", "--scans", "{out}/t_hat.csv"],
+    ["certify", "--standard", "{out}/tables/recovered_standard.csv",
+     "--table", "{out}/report.json"],
+], ids=["t-hat", "lambdas", "scans", "table"])
+def test_an_input_under_an_entry_the_command_replaces_exits_2(tmp_path, capsys,
+                                                              filled_out, argv):
+    """The commit would replace that entry whole and so delete the input."""
     out = tmp_path / "out"
     shutil.copytree(filled_out, out)
-    real = os.path.realpath(out)
-    ismount, mkdtemp = os.path.ismount, tempfile.mkdtemp
-    monkeypatch.setattr(os.path, "ismount", lambda p: p == real or ismount(p))
-    stages = []
-    monkeypatch.setattr(tempfile, "mkdtemp", lambda **kw: stages.append(kw["dir"])
-                        or mkdtemp(**kw))
-    argv = ["run", "--scenario", "baseline", "--d", "3", "--n-modes", "8", "--n-mc", "0",
-            "--out", str(out)]
+    for name in ("t_hat.csv", "t_hat.json"):
+        shutil.copy(out / name, out / "unscramble" / name)
+    (out / "unscramble" / "l.json").write_text('{"lambda": [1, 1, 1]}\n')
     before = _tree(out)
-    assert cli.main(argv + ["--exposure", "1e30"]) == 2
+    assert cli.main([a.format(out=out) for a in argv] + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: input ") and len(err.splitlines()) == 1
     assert _tree(out) == before
-    assert cli.main(argv) == 0
-    assert stages == [real, real]
-    named = _checked_table_paths(str(out)).values()
-    assert sorted(os.listdir(out / "tables")) == sorted(os.path.basename(p) for p in named)
-    assert (out / "unscramble" / "w_alice.csv").exists()
+
+
+def test_a_failed_commit_rename_puts_the_old_entry_back(tmp_path, monkeypatch,
+                                                        filled_out):
+    out = tmp_path / "out"
+    shutil.copytree(filled_out, out)
+    before = _tree(out / "tables")
+    replace = os.replace
+
+    def failing(src, dst):
+        if str(src).endswith(".staging" + os.sep + "tables"):
+            raise OSError("rename refused")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", failing)
+    with pytest.raises(OSError, match="rename refused"):
+        cli.main(["run", "--scenario", "baseline", "--d", "3", "--n-modes", "8",
+                  "--n-mc", "0", "--out", str(out)])
+    assert _tree(out / "tables") == before
     assert _staging_dirs(tmp_path) == []
 
 
