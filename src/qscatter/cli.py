@@ -170,26 +170,22 @@ class _Output(contextlib.AbstractContextManager):
     """Every file one command writes, staged inside out_dir and committed whole.
 
     Construction, before any work, rejects an out_dir that is not a writable
-    directory and an input under an entry named in `writes`. A missing
-    out_dir is made and stages itself; an existing one stages in a new
-    directory inside it, whose entries, on success, are each renamed over
-    the entry of that name. On an exception an existing out_dir keeps every
-    byte, and a missing one is removed again. `tables` is the report's
-    tables block: by label, each table's path from out_dir and the SHA-256
-    of its bytes.
+    directory. A missing out_dir is made and stages itself; an existing one
+    stages in a new directory inside it, whose entries, on success, are each
+    renamed over the entry of that name. Before the first rename, an input
+    (any path the command read) that lies under one of those entries is
+    refused with ConfigError, as the commit would delete it. On an exception,
+    that refusal included, an existing out_dir keeps every byte, and a
+    missing one is removed again. `tables` is the report's tables block: by
+    label, each table's path from out_dir and the SHA-256 of its bytes.
     """
 
-    def __init__(self, out_dir: str, inputs: Iterable[str] = (),
-                 writes: Sequence[str] = ()) -> None:
+    def __init__(self, out_dir: str, inputs: Iterable[str] = ()) -> None:
         self.out_dir = out_dir
+        self.inputs = [path for path in inputs if path]  # an optional input may be None
         self.tables: Dict[str, Dict[str, str]] = {}
         if os.path.lexists(out_dir) and not os.path.isdir(out_dir):
             raise ConfigError(f"--out {out_dir} exists and is not a directory")
-        for path in filter(None, inputs):  # an optional input may be None
-            rel = os.path.relpath(os.path.realpath(path), os.path.realpath(out_dir))
-            if rel.split(os.sep)[0] in writes:
-                raise ConfigError(f"input {path} lies under an entry of --out {out_dir} "
-                                  "that this command replaces")
         # The topmost directory made here, if any, goes again on a failure.
         self.made, top = None, os.path.abspath(out_dir)
         while not os.path.lexists(top):
@@ -205,8 +201,13 @@ class _Output(contextlib.AbstractContextManager):
 
     def __exit__(self, kind, exc, tb) -> None:
         try:
-            if kind is None and self.made is None:
-                for name in sorted(os.listdir(self.stage)):
+            if kind is None and self.made is None:  # a missing out_dir held no input
+                names, out = sorted(os.listdir(self.stage)), os.path.realpath(self.out_dir)
+                for path in self.inputs:
+                    if os.path.relpath(os.path.realpath(path), out).split(os.sep)[0] in names:
+                        raise ConfigError(f"input {path} lies under an entry of --out "
+                                          f"{self.out_dir} that this command replaces")
+                for name in names:
                     self._commit(name)
         finally:
             if kind is not None or self.made is None:  # a made out_dir holds the stage
@@ -518,13 +519,19 @@ _SCENARIO_RUNNERS = {
 _SCENARIOS = tuple(_SCENARIO_RUNNERS)
 
 
+def _run_scenario(cfg: ScenarioConfig, out: _Output) -> Dict[str, object]:
+    """Execute a scenario, writing its config, artifacts and report through
+    `out`; returns the report."""
+    out.json("config.json", config_to_dict(cfg))
+    results = _SCENARIO_RUNNERS[cfg.scenario](cfg, out)
+    return out.report(cfg.scenario, results, config=config_to_dict(cfg))
+
+
 def run_scenario(cfg: ScenarioConfig, out_dir: str) -> Dict[str, object]:
     """Execute a scenario and commit its artifacts and report to out_dir;
     returns the report."""
     with _Output(out_dir) as out:
-        out.json("config.json", config_to_dict(cfg))
-        results = _SCENARIO_RUNNERS[cfg.scenario](cfg, out)
-        return out.report(cfg.scenario, results, config=config_to_dict(cfg))
+        return _run_scenario(cfg, out)
 
 
 # ---------------------------------------------------------------------------
@@ -570,10 +577,8 @@ def _resolve_config(args: argparse.Namespace, scenario: str) -> ScenarioConfig:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args, "tomography")
-    for spec in args.basis or []:
-        bases.parse_basis_spec(spec, cfg.d)  # a bad spec fails before any write
     specs = args.basis or ["standard"] + [f"mub:{r}" for r in range(cfg.d)]
-    with _Output(args.out) as out:
+    with _Output(args.out, [args.config]) as out:
         ch = _draw_channel(cfg, out)
         _scan(cfg, ch, out)
         logical = channel.transmitted_state(ch)
@@ -586,7 +591,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_tomo(args: argparse.Namespace) -> int:
-    with _Output(args.out, [args.scans], ("t_hat.csv", "t_hat.json")) as out:
+    with _Output(args.out, [args.scans]) as out:
         recon = _reconstruct(out, *_load_scan_bundle(args.scans), ref_floor=args.ref_floor)
     print(f"reconstructed {recon.t.dim}x{recon.t.dim} matrix "
           f"(family {recon.t.basis_tag.kind}, e_ratio {recon.e_ratio:.3e}, "
@@ -609,7 +614,7 @@ def _save_prediction(out: _Output, state: states.BipartiteState,
 
 
 def _cmd_unscramble(args: argparse.Namespace) -> int:
-    with _Output(args.out, [args.t_hat, args.lambdas], ("unscramble",)) as out:
+    with _Output(args.out, [args.t_hat, args.lambdas]) as out:
         t = _load_t_hat(args.t_hat)
         lambdas = _load_lambda_file(args.lambdas, t.dim) if args.lambdas else None
         ops = _build_ops(t, out)
@@ -655,8 +660,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         raise ConfigError("n_mc must be nonnegative")
     if args.seed < 0:
         raise ConfigError("seed must be nonnegative")
-    inputs = [args.standard, *args.table, args.target]
-    with _Output(args.out, inputs, ("report.json",)) as out:
+    with _Output(args.out, [args.standard, *args.table, args.target]) as out:
         standard = out.read(args.standard)
         target = None
         if args.target:
@@ -673,7 +677,8 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args, args.scenario)
-    results = run_scenario(cfg, args.out)["results"]
+    with _Output(args.out, [args.config]) as out:
+        results = _run_scenario(cfg, out)["results"]
     if "fidelity" not in results:
         print(f"scenario {cfg.scenario}: report written to {args.out}")
         return 0

@@ -112,11 +112,9 @@ def _peak_scale(exposure: float, probs: Sequence[np.ndarray]) -> float:
 
 
 def _checked(probs, dark_rate: float) -> np.ndarray:
-    """A probability table as a 2-D array, rounding-level negatives clipped;
+    """A probability table as a float array, rounding-level negatives clipped;
     also rejects a negative dark rate."""
     p = np.asarray(probs, dtype=np.float64)
-    if p.ndim == 1:
-        p = p[np.newaxis, :]
     if np.any(p < -numerics.PROB_TOL):
         raise NormalizationError("negative probability in table")
     if dark_rate < 0:

@@ -13,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qscatter import bases, cli, measure
+from qscatter import bases, channel, cli, measure
 from qscatter.errors import ConfigError
 
 FAST = dict(d=3, n_modes=8, n_mc=16)
@@ -157,6 +157,32 @@ def test_run_scenario_two_channel_equivalence(tmp_path):
     res = report["results"]
     assert res["equivalence_residual"] < 1e-12
     assert res["d_ent"] == 3
+
+
+def _results(out_dir):
+    with open(os.path.join(out_dir, "report.json"), encoding="ascii") as fh:
+        return json.load(fh)["results"]
+
+
+def test_main_run_tomography_reports_its_reconstruction(tmp_path, capsys):
+    out = str(tmp_path / "tomo")
+    assert cli.main(["run", "--scenario", "tomography", "--d", "7", "--n-modes", "60",
+                     "--exposure", "inf", "--seed", "3", "--out", out]) == 0
+    assert capsys.readouterr().out == f"scenario tomography: report written to {out}\n"
+    res = _results(out)
+    assert res["basis_tag"] == "mub:0"
+    assert res["reconstruction_error"] <= 1e-8
+
+
+def test_main_run_fixture_a1_certifies_the_shipped_fixture_exactly(tmp_path):
+    out = str(tmp_path / "fixture")
+    assert cli.main(["run", "--scenario", "fixture-a1", "--out", out]) == 0
+    res = _results(out)
+    assert (res["method"], res["n_mc"], res["d_ent"]) == ("exact", 0, 7)
+    assert res["fidelity"] == pytest.approx(0.99276534066, abs=1e-9)
+    assert res["b5"] == res["bounds"][4] == pytest.approx(0.8169271, abs=1e-7)
+    assert res["lambda_fixture"] == channel.load_fixture_lambda().tolist()
+    assert res["tilted_diagonal_dominant"] == [True] * 7
 
 
 def test_main_run_exit_codes(tmp_path, fails):
@@ -322,13 +348,15 @@ def test_config_errors_exit_2_before_any_output(fails, argv):
     ("d", {"d": "7"}, []),
     ("seed", {"seed": True}, []),
     ("dark_rate", {}, ["--dark-rate", "nan"]),
+    ("dark_rate", {"dark_rate": "0.1"}, []),
     ("reference_amplitude", {}, ["--reference-amplitude", "nan"]),
     ("n_mc", None, ["certify", "--standard", "std.csv", "--table", "mub_0.csv",
                     "--n-mc", "-1"]),
     ("seed", None, ["certify", "--standard", "std.csv", "--table", "mub_0.csv",
                     "--seed", "-1"]),
 ], ids=["n_mc-float", "scan_family-int", "d-string", "seed-bool", "dark_rate-nan",
-        "reference_amplitude-nan", "certify-n_mc-negative", "certify-seed-negative"])
+        "dark_rate-string", "reference_amplitude-nan", "certify-n_mc-negative",
+        "certify-seed-negative"])
 def test_bad_settings_exit_2_naming_the_field(tmp_path, fails, field, config, flags):
     argv = flags
     if config is not None:
@@ -338,6 +366,21 @@ def test_bad_settings_exit_2_naming_the_field(tmp_path, fails, field, config, fl
         argv = ["run", "--scenario", "baseline", "--config", str(cfg_path), *flags]
     err = fails(argv, 2)
     assert err.startswith(f"config error: {field} ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("config, flags, message", [
+    ('{"d": 3, "n_modes": 8, "bogus": 1}', [], "unknown config keys: ['bogus']"),
+    ("[1]", [], "config file must hold a JSON object"),
+    ('{"d": 3, "n_modes": 8, "exposure": "lots"}', [], "bad exposure 'lots'"),
+    (None, ["--exposure", "lots"], "bad exposure: 'lots'"),
+], ids=["unknown-key", "not-an-object", "exposure-word", "exposure-flag-word"])
+def test_a_malformed_config_exits_2(tmp_path, fails, config, flags, message):
+    argv = ["run", "--scenario", "baseline", "--d", "3", "--n-modes", "8", *flags]
+    if config is not None:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(config)
+        argv += ["--config", str(cfg_path)]
+    assert fails(argv, 2) == f"config error: {message}\n"
 
 
 def test_poisson_means_past_numpy_limit_exit_2(tmp_path, fails):
@@ -444,6 +487,33 @@ def test_a_huge_claimed_grid_exits_2_without_allocating_it(tmp_path, fails,
     extra = ["--table", str(path)] if argv[0] == "certify" else []
     err = fails([*argv, str(path), *extra], 2)
     assert "missing cell (0, 1)" in err and len(err.splitlines()) == 1
+
+
+_TABLE_HEAD = b"basisA,basisB,exposure,seed\nstandard,standard*,1e4,none\n"
+
+
+@pytest.mark.parametrize("argv, name, data, message", [
+    (["certify", "--standard"], "extra.csv",
+     _TABLE_HEAD + b"extra\na,b,count\n0,0,1\n", "not a count-table CSV"),
+    (["certify", "--standard"], "exposure.csv",
+     _TABLE_HEAD.replace(b"1e4", b"abc") + b"a,b,count\n0,0,1\n",
+     "malformed count-table header"),
+    (["certify", "--standard"], "fields.csv",
+     _TABLE_HEAD + b"a,b,count\n0,0,1,2\n", "cells have 4 fields, expected 3"),
+    (["certify", "--standard"], "byte.csv",
+     _TABLE_HEAD.replace(b"none", b"n\xe9") + b"a,b,count\n0,0,1\n", "cannot read"),
+    (["unscramble", "--t-hat"], "empty.csv",
+     b"rows,cols\n0,3\ni,j,re,im\n0,0,1,0\n", "bad dimensions 0x3"),
+    (["unscramble", "--t-hat"], "stray.csv",
+     b"rows,cols\n1,1\nstray\ni,j,re,im\n0,0,1,0\n", "not a complex-matrix CSV"),
+], ids=["table-third-header-line", "table-exposure-abc", "table-four-fields",
+        "table-non-ascii", "matrix-zero-rows", "matrix-stray-header"])
+def test_a_malformed_table_or_matrix_exits_2(tmp_path, fails, argv, name, data, message):
+    path = tmp_path / name
+    path.write_bytes(data)
+    extra = ["--table", str(path)] if argv[0] == "certify" else []
+    err = fails([*argv, str(path), *extra], 2)
+    assert err.startswith(f"error: {path}: {message}") and len(err.splitlines()) == 1
 
 
 def test_certify_subcommand_rejects_misplaced_standard_tables(tmp_path, fails):
@@ -637,26 +707,41 @@ def test_the_parent_of_out_is_never_written(tmp_path, monkeypatch, filled_out):
     assert _staging_dirs(tmp_path) == []
 
 
-@pytest.mark.parametrize("argv", [
-    ["unscramble", "--t-hat", "{out}/unscramble/t_hat.csv"],
-    ["unscramble", "--t-hat", "{out}/t_hat.csv", "--lambdas", "{out}/unscramble/l.json"],
-    ["tomo", "--scans", "{out}/t_hat.csv"],
-    ["certify", "--standard", "{out}/tables/recovered_standard.csv",
-     "--table", "{out}/report.json"],
-], ids=["t-hat", "lambdas", "scans", "table"])
+@pytest.mark.parametrize("argv, refused", [
+    (["unscramble", "--t-hat", "{out}/unscramble/t_hat.csv"], True),
+    (["unscramble", "--t-hat", "{out}/t_hat.csv", "--lambdas", "{out}/unscramble/l.json"],
+     True),
+    (["tomo", "--scans", "{out}/t_hat.csv"], False),
+    (["certify", "--standard", "{out}/tables/recovered_standard.csv",
+      "--table", "{out}/report.json"], False),
+    (["run", "--scenario", "baseline", "--n-mc", "0", "--config", "{out}/tables/c.json"],
+     True),
+    (["run", "--scenario", "baseline", "--n-mc", "0", "--config", "{out}/config.json"],
+     True),
+    (["simulate", "--config", "{out}/scans/c.json"], True),
+], ids=["t-hat", "lambdas", "scans", "table", "run-config", "run-config-json",
+        "simulate-config"])
 def test_an_input_under_an_entry_the_command_replaces_exits_2(tmp_path, capsys,
-                                                              filled_out, argv):
-    """The commit would replace that entry whole and so delete the input."""
+                                                              filled_out, argv, refused):
+    """The commit would replace that entry whole and so delete the input,
+    the last path of argv. It is refused after the work, before the first
+    rename. `tomo --scans` and `certify --table` read no file of the entries
+    they write (t_hat.csv, t_hat.json, report.json), so there the read fails."""
     out = tmp_path / "out"
     shutil.copytree(filled_out, out)
     for name in ("t_hat.csv", "t_hat.json"):
         shutil.copy(out / name, out / "unscramble" / name)
-    (out / "unscramble" / "l.json").write_text('{"lambda": [1, 1, 1]}\n')
+    (out / "unscramble" / "l.json").write_text(json.dumps({"lambda": [3 ** -0.5] * 3}))
+    for entry in ("tables", "scans"):
+        (out / entry / "c.json").write_text('{"d": 3, "n_modes": 8, "exposure": "inf"}\n')
     before = _tree(out)
-    assert cli.main([a.format(out=out) for a in argv] + ["--out", str(out)]) == 2
+    argv = [a.format(out=out) for a in argv]
+    assert cli.main(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: input ") and len(err.splitlines()) == 1
+    assert argv[-1] in err and len(err.splitlines()) == 1
+    assert err.startswith("config error: input ") == refused
     assert _tree(out) == before
+    assert _staging_dirs(tmp_path) == []
 
 
 def test_a_failed_commit_rename_puts_the_old_entry_back(tmp_path, monkeypatch,

@@ -101,6 +101,9 @@ def test_sample_counts_error_paths():
         measure.sample_counts(np.array([[-0.5]]), 100.0, 1)
     with pytest.raises(NormalizationError):
         measure.sample_counts(np.array([[0.5]]), 100.0, 1, dark_rate=-0.1)
+    for exposure in (100.0, measure.NOISELESS):  # a table is 2-D
+        with pytest.raises(InvalidDimensionError):
+            measure.sample_counts(np.array([0.5, 0.5]), exposure, 1)
 
 
 def test_sample_counts_puts_the_brightest_cell_at_the_exposure():

@@ -20,7 +20,7 @@
 # copy of the noisy --scan-family standard tomography run's t_hat.csv
 # without its t_hat.json (an untagged matrix), plus one noiseless
 # tomography run at d=7 through N=2000 modes (a 2000-row channel.csv),
-# plus three errors that must exit 2 before writing anything
+# plus three errors that must exit 2 and leave their --out absent
 # (run --scenario fixture-a1 --d 5, simulate --basis tilted:1, and
 # unscramble --lambdas with a spectrum whose squares sum to 1.8), each with
 # its own --out, plus tomo --ref-floor 0.999 on the d=5 scans, which must
@@ -30,7 +30,11 @@
 # unscramble-certify run at --exposure 2 --seed 1 that exits 3 at
 # reconstruction (its --out must stay absent), and a baseline run at
 # --exposure 1e30 that exits 2 while sampling, aimed at a copy of a filled
-# --out (the copy must stay as it was).
+# --out (the copy must stay as it was). Two more steps each read --config
+# from inside a copy of the filled unscramble-certify --out, under an entry
+# the command replaces: run --config <out>/tables/c.json and simulate
+# --config <out>/scans/c.json. Each must exit 2 and leave its copy as it
+# was, since the commit would delete c.json.
 # Every command's files, stdout, stderr and exit code are kept, in one
 # temporary directory per tree, and all paths are relative, so the two
 # trees' outputs can be byte-identical. Names each command that exits
@@ -128,6 +132,14 @@ run_grid() {
     cp -r "$out/baseline-3" "$out/filled"
     q "$src" "$out" exit2-into-filled run --scenario baseline --d 3 --n-modes 8 \
         --exposure 1e30 --out filled
+    for entry in tables scans; do
+        cp -r "$out/unscramble-certify-3" "$out/config-in-$entry"
+        printf '{"d": 3, "n_modes": 8, "n_mc": 0}\n' >"$out/config-in-$entry/$entry/c.json"
+    done
+    q "$src" "$out" run-config-in-tables run --scenario baseline \
+        --config config-in-tables/tables/c.json --out config-in-tables
+    q "$src" "$out" simulate-config-in-scans simulate \
+        --config config-in-scans/scans/c.json --out config-in-scans
 }
 
 parent_out=$(mktemp -d)
