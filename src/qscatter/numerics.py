@@ -150,12 +150,12 @@ def is_prime(n: int) -> bool:
 #                             reader gets every float back bit for bit)
 # The writer prints those values through one renderer, _render_g17: numpy
 # code giving the text format(x, '.17g') gives, a block of values at a time.
-# It finds the 17 significant digits of |x| with exact double-double
+# It scales |x| once into 17 integer digits with exact double-double
 # arithmetic (Dekker's TwoProduct against a double-double table of powers of
-# ten) and hands each value it cannot prove to format() itself: subnormals,
-# magnitudes outside its table (below 1e-280 or from 1e280 on), non-finite
-# values, and digits whose error bound straddles a rounding tie. Grids of
-# fewer than _RENDER_MIN values are printed by %.17g (format()) alone.
+# ten) and keeps them only where one rule proves them (see _decimal17); every
+# other value, a few seams such as powers of ten and subnormals among them,
+# is printed by format() itself. Grids of fewer than _RENDER_MIN values are
+# printed by %.17g (format()) alone.
 # The reader also takes CRLF line endings, empty lines anywhere and spaces
 # around fields, but not a cell line holding only whitespace. It hands the
 # cell lines to numpy's parser untouched; cells in the order written pass
@@ -203,7 +203,7 @@ def _words(texts: Sequence[bytes]) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _g17_tables() -> _G17Tables:
-    """The renderer's lookup tables, built from Python integers on first use."""
+    """The renderer's lookup tables, built on first use."""
     hi, lo = [], []
     for k in range(_POW_MIN, _POW_MAX + 1):
         if k >= 0:
@@ -217,11 +217,14 @@ def _g17_tables() -> _G17Tables:
     hi = np.array(hi)
     c = _SPLIT * hi
     hi_hi = c - (c - hi)
-    four = [b"%04d" % g for g in range(10000)]
+    g = np.arange(10000, dtype=np.int16)[:, np.newaxis]  # int16 keeps temporaries small
+    tens = np.array([1000, 100, 10, 1], np.int16)
+    digits = np.zeros((10000, 8), np.uint8)
+    digits[:, ::2] = 48 + g // tens % 10
     tables = _G17Tables(
         hi=hi, hi_hi=hi_hi, hi_lo=hi - hi_hi, lo=np.array(lo),
-        digits=_words([bytes([byte for ch in text for byte in (ch, 0)]) for text in four]),
-        zeros=np.array([4] + [len(text) - len(text.rstrip(b"0")) for text in four[1:]]),
+        digits=digits.view(_WORD).ravel(),
+        zeros=np.count_nonzero(g % (10 * tens) == 0, axis=1),
         head=_words([sign + lead + bytes([48 + digit]) for sign in (b"", b"-")
                      for lead in (b"", b"0.", b"0.0", b"0.00", b"0.000")
                      for digit in range(10)]),
@@ -252,40 +255,22 @@ def _scaled(t: _G17Tables, a: np.ndarray, x: np.ndarray):
 
 
 def _decimal17(t: _G17Tables, v: np.ndarray):
-    """(D, x, unproven) with |v| = D * 10**(x - 16) rounded half to even,
+    """(D, x, unproven) with |v| = D * 10**(x - 16) rounded to nearest,
     10**16 <= D < 10**17, and D = x = 0 for a zero.
 
-    x starts as floor(log10 |v|); a V = |v| * 10**(16 - x) outside
-    [1e16, 1e17) moves x by one and is taken again, and a D of 1e17 from
-    rounding up is 1e16 at x + 1.
-    Exact ties are decided where 10**(16 - x) is an exact double; elsewhere
-    D is proved only when V lies more than 2**-30 from a tie. Where D is not
-    proved (also subnormals, magnitudes outside [1e-280, 1e280) and
-    non-finite values) unproven is set and D is 0.
+    x is floor(log10 |v|), and D is proved only when floor(V) of
+    V = |v| * 10**(16 - x) lies in [1e16, 1e17), the rounded D stays below
+    1e17 and V lies at least 2**-30 from a tie. Every other value (also
+    subnormals, magnitudes outside [1e-280, 1e280) and non-finite values)
+    is unproven, with D = 0.
     """
     a = np.abs(v)
     unproven = ~((a >= 1e-280) & (a < 1e280))
     a[unproven] = 1.0
     x = np.floor(np.log10(a)).astype(np.int64)
     n, pl, half = _scaled(t, a, x)
-    off = np.flatnonzero((n < 10 ** 16) | (n >= 10 ** 17))
-    if off.size:
-        low = n[off] < 10 ** 16
-        x[off] += np.where(low, -1, 1)
-        n[off], pl[off], half[off] = _scaled(t, a[off], x[off])
-        # A V within its error of 1e16 may fall short of it at x and reach
-        # 1e17 at x - 1, or the reverse. |v| is then within 1e-30 of a power
-        # of ten, at which it prints as D = 1e16.
-        flip = off[np.where(low, n[off] >= 10 ** 17, n[off] < 10 ** 16)]
-        x[flip] += n[flip] >= 10 ** 17
-        n[flip], pl[flip], half[flip] = 10 ** 16, 0.0, 0.5
-    exact = t.lo.take(16 - _POW_MIN - x) == 0
-    d = n + (pl > half) + ((pl == half) & exact & (n % 2 == 1))
-    unproven |= (((np.abs(pl - half) < 2.0 ** -30) & ~exact)
-                 | (n < 10 ** 16) | (n >= 10 ** 17))
-    carry = d == 10 ** 17
-    d[carry] = 10 ** 16
-    x[carry] += 1
+    d = n + (pl > half)
+    unproven |= (np.abs(pl - half) < 2.0 ** -30) | (n < 10 ** 16) | (d >= 10 ** 17)
     zero = v == 0
     d[zero | unproven] = 0
     x[zero] = 0
@@ -329,8 +314,8 @@ def _render_g17(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     point = point[rows]
     out.reshape(-1)[t.point_word.take(point) * v.size + rows] |= t.point_bits.take(point)
     fallback = np.flatnonzero(unproven)
-    for r in fallback:
-        out[:, r] = np.frombuffer(_fmt(v[r]).encode("ascii").ljust(48, b"\0"), _WORD)
+    text = b"".join(_fmt(y).encode("ascii").ljust(48, b"\0") for y in v[fallback])
+    out[:, fallback] = np.frombuffer(text, _WORD).reshape(-1, 6).T
     return out, fallback
 
 
@@ -400,7 +385,8 @@ def _read_cells(path: Union[str, os.PathLike], columns: str, width: int,
 
     Returns the header lines above `columns`, stripped and without empty
     ones, and a (rows, cols, width) float array. The shape is the one the
-    header declares, else the one spanned by the largest indices seen.
+    header declares (two integers >= 0 on the line after `rows,cols`), else
+    the one spanned by the largest indices seen.
     Every cell of that grid must appear exactly once with finite values, and
     the file must end with a newline as written, so one cut inside its last
     number is seen too; anything else raises FormatError. Line endings may
@@ -439,6 +425,8 @@ def _read_cells(path: Union[str, os.PathLike], columns: str, width: int,
         shape = None
         if "rows,cols" in header:
             dims = header[header.index("rows,cols") + 1].split(",")
+            if len(dims) != 2 or not all(n.strip().isdigit() for n in dims):
+                raise ValueError(f"sizes {','.join(dims)!r} are not two integers >= 0")
             shape = (int(dims[0]), int(dims[1]))
     except (ValueError, IndexError) as exc:
         raise FormatError(f"{path}: malformed entry ({exc})") from exc

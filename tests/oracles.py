@@ -5,6 +5,7 @@ Kronecker products, quadratic forms, brute-force postselection) so the
 tests do not reuse the code paths they are checking.
 """
 
+import re
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
 
@@ -122,8 +123,10 @@ def read_cells_by_lines(path, columns: str, width: int):
         cells = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
         shape = None
         if "rows,cols" in header:
-            dims = header[header.index("rows,cols") + 1].split(",")
-            shape = (int(dims[0]), int(dims[1]))
+            dims = header[header.index("rows,cols") + 1]
+            if not re.fullmatch(r"\s*\d+\s*,\s*\d+\s*", dims):
+                raise ValueError(f"bad dimensions line {dims!r}")
+            shape = tuple(int(n) for n in dims.split(","))
     except (ValueError, IndexError) as exc:
         raise FormatError(f"{path}: malformed entry ({exc})") from exc
     if cells.shape[1] != 2 + width:

@@ -506,8 +506,11 @@ _TABLE_HEAD = b"basisA,basisB,exposure,seed\nstandard,standard*,1e4,none\n"
      b"rows,cols\n0,3\ni,j,re,im\n0,0,1,0\n", "bad dimensions 0x3"),
     (["unscramble", "--t-hat"], "stray.csv",
      b"rows,cols\n1,1\nstray\ni,j,re,im\n0,0,1,0\n", "not a complex-matrix CSV"),
+    (["unscramble", "--t-hat"], "sizes.csv",
+     b"rows,cols\n3,3,3\ni,j,re,im\n0,0,1,0\n",
+     "malformed entry (sizes '3,3,3' are not two integers >= 0)"),
 ], ids=["table-third-header-line", "table-exposure-abc", "table-four-fields",
-        "table-non-ascii", "matrix-zero-rows", "matrix-stray-header"])
+        "table-non-ascii", "matrix-zero-rows", "matrix-stray-header", "matrix-three-sizes"])
 def test_a_malformed_table_or_matrix_exits_2(tmp_path, fails, argv, name, data, message):
     path = tmp_path / name
     path.write_bytes(data)

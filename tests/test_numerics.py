@@ -222,9 +222,10 @@ def _rendered(values):
 
 # The renderer's seams: the edge values; each power of ten from 1e-40 to
 # 1e20 one ulp either side; doubles below 10**k whose 17 digits round up to
-# 1e<k> (the digits carry into the next decade); and exact decimal ties,
-# rounded half to even, where 10**(16 - x) is an exact double (the first
-# two) and where it is not (3 * 2**-24 = 1.78813934326171875e-07).
+# 1e<k> (the digits carry into the next decade); powers of ten whose scaled
+# digits land within their error of 1e16 or 1e17; and exact decimal ties,
+# where 10**(16 - x) is an exact double (the first two) and where it is not
+# (3 * 2**-24 = 1.78813934326171875e-07).
 _RENDER_EDGES = [*_EDGE_VALUES, *_around(1e16), *_around(1e17), *_around(2.0 ** 53),
                  5e-324, 2.2250738585072014e-308,
                  *[y for k in range(-40, 21) for y in _around(float(f"1e{k}"))],
@@ -236,10 +237,43 @@ def test_render_g17_prints_the_edge_values_as_format_does():
     values = [sign * x for x in _RENDER_EDGES for sign in (1.0, -1.0)]
     texts, fallback = _rendered(values)
     assert texts == [format(x, ".17g") for x in values]
-    # format() prints only the subnormals, the smallest normal and the tie
-    # the renderer cannot prove; zeros and the other ties it prints itself.
+    # format() prints the subnormals, the smallest normal, the exact ties and
+    # every value whose scaled digits fall outside [1e16, 1e17) or round up
+    # to 1e17: the powers of ten scaled a hair below 1e16, and the double
+    # below each power of ten but 1 and 10 (its log10 rounds up to k).
+    slipped = [-79, -78, -73, -70, -40, -39, -38, -36, -34, -29, -28, -24, -23, -21,
+               -20, -19, -16, -14, -12, -11, -7, -6, 20, 98, 129]
     assert {abs(values[k]) for k in fallback} == {
-        5e-324, 1e-310, 2.2250738585072009e-308, 2.2250738585072014e-308, 3 * 2.0 ** -24}
+        5e-324, 1e-310, 2.2250738585072009e-308, 2.2250738585072014e-308,
+        100000000000000.125, 100000000000000.375, 3 * 2.0 ** -24,
+        *[float(f"1e{k}") for k in slipped],
+        *[_around(float(f"1e{k}"))[0] for k in range(-40, 21) if k not in (0, 1)]}
+
+
+def test_render_g17_proves_every_kind_of_value_the_pipeline_writes():
+    """Counts, row-scaled counts, Haar-isometry entries, probabilities down
+    to 1e-9 (printed in exponent notation below 1e-4) and signed zeros all
+    print through the renderer, none through format()."""
+    rng = np.random.default_rng(29)
+    kinds = {
+        "integers": np.arange(2_000_001.0),
+        "row-scaled counts": rng.poisson(50.0, (101, 101))
+        * rng.uniform(0.1, 10.0, (101, 1)) ** 2,
+        "haar entries": numerics.haar_isometry(500, 8, 31).view(np.float64),
+        "probabilities": 10.0 ** rng.uniform(-9.0, 0.0, 200_000),
+        "signed zeros": np.array([0.0, -0.0]),
+    }
+    for kind, values in kinds.items():
+        for block in np.array_split(values.ravel(), -(-values.size // 2 ** 18)):
+            assert numerics._render_g17(block)[1].size == 0, kind
+
+
+def test_g17_tables_spell_four_digits_and_count_their_trailing_zeros():
+    t = numerics._g17_tables()
+    for g in range(10000):
+        text = b"%04d" % g
+        assert t.digits[g].tobytes() == bytes(b for digit in text for b in (digit, 0))
+        assert t.zeros[g] == len(text) - len(text.rstrip(b"0"))  # 4 for g = 0
 
 
 @settings(deadline=None)
@@ -328,7 +362,7 @@ def test_every_written_grid_matches_the_per_cell_writer(tmp_path, monkeypatch, r
 
 
 @pytest.mark.parametrize("corruption", ["truncated", "duplicate", "out-of-range", "zz",
-                                        "cut-short"])
+                                        "cut-short", "three-sizes"])
 def test_matrix_csv_rejects_corrupt_cells(tmp_path, corruption):
     path = str(tmp_path / "t_hat.csv")
     numerics.save_matrix_csv(path, np.eye(2))
@@ -339,7 +373,8 @@ def test_matrix_csv_rejects_corrupt_cells(tmp_path, corruption):
              "duplicate": lines + ["0,0,1,0\n"],
              "out-of-range": lines + ["2,0,0,0\n"],
              "zz": lines[:-1] + ["1,1,zz,0\n"],
-             "cut-short": lines[:-1] + ["1,1,1,0"]}[corruption]
+             "cut-short": lines[:-1] + ["1,1,1,0"],
+             "three-sizes": [lines[0], "2,2,2\n", *lines[2:]]}[corruption]
     with open(path, "w", encoding="ascii") as fh:
         fh.writelines(lines)
     with pytest.raises(FormatError):
