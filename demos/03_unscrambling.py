@@ -11,7 +11,7 @@ restores the correlations. The receiver never changes anything.
 
 import numpy as np
 
-from qscatter import bases, channel, measure, tomo, unscramble
+from qscatter import bases, channel, measure, numerics, tomo, unscramble
 
 d = 7
 n_modes = 60
@@ -37,6 +37,11 @@ probe = channel.transmitted_state(medium, reference_amplitude=1.0)
 s_rec = measure.phase_step_scan_s(probe, family, measure.NOISELESS)
 e_rec = measure.phase_step_scan_e(probe, family, measure.NOISELESS)
 t_hat = tomo.reconstruct(s_rec, e_rec, family).t
+
+# t_hat is expressed in the scan family it carries as basis_tag; choi_state
+# rotates it back, so it predicts the scrambled state up to one phase.
+gap = numerics.dist_up_to_scalar(channel.choi_state(t_hat).coeffs, scrambled.coeffs)
+print(f"state predicted from t_hat vs scrambled state, up to a factor: {gap:.1e}")
 
 # Invert it into sender/receiver operators. The sender side is an SLM:
 # each displayed row is rescaled to unit maximum modulus, and the scales

@@ -120,10 +120,7 @@ def tilted(d: int, r: int, lambdas) -> BasisFamily:
     if not 0 <= r < d:
         raise InvalidDimensionError(f"family index r={r} outside [0, {d})")
     lam = check_lambdas(lambdas, d)
-    denom = float(np.sum(lam))
-    if denom <= 0:
-        raise NormalizationError("Schmidt weights sum to zero")
-    matrix = _phase_table(d, r) * (np.sqrt(lam) / denom)[None, :]
+    matrix = _phase_table(d, r) * (np.sqrt(lam) / float(np.sum(lam)))[None, :]
     return BasisFamily(kind=f"tilted:{r}", matrix=matrix)
 
 

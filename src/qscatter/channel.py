@@ -3,11 +3,11 @@
 A medium acting on N spatial modes is an N x N unitary, but the photon
 enters it through d logical modes (macro-pixels) plus one phase reference
 mode only, so the medium is held as those d + 1 columns: an N x (d + 1)
-isometry. Restricting it to the reference and logical output rows gives
-the effective transmission matrix T, the only object the rest of the
-pipeline ever needs: sending one photon of an entangled pair through the
-medium and postselecting on the monitored modes maps |Phi+> to the
-(sub-normalized) state with coefficient matrix T^T / sqrt(dim).
+isometry. Its d x d logical block is the effective transmission matrix T,
+the only object the pipeline needs past tomography: sending one photon of
+an entangled pair through the medium and postselecting on the logical
+modes maps |Phi+> to the (sub-normalized) state with coefficient matrix
+T^T / sqrt(dim).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import numerics, states
-from .bases import BasisFamily, mub
+from .bases import BasisFamily, mub, rotate_matrix
 from .errors import (
     DimensionMismatchError,
     FormatError,
@@ -63,18 +63,16 @@ def haar_channel(d: int, total_modes: int, seed) -> ChannelModel:
 
 @dataclass(frozen=True, eq=False)
 class EffectiveT:
-    """Effective transmission matrix on the monitored modes.
+    """Effective transmission matrix on the d logical modes.
 
-    matrix[k, i] couples input mode i to output mode k. When
-    includes_reference is set, index 0 is the reference on both sides.
-    basis_tag records the scan family a reconstructed matrix is expressed
-    in (None means standard basis). singular_values, in descending order,
-    are computed once at construction; condition_number and the inversion
-    in unscramble.build_w read them.
+    matrix[k, i] couples logical input mode i to logical output mode k,
+    expressed in the family basis_tag names (None means standard basis).
+    singular_values, in descending order, are computed once at
+    construction; condition_number and the inversion in unscramble.build_w
+    read them.
     """
 
     matrix: ComplexMatrix
-    includes_reference: bool = False
     basis_tag: Optional[BasisFamily] = None
     singular_values: np.ndarray = field(init=False)
 
@@ -106,27 +104,22 @@ class EffectiveT:
         return float("inf") if sv[-1] == 0 else float(sv[0] / sv[-1])
 
 
-def effective_t(channel: ChannelModel, include_reference: bool = False) -> EffectiveT:
-    """Restrict the medium to the monitored block.
-
-    Output ordering matches input ordering; with the reference included the
-    first row/column belong to the reference mode.
-    """
-    first = 0 if include_reference else 1
+def effective_t(channel: ChannelModel) -> EffectiveT:
+    """Restrict the medium to its logical block, in the standard basis."""
     v = channel.isometry
-    sub = v[first:v.shape[1], first:]
-    return EffectiveT(matrix=sub, includes_reference=include_reference)
+    return EffectiveT(matrix=v[1:v.shape[1], 1:])
 
 
 def choi_state(t: EffectiveT) -> states.BipartiteState:
     """State isomorphic to the channel: (I x T)|Phi+>, kept sub-normalized.
 
-    Coefficients are T^T / sqrt(dim); norm_sq equals ||T||_F^2 / dim, the
-    postselection success probability.
+    A tagged T is first rotated back to the standard basis. Coefficients are
+    T^T / sqrt(dim); norm_sq equals ||T||_F^2 / dim, the postselection
+    success probability.
     """
-    d = t.dim
-    coeffs = t.matrix.T / np.sqrt(d)
-    return states.make_state(coeffs, physical=True)
+    m = (t.matrix if t.basis_tag is None
+         else rotate_matrix(t.matrix, t.basis_tag, inverse=True))
+    return states.make_state(m.T / np.sqrt(t.dim), physical=True)
 
 
 def transmitted_state(channel: ChannelModel,
@@ -141,13 +134,11 @@ def transmitted_state(channel: ChannelModel,
     if reference_amplitude < 0:
         raise NormalizationError("reference amplitude must be nonnegative")
     if reference_amplitude == 0:
-        t = effective_t(channel, include_reference=False)
-        return choi_state(t)
-    t = effective_t(channel, include_reference=True)
-    weights = np.ones(t.dim)
+        return choi_state(effective_t(channel))
+    v = channel.isometry
+    weights = np.ones(v.shape[1])
     weights[0] = reference_amplitude
-    source = states.weighted_source(weights)
-    out = states.apply_one_sided(source, None, t.matrix)
+    out = states.apply_one_sided(states.weighted_source(weights), None, v[:v.shape[1]])
     return states.make_state(out.coeffs, physical=True)
 
 

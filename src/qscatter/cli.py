@@ -41,6 +41,7 @@ import os
 import shutil
 import sys
 import tempfile
+import warnings
 from dataclasses import asdict, dataclass, replace
 from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
@@ -134,10 +135,7 @@ def config_from_dict(data: Dict[str, object]) -> ScenarioConfig:
         if kwargs["exposure"] != "inf":
             raise ConfigError(f"bad exposure {kwargs['exposure']!r}")
         kwargs["exposure"] = math.inf
-    try:
-        return ScenarioConfig(**kwargs)  # type: ignore[arg-type]
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    return ScenarioConfig(**kwargs)  # type: ignore[arg-type]
 
 
 def _sanitize(obj):
@@ -326,7 +324,7 @@ def _reconstruct(out: _Output, s_tabs, e_tabs, family: bases.BasisFamily,
     numerics.save_matrix_csv(out.path("t_hat.csv"), t.matrix)
     out.json("t_hat.json", {
         "dim": t.dim,
-        "includes_reference": t.includes_reference,
+        "includes_reference": False,
         "basis_tag": None if t.basis_tag is None else t.basis_tag.kind,
         "e_ratio": recon.e_ratio,
         "condition_number": recon.condition_number,
@@ -338,16 +336,14 @@ def _load_t_hat(path: str) -> channel.EffectiveT:
     matrix = numerics.load_matrix_csv(path)
     meta_path = os.path.splitext(path)[0] + ".json"
     meta = numerics._read_json(meta_path) if os.path.exists(meta_path) else {}
-    includes_reference = meta.get("includes_reference", False)
     basis_tag = meta.get("basis_tag")
-    if not isinstance(includes_reference, bool):
-        raise FormatError(f"{meta_path}: 'includes_reference' must be true or false")
+    if meta.get("includes_reference", False) is not False:
+        raise FormatError(f"{meta_path}: 'includes_reference' must be false")
     if not isinstance(basis_tag, (str, type(None))):
         raise FormatError(f"{meta_path}: 'basis_tag' must be a string or null")
     family = (None if basis_tag is None
               else bases.parse_basis_spec(basis_tag, matrix.shape[0]))
-    return channel.EffectiveT(matrix=matrix, includes_reference=includes_reference,
-                              basis_tag=family)
+    return channel.EffectiveT(matrix=matrix, basis_tag=family)
 
 
 def _build_ops(t: channel.EffectiveT, out: _Output) -> unscramble.UnscrambleOperators:
@@ -484,8 +480,7 @@ def _scenario_two_channel(cfg: ScenarioConfig, out: _Output):
 def _scenario_fixture_a1(cfg: ScenarioConfig, out: _Output):
     t_meas = channel.load_fixture_tm0()
     target = certify.TargetState(dim=7, lambdas=channel.load_fixture_lambda())
-    t_std = bases.rotate_matrix(t_meas.matrix, t_meas.basis_tag, inverse=True)
-    state = channel.choi_state(channel.EffectiveT(matrix=t_std))
+    state = channel.choi_state(t_meas)
     # The fixture is evaluated exactly, whatever exposure and dark rate are set.
     exact = replace(cfg, exposure=measure.NOISELESS, dark_rate=0.0)
     std, families, _ = _measure_tables(exact, state, out, _build_ops(t_meas, out), target)
@@ -618,9 +613,7 @@ def _cmd_unscramble(args: argparse.Namespace) -> int:
         t = _load_t_hat(args.t_hat)
         lambdas = _load_lambda_file(args.lambdas, t.dim) if args.lambdas else None
         ops = _build_ops(t, out)
-        t_std = (t.matrix if t.basis_tag is None
-                 else bases.rotate_matrix(t.matrix, t.basis_tag, inverse=True))
-        state = channel.choi_state(channel.EffectiveT(matrix=t_std))
+        state = channel.choi_state(t)
         _save_prediction(out, state, ops, None)
         zeta_meta = {}
         for r in range(t.dim):
@@ -735,11 +728,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        # A warning that the filters let through prints as one stderr line.
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            return args.handler(args)
     except CertificationFailure as exc:
         print(f"certification failed: {exc}", file=sys.stderr)
         return 4

@@ -25,13 +25,14 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from . import numerics
-from .bases import BasisFamily
+from .bases import BasisFamily, parse_basis_spec
 from .channel import EffectiveT
 from .errors import (
     DegenerateReferenceError,
     DimensionMismatchError,
     NormalizationError,
     TagConflictError,
+    ToolkitError,
 )
 from .measure import CountTable
 
@@ -79,7 +80,9 @@ def reconstruct(s_tables: Sequence[CountTable],
     amplify noise. ref_floor must be a finite number in [0, 1); at 0 an
     e_ratio of exactly 0 is still rejected, as T cannot be divided by it.
     family, when given, must be the one the scan tables were recorded in; a
-    different one raises TagConflictError.
+    different one raises TagConflictError. Without it T is tagged with the
+    family the tables' label names, and a label that names no unitary family
+    (standard or mub:r at this dimension) raises TagConflictError.
     """
     s, s_label = _quarter_combination(s_tables)
     if s.shape[0] != s.shape[1]:
@@ -115,7 +118,14 @@ def reconstruct(s_tables: Sequence[CountTable],
     if anchor.size == 0:
         raise NormalizationError("cannot gauge-fix an all-zero matrix")
     a = flat[anchor[0]]
-    if family is not None and family.kind != s_label:
+    if family is None:
+        try:
+            family = parse_basis_spec(s_label, s.shape[0])
+        except ToolkitError:
+            raise TagConflictError(
+                f"scan tables were recorded in {s_label!r}, which names no "
+                f"unitary family of dimension {s.shape[0]}") from None
+    elif family.kind != s_label:
         raise TagConflictError(
             f"scan tables were recorded in {s_label!r}, not {family.kind!r}")
     t = EffectiveT(matrix=m * (np.conjugate(a) / abs(a)), basis_tag=family)

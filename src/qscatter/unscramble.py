@@ -90,9 +90,6 @@ def build_w(t: EffectiveT) -> UnscrambleOperators:
     is used. The choice and the recorded condition number both read the
     singular values t carries. An all-zero matrix raises ConditioningError.
     """
-    if t.includes_reference:
-        raise NormalizationError(
-            "unscrambling acts on the logical block; drop the reference first")
     fam = t.basis_tag
     if fam is None:
         fam = standard_family(t.dim)

@@ -12,7 +12,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from qscatter import numerics
-from qscatter.bases import BasisFamily
+from qscatter.bases import BasisFamily, parse_basis_spec
 from qscatter.channel import EffectiveT
 from qscatter.errors import (
     DegenerateReferenceError,
@@ -20,6 +20,7 @@ from qscatter.errors import (
     FormatError,
     NormalizationError,
     TagConflictError,
+    ToolkitError,
 )
 from qscatter.measure import NOISELESS, CountTable
 
@@ -325,7 +326,7 @@ def assemble_t(s: Tuple[np.ndarray, str], e: Tuple[np.ndarray, str]) -> Effectiv
         raise NormalizationError(f"S scanned in {s_label!r} but E in {e_label!r}")
     ratio = s_values / np.conjugate(e_diag)[np.newaxis, :]
     t_hat = fix_gauge(numerics.dag(ratio))
-    return EffectiveT(matrix=t_hat, includes_reference=False)
+    return EffectiveT(matrix=t_hat)
 
 
 def condition_number(m: np.ndarray) -> float:
@@ -349,11 +350,18 @@ def reconstruct_in_steps(s_tables: Sequence[CountTable],
     s = extract_s(s_tables)
     e = extract_e(e_tables, ref_floor=ref_floor)
     t = assemble_t(s, e)
-    if family is not None:
-        if family.kind != s[1]:
+    d = t.dim
+    if family is None:
+        try:
+            family = parse_basis_spec(s[1], d)
+        except ToolkitError:
             raise TagConflictError(
-                f"scan tables were recorded in {s[1]!r}, not {family.kind!r}")
-        t = replace(t, basis_tag=family)
+                f"scan tables were recorded in {s[1]!r}, which names no "
+                f"unitary family of dimension {d}") from None
+    elif family.kind != s[1]:
+        raise TagConflictError(
+            f"scan tables were recorded in {s[1]!r}, not {family.kind!r}")
+    t = replace(t, basis_tag=family)
     mags = np.abs(e[0])
     return ReferenceReconstruction(
         t=t,

@@ -18,6 +18,8 @@ def test_standard_family_is_identity():
     assert fam.kind == "standard"
     np.testing.assert_array_equal(fam.matrix, np.eye(4))
     assert fam.dim == 4
+    with pytest.raises(InvalidDimensionError):
+        bases.standard_family(1)
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 7, 11, 31, 61, 101, 211])
@@ -88,6 +90,8 @@ def test_tilted_rows_follow_the_spectrum():
     norms = np.linalg.norm(fam.matrix, axis=1)
     assert np.ptp(norms) < 1e-12
     assert norms[0] < 1.0
+    with pytest.raises(InvalidDimensionError):
+        bases.tilted(3, 3, np.full(3, 1 / np.sqrt(3)))
 
 
 def test_tilted_with_uniform_spectrum_matches_mub():

@@ -13,6 +13,7 @@ from qscatter.errors import (
     FormatError,
     InvalidDimensionError,
     NormalizationError,
+    UnsupportedDimensionError,
 )
 
 
@@ -61,13 +62,7 @@ def test_effective_t_extracts_the_right_block():
     ch = channel.haar_channel(3, 9, 2)
     t = channel.effective_t(ch)
     np.testing.assert_array_equal(t.matrix, ch.isometry[1:4, 1:4])
-    assert not t.includes_reference
-
-    t_ref = channel.effective_t(ch, include_reference=True)
-    assert t_ref.dim == 4
-    assert t_ref.includes_reference
-    np.testing.assert_array_equal(t_ref.matrix, ch.isometry[0:4, 0:4])
-    np.testing.assert_array_equal(t_ref.matrix[1:, 1:], t.matrix)
+    assert t.dim == 3 and t.basis_tag is None
 
 
 def test_effective_t_rejects_amplification():
@@ -104,6 +99,19 @@ def test_choi_state_matches_brute_force_postselection():
         assert got.norm_sq == pytest.approx(float(np.linalg.norm(t)) ** 2 / d)
 
 
+def test_choi_state_rotates_a_tagged_matrix_back_to_the_standard_basis():
+    ch = channel.haar_channel(5, 12, 6)
+    t = channel.effective_t(ch)
+    want = channel.choi_state(t).coeffs
+    for family in (bases.standard_family(5), bases.mub(5, 0), bases.mub(5, 3)):
+        tagged = channel.EffectiveT(matrix=bases.rotate_matrix(t.matrix, family),
+                                    basis_tag=family)
+        np.testing.assert_allclose(channel.choi_state(tagged).coeffs, want, atol=1e-14)
+    tilt = bases.tilted(5, 1, np.array([3.0, 2.0, 2.0, 1.0, 1.0]) / np.sqrt(19.0))
+    with pytest.raises(UnsupportedDimensionError):
+        channel.choi_state(channel.EffectiveT(matrix=t.matrix, basis_tag=tilt))
+
+
 def test_transmitted_state_without_reference():
     ch = channel.haar_channel(4, 10, 3)
     st = channel.transmitted_state(ch)
@@ -118,8 +126,7 @@ def test_transmitted_state_with_reference():
     assert st.dim == 4
     w = np.array([amp, 1.0, 1.0, 1.0])
     w = w / np.linalg.norm(w)
-    t = channel.effective_t(ch, include_reference=True).matrix
-    expected = np.diag(w) @ t.T
+    expected = np.diag(w) @ ch.isometry[:4].T
     np.testing.assert_allclose(st.coeffs, expected, atol=1e-12)
     with pytest.raises(NormalizationError):
         channel.transmitted_state(ch, -1.0)
@@ -155,6 +162,8 @@ def test_compose_two_channels_formula():
             np.testing.assert_allclose(t.matrix, u_b @ u_a.T, atol=1e-14)
     with pytest.raises(NormalizationError):
         channel.compose_two_channels(np.eye(2) * 2, np.eye(2))
+    with pytest.raises(DimensionMismatchError):
+        channel.compose_two_channels(np.eye(3)[:2], np.eye(3)[:2])
 
 
 def test_channel_round_trip(tmp_path):

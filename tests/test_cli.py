@@ -281,7 +281,8 @@ def test_malformed_json_sidecars_exit_2(tmp_path, fails):
     t_meta_path = os.path.join(rec, "t_hat.json")
     with open(t_meta_path, encoding="ascii") as fh:
         t_meta = json.load(fh)
-    for key, value in (("includes_reference", "no"), ("basis_tag", 3)):
+    for key, value in (("includes_reference", "no"), ("includes_reference", True),
+                       ("basis_tag", 3)):
         with open(t_meta_path, "w", encoding="ascii") as fh:
             json.dump({**t_meta, key: value}, fh)
         err = fails(["unscramble", "--t-hat", os.path.join(rec, "t_hat.csv")], 2)
@@ -294,7 +295,8 @@ def test_malformed_json_sidecars_exit_2(tmp_path, fails):
 
 
 @pytest.mark.parametrize("content", ["[1, 2]", '{"lambda": 5}',
-                                     '{"lambda": [NaN, 0.5, 0.5]}'])
+                                     '{"lambda": [NaN, 0.5, 0.5]}',
+                                     '{"lambda": ["a", 0.5, 0.5]}'])
 def test_malformed_target_spectrum_exits_2(tmp_path, fails, content):
     sim, rec = str(tmp_path / "sim"), str(tmp_path / "rec")
     assert cli.main(["simulate", "--d", "3", "--n-modes", "8", "--exposure", "inf",
@@ -532,6 +534,42 @@ def test_certify_subcommand_rejects_misplaced_standard_tables(tmp_path, fails):
                   "--table", mub_2]):
         err = fails(["certify", *argv, "--n-mc", "0"], 2)
         assert "standard" in err and len(err.splitlines()) == 1
+
+
+def test_certify_subcommand_rejects_unnamed_and_misshapen_family_tables(tmp_path, fails):
+    """A family table whose label names no family, and a d=3 family table
+    next to a d=5 standard one."""
+    sims = {d: str(tmp_path / f"sim{d}") for d in (3, 5)}
+    for d, sim in sims.items():
+        assert cli.main(["simulate", "--d", str(d), "--n-modes", "12", "--exposure", "1e4",
+                         "--seed", "3", "--out", sim]) == 0
+    std = os.path.join(sims[5], "tables", "standard.csv")
+    with open(os.path.join(sims[5], "tables", "mub_0.csv"), encoding="ascii") as fh:
+        text = fh.read()
+    custom = tmp_path / "custom.csv"
+    custom.write_text(text.replace("mub:0,mub:0*", "custom,custom*", 1))
+    err = fails(["certify", "--standard", std, "--table", str(custom), "--n-mc", "0"], 2)
+    assert err == "error: cannot classify basis label 'custom'\n"
+    err = fails(["certify", "--standard", std, "--table",
+                 os.path.join(sims[3], "tables", "mub_0.csv"), "--n-mc", "0"], 2)
+    assert err == "error: table shape (3, 3) does not match dim 5\n"
+
+
+def test_certify_fallback_warns_on_one_stderr_line(tmp_path, capsys):
+    """Family tables that do not cover 0..d-1 fall back to the single-family
+    lower bound, and the warning says so on one stderr line."""
+    sim = str(tmp_path / "sim")
+    assert cli.main(["simulate", "--d", "5", "--n-modes", "20", "--exposure", "1e4",
+                     "--seed", "3", "--out", sim]) == 0
+    tables = os.path.join(sim, "tables")
+    capsys.readouterr()
+    assert cli.main(["certify", "--standard", os.path.join(tables, "standard.csv"),
+                     "--table", os.path.join(tables, "mub_0.csv"),
+                     "--table", os.path.join(tables, "mub_1.csv"),
+                     "--n-mc", "8", "--out", str(tmp_path / "cert")]) == 0
+    assert capsys.readouterr().err == (
+        "warning: families [0, 1] do not cover 0..4; "
+        "falling back to the single-family lower bound\n")
 
 
 @pytest.mark.parametrize("factor", ["inf", "nan"])

@@ -59,7 +59,7 @@ def test_extract_s_recovers_cross_terms_exactly():
     s = ref * np.conjugate(sig)
     e = ref_e * np.conjugate(sig_e)
     expected = numerics.dag(s / np.conjugate(e))
-    assert recon.t.dim == d and recon.t.basis_tag is None
+    assert recon.t.dim == d and recon.t.basis_tag.kind == "standard"
     assert numerics.dist_up_to_scalar(recon.t.matrix, expected) < 1e-12
 
 
@@ -204,7 +204,10 @@ def test_reconstruct_matches_the_step_by_step_chain_bit_for_bit(d, spec, exposur
                                       np.ascontiguousarray(want.t.matrix).view(np.int64))
         assert got.e_ratio == want.e_ratio
         assert got.condition_number == want.condition_number
-        assert got.t.basis_tag is tag and not got.t.includes_reference
+        if tag is None:
+            assert got.t.basis_tag.kind == want.t.basis_tag.kind == spec
+        else:
+            assert got.t.basis_tag is want.t.basis_tag is tag
 
 
 def test_reconstruct_then_build_w_decomposes_t_once(monkeypatch):
@@ -238,7 +241,6 @@ def test_reconstruct_matches_channel_in_scan_family(family_spec):
         err = numerics.dist_up_to_scalar(recon.t.matrix, oracle)
         assert err < 1e-10
         assert recon.t.basis_tag.kind == family.kind
-        assert not recon.t.includes_reference
         assert 0.0 < recon.e_ratio <= 1.0
         assert np.isfinite(recon.condition_number)
 
@@ -269,3 +271,40 @@ def test_reconstruct_rejects_a_family_the_scans_were_not_recorded_in():
         with pytest.raises(TagConflictError, match="mub:0"):
             tomo.reconstruct(s_rec, e_rec, other)
     assert tomo.reconstruct(s_rec, e_rec, scanned).t.basis_tag.kind == "mub:0"
+
+
+def test_reconstruct_without_a_family_rejects_a_label_naming_no_unitary_family():
+    """Without a family T is tagged from the scan label, so a label that
+    names no unitary family at the scan's dimension is refused."""
+    rng = np.random.default_rng(8)
+    ref, sig = _complex(rng, (3, 3)), _complex(rng, (3, 3))
+    for label in ("tilted:1", "custom"):
+        _assert_rejected_like_the_steps(
+            TagConflictError, _synthetic_tables(ref, sig, label=label),
+            _e_tables(3, label=label), match=f"{label!r}, which names no unitary")
+    ref, sig = _complex(rng, (4, 4)), _complex(rng, (4, 4))
+    _assert_rejected_like_the_steps(
+        TagConflictError, _synthetic_tables(ref, sig, label="mub:0"),
+        _e_tables(4, label="mub:0"), match="dimension 4")
+
+
+@pytest.mark.parametrize("spec", ["mub:0", "mub:1"])
+def test_a_reconstructed_t_reads_as_the_channel_whatever_its_scan_family(spec):
+    """Noiseless scans in a rotated family: T is tagged with that family
+    even when none is passed, choi_state rotates it back to the channel's
+    own state up to one complex factor, and the correction built from it
+    puts every count of the recovered standard table on the diagonal."""
+    d = 7
+    ch = channel.haar_channel(d, 60, 0)
+    family = bases.parse_basis_spec(spec, d)
+    full = channel.transmitted_state(ch, 1.0)
+    s_rec = measure.phase_step_scan_s(full, family, measure.NOISELESS)
+    e_rec = measure.phase_step_scan_e(full, family, measure.NOISELESS)
+    truth = channel.choi_state(channel.effective_t(ch))
+    for tag in (family, None):
+        t_hat = tomo.reconstruct(s_rec, e_rec, tag).t
+        assert t_hat.basis_tag.kind == spec
+        assert numerics.dist_up_to_scalar(channel.choi_state(t_hat).coeffs,
+                                          truth.coeffs) <= 1e-12
+        probs = unscramble.predict_table(truth, unscramble.build_w(t_hat))
+        assert np.trace(probs) >= 0.999

@@ -18,8 +18,7 @@ def _tagged_channel(d, n_modes, seed, family):
     ch = channel.haar_channel(d, n_modes, seed)
     t_std = channel.effective_t(ch)
     rotated = bases.rotate_matrix(t_std.matrix, family)
-    t_tagged = channel.EffectiveT(matrix=rotated, includes_reference=False,
-                                  basis_tag=family)
+    t_tagged = channel.EffectiveT(matrix=rotated, basis_tag=family)
     return ch, t_std, t_tagged
 
 
@@ -48,20 +47,16 @@ def test_build_w_formula_and_tags():
 
 
 def test_build_w_untagged_defaults_to_standard():
-    t = channel.EffectiveT(matrix=np.eye(3) / np.sqrt(3), includes_reference=False)
+    t = channel.EffectiveT(matrix=np.eye(3) / np.sqrt(3))
     ops = unscramble.build_w(t)
     assert ops.basis_kind == "standard"
     np.testing.assert_allclose(ops.m_bob, np.eye(3))
 
 
 def test_build_w_rejections():
-    with_ref = channel.EffectiveT(matrix=np.eye(3) / 2, includes_reference=True)
-    with pytest.raises(NormalizationError):
-        unscramble.build_w(with_ref)
     lam = np.array([3.0, 2.0, 1.0]) / np.sqrt(14.0)
     fam = bases.tilted(3, 0, lam)
-    t = channel.EffectiveT(matrix=np.eye(3) / 2, includes_reference=False,
-                           basis_tag=fam)
+    t = channel.EffectiveT(matrix=np.eye(3) / 2, basis_tag=fam)
     with pytest.raises(NormalizationError):
         unscramble.build_w(t)
 
@@ -113,7 +108,7 @@ def test_recovered_probs_zeta_convention():
 
 
 def test_recovered_probs_dimension_check():
-    t = channel.EffectiveT(matrix=np.eye(3) / 2, includes_reference=False)
+    t = channel.EffectiveT(matrix=np.eye(3) / 2)
     ops = unscramble.build_w(t)
     from qscatter import states
     with pytest.raises(DimensionMismatchError):

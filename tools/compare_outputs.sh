@@ -14,7 +14,9 @@
 # and its predicted tables print small entries in exponent notation), once more on the simulated ones with the --table flags in reverse
 # order (so the report's label -> path map is built in that order), and
 # once more on CRLF copies of the simulated tables, each with one empty
-# line between its first two cells, and
+# line between its first two cells, and twice more on the simulated ones
+# through the single-family lower bound: with mub_0 alone, and with mub_0
+# and mub_1 (the fallback, which warns on stderr), and
 # unscramble --lambdas with a fixed non-uniform spectrum followed by
 # certify --target on its predicted tilted tables, plus unscramble on a
 # copy of the noisy --scan-family standard tomography run's t_hat.csv
@@ -90,6 +92,11 @@ run_grid() {
     q "$src" "$out" unscramble-d67 unscramble --t-hat rec-d67/t_hat.csv --out ops-d67
     q "$src" "$out" certify-sim certify --standard sim/tables/standard.csv \
         "${sim_tables[@]}" --n-mc 40 --seed 3 --out cert-sim
+    q "$src" "$out" certify-sim-mub0 certify --standard sim/tables/standard.csv \
+        --table sim/tables/mub_0.csv --n-mc 40 --seed 3 --out cert-sim-mub0
+    q "$src" "$out" certify-sim-fallback certify --standard sim/tables/standard.csv \
+        --table sim/tables/mub_0.csv --table sim/tables/mub_1.csv --n-mc 40 --seed 3 \
+        --out cert-sim-fallback
     q "$src" "$out" certify-sim-reversed certify --standard sim/tables/standard.csv \
         "${reversed_tables[@]}" --n-mc 40 --seed 3 --out cert-sim-reversed
     mkdir "$out/crlf"
