@@ -125,7 +125,7 @@ def reconstruct(s_tables: Sequence[CountTable],
             raise TagConflictError(
                 f"scan tables were recorded in {s_label!r}, which names no "
                 f"unitary family of dimension {s.shape[0]}") from None
-    elif family.kind != s_label:
+    if family.kind != s_label:
         raise TagConflictError(
             f"scan tables were recorded in {s_label!r}, not {family.kind!r}")
     t = EffectiveT(matrix=m * (np.conjugate(a) / abs(a)), basis_tag=family)

@@ -358,7 +358,7 @@ def reconstruct_in_steps(s_tables: Sequence[CountTable],
             raise TagConflictError(
                 f"scan tables were recorded in {s[1]!r}, which names no "
                 f"unitary family of dimension {d}") from None
-    elif family.kind != s[1]:
+    if family.kind != s[1]:
         raise TagConflictError(
             f"scan tables were recorded in {s[1]!r}, not {family.kind!r}")
     t = replace(t, basis_tag=family)

@@ -282,6 +282,10 @@ def test_reconstruct_without_a_family_rejects_a_label_naming_no_unitary_family()
         _assert_rejected_like_the_steps(
             TagConflictError, _synthetic_tables(ref, sig, label=label),
             _e_tables(3, label=label), match=f"{label!r}, which names no unitary")
+    # a label that parses to a family but is not its name
+    _assert_rejected_like_the_steps(
+        TagConflictError, _synthetic_tables(ref, sig, label="mub:01"),
+        _e_tables(3, label="mub:01"), match="'mub:01', not 'mub:1'")
     ref, sig = _complex(rng, (4, 4)), _complex(rng, (4, 4))
     _assert_rejected_like_the_steps(
         TagConflictError, _synthetic_tables(ref, sig, label="mub:0"),
