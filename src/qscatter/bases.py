@@ -18,6 +18,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -29,6 +30,8 @@ from .errors import (
     UnsupportedDimensionError,
 )
 from .numerics import PROB_TOL, ComplexMatrix
+
+RECOVERED = "recovered:"
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,17 +148,26 @@ def rotate_matrix(t: ComplexMatrix, family: BasisFamily,
     return np.conjugate(m) @ t @ m.T
 
 
+def parse_label(label: str, d: int) -> Tuple[str, Optional[int]]:
+    """Read a basis label, [recovered:](standard | mub:r | tilted:r), with r
+    spelled as str(r) and in 0..d-1: the spelling every writer uses.
+
+    Returns (kind, r), r None for standard; the recovered: prefix is not
+    kept. Any other spelling raises InvalidDimensionError.
+    """
+    body = label[len(RECOVERED):] if label.startswith(RECOVERED) else label
+    if body == "standard":
+        return body, None
+    kind, _, idx = body.partition(":")
+    if kind in ("mub", "tilted") and idx in map(str, range(d)):
+        return kind, int(idx)
+    raise InvalidDimensionError(f"cannot classify basis label {label!r}")
+
+
 def parse_basis_spec(spec: str, d: int) -> BasisFamily:
-    """Parse a command-line basis spec: standard | mub:r."""
-    spec = spec.strip()
-    if spec == "standard":
-        return standard_family(d)
-    if ":" in spec:
-        name, _, idx = spec.partition(":")
-        try:
-            r = int(idx)
-        except ValueError:
-            raise InvalidDimensionError(f"bad basis index in {spec!r}") from None
-        if name == "mub":
-            return mub(d, r)
-    raise InvalidDimensionError(f"unknown basis spec {spec!r}")
+    """The unitary family a spec names: a label without the recovered:
+    prefix, standard or mub:r."""
+    kind, r = parse_label(spec, d)
+    if spec.startswith(RECOVERED) or kind == "tilted":
+        raise InvalidDimensionError(f"unknown basis spec {spec!r}")
+    return standard_family(d) if r is None else mub(d, r)

@@ -34,7 +34,7 @@ from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import numerics
-from .bases import check_lambdas
+from .bases import check_lambdas, parse_label
 from .errors import (
     DimensionMismatchError,
     NormalizationError,
@@ -49,8 +49,6 @@ _STREAM_MC = 21
 _MC_BLOCK_CELLS = 1 << 14
 
 _UNIFORM_TOL = 1e-9
-
-_STANDARD_LABELS = ("standard", "recovered:standard")
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,24 +96,6 @@ def estimate_lambda(table: Union[CountTable, np.ndarray]) -> TargetState:
     return TargetState(dim=counts.shape[0], lambdas=np.sqrt(diag / total))
 
 
-def _parse_kind(label: str) -> Tuple[str, Optional[int]]:
-    """Classify a basis label into (kind, r); accepts recovered:... and *."""
-    s = label
-    if s.startswith("recovered:"):
-        s = s[len("recovered:"):]
-    s = s.rstrip("*")
-    if s == "standard":
-        return "standard", None
-    for kind in ("mub", "tilted"):
-        prefix = kind + ":"
-        if s.startswith(prefix):
-            try:
-                return kind, int(s[len(prefix):])
-            except ValueError:
-                break
-    raise NormalizationError(f"cannot classify basis label {label!r}")
-
-
 class _Family(NamedTuple):
     """What the estimators read of one rotated-family table: its kind and
     index, and per row the raw diagonal cell, the raw off-diagonal sum and
@@ -154,12 +134,9 @@ def _reduce(table: CountTable, d: int) -> _Family:
     these statistics is exactly a Poisson redraw of every cell.
     """
     _check_shape(table, d)
-    kind, r = _parse_kind(table.basis_label_a)
+    kind, r = parse_label(table.basis_label_a, d)
     if kind == "standard":
         raise NormalizationError("family tables must be rotated, got a standard one")
-    if not 0 <= r < d:
-        raise NormalizationError(
-            f"family labels must index 0..{d - 1}, got {table.basis_label_a!r}")
     raw = _raw(table)
     diag = np.diagonal(raw).copy()
     return _Family(kind, r, diag, np.sum(raw, axis=1) - diag, _row_scale(table),
@@ -172,10 +149,10 @@ def _read_families(standard_table: CountTable, family_tables: Iterable[CountTabl
     then reads each family table once, in order, reducing it as it passes.
 
     The standard table must carry a standard label and every family table
-    a rotated one of index 0..d-1, all d x d. Only the reductions are kept,
-    so no more than one family table is held at a time.
+    a rotated one, as bases.parse_label reads them, all d x d. Only the
+    reductions are kept, so no more than one family table is held at a time.
     """
-    if standard_table.basis_label_a not in _STANDARD_LABELS:
+    if parse_label(standard_table.basis_label_a, d)[0] != "standard":
         raise NormalizationError(
             f"expected a standard-basis table, got {standard_table.basis_label_a!r}")
     _check_shape(standard_table, d)
@@ -315,8 +292,10 @@ class CertificationReport:
 
 
 def _dimensionality_from(fidelity: float, bounds: np.ndarray) -> int:
+    """The largest k with F > B_(k-1), B_0 = 0, and at least 1: every
+    state has Schmidt number >= 1, whatever F."""
     prev = np.concatenate(([0.0], bounds[:-1]))
-    return int(np.sum(fidelity > prev))
+    return max(1, int(np.sum(fidelity > prev)))
 
 
 def certify(standard_table: CountTable,
@@ -373,7 +352,7 @@ def certify(standard_table: CountTable,
         n_eff = n_mc
 
     prev_bound = 0.0 if d_ent <= 1 else float(bounds[d_ent - 2])
-    robust = bool(d_ent >= 1 and fidelity - 3 * sigma > prev_bound)
+    robust = bool(fidelity - 3 * sigma > prev_bound)
 
     return CertificationReport(
         dim=d,

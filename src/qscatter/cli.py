@@ -11,10 +11,11 @@ Subcommands map to the stages of a scattering-channel experiment:
 All randomness flows from one root seed through named sub-streams (channel
 draws, each sampling stage, Monte-Carlo resampling), so any artifact can be
 reproduced in isolation. Reports are canonical JSON: same config and seed
-give byte-identical output. A report's tables block names each table's CSV
-file and its SHA-256 rather than repeating the counts. Each command writes
-through one output object, `_Output`, which stages its files inside --out
-and moves them into place only once the command has succeeded.
+give byte-identical output under the same numpy, BLAS build and BLAS
+thread count. A report's tables block names each table's CSV file and its
+SHA-256 rather than repeating the counts. Each command writes through one
+output object, `_Output`, which stages its files inside --out and moves
+them into place only once the command has succeeded.
 
 Every scenario, and `simulate`, is a short sequence of shared stages: draw
 the medium, scan it, reconstruct its transmission matrix, build the
@@ -599,11 +600,11 @@ def _save_prediction(out: _Output, state: states.BipartiteState,
                      v: Optional[unscramble.VOperator]) -> None:
     """Write the noiseless table the correction predicts through V_r (the
     standard one for v None) to unscramble/predicted_<kind>.csv."""
-    kind = "standard" if v is None else v.kind
+    label = unscramble.recovered_label(v)
     table = measure.CountTable(counts=unscramble.predict_table(state, ops, v),
-                               basis_label_a=f"recovered:{kind}",
-                               basis_label_b=f"recovered:{kind}*",
+                               basis_label_a=label, basis_label_b=label + "*",
                                exposure=measure.NOISELESS)
+    kind = "standard" if v is None else v.kind
     measure.save_count_table(
         out.path("unscramble/predicted_" + kind.replace(":", "_") + ".csv"), table)
 

@@ -10,7 +10,7 @@ class ToolkitError(Exception):
 
 
 class InvalidDimensionError(ToolkitError, ValueError):
-    """Dimension is non-positive, non-integer or otherwise unusable."""
+    """A dimension or family index is unusable, or a basis label misspelled."""
 
 
 class DimensionMismatchError(ToolkitError, ValueError):

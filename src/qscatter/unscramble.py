@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import numerics
-from .bases import BasisFamily, mub, standard_family, tilted
+from .bases import RECOVERED, BasisFamily, mub, standard_family, tilted
 from .channel import EffectiveT
 from .errors import (
     ConditioningError,
@@ -187,6 +187,12 @@ def predict_table(state: BipartiteState, ops: UnscrambleOperators,
     return probs / total
 
 
+def recovered_label(v: Optional[VOperator]) -> str:
+    """Alice's label of a table measured through the correction and V_r
+    (the standard one for v None); Bob's adds a *."""
+    return RECOVERED + ("standard" if v is None else v.kind)
+
+
 def measure_recovered(state: BipartiteState, ops: UnscrambleOperators,
                       v: Optional[VOperator], exposure: float,
                       seed: Optional[int] = None,
@@ -201,7 +207,7 @@ def measure_recovered(state: BipartiteState, ops: UnscrambleOperators,
     by zeta^2 back to the exact operator convention, with the factors kept
     in row_scale.
     """
-    label = "recovered:standard" if v is None else f"recovered:{v.kind}"
+    label = recovered_label(v)
     k = 0 if v is None else v.r + 1
     probs = recovered_probs(state, ops, v, corrected=False)
     table = sample_counts(probs, exposure, seed, dark_rate,

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import phase_table
-from qscatter import bases, numerics
+from qscatter import bases, channel, numerics, unscramble
 from qscatter.errors import (
     DimensionMismatchError,
     InvalidDimensionError,
@@ -141,6 +143,41 @@ def test_parse_basis_spec():
             bases.parse_basis_spec(spec, 5)
     with pytest.raises(InvalidDimensionError):
         bases.parse_basis_spec("mub:x", 5)
+    for spec in ("recovered:standard", "recovered:mub:1", "mub:01", " mub:1"):
+        with pytest.raises(InvalidDimensionError):
+            bases.parse_basis_spec(spec, 5)
+
+
+_PRIMES_TO_31 = [p for p in range(2, 32) if numerics.is_prime(p)]
+
+
+@settings(deadline=None, max_examples=40)
+@given(d=st.sampled_from(_PRIMES_TO_31),
+       index=st.text(alphabet="0123456789 +-_*:\u0661", max_size=4))
+def test_a_written_label_reads_back_to_itself_and_no_other_spelling_reads(d, index):
+    """Every label the writers emit, the measured families' and the
+    recovered ones', parses to its (kind, r) and spells back to itself; an
+    index reads only when spelled as str(r) for r in 0..d-1."""
+    ops = unscramble.build_w(channel.EffectiveT(matrix=np.eye(d)))
+    lam = np.arange(1.0, d + 1) / np.linalg.norm(np.arange(1.0, d + 1))
+    written = [(bases.standard_family(d).kind, ("standard", None)),
+               (unscramble.recovered_label(None), ("standard", None))]
+    for r in range(d):
+        for kind, v in (("mub", unscramble.build_v(ops, r)),
+                        ("tilted", unscramble.build_v(ops, r, lam))):
+            written += [(v.kind, (kind, r)), (unscramble.recovered_label(v), (kind, r))]
+    for label, parsed in written:
+        assert bases.parse_label(label, d) == parsed
+        kind, r = parsed
+        prefix = bases.RECOVERED if label.startswith(bases.RECOVERED) else ""
+        assert prefix + (kind if r is None else f"{kind}:{r}") == label
+    refused = ["mub:01", "mub: 1", "mub:+1", "mub:-0", "mub:1**", "mub:1_0", " mub:1",
+               f"mub:{d}", "recovered:recovered:mub:1", "standard*", "tilted:"]
+    if index not in [str(r) for r in range(d)]:
+        refused += [f"mub:{index}", f"recovered:tilted:{index}"]
+    for label in refused:
+        with pytest.raises(InvalidDimensionError, match="cannot classify basis label"):
+            bases.parse_label(label, d)
 
 
 def test_family_validation_catches_mismatches():

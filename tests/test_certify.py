@@ -13,7 +13,11 @@ from oracles import (
     target_ket,
 )
 from qscatter import bases, certify, measure, states
-from qscatter.errors import DimensionMismatchError, NormalizationError
+from qscatter.errors import (
+    DimensionMismatchError,
+    InvalidDimensionError,
+    NormalizationError,
+)
 
 
 def _random_target(d, rng):
@@ -90,7 +94,7 @@ def test_table_labels_are_checked():
         with pytest.raises(NormalizationError, match="standard"):
             call()
     beyond = noiseless_table(fams[0].counts, f"mub:{d}")
-    with pytest.raises(NormalizationError, match="index"):
+    with pytest.raises(InvalidDimensionError, match="cannot classify basis label 'mub:3'"):
         certify.fidelity_lower_bound(_standard_table(rho, d), beyond, uniform)
     recovered = noiseless_table(_standard_table(rho, d).counts, "recovered:standard")
     assert certify.fidelity_exact(recovered, fams, uniform) == pytest.approx(

@@ -339,7 +339,11 @@ def test_target_spectrum_off_normalization_exits_2_from_both_commands(tmp_path, 
 @pytest.mark.parametrize("argv", [
     ["run", "--scenario", "fixture-a1", "--d", "5", "--n-modes", "12"],
     ["simulate", "--d", "3", "--n-modes", "8", "--basis", "tilted:1"],
-], ids=["fixture-a1-d5", "simulate-tilted-basis"])
+    ["simulate", "--d", "3", "--n-modes", "8", "--basis", "mub:01"],
+    ["run", "--scenario", "baseline", "--d", "3", "--n-modes", "8", "--scan-family",
+     "mub:01"],
+], ids=["fixture-a1-d5", "simulate-tilted-basis", "simulate-mub-01",
+        "run-scan-family-mub-01"])
 def test_config_errors_exit_2_before_any_output(fails, argv):
     assert len(fails(argv, 2).splitlines()) == 1
 
@@ -537,8 +541,9 @@ def test_certify_subcommand_rejects_misplaced_standard_tables(tmp_path, fails):
 
 
 def test_certify_subcommand_rejects_unnamed_and_misshapen_family_tables(tmp_path, fails):
-    """A family table whose label names no family, and a d=3 family table
-    next to a d=5 standard one."""
+    """A family table whose label names no family, one whose label is not
+    spelled as a writer spells it, and a d=3 family table next to a d=5
+    standard one."""
     sims = {d: str(tmp_path / f"sim{d}") for d in (3, 5)}
     for d, sim in sims.items():
         assert cli.main(["simulate", "--d", str(d), "--n-modes", "12", "--exposure", "1e4",
@@ -550,6 +555,10 @@ def test_certify_subcommand_rejects_unnamed_and_misshapen_family_tables(tmp_path
     custom.write_text(text.replace("mub:0,mub:0*", "custom,custom*", 1))
     err = fails(["certify", "--standard", std, "--table", str(custom), "--n-mc", "0"], 2)
     assert err == "error: cannot classify basis label 'custom'\n"
+    padded = tmp_path / "padded.csv"
+    padded.write_text(text.replace("mub:0,mub:0*", "mub:01,mub:01*", 1))
+    err = fails(["certify", "--standard", std, "--table", str(padded), "--n-mc", "0"], 2)
+    assert err == "error: cannot classify basis label 'mub:01'\n"
     err = fails(["certify", "--standard", std, "--table",
                  os.path.join(sims[3], "tables", "mub_0.csv"), "--n-mc", "0"], 2)
     assert err == "error: table shape (3, 3) does not match dim 5\n"
@@ -557,7 +566,9 @@ def test_certify_subcommand_rejects_unnamed_and_misshapen_family_tables(tmp_path
 
 def test_certify_fallback_warns_on_one_stderr_line(tmp_path, capsys):
     """Family tables that do not cover 0..d-1 fall back to the single-family
-    lower bound, and the warning says so on one stderr line."""
+    lower bound, and the warning says so on one stderr line. Its estimate
+    here is F = -0.54, which still certifies 1 dimension, not 0: every state
+    has Schmidt number >= 1."""
     sim = str(tmp_path / "sim")
     assert cli.main(["simulate", "--d", "5", "--n-modes", "20", "--exposure", "1e4",
                      "--seed", "3", "--out", sim]) == 0
@@ -566,10 +577,13 @@ def test_certify_fallback_warns_on_one_stderr_line(tmp_path, capsys):
     assert cli.main(["certify", "--standard", os.path.join(tables, "standard.csv"),
                      "--table", os.path.join(tables, "mub_0.csv"),
                      "--table", os.path.join(tables, "mub_1.csv"),
-                     "--n-mc", "8", "--out", str(tmp_path / "cert")]) == 0
-    assert capsys.readouterr().err == (
+                     "--n-mc", "40", "--seed", "3", "--out", str(tmp_path / "cert")]) == 0
+    out, err = capsys.readouterr()
+    assert err == (
         "warning: families [0, 1] do not cover 0..4; "
         "falling back to the single-family lower bound\n")
+    assert out.startswith("F = -0.5385 ")
+    assert out.endswith("certified dimensionality 1 of 5\n")
 
 
 @pytest.mark.parametrize("factor", ["inf", "nan"])

@@ -22,9 +22,10 @@
 # copy of the noisy --scan-family standard tomography run's t_hat.csv
 # without its t_hat.json (an untagged matrix), plus one noiseless
 # tomography run at d=7 through N=2000 modes (a 2000-row channel.csv),
-# plus three errors that must exit 2 and leave their --out absent
-# (run --scenario fixture-a1 --d 5, simulate --basis tilted:1, and
-# unscramble --lambdas with a spectrum whose squares sum to 1.8), each with
+# plus four errors that must exit 2 and leave their --out absent
+# (run --scenario fixture-a1 --d 5, simulate --basis tilted:1, simulate
+# --basis mub:01, which is not how mub:1 is spelled, and unscramble
+# --lambdas with a spectrum whose squares sum to 1.8), each with
 # its own --out, plus tomo --ref-floor 0.999 on the d=5 scans, which must
 # exit 3 with its degenerate-reference message. Three steps check what
 # --out holds after a rerun or a failure: a baseline run at d=5 and then at
@@ -125,6 +126,8 @@ run_grid() {
         --out fixture-a1-d5
     q "$src" "$out" simulate-tilted simulate --d 5 --n-modes 20 --seed 3 \
         --basis tilted:1 --out simulate-tilted
+    q "$src" "$out" simulate-mub-01 simulate --d 5 --n-modes 20 --seed 3 \
+        --basis mub:01 --out simulate-mub-01
     printf '{"lambda": [0.6, 0.6, 0.6, 0.6, 0.6]}\n' >"$out/lambda-bad.json"
     q "$src" "$out" unscramble-bad-lambdas unscramble --t-hat rec/t_hat.csv \
         --lambdas lambda-bad.json --out unscramble-bad-lambdas
