@@ -12,7 +12,6 @@ T^T / sqrt(dim).
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 from importlib import resources
@@ -182,9 +181,7 @@ def save_channel(path_base: Union[str, os.PathLike], channel: ChannelModel) -> N
     """Write <base>.csv (the N x (d+1) isometry) and <base>.json (its layout)."""
     base = os.fspath(path_base)
     numerics.save_matrix_csv(base + ".csv", channel.isometry)
-    with open(base + ".json", "w", encoding="ascii") as fh:
-        json.dump(_layout(channel.isometry), fh, sort_keys=True)
-        fh.write("\n")
+    numerics._write_json(base + ".json", _layout(channel.isometry))
 
 
 def load_channel(path_base: Union[str, os.PathLike]) -> ChannelModel:
@@ -225,7 +222,7 @@ def load_fixture_lambda() -> np.ndarray:
     sum(lambda^2) = 1 holds exactly (relative adjustment ~1e-5).
     """
     ref = resources.files("qscatter.fixtures").joinpath("fixture_lambda.json")
-    with resources.as_file(ref) as path, open(path, "r", encoding="ascii") as fh:
-        meta = json.load(fh)
-    lam = np.asarray(meta["lambda"], dtype=np.float64)
+    with resources.as_file(ref) as path:
+        lam = np.asarray(numerics._read_json(path, {"lambda": list})["lambda"],
+                         dtype=np.float64)
     return lam / np.sqrt(float(np.sum(lam * lam)))

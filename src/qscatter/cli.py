@@ -13,7 +13,10 @@ draws, each sampling stage, Monte-Carlo resampling), so any artifact can be
 reproduced in isolation. Reports are canonical JSON: same config and seed
 give byte-identical output under the same numpy, BLAS build and BLAS
 thread count. A report's tables block names each table's CSV file and its
-SHA-256 rather than repeating the counts. Each command writes through one
+SHA-256 rather than repeating the counts. Its diagnostics block holds what
+the stages measured about the correction (the basis tag, the reference's
+e_ratio, T's condition number, the SLM row scales eta), each fact recorded
+once, by the stage that computes it. Each command writes through one
 output object, `_Output`, which stages its files inside --out and moves
 them into place only once the command has succeeded.
 
@@ -54,12 +57,13 @@ from .errors import (
     ConditioningError,
     ConfigError,
     FormatError,
+    InvalidDimensionError,
     ToolkitError,
 )
 
 _STREAM_CHANNEL = 1
 
-REPORT_SCHEMA = "report_v2"
+REPORT_SCHEMA = "report_v3"
 
 
 @dataclass(frozen=True)
@@ -139,29 +143,10 @@ def config_from_dict(data: Dict[str, object]) -> ScenarioConfig:
     return ScenarioConfig(**kwargs)  # type: ignore[arg-type]
 
 
-def _sanitize(obj):
-    """Make reports JSON-safe: numpy values to plain Python, infinities to "inf"."""
-    if isinstance(obj, (np.ndarray, np.generic)):
-        obj = obj.tolist()
-    if isinstance(obj, dict):
-        return {str(k): _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    if isinstance(obj, float) and math.isinf(obj):
-        return "inf"
-    return obj
-
-
-def _canonical(obj) -> str:
-    """Canonical JSON text: sorted keys, fixed indentation, full precision."""
-    return json.dumps(_sanitize(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
-
-
 def emit_report(report: Dict[str, object], out_dir: str) -> str:
     """Write a report to <out_dir>/report.json and return that path."""
     path = os.path.join(out_dir, "report.json")
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(_canonical(report))
+    numerics._write_json(path, report)
     return path
 
 
@@ -177,12 +162,15 @@ class _Output(contextlib.AbstractContextManager):
     that refusal included, an existing out_dir keeps every byte, and a
     missing one is removed again. `tables` is the report's tables block: by
     label, each table's path from out_dir and the SHA-256 of its bytes.
+    `diagnostics` is its diagnostics block, filled by the stages.
     """
 
     def __init__(self, out_dir: str, inputs: Iterable[str] = ()) -> None:
         self.out_dir = out_dir
         self.inputs = [path for path in inputs if path]  # an optional input may be None
         self.tables: Dict[str, Dict[str, str]] = {}
+        self.diagnostics: Dict[str, object] = {}
+        self._given: Dict[str, str] = {}  # each read table's path as given, by label
         if os.path.lexists(out_dir) and not os.path.isdir(out_dir):
             raise ConfigError(f"--out {out_dir} exists and is not a directory")
         # The topmost directory made here, if any, goes again on a failure.
@@ -234,8 +222,7 @@ class _Output(contextlib.AbstractContextManager):
 
     def json(self, rel: str, obj) -> None:
         os.makedirs(os.path.dirname(self.path(rel)), exist_ok=True)
-        with open(self.path(rel), "w", encoding="ascii", newline="\n") as fh:
-            fh.write(_canonical(obj))
+        numerics._write_json(self.path(rel), obj)
 
     def measured(self, table: measure.CountTable) -> measure.CountTable:
         """Write a measured table to tables/<label>.csv, ':' as '_', name it in
@@ -247,10 +234,20 @@ class _Output(contextlib.AbstractContextManager):
 
     def read(self, path: str) -> measure.CountTable:
         """Read an input table and name it in the tables block, with the
-        SHA-256 of the bytes read."""
+        SHA-256 of the bytes read. A label that bases.parse_label refuses,
+        or that an earlier input carried, raises an error naming the files."""
         digest = hashlib.sha256()
         table = measure.load_count_table(path, digest)
-        self.tables[table.basis_label_a] = {
+        label = table.basis_label_a
+        try:
+            bases.parse_label(label, table.counts.shape[0])
+        except InvalidDimensionError as exc:
+            raise InvalidDimensionError(f"{path}: {exc}") from exc
+        if label in self._given:
+            raise ConfigError(f"tables {self._given[label]} and {path} both carry "
+                              f"the label {label!r}")
+        self._given[label] = path
+        self.tables[label] = {
             "path": os.path.relpath(path, self.out_dir).replace(os.sep, "/"),
             "sha256": digest.hexdigest()}
         return table
@@ -259,7 +256,7 @@ class _Output(contextlib.AbstractContextManager):
                **extra: object) -> Dict[str, object]:
         """Write report.json and return the report."""
         report = {"schema": REPORT_SCHEMA, "scenario": scenario, "results": results,
-                  "tables": self.tables, **extra}
+                  "diagnostics": self.diagnostics, "tables": self.tables, **extra}
         emit_report(report, self.stage)
         return report
 
@@ -323,13 +320,13 @@ def _reconstruct(out: _Output, s_tabs, e_tabs, family: bases.BasisFamily,
     recon = tomo.reconstruct(s_tabs, e_tabs, family=family, **kwargs)
     t = recon.t
     numerics.save_matrix_csv(out.path("t_hat.csv"), t.matrix)
-    out.json("t_hat.json", {
-        "dim": t.dim,
-        "includes_reference": False,
+    facts = {
         "basis_tag": None if t.basis_tag is None else t.basis_tag.kind,
         "e_ratio": recon.e_ratio,
         "condition_number": recon.condition_number,
-    })
+    }
+    out.json("t_hat.json", {"dim": t.dim, "includes_reference": False, **facts})
+    out.diagnostics.update(facts)
     return recon
 
 
@@ -358,6 +355,8 @@ def _build_ops(t: channel.EffectiveT, out: _Output) -> unscramble.UnscrambleOper
         "eta": ops.eta,
         "condition_number": ops.condition_number,
     })
+    out.diagnostics.update(basis_tag=ops.basis_kind, condition_number=ops.condition_number,
+                           eta=ops.eta)
     return ops
 
 
@@ -424,42 +423,25 @@ def _certify(standard: measure.CountTable, families: Iterable[measure.CountTable
 def _scenario_direct(cfg: ScenarioConfig, out: _Output):
     """baseline measures the source state itself; scramble measures it
     after a medium, with no correction."""
-    if cfg.scenario == "baseline":
-        state = states.max_entangled(cfg.d)
-    else:
-        state = channel.transmitted_state(_draw_channel(cfg, out))
-    rep, results = _certify(*_measure_tables(cfg, state, out), cfg.n_mc, cfg.seed)
-    if cfg.scenario == "scramble":
-        results["certified"] = rep.entangled
-    return results
+    state = (states.max_entangled(cfg.d) if cfg.scenario == "baseline"
+             else channel.transmitted_state(_draw_channel(cfg, out)))
+    return _certify(*_measure_tables(cfg, state, out), cfg.n_mc, cfg.seed)[1]
 
 
 def _scenario_tomography(cfg: ScenarioConfig, out: _Output):
     ch = _draw_channel(cfg, out)
-    recon = _reconstruct(out, *_scan(cfg, ch, out)[1:])
-    family = recon.t.basis_tag
-    oracle = bases.rotate_matrix(channel.effective_t(ch).matrix, family)
-    return {
-        "reconstruction_error": numerics.dist_up_to_scalar(recon.t.matrix, oracle),
-        "e_ratio": recon.e_ratio,
-        "condition_number": recon.condition_number,
-        "basis_tag": family.kind,
-    }
+    t = _reconstruct(out, *_scan(cfg, ch, out)[1:]).t
+    oracle = bases.rotate_matrix(channel.effective_t(ch).matrix, t.basis_tag)
+    return {"reconstruction_error": numerics.dist_up_to_scalar(t.matrix, oracle)}
 
 
 def _scenario_unscramble_certify(cfg: ScenarioConfig, out: _Output):
     full, *scans = _scan(cfg, _draw_channel(cfg, out), out)
-    recon = _reconstruct(out, *scans)
+    t = _reconstruct(out, *scans).t
     del scans  # the eight step tables are not held through certification
-    ops = _build_ops(recon.t, out)
-    _, results = _certify(*_measure_tables(cfg, channel.drop_reference(full), out, ops),
-                          cfg.n_mc, cfg.seed)
-    results["reconstruction"] = {
-        "e_ratio": recon.e_ratio,
-        "condition_number": recon.condition_number,
-    }
-    results["eta"] = ops.eta
-    return results
+    ops = _build_ops(t, out)
+    return _certify(*_measure_tables(cfg, channel.drop_reference(full), out, ops),
+                    cfg.n_mc, cfg.seed)[1]
 
 
 def _scenario_two_channel(cfg: ScenarioConfig, out: _Output):
@@ -495,9 +477,7 @@ def _scenario_fixture_a1(cfg: ScenarioConfig, out: _Output):
                 np.diag(probs) >= np.max(probs - np.diag(np.diag(probs)), axis=1))))
             yield table
 
-    rep, results = _certify(std, checked(families), target, 0, cfg.seed)
-    results["b5"] = rep.bounds[4]
-    results["lambda_fixture"] = target.lambdas
+    _, results = _certify(std, checked(families), target, 0, cfg.seed)
     results["lambda_recovered"] = certify.estimate_lambda(std).lambdas
     results["tilted_diagonal_dominant"] = dominant
     return results

@@ -2,9 +2,9 @@
 
 Everything else in the package builds on the helpers here: tolerance policy,
 Haar-random isometries, gauge-insensitive matrix distance, the cell-grid CSV
-codec behind both the complex-matrix and the count-table files, and the
-reader of their JSON sidecars. All matrices are dense complex128 numpy
-arrays, row-major, sized for dimensions up to a few hundred.
+codec behind both the complex-matrix and the count-table files, the reader
+of JSON sidecars and the writer of every JSON file. All matrices are dense
+complex128 numpy arrays, row-major, sized for dimensions up to a few hundred.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import functools
 import hashlib
 import itertools
 import json
+import math
 import os
 from typing import Iterator, List, Mapping, NamedTuple, Sequence, Tuple, Union
 
@@ -507,3 +508,24 @@ def _read_json(path: Union[str, os.PathLike],
         if isinstance(data[key], bool) or not isinstance(data[key], kind):
             raise FormatError(f"{path}: {key!r} has the wrong type: {data[key]!r}")
     return data
+
+
+def _jsonable(obj):
+    """numpy values to plain Python, infinities to "inf"."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        obj = obj.tolist()
+    if isinstance(obj, dict):
+        return {str(k): _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, float) and math.isinf(obj):
+        return "inf"
+    return obj
+
+
+def _write_json(path: Union[str, os.PathLike], obj) -> None:
+    """Write obj as canonical JSON: sorted keys, fixed indentation, every
+    float at full precision, infinities as "inf"."""
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(json.dumps(_jsonable(obj), sort_keys=True, indent=2,
+                            allow_nan=False) + "\n")

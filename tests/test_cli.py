@@ -13,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qscatter import bases, channel, cli, measure
+from qscatter import bases, channel, cli, measure, numerics
 from qscatter.errors import ConfigError
 
 FAST = dict(d=3, n_modes=8, n_mc=16)
@@ -113,7 +113,7 @@ def test_config_dict_round_trip():
 def test_run_scenario_baseline_noiseless(tmp_path):
     out = str(tmp_path / "base")
     report = cli.run_scenario(_cfg(exposure=math.inf), out)
-    assert report["schema"] == "report_v2"
+    assert report["schema"] == "report_v3"
     assert report["scenario"] == "baseline"
     res = report["results"]
     assert res["method"] == "exact"
@@ -135,7 +135,7 @@ def test_run_scenario_scramble_kills_correlations(tmp_path):
     res = report["results"]
     assert res["fidelity"] < 1 / 3
     assert res["d_ent"] <= 1
-    assert res["certified"] is False
+    assert res["entangled"] is False
 
 
 def test_run_scenario_unscramble_certify_restores(tmp_path):
@@ -159,9 +159,13 @@ def test_run_scenario_two_channel_equivalence(tmp_path):
     assert res["d_ent"] == 3
 
 
-def _results(out_dir):
+def _report(out_dir):
     with open(os.path.join(out_dir, "report.json"), encoding="ascii") as fh:
-        return json.load(fh)["results"]
+        return json.load(fh)
+
+
+def _results(out_dir):
+    return _report(out_dir)["results"]
 
 
 def test_main_run_tomography_reports_its_reconstruction(tmp_path, capsys):
@@ -169,9 +173,9 @@ def test_main_run_tomography_reports_its_reconstruction(tmp_path, capsys):
     assert cli.main(["run", "--scenario", "tomography", "--d", "7", "--n-modes", "60",
                      "--exposure", "inf", "--seed", "3", "--out", out]) == 0
     assert capsys.readouterr().out == f"scenario tomography: report written to {out}\n"
-    res = _results(out)
-    assert res["basis_tag"] == "mub:0"
-    assert res["reconstruction_error"] <= 1e-8
+    report = _report(out)
+    assert report["diagnostics"]["basis_tag"] == "mub:0"
+    assert report["results"]["reconstruction_error"] <= 1e-8
 
 
 def test_main_run_fixture_a1_certifies_the_shipped_fixture_exactly(tmp_path):
@@ -180,9 +184,44 @@ def test_main_run_fixture_a1_certifies_the_shipped_fixture_exactly(tmp_path):
     res = _results(out)
     assert (res["method"], res["n_mc"], res["d_ent"]) == ("exact", 0, 7)
     assert res["fidelity"] == pytest.approx(0.99276534066, abs=1e-9)
-    assert res["b5"] == res["bounds"][4] == pytest.approx(0.8169271, abs=1e-7)
-    assert res["lambda_fixture"] == channel.load_fixture_lambda().tolist()
+    assert res["bounds"][4] == pytest.approx(0.8169271, abs=1e-7)
+    assert res["target_lambda"] == channel.load_fixture_lambda().tolist()
     assert res["tilted_diagonal_dominant"] == [True] * 7
+
+
+_DIAGNOSED = {
+    "baseline": set(),
+    "scramble": set(),
+    "tomography": {"basis_tag", "e_ratio", "condition_number"},
+    "unscramble-certify": {"basis_tag", "e_ratio", "condition_number", "eta"},
+    "two-channel": {"basis_tag", "condition_number", "eta"},
+    "fixture-a1": {"basis_tag", "condition_number", "eta"},
+}
+
+
+@pytest.mark.parametrize("scenario", cli._SCENARIOS)
+def test_every_report_states_each_fact_once(tmp_path, scenario):
+    """results, diagnostics and tables in every report, no key in both
+    results and diagnostics, and the diagnostics the stages record are the
+    values their sidecars hold."""
+    out = str(tmp_path / scenario)
+    d = 7 if scenario == "fixture-a1" else 3
+    cli.run_scenario(_cfg(scenario, d=d, exposure=math.inf, seed=2), out)
+    report = _report(out)
+    assert {"results", "diagnostics", "tables"} <= set(report)
+    diagnostics = report["diagnostics"]
+    assert set(diagnostics) == _DIAGNOSED[scenario]
+    assert not set(report["results"]) & set(diagnostics)
+    if scenario == "unscramble-certify":
+        t_meta = numerics._read_json(os.path.join(out, "t_hat.json"))
+        ops_meta = numerics._read_json(os.path.join(out, "unscramble", "meta.json"))
+        assert diagnostics == {
+            "basis_tag": t_meta["basis_tag"], "e_ratio": t_meta["e_ratio"],
+            "condition_number": t_meta["condition_number"], "eta": ops_meta["eta"]}
+        assert ops_meta["basis_kind"] == t_meta["basis_tag"]
+        assert ops_meta["condition_number"] == t_meta["condition_number"]
+    if scenario == "fixture-a1":
+        assert diagnostics["basis_tag"] == "mub:0" and len(diagnostics["eta"]) == 7
 
 
 def test_main_run_exit_codes(tmp_path, fails):
@@ -554,14 +593,28 @@ def test_certify_subcommand_rejects_unnamed_and_misshapen_family_tables(tmp_path
     custom = tmp_path / "custom.csv"
     custom.write_text(text.replace("mub:0,mub:0*", "custom,custom*", 1))
     err = fails(["certify", "--standard", std, "--table", str(custom), "--n-mc", "0"], 2)
-    assert err == "error: cannot classify basis label 'custom'\n"
+    assert err == f"error: {custom}: cannot classify basis label 'custom'\n"
     padded = tmp_path / "padded.csv"
     padded.write_text(text.replace("mub:0,mub:0*", "mub:01,mub:01*", 1))
     err = fails(["certify", "--standard", std, "--table", str(padded), "--n-mc", "0"], 2)
-    assert err == "error: cannot classify basis label 'mub:01'\n"
+    assert err == f"error: {padded}: cannot classify basis label 'mub:01'\n"
     err = fails(["certify", "--standard", std, "--table",
                  os.path.join(sims[3], "tables", "mub_0.csv"), "--n-mc", "0"], 2)
     assert err == "error: table shape (3, 3) does not match dim 5\n"
+
+
+def test_certify_subcommand_rejects_two_tables_with_one_label(tmp_path, fails):
+    """Two --table inputs carrying one label are refused, naming both paths
+    as given, rather than certifying from one and reporting the other."""
+    sims = {seed: str(tmp_path / f"sim{seed}") for seed in (3, 4)}
+    for seed, sim in sims.items():
+        assert cli.main(["simulate", "--d", "5", "--n-modes", "20", "--exposure", "1e4",
+                         "--seed", str(seed), "--out", sim]) == 0
+    first, second = (os.path.join(sim, "tables", "mub_0.csv") for sim in sims.values())
+    err = fails(["certify", "--standard", os.path.join(sims[3], "tables", "standard.csv"),
+                 "--table", first, "--table", second], 2)
+    assert err == (f"config error: tables {first} and {second} both carry "
+                   "the label 'mub:0'\n")
 
 
 def test_certify_fallback_warns_on_one_stderr_line(tmp_path, capsys):

@@ -22,10 +22,12 @@
 # copy of the noisy --scan-family standard tomography run's t_hat.csv
 # without its t_hat.json (an untagged matrix), plus one noiseless
 # tomography run at d=7 through N=2000 modes (a 2000-row channel.csv),
-# plus four errors that must exit 2 and leave their --out absent
+# plus six errors that must exit 2 and leave their --out absent
 # (run --scenario fixture-a1 --d 5, simulate --basis tilted:1, simulate
-# --basis mub:01, which is not how mub:1 is spelled, and unscramble
-# --lambdas with a spectrum whose squares sum to 1.8), each with
+# --basis mub:01, which is not how mub:1 is spelled, unscramble
+# --lambdas with a spectrum whose squares sum to 1.8, certify given
+# sim/tables/mub_0.csv and a copy of it, two tables with one label, and
+# certify given a copy of it relabelled mub:01), each with
 # its own --out, plus tomo --ref-floor 0.999 on the d=5 scans, which must
 # exit 3 with its degenerate-reference message. Three steps check what
 # --out holds after a rerun or a failure: a baseline run at d=5 and then at
@@ -128,6 +130,15 @@ run_grid() {
         --basis tilted:1 --out simulate-tilted
     q "$src" "$out" simulate-mub-01 simulate --d 5 --n-modes 20 --seed 3 \
         --basis mub:01 --out simulate-mub-01
+    mkdir "$out/copies"
+    cp "$out/sim/tables/mub_0.csv" "$out/copies/mub_0.csv"
+    sed '2s/^mub:0,mub:0\*,/mub:01,mub:01*,/' "$out/sim/tables/mub_0.csv" \
+        >"$out/copies/mub_01.csv"
+    q "$src" "$out" certify-one-label-twice certify --standard sim/tables/standard.csv \
+        "${sim_tables[@]}" --table copies/mub_0.csv --n-mc 40 --seed 3 \
+        --out certify-one-label-twice
+    q "$src" "$out" certify-mub-01 certify --standard sim/tables/standard.csv \
+        --table copies/mub_01.csv --n-mc 40 --seed 3 --out certify-mub-01
     printf '{"lambda": [0.6, 0.6, 0.6, 0.6, 0.6]}\n' >"$out/lambda-bad.json"
     q "$src" "$out" unscramble-bad-lambdas unscramble --t-hat rec/t_hat.csv \
         --lambdas lambda-bad.json --out unscramble-bad-lambdas
