@@ -62,7 +62,6 @@ from .measure import (
     probability_table,
     sample_counts,
     save_count_table,
-    zeta_correct,
 )
 from .numerics import (
     dag,

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
@@ -123,25 +123,30 @@ def _checked(probs, dark_rate: float) -> np.ndarray:
 
 
 def _draw(p: np.ndarray, scale: float, seed: Optional[int], dark_rate: float,
-          stream: Sequence[int], basis_label_a: str, basis_label_b: str) -> CountTable:
-    """Poisson counts with means scale * (p + dark_rate); scale = inf gives
-    the means themselves."""
+          stream: Sequence[int], basis_label_a: str, basis_label_b: str,
+          row_scale=None) -> CountTable:
+    """Poisson counts with means scale * (p + dark_rate), each row then times
+    its row_scale factor if given; scale = inf gives the means themselves."""
     p = p + dark_rate
     if math.isinf(scale):
-        return CountTable(counts=p, basis_label_a=basis_label_a,
-                          basis_label_b=basis_label_b, exposure=NOISELESS, seed=None)
-    if not isinstance(seed, (int, np.integer)):
+        counts, exposure, seed = p, NOISELESS, None
+    elif not isinstance(seed, (int, np.integer)):
         raise NormalizationError("sampled mode needs an explicit integer seed")
-    counts = numerics._poisson(numerics.substream(seed, *stream),
-                               scale * p).astype(np.float64)
+    else:
+        counts = numerics._poisson(numerics.substream(seed, *stream),
+                                   scale * p).astype(np.float64)
+        exposure, seed = float(scale), int(seed)
+    if row_scale is not None:
+        counts = counts * row_scale[:, None]
     return CountTable(counts=counts, basis_label_a=basis_label_a,
-                      basis_label_b=basis_label_b, exposure=float(scale),
-                      seed=int(seed))
+                      basis_label_b=basis_label_b, exposure=exposure, seed=seed,
+                      row_scale=row_scale)
 
 
 def sample_counts(probs, exposure: float, seed: Optional[int],
                   dark_rate: float = 0.0, *, stream: Sequence[int] = (),
-                  basis_label_a: str = "custom", basis_label_b: str = "custom") -> CountTable:
+                  basis_label_a: str = "custom", basis_label_b: str = "custom",
+                  row_scale=None) -> CountTable:
     """Poisson-sample a probability table, one acquisition, into a CountTable.
 
     The brightest cell's mean is `exposure` counts (dark counts come on
@@ -152,11 +157,19 @@ def sample_counts(probs, exposure: float, seed: Optional[int],
     numerics.substream(seed, *stream) and the table records the root seed.
     Every caller passes a stream of its own per table, so one root seed
     serves a whole run while the tables' counting noise stays independent.
-    An all-dark table raises ConditioningError.
+    A row_scale, one positive factor per row, multiplies each row as drawn,
+    sampled or noiseless, and is recorded in the table. An all-dark table
+    raises ConditioningError.
     """
     p = _checked(probs, dark_rate)
+    if row_scale is not None:
+        row_scale = np.asarray(row_scale, dtype=np.float64)
+        if row_scale.shape != (p.shape[0],):
+            raise DimensionMismatchError("row_scale must hold one factor per Alice row")
+        if np.any(row_scale <= 0):
+            raise NormalizationError("row_scale factors must be positive")
     return _draw(p, _peak_scale(exposure, [p]), seed, dark_rate, stream,
-                 basis_label_a, basis_label_b)
+                 basis_label_a, basis_label_b, row_scale)
 
 
 def measure_correlations(state: states.BipartiteState, family: BasisFamily,
@@ -233,22 +246,6 @@ def phase_step_scan_e(state: states.BipartiteState, family: BasisFamily,
                                       _with_reference(phase, m)))
 
 
-def zeta_correct(table: CountTable, zeta) -> CountTable:
-    """Undo the per-row SLM normalization: multiply row w by zeta_w^2.
-
-    Idempotent: a table that already carries a row_scale is returned as is.
-    """
-    if table.row_scale is not None:
-        return table
-    z = np.asarray(zeta, dtype=np.float64)
-    if z.shape != (table.counts.shape[0],):
-        raise DimensionMismatchError("zeta must hold one factor per Alice row")
-    if np.any(z <= 0):
-        raise NormalizationError("zeta factors must be positive")
-    scale = z * z
-    return replace(table, counts=table.counts * scale[:, None], row_scale=scale)
-
-
 # ---------------------------------------------------------------------------
 # CountTable CSV format:
 #   basisA,basisB,exposure,seed
@@ -272,7 +269,8 @@ def save_count_table(path: Union[str, os.PathLike], table: CountTable) -> str:
               f"{table.basis_label_a},{table.basis_label_b},{exp},{seed}"]
     if table.row_scale is not None:
         header.append("row_scale")
-        header.append(",".join(numerics._fmt(s) for s in table.row_scale))
+        header.append(",".join(["%.17g"] * len(table.row_scale))
+                      % tuple(table.row_scale.tolist()))
     return numerics._write_cells(path, header, "a,b,count", [table.counts])
 
 

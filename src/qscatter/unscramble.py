@@ -12,9 +12,10 @@ so each row of W is divided by its largest modulus eta_w; the leftover
 eta factors are what downstream estimators see as a nonuniform Schmidt
 spectrum. Rotated versions V_r = M_r (eta^-1 W), built once per family by
 build_v, probe the unbiased (or tilted) families of that recovered state;
-their rows again need per-row factors zeta_w, which are undone in
-post-processing by rescaling counts. Each recovered table is named by its
-VOperator, or by None for the standard table.
+their rows again need per-row factors zeta_w. recovered_probs gives only
+the table the SLM displays; zeta is undone where a table is made, row w
+times zeta_w^2 (measure_recovered, predict_table). Each recovered table
+is named by its VOperator, or by None for the standard table.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .errors import (
     DimensionMismatchError,
     NormalizationError,
 )
-from .measure import CountTable, probability_table, sample_counts, zeta_correct
+from .measure import CountTable, probability_table, sample_counts
 from .states import BipartiteState
 
 _STREAM_RECOVERED = 14
@@ -51,7 +52,9 @@ def slm_eta(matrix: np.ndarray) -> np.ndarray:
 class UnscrambleOperators:
     """Sender/receiver operators that undo a tagged transmission matrix.
 
-    eta, the per-row SLM scales of w_alice, is computed at construction.
+    eta, the per-row SLM scales of w_alice, and normalized_w = eta^-1 W,
+    the unit-max-modulus rows the sender SLM displays (as hologram, the
+    conjugate of each row), are computed at construction.
     """
 
     w_alice: np.ndarray
@@ -59,6 +62,7 @@ class UnscrambleOperators:
     basis_kind: str
     condition_number: float
     eta: np.ndarray = field(init=False)
+    normalized_w: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         w = numerics.as_matrix(self.w_alice)
@@ -69,16 +73,12 @@ class UnscrambleOperators:
         object.__setattr__(self, "w_alice", numerics.frozen(w))
         object.__setattr__(self, "m_bob", numerics.frozen(b))
         object.__setattr__(self, "eta", numerics.frozen(slm_eta(w)))
+        object.__setattr__(self, "normalized_w",
+                           numerics.frozen(self.w_alice / self.eta[:, np.newaxis]))
 
     @property
     def dim(self) -> int:
         return self.w_alice.shape[0]
-
-    @property
-    def normalized_w(self) -> np.ndarray:
-        """W with unit-max-modulus rows: what the sender SLM displays
-        (as hologram, the conjugate of each row)."""
-        return self.w_alice / self.eta[:, np.newaxis]
 
 
 def build_w(t: EffectiveT) -> UnscrambleOperators:
@@ -113,20 +113,17 @@ def build_w(t: EffectiveT) -> UnscrambleOperators:
 
 @dataclass(frozen=True, eq=False)
 class VOperator:
-    """Rotated sender/receiver operators probing one unbiased (or tilted)
-    family; zeta, the per-row SLM scales of v_alice, is computed at
-    construction."""
+    """Rotated sender operator probing one unbiased (or tilted) family;
+    zeta, the per-row SLM scales of v_alice, is computed at construction."""
 
     r: int
     v_alice: np.ndarray
-    m_bob: np.ndarray
     family: BasisFamily
     zeta: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         v = numerics.as_matrix(self.v_alice)
         object.__setattr__(self, "v_alice", numerics.frozen(v))
-        object.__setattr__(self, "m_bob", numerics.frozen(numerics.as_matrix(self.m_bob)))
         object.__setattr__(self, "zeta", numerics.frozen(slm_eta(v)))
 
     @property
@@ -150,27 +147,23 @@ def build_v(ops: UnscrambleOperators, r: int,
     return VOperator(
         r=int(r),
         v_alice=fam.matrix @ ops.normalized_w,
-        m_bob=np.conjugate(fam.matrix) @ ops.m_bob,
         family=fam,
     )
 
 
 def recovered_probs(state: BipartiteState, ops: UnscrambleOperators,
-                    v: Optional[VOperator] = None,
-                    corrected: bool = True) -> np.ndarray:
-    """Outcome table of the unscrambled measurement, as raw probabilities.
+                    v: Optional[VOperator] = None) -> np.ndarray:
+    """Outcome table the SLM displays (unit-max sender rows), as raw
+    probabilities.
 
     v = None pairs eta^-1 W with conj(M0) (the standard table); a VOperator
-    from build_v pairs its rotated operators. corrected=True gives the
-    post-processed convention (zeta factors undone); corrected=False gives
-    the physically displayed one (unit-max rows). The standard table is
-    physical either way since eta^-1 W already has unit-max rows.
+    from build_v pairs zeta^-1 V_r with conj(M_r) conj(M0). zeta is not
+    undone here; a VOperator call used to return the zeta-corrected table.
     """
     if v is None:
         op_a, op_b = ops.normalized_w, ops.m_bob
     else:
-        op_a = v.v_alice if corrected else v.normalized_v
-        op_b = v.m_bob
+        op_a, op_b = v.normalized_v, np.conjugate(v.family.matrix) @ ops.m_bob
     return probability_table(state, np.conjugate(op_a), np.conjugate(op_b))
 
 
@@ -178,9 +171,13 @@ def predict_table(state: BipartiteState, ops: UnscrambleOperators,
                   v: Optional[VOperator] = None) -> np.ndarray:
     """Normalized prediction of a recovered outcome table (sums to one).
 
-    v is None for the standard table or a VOperator, as in recovered_probs.
+    v is None for the standard table or a VOperator, as in recovered_probs;
+    a rotated table's displayed rows are multiplied by zeta^2 before the
+    table is normalized.
     """
-    probs = recovered_probs(state, ops, v, corrected=True)
+    probs = recovered_probs(state, ops, v)
+    if v is not None:
+        probs = probs * (v.zeta ** 2)[:, np.newaxis]
     total = float(np.sum(probs))
     if total <= 0:
         raise NormalizationError("predicted table has zero weight")
@@ -203,14 +200,13 @@ def measure_recovered(state: BipartiteState, ops: UnscrambleOperators,
     happens at the physically displayed (unit-max-modulus) patterns, one
     acquisition whose brightest cell has mean `exposure` counts, from
     sub-stream (_STREAM_RECOVERED, k) of seed with k = 0 for the standard
-    table and r + 1 for family r; rotated tables are then rescaled row-wise
-    by zeta^2 back to the exact operator convention, with the factors kept
-    in row_scale.
+    table and r + 1 for family r; a rotated table's rows are drawn with
+    row_scale zeta^2, which undoes the SLM normalization and is kept in
+    the table.
     """
     label = recovered_label(v)
     k = 0 if v is None else v.r + 1
-    probs = recovered_probs(state, ops, v, corrected=False)
-    table = sample_counts(probs, exposure, seed, dark_rate,
-                          stream=(_STREAM_RECOVERED, k),
-                          basis_label_a=label, basis_label_b=label + "*")
-    return table if v is None else zeta_correct(table, v.zeta)
+    return sample_counts(recovered_probs(state, ops, v), exposure, seed, dark_rate,
+                         stream=(_STREAM_RECOVERED, k),
+                         basis_label_a=label, basis_label_b=label + "*",
+                         row_scale=None if v is None else v.zeta ** 2)

@@ -220,20 +220,34 @@ def test_phase_scan_rejects_wrong_state_dimension():
 
 
 def test_zeta_correct_scales_rows_once():
-    counts = np.ones((2, 3))
-    t = measure.CountTable(counts=counts, basis_label_a="a",
-                           basis_label_b="b", exposure=10.0, seed=0)
+    # The SLM row correction is the draw's row_scale: each row is multiplied
+    # once, in the one table built, and the factors are recorded there.
+    ones = np.ones((2, 3))
     z = np.array([2.0, 3.0])
-    fixed = measure.zeta_correct(t, z)
+    fixed = measure.sample_counts(ones, measure.NOISELESS, None, row_scale=z * z)
     np.testing.assert_allclose(fixed.counts[0], 4.0)
     np.testing.assert_allclose(fixed.counts[1], 9.0)
     np.testing.assert_allclose(fixed.row_scale, z * z)
-    again = measure.zeta_correct(fixed, z)
-    assert again is fixed
     with pytest.raises(DimensionMismatchError):
-        measure.zeta_correct(t, np.ones(3))
+        measure.sample_counts(ones, measure.NOISELESS, None, row_scale=np.ones(3))
     with pytest.raises(NormalizationError):
-        measure.zeta_correct(t, np.array([1.0, 0.0]))
+        measure.sample_counts(ones, measure.NOISELESS, None, row_scale=np.array([1.0, 0.0]))
+
+
+def test_sample_counts_row_scale_multiplies_the_unscaled_draw():
+    probs = np.random.default_rng(5).random((3, 4))
+    s = np.array([0.5, 2.0, 7.25])
+    draw = dict(exposure=400.0, seed=9, dark_rate=0.01, stream=(4, 1))
+    plain = measure.sample_counts(probs, **draw)
+    scaled = measure.sample_counts(probs, **draw, row_scale=s)
+    np.testing.assert_array_equal(scaled.counts, plain.counts * s[:, np.newaxis])
+    np.testing.assert_array_equal(scaled.row_scale, s)
+    assert plain.row_scale is None
+    assert (scaled.exposure, scaled.seed) == (plain.exposure, plain.seed)
+    with pytest.raises(DimensionMismatchError):
+        measure.sample_counts(probs, **draw, row_scale=s[:2])
+    with pytest.raises(NormalizationError):
+        measure.sample_counts(probs, **draw, row_scale=-s)
 
 
 def test_count_table_round_trip(tmp_path):

@@ -83,8 +83,6 @@ def test_build_v_rotation_formula():
     rot = bases.mub(d, 1)
     np.testing.assert_allclose(v.v_alice, rot.matrix @ ops.normalized_w,
                                atol=1e-12)
-    np.testing.assert_allclose(v.m_bob, np.conjugate(rot.matrix) @ ops.m_bob,
-                               atol=1e-12)
     np.testing.assert_allclose(v.zeta, unscramble.slm_eta(v.v_alice))
     assert v.r == 1 and v.kind == "mub:1"
     lam = np.array([3.0, 2.0, 1.0]) / np.sqrt(14.0)
@@ -100,10 +98,11 @@ def test_recovered_probs_zeta_convention():
     state = channel.choi_state(t_std)
     ops = unscramble.build_w(t_tagged)
     v = unscramble.build_v(ops, 2)
-    corrected = unscramble.recovered_probs(state, ops, v, corrected=True)
-    physical = unscramble.recovered_probs(state, ops, v, corrected=False)
-    np.testing.assert_allclose(corrected,
-                               physical * (v.zeta ** 2)[:, np.newaxis],
+    # The displayed table times zeta^2 is the table of the unnormalized V_r.
+    physical = unscramble.recovered_probs(state, ops, v)
+    exact = measure.probability_table(state, np.conjugate(v.v_alice),
+                                      v.family.matrix @ np.conjugate(ops.m_bob))
+    np.testing.assert_allclose(exact, physical * (v.zeta ** 2)[:, np.newaxis],
                                atol=1e-14)
 
 
@@ -124,6 +123,19 @@ def test_predict_table_normalizes():
     table = unscramble.predict_table(state, ops, unscramble.build_v(ops, 1))
     assert table.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.all(table >= 0)
+
+
+def test_predict_table_is_the_displayed_table_times_zeta_squared():
+    d = 5
+    _, t_std, t_tagged = _tagged_channel(d, 11, 11, bases.standard_family(d))
+    state = channel.choi_state(t_std)
+    ops = unscramble.build_w(t_tagged)
+    for v in (None, unscramble.build_v(ops, 2)):
+        probs = unscramble.recovered_probs(state, ops, v)
+        if v is not None:
+            probs = probs * (v.zeta ** 2)[:, np.newaxis]
+        np.testing.assert_allclose(unscramble.predict_table(state, ops, v),
+                                   probs / probs.sum(), rtol=0, atol=1e-14)
 
 
 def test_predict_table_rejects_zero_weight():
@@ -171,9 +183,30 @@ def test_measure_recovered_puts_the_brightest_displayed_cell_at_the_exposure():
     state = channel.choi_state(t_std)
     ops = unscramble.build_w(t_tagged)
     for v in (None, unscramble.build_v(ops, 1)):
-        probs = unscramble.recovered_probs(state, ops, v, corrected=False)
+        probs = unscramble.recovered_probs(state, ops, v)
         table = unscramble.measure_recovered(state, ops, v, 300.0, seed=2)
         assert table.exposure * np.max(probs) == pytest.approx(300.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("exposure", [1e4, measure.NOISELESS])
+def test_measure_recovered_builds_one_table(monkeypatch, exposure):
+    built = []
+    post_init = measure.CountTable.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    d = 3
+    _, t_std, t_tagged = _tagged_channel(d, 9, 12, bases.mub(d, 0))
+    state = channel.choi_state(t_std)
+    ops = unscramble.build_w(t_tagged)
+    v = unscramble.build_v(ops, 1)
+    monkeypatch.setattr(measure.CountTable, "__post_init__", counted)
+    for table in (None, v):
+        made = unscramble.measure_recovered(state, ops, table, exposure, seed=4)
+        assert len(built) == 1 and built[0] is made
+        built.clear()
 
 
 def test_measure_recovered_noiseless_matches_prediction():
@@ -184,7 +217,7 @@ def test_measure_recovered_noiseless_matches_prediction():
     ops = unscramble.build_w(t_tagged)
     v = unscramble.build_v(ops, 1)
     table = unscramble.measure_recovered(state, ops, v, measure.NOISELESS)
-    exact = unscramble.recovered_probs(state, ops, v, corrected=True)
+    exact = unscramble.recovered_probs(state, ops, v) * (v.zeta ** 2)[:, np.newaxis]
     np.testing.assert_allclose(table.counts, exact, atol=1e-12)
     assert table.noiseless and table.seed is None
     with pytest.raises(NormalizationError):
@@ -218,7 +251,7 @@ def test_one_build_v_call_per_rotated_table(build_v_calls, lambdas):
     # rotated operators at all.
     for table in (None, v):
         unscramble.measure_recovered(state, ops, table, 1e4, seed=1)
-        unscramble.recovered_probs(state, ops, table, corrected=False)
+        unscramble.recovered_probs(state, ops, table)
         unscramble.predict_table(state, ops, table)
     assert len(build_v_calls) == 1
 

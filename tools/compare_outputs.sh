@@ -46,7 +46,11 @@
 # nonzero under the change tree, then prints `diff -r` of the two and
 # exits with its status: 0 when every output file is identical. For each
 # differing JSON file it also prints every differing key path with both
-# values, and the largest absolute difference between numbers.
+# values, and the largest absolute difference between numbers. It ends
+# with a summary: the differing files grouped by path with every run of
+# digits in the base name written N, one count per group (for example
+# `67 ops-d67/unscramble/predicted_mub_N.csv`), then each file or
+# directory present under one tree only.
 set -euo pipefail
 
 if [ $# -ne 2 ]; then
@@ -213,10 +217,21 @@ diff -r "$parent_out" "$change_out" || status=$?
 if [ "$status" -eq 0 ]; then
     echo "diff -r: no differences"
 fi
-{ diff -rq "$parent_out" "$change_out" || true; } |
-    sed -n 's/^Files \(.*\.json\) and \(.*\.json\) differ$/\1 \2/p' |
+changed=$(diff -rq "$parent_out" "$change_out" || true)
+sed -n 's/^Files \(.*\.json\) and \(.*\.json\) differ$/\1 \2/p' <<<"$changed" |
     while read -r a b; do
         echo "${a#"$parent_out"/}:"
         json_diff "$a" "$b"
+    done
+echo "differing files per kind (digit runs in base names as N):"
+sed -n 's/^Files \(.*\) and .* differ$/\1/p' <<<"$changed" |
+    while read -r a; do echo "${a#"$parent_out"/}"; done |
+    awk -F/ -v OFS=/ '{ gsub(/[0-9]+/, "N", $NF); print }' | sort | uniq -c
+sed -n 's|^Only in \(.*\): \(.*\)$|\1/\2|p' <<<"$changed" |
+    while read -r f; do
+        case $f in
+            "$parent_out"/*) echo "only under the parent tree: ${f#"$parent_out"/}" ;;
+            *) echo "only under the change tree: ${f#"$change_out"/}" ;;
+        esac
     done
 exit "$status"
