@@ -11,6 +11,17 @@ noiseless sentinel: sampling is bypassed and the table holds the exact
 probabilities. Count tables record the scale their cells were drawn at,
 the basis labels and the seed, so downstream estimators and resamplers
 never guess.
+
+Kets and operators: public functions take kets, given as matrix rows and
+conjugated inside (probability_table), or basis families. Every table is
+computed by one private kernel, _probabilities, which takes operators
+(the conjugated kets), so a caller that already holds operators
+(measure_correlations, unscramble.recovered_probs) passes them straight
+in. Conjugating an operator into kets only to conjugate it back made two
+extra d x d copies per table. From d = 91 up a complex d x d array is
+larger than 128 KB, glibc's initial mmap threshold, and those copies made
+the heap grow and shrink by whole pages on every table, each regrowth
+faulting its pages back in.
 """
 
 from __future__ import annotations
@@ -92,13 +103,26 @@ class CountTable:
 
 
 def probability_table(state: states.BipartiteState, kets_a, kets_b) -> np.ndarray:
-    """All pairwise coincidence probabilities; kets given as matrix rows."""
-    a = numerics.as_matrix(kets_a)
-    b = numerics.as_matrix(kets_b)
+    """All pairwise coincidence probabilities; kets given as matrix rows.
+
+    Like every public function here it takes kets and conjugates them
+    inside, into the operators the kernel _probabilities takes. A caller
+    that holds operators calls the kernel itself: conjugating them into
+    kets first would only add two d x d copies per table (see the module
+    docstring).
+    """
+    return _probabilities(state, np.conjugate(numerics.as_matrix(kets_a)),
+                          np.conjugate(numerics.as_matrix(kets_b)))
+
+
+def _probabilities(state: states.BipartiteState, op_a, op_b) -> np.ndarray:
+    """|A C B^T|^2 for operators A and B (conjugated kets as rows) and the
+    state's coefficient matrix C; the one kernel every table goes through."""
+    a = numerics.as_matrix(op_a)
+    b = numerics.as_matrix(op_b)
     if a.shape[1] != state.dim or b.shape[1] != state.dim:
         raise DimensionMismatchError("projection kets do not match the state dimension")
-    amp = np.conjugate(a) @ state.coeffs @ np.conjugate(b).T
-    return np.abs(amp) ** 2
+    return np.abs(a @ state.coeffs @ b.T) ** 2
 
 
 def _peak_scale(exposure: float, probs: Sequence[np.ndarray]) -> float:
@@ -184,7 +208,7 @@ def measure_correlations(state: states.BipartiteState, family: BasisFamily,
     """
     if family.dim != state.dim:
         raise DimensionMismatchError("family does not match the state dimension")
-    probs = probability_table(state, family.matrix, np.conjugate(family.matrix))
+    probs = _probabilities(state, np.conjugate(family.matrix), family.matrix)
     return sample_counts(probs, exposure, seed, dark_rate,
                          stream=(_STREAM_TABLE, *family.kind.encode("ascii")),
                          basis_label_a=family.kind, basis_label_b=family.kind + "*")

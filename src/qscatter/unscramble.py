@@ -33,7 +33,7 @@ from .errors import (
     DimensionMismatchError,
     NormalizationError,
 )
-from .measure import CountTable, probability_table, sample_counts
+from .measure import CountTable, _probabilities, sample_counts
 from .states import BipartiteState
 
 _STREAM_RECOVERED = 14
@@ -113,26 +113,32 @@ def build_w(t: EffectiveT) -> UnscrambleOperators:
 
 @dataclass(frozen=True, eq=False)
 class VOperator:
-    """Rotated sender operator probing one unbiased (or tilted) family;
-    zeta, the per-row SLM scales of v_alice, is computed at construction."""
+    """Rotated sender operator probing one unbiased (or tilted) family.
+
+    zeta, the per-row SLM scales of v_alice, and normalized_v = zeta^-1 V_r,
+    the unit-max-modulus rows the SLM displays, are computed at
+    construction.
+    """
 
     r: int
     v_alice: np.ndarray
     family: BasisFamily
     zeta: np.ndarray = field(init=False)
+    normalized_v: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         v = numerics.as_matrix(self.v_alice)
         object.__setattr__(self, "v_alice", numerics.frozen(v))
         object.__setattr__(self, "zeta", numerics.frozen(slm_eta(v)))
+        # sealed in place, not copied as frozen() would: nobody else holds
+        # it, and a copy per rotated table is one more d x d allocation
+        normalized_v = self.v_alice / self.zeta[:, np.newaxis]
+        normalized_v.flags.writeable = False
+        object.__setattr__(self, "normalized_v", normalized_v)
 
     @property
     def kind(self) -> str:
         return self.family.kind
-
-    @property
-    def normalized_v(self) -> np.ndarray:
-        return self.v_alice / self.zeta[:, np.newaxis]
 
 
 def build_v(ops: UnscrambleOperators, r: int,
@@ -159,12 +165,17 @@ def recovered_probs(state: BipartiteState, ops: UnscrambleOperators,
     v = None pairs eta^-1 W with conj(M0) (the standard table); a VOperator
     from build_v pairs zeta^-1 V_r with conj(M_r) conj(M0). zeta is not
     undone here; a VOperator call used to return the zeta-corrected table.
+    These are operators, so they go to measure's kernel unconjugated:
+    public functions take kets, and passing the operators through
+    probability_table as kets would copy each one twice, conjugated and
+    conjugated back. From d = 91 up those copies made the heap fault its
+    pages back in on every table (see the measure module).
     """
     if v is None:
         op_a, op_b = ops.normalized_w, ops.m_bob
     else:
         op_a, op_b = v.normalized_v, np.conjugate(v.family.matrix) @ ops.m_bob
-    return probability_table(state, np.conjugate(op_a), np.conjugate(op_b))
+    return _probabilities(state, op_a, op_b)
 
 
 def predict_table(state: BipartiteState, ops: UnscrambleOperators,

@@ -151,6 +151,20 @@ def test_measure_correlations_families_draw_independent_noise():
     assert not np.array_equal(one.counts, two.counts)
 
 
+@pytest.mark.parametrize("d", [7, 31])
+def test_measure_correlations_is_probability_table_on_its_kets(d):
+    # The family's operators go to the kernel unconjugated; the table is
+    # the one probability_table gives on the kets, bit for bit.
+    rng = np.random.default_rng(d)
+    st = states.make_state(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    lam = np.linspace(1.0, 2.0, d)
+    lam /= np.linalg.norm(lam)
+    for fam in (bases.standard_family(d), bases.mub(d, 2), bases.tilted(d, 3, lam)):
+        table = measure.measure_correlations(st, fam, measure.NOISELESS)
+        np.testing.assert_array_equal(
+            table.counts, measure.probability_table(st, fam.matrix, np.conjugate(fam.matrix)))
+
+
 def test_measure_correlations_dimension_check():
     with pytest.raises(DimensionMismatchError):
         measure.measure_correlations(states.max_entangled(3),

@@ -1,6 +1,7 @@
 """Unscrambling operators: construction, SLM scaling, recovered tables."""
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -104,6 +105,57 @@ def test_recovered_probs_zeta_convention():
                                       v.family.matrix @ np.conjugate(ops.m_bob))
     np.testing.assert_allclose(exact, physical * (v.zeta ** 2)[:, np.newaxis],
                                atol=1e-14)
+
+
+@pytest.mark.parametrize("d", [7, 31])
+def test_recovered_probs_is_probability_table_on_the_conjugated_operators(d):
+    # recovered_probs hands its operators to the kernel as they are; the
+    # table is probability_table's on their conjugates (the kets), bit for bit.
+    _, t_std, t_tagged = _tagged_channel(d, 2 * d, d, bases.mub(d, 1))
+    state = channel.choi_state(t_std)
+    ops = unscramble.build_w(t_tagged)
+    lam = np.linspace(1.0, 2.0, d)
+    lam /= np.linalg.norm(lam)
+    for v in (None, unscramble.build_v(ops, 2), unscramble.build_v(ops, 3, lam)):
+        if v is None:
+            op_a, op_b = ops.normalized_w, ops.m_bob
+        else:
+            op_a, op_b = v.normalized_v, np.conjugate(v.family.matrix) @ ops.m_bob
+        np.testing.assert_array_equal(
+            unscramble.recovered_probs(state, ops, v),
+            measure.probability_table(state, np.conjugate(op_a), np.conjugate(op_b)))
+
+
+def test_recovered_probs_makes_no_conjugated_copies():
+    """One call on a d = 101 tilted probe peaks at no more than 4 d x d
+    complex arrays above where it started: the operator conj(M_r) conj(M0)
+    with its conj(M_r) temporary, then the kernel's two products. Handing
+    the operators over as kets, conjugated and conjugated back, peaked at 7."""
+    d = 101
+    _, t_std, t_tagged = _tagged_channel(d, 2 * d, 3, bases.standard_family(d))
+    state = channel.choi_state(t_std)
+    ops = unscramble.build_w(t_tagged)
+    lam = np.linspace(1.0, 2.0, d)
+    lam /= np.linalg.norm(lam)
+    v = unscramble.build_v(ops, 3, lam)
+    unscramble.recovered_probs(state, ops, v)  # first use happens untraced
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        unscramble.recovered_probs(state, ops, v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start <= 4 * d * d * 16
+
+
+def test_build_v_normalizes_once_at_construction():
+    d = 5
+    _, _, t_tagged = _tagged_channel(d, 11, 9, bases.standard_family(d))
+    v = unscramble.build_v(unscramble.build_w(t_tagged), 1)
+    assert v.normalized_v is v.normalized_v
+    assert not v.normalized_v.flags.writeable
+    np.testing.assert_array_equal(v.normalized_v, v.v_alice / v.zeta[:, np.newaxis])
 
 
 def test_recovered_probs_dimension_check():

@@ -7,8 +7,11 @@
 # checkout). The grid is every scenario at d=7, N=30, n_mc=40, seeds 3 and
 # 11, each run plain and with --exposure 5e3 --dark-rate 0.01
 # --scan-family standard, plus one such noisy unscramble-certify at d=31,
-# N=62 (two-digit family names), plus the simulate -> tomo -> unscramble
-# chain at d=5 with certify run on both the simulated and the predicted
+# N=62 (two-digit family names), plus one unscramble-certify at d=101,
+# N=202, exposure 1e4, n_mc=5 (from d=91 up a complex d x d array is
+# larger than 128 KB, glibc's initial mmap threshold, so only this step
+# reaches the allocator regime of large runs), plus the simulate -> tomo
+# -> unscramble chain at d=5 with certify run on both the simulated and the predicted
 # tables, the same chain without certify at d=67 (its 4489-cell tables and
 # 8978-value matrices span more than one of the writer's 4096-value blocks,
 # and its predicted tables print small entries in exponent notation), once more on the simulated ones with the --table flags in reverse
@@ -40,6 +43,10 @@
 # the command replaces: run --config <out>/tables/c.json and simulate
 # --config <out>/scans/c.json. Each must exit 2 and leave its copy as it
 # was, since the commit would delete c.json.
+# Both trees run with the same OPENBLAS_NUM_THREADS and OMP_NUM_THREADS,
+# taken from the environment or 1 where unset, and the script prints them
+# first: at d=101 the output bytes depend on the BLAS thread count, so
+# outputs saved under one setting compare only with outputs saved under it.
 # Every command's files, stdout, stderr and exit code are kept, in one
 # temporary directory per tree, and all paths are relative, so the two
 # trees' outputs can be byte-identical. Names each command that exits
@@ -81,6 +88,8 @@ run_grid() {
     q "$src" "$out" unscramble-certify-d31-noisy run --scenario unscramble-certify \
         --d 31 --n-modes 62 --n-mc 40 --seed 3 --exposure 5e3 --dark-rate 0.01 \
         --scan-family standard --out unscramble-certify-d31-noisy
+    q "$src" "$out" unscramble-certify-d101 run --scenario unscramble-certify \
+        --d 101 --n-modes 202 --exposure 1e4 --n-mc 5 --out unscramble-certify-d101
     # --table takes one path per flag.
     local sim_tables=() reversed_tables=() crlf_tables=() mub_tables=() tilted_tables=() r name
     for r in 0 1 2 3 4; do
@@ -167,6 +176,8 @@ run_grid() {
         --config config-in-scans/scans/c.json --out config-in-scans
 }
 
+export OPENBLAS_NUM_THREADS="${OPENBLAS_NUM_THREADS:-1}" OMP_NUM_THREADS="${OMP_NUM_THREADS:-1}"
+echo "both trees: OPENBLAS_NUM_THREADS=$OPENBLAS_NUM_THREADS OMP_NUM_THREADS=$OMP_NUM_THREADS"
 parent_out=$(mktemp -d)
 change_out=$(mktemp -d)
 trap 'rm -rf "$parent_out" "$change_out"' EXIT
