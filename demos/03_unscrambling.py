@@ -62,9 +62,10 @@ lam = np.sqrt(diag / diag.sum())
 print(f"recovered Schmidt-weight estimate: {np.round(lam, 4)}")
 
 # Rotated probes V_r = M_r (eta^-1 W), built by build_v, need their own
-# per-row scales zeta; measure_recovered undoes them in post-processing and
-# keeps the factors in the table's row_scale field, so downstream
-# resampling stays honest.
+# per-row scales zeta. measure_recovered keeps the draw as the table's
+# counts and the factors zeta^2 in its row_scale field, so resampling
+# redraws the counts that were drawn; `corrected` (and normalized())
+# applies the factors.
 v_1 = unscramble.build_v(ops, 1)
 rotated = unscramble.measure_recovered(scrambled, ops, v_1, measure.NOISELESS)
 print(f"rotated-probe table label: {rotated.basis_label_a!r}, "

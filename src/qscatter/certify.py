@@ -12,11 +12,13 @@ fidelity is recovered exactly: averaging the matched-outcome sums over the
 families cancels every coherence that is not part of F. With a single
 family the uncancelled coherences are bounded through positivity of the
 density matrix, giving a strict lower bound that is tight on the target
-state itself. Tables enter as raw counts; only count ratios matter, so
-postselected (sub-normalized) states are handled with no extra work.
+state itself. Tables enter as their draws, CountTable.counts, and a
+table's row_scale (the SLM row correction) weights its rows inside the
+estimator; only count ratios matter, so postselected (sub-normalized)
+states are handled with no extra work.
 
 Both estimators have one implementation, _batched_estimator, a function of
-the raw counts with a leading axis of trials. The point estimate is that
+the drawn counts with a leading axis of trials. The point estimate is that
 function on the observed statistics as a single trial; the Monte-Carlo
 error bar is the same function on Poisson redraws of them. Those
 statistics are d-length per family table (its diagonal and off-diagonal
@@ -86,7 +88,7 @@ def estimate_lambda(table: Union[CountTable, np.ndarray]) -> TargetState:
 
     lambda_m = sqrt(N_mm / sum_n N_nn), index order preserved.
     """
-    counts = table.counts if isinstance(table, CountTable) else np.asarray(table)
+    counts = table.corrected if isinstance(table, CountTable) else np.asarray(table)
     if counts.ndim != 2 or counts.shape[0] != counts.shape[1]:
         raise DimensionMismatchError("need a square table to nominate a target")
     diag = np.diagonal(counts).astype(np.float64)
@@ -98,8 +100,8 @@ def estimate_lambda(table: Union[CountTable, np.ndarray]) -> TargetState:
 
 class _Family(NamedTuple):
     """What the estimators read of one rotated-family table: its kind and
-    index, and per row the raw diagonal cell, the raw off-diagonal sum and
-    the row correction."""
+    index, and per row the drawn diagonal cell, the drawn off-diagonal sum
+    and the row correction."""
 
     kind: str
     r: int
@@ -120,11 +122,6 @@ def _row_scale(table: CountTable) -> np.ndarray:
     return np.ones(d) if table.row_scale is None else table.row_scale
 
 
-def _raw(table: CountTable) -> np.ndarray:
-    """The table's counts before any row correction."""
-    return table.counts / _row_scale(table)[:, np.newaxis]
-
-
 def _reduce(table: CountTable, d: int) -> _Family:
     """Validate one family table and keep only what the estimators read.
 
@@ -137,9 +134,8 @@ def _reduce(table: CountTable, d: int) -> _Family:
     kind, r = parse_label(table.basis_label_a, d)
     if kind == "standard":
         raise NormalizationError("family tables must be rotated, got a standard one")
-    raw = _raw(table)
-    diag = np.diagonal(raw).copy()
-    return _Family(kind, r, diag, np.sum(raw, axis=1) - diag, _row_scale(table),
+    diag = np.diagonal(table.counts).copy()
+    return _Family(kind, r, diag, np.sum(table.counts, axis=1) - diag, _row_scale(table),
                    table.noiseless)
 
 
@@ -171,7 +167,7 @@ def _check_target(families: Sequence[_Family], target: TargetState) -> None:
 def _batched_estimator(standard_table: CountTable, families: Sequence[_Family],
                        target: TargetState, exact: bool):
     """The exact estimator (or the lower bound on families[0]) as a function
-    of raw statistics with a leading axis of n trials: every standard cell
+    of drawn statistics with a leading axis of n trials: every standard cell
     (n, d*d), and each family row's diagonal cell and off-diagonal sum,
     (n, k, d) each; returns (n,).
 
@@ -211,7 +207,7 @@ def _batched_estimator(standard_table: CountTable, families: Sequence[_Family],
         bound = np.sum(np.sum(vals, axis=2) ** 2, axis=1) - np.sum(vals * vals, axis=(1, 2))
         return s2 / d * q[:, 0] - cross - bound
 
-    observed = (_raw(standard_table).ravel(), np.stack([f.diag for f in families]),
+    observed = (standard_table.counts.ravel(), np.stack([f.diag for f in families]),
                 np.stack([f.off for f in families]))
     return evaluate, observed
 

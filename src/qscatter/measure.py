@@ -57,10 +57,12 @@ THETA_GRID = (0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi)
 class CountTable:
     """One coincidence table.
 
-    counts[a, b] pairs Alice outcome a with Bob outcome b. Integer-valued
-    when sampled; exact probabilities in noiseless mode; rescaled floats
-    after SLM row correction, in which case row_scale records the factor
-    already multiplied into each row so resampling can recover raw counts.
+    counts[a, b] pairs Alice outcome a with Bob outcome b: the counts as
+    drawn, integer-valued when sampled, and the exact cell means in
+    noiseless mode. A recovered rotated table also carries row_scale, the
+    SLM row correction zeta^2, one factor per row; `corrected` is the
+    table with each row times its factor, which is what the table
+    estimates and what its file stores. Resampling reads `counts`.
     """
 
     counts: np.ndarray
@@ -80,26 +82,39 @@ class CountTable:
             raise NormalizationError(f"exposure must be positive, got {self.exposure}")
         object.__setattr__(self, "counts", numerics.frozen(c))
         if self.row_scale is not None:
-            rs = np.asarray(self.row_scale, dtype=np.float64)
-            if (rs.shape != (c.shape[0],) or not np.all(np.isfinite(rs))
-                    or np.any(rs <= 0)):
-                raise NormalizationError(
-                    "row_scale must hold one finite positive factor per row")
-            object.__setattr__(self, "row_scale", numerics.frozen(rs))
+            object.__setattr__(self, "row_scale",
+                               numerics.frozen(_row_factors(self.row_scale, c.shape[0])))
 
     @property
     def noiseless(self) -> bool:
         return math.isinf(self.exposure)
 
+    @property
+    def corrected(self) -> np.ndarray:
+        """counts with each row times its row_scale factor (counts itself
+        when there is no row_scale); the one place that product is formed."""
+        if self.row_scale is None:
+            return self.counts
+        return self.counts * self.row_scale[:, None]
+
     def total(self) -> float:
-        return float(np.sum(self.counts))
+        return float(np.sum(self.corrected))
 
     def normalized(self) -> np.ndarray:
-        t = self.total()
+        corrected = self.corrected
+        t = float(np.sum(corrected))
         if t <= 0:
             raise NormalizationError(
                 f"table {self.basis_label_a}/{self.basis_label_b} has zero total counts")
-        return self.counts / t
+        return corrected / t
+
+
+def _row_factors(row_scale, rows: int) -> np.ndarray:
+    """row_scale as floats, checked to hold one finite positive factor per row."""
+    rs = np.asarray(row_scale, dtype=np.float64)
+    if rs.shape != (rows,) or not np.all(np.isfinite(rs)) or np.any(rs <= 0):
+        raise NormalizationError("row_scale must hold one finite positive factor per row")
+    return rs
 
 
 def probability_table(state: states.BipartiteState, kets_a, kets_b) -> np.ndarray:
@@ -149,8 +164,8 @@ def _checked(probs, dark_rate: float) -> np.ndarray:
 def _draw(p: np.ndarray, scale: float, seed: Optional[int], dark_rate: float,
           stream: Sequence[int], basis_label_a: str, basis_label_b: str,
           row_scale=None) -> CountTable:
-    """Poisson counts with means scale * (p + dark_rate), each row then times
-    its row_scale factor if given; scale = inf gives the means themselves."""
+    """Poisson counts with means scale * (p + dark_rate), recorded with the
+    row_scale if given; scale = inf gives the means themselves."""
     p = p + dark_rate
     if math.isinf(scale):
         counts, exposure, seed = p, NOISELESS, None
@@ -160,8 +175,6 @@ def _draw(p: np.ndarray, scale: float, seed: Optional[int], dark_rate: float,
         counts = numerics._poisson(numerics.substream(seed, *stream),
                                    scale * p).astype(np.float64)
         exposure, seed = float(scale), int(seed)
-    if row_scale is not None:
-        counts = counts * row_scale[:, None]
     return CountTable(counts=counts, basis_label_a=basis_label_a,
                       basis_label_b=basis_label_b, exposure=exposure, seed=seed,
                       row_scale=row_scale)
@@ -181,17 +194,14 @@ def sample_counts(probs, exposure: float, seed: Optional[int],
     numerics.substream(seed, *stream) and the table records the root seed.
     Every caller passes a stream of its own per table, so one root seed
     serves a whole run while the tables' counting noise stays independent.
-    A row_scale, one positive factor per row, multiplies each row as drawn,
-    sampled or noiseless, and is recorded in the table. An all-dark table
-    raises ConditioningError.
+    A row_scale, one positive factor per row, is recorded beside the draw,
+    sampled or noiseless, which it leaves as it is: the table's `corrected`
+    rows are the draw's rows times their factors. An all-dark table raises
+    ConditioningError.
     """
     p = _checked(probs, dark_rate)
-    if row_scale is not None:
-        row_scale = np.asarray(row_scale, dtype=np.float64)
-        if row_scale.shape != (p.shape[0],):
-            raise DimensionMismatchError("row_scale must hold one factor per Alice row")
-        if np.any(row_scale <= 0):
-            raise NormalizationError("row_scale factors must be positive")
+    if row_scale is not None and np.shape(row_scale) != (p.shape[0],):
+        raise DimensionMismatchError("row_scale must hold one factor per Alice row")
     return _draw(p, _peak_scale(exposure, [p]), seed, dark_rate, stream,
                  basis_label_a, basis_label_b, row_scale)
 
@@ -278,6 +288,7 @@ def phase_step_scan_e(state: states.BipartiteState, family: BasisFamily,
 #    <s0>,<s1>,...]
 #   a,b,count
 #   <a>,<b>,<count>
+# A table with a row_scale stores its corrected cells, counts x row_scale.
 # ---------------------------------------------------------------------------
 
 
@@ -295,12 +306,19 @@ def save_count_table(path: Union[str, os.PathLike], table: CountTable) -> str:
         header.append("row_scale")
         header.append(",".join(["%.17g"] * len(table.row_scale))
                       % tuple(table.row_scale.tolist()))
-    return numerics._write_cells(path, header, "a,b,count", [table.counts])
+    return numerics._write_cells(path, header, "a,b,count", [table.corrected])
 
 
 def load_count_table(path: Union[str, os.PathLike], digest=None) -> CountTable:
     """A table saved by save_count_table; a hashlib object given as `digest`
-    is fed the file's bytes as read."""
+    is fed the file's bytes as read.
+
+    A file with a row_scale holds counts x row_scale. A sampled table's
+    counts are whole, so they are recovered as np.rint(cells / row_scale),
+    and a file in which that draw times row_scale does not give back every
+    stored cell bit for bit is a FormatError. A noiseless table's means are
+    not whole; they are the plain quotient.
+    """
     header, grid = numerics._read_cells(path, "a,b,count", 1, digest)
     if (len(header) not in (2, 4) or header[0] != "basisA,basisB,exposure,seed"
             or header[2:3] not in ([], ["row_scale"])):
@@ -314,5 +332,17 @@ def load_count_table(path: Union[str, os.PathLike], digest=None) -> CountTable:
             row_scale = np.array([float(tok) for tok in header[3].split(",")])
     except ValueError as exc:
         raise FormatError(f"{path}: malformed count-table header ({exc})") from exc
-    return CountTable(counts=grid[:, :, 0], basis_label_a=label_a, basis_label_b=label_b,
-                      exposure=exposure, seed=seed, row_scale=row_scale)
+    counts = cells = grid[:, :, 0]
+    if row_scale is not None:
+        # The factors are checked before anything is divided by them. A
+        # quotient that overflows is infinite, which CountTable refuses.
+        with np.errstate(over="ignore"):
+            counts = cells / _row_factors(row_scale, cells.shape[0])[:, None]
+        if not math.isinf(exposure):
+            counts = np.rint(counts)
+    table = CountTable(counts=counts, basis_label_a=label_a, basis_label_b=label_b,
+                       exposure=exposure, seed=seed, row_scale=row_scale)
+    if (table.row_scale is not None and not table.noiseless
+            and not np.array_equal(table.corrected, cells)):
+        raise FormatError(f"{path}: cells are not whole counts times row_scale")
+    return table

@@ -113,21 +113,26 @@ def haar_unitary(n: int, seed) -> ComplexMatrix:
 
 
 def dist_up_to_scalar(a: ComplexMatrix, b: ComplexMatrix) -> float:
-    """Frobenius distance between a and the best complex rescaling of b.
+    """Relative Frobenius distance between a and the best complex rescaling
+    of b.
 
-    min_c ||a - c b||_F / ||b||_F with the closed form c = <b, a> / <b, b>.
-    Zero exactly when a and b agree up to one global complex factor, which is
-    the gauge freedom of every reconstructed transmission matrix here.
+    ||a - c b||_F / ||a||_F with the closed form c = <b, a> / <b, b>: the
+    sine of the angle between a and b, so neither argument's scale or
+    global phase moves it. Zero exactly when a and b agree up to one global
+    complex factor, which is the gauge freedom of every reconstructed
+    transmission matrix here. The residual is formed explicitly: the
+    equivalent sqrt(1 - |<a, b>|^2 / (<a, a> <b, b>)) cancels near 0.
     """
     a = as_matrix(a)
     b = as_matrix(b)
     if a.shape != b.shape:
         raise DimensionMismatchError(f"shape mismatch {a.shape} vs {b.shape}")
+    aa = np.linalg.norm(a)
     bb = np.vdot(b, b)
-    if bb == 0:
-        raise ConditioningError("reference matrix is zero")
+    if aa == 0 or bb == 0:
+        raise ConditioningError("cannot compare against a zero matrix")
     c = np.vdot(b, a) / bb
-    return float(np.linalg.norm(a - c * b) / np.sqrt(np.real(bb)))
+    return float(np.linalg.norm(a - c * b) / aa)
 
 
 def is_prime(n: int) -> bool:

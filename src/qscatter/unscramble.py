@@ -14,7 +14,8 @@ spectrum. Rotated versions V_r = M_r (eta^-1 W), built once per family by
 build_v, probe the unbiased (or tilted) families of that recovered state;
 their rows again need per-row factors zeta_w. recovered_probs gives only
 the table the SLM displays; zeta is undone where a table is made, row w
-times zeta_w^2 (measure_recovered, predict_table). Each recovered table
+times zeta_w^2: measure_recovered records zeta^2 as the table's row_scale
+beside the draw, and predict_table multiplies it in. Each recovered table
 is named by its VOperator, or by None for the standard table.
 """
 
@@ -211,9 +212,9 @@ def measure_recovered(state: BipartiteState, ops: UnscrambleOperators,
     happens at the physically displayed (unit-max-modulus) patterns, one
     acquisition whose brightest cell has mean `exposure` counts, from
     sub-stream (_STREAM_RECOVERED, k) of seed with k = 0 for the standard
-    table and r + 1 for family r; a rotated table's rows are drawn with
-    row_scale zeta^2, which undoes the SLM normalization and is kept in
-    the table.
+    table and r + 1 for family r; a rotated table keeps its draw and
+    records row_scale zeta^2, which undoes the SLM normalization in the
+    table's `corrected` rows.
     """
     label = recovered_label(v)
     k = 0 if v is None else v.r + 1

@@ -332,9 +332,10 @@ def test_certify_resampling_honors_row_corrections():
     d = 3
     std, fams = _sampled_tables(d, 2e4, 13)
     scaled = measure.CountTable(
-        counts=fams[0].counts * 2.0, basis_label_a=fams[0].basis_label_a,
+        counts=fams[0].counts, basis_label_a=fams[0].basis_label_a,
         basis_label_b=fams[0].basis_label_b, exposure=fams[0].exposure,
         seed=fams[0].seed, row_scale=np.full(d, 2.0))
+    np.testing.assert_array_equal(scaled.corrected, fams[0].counts * 2.0)
     raw = certify.certify(std, [fams[0]], n_mc=48, seed=3)
     corrected = certify.certify(std, [scaled], n_mc=48, seed=3)
     assert corrected.fidelity == pytest.approx(raw.fidelity, abs=1e-12)
@@ -343,8 +344,9 @@ def test_certify_resampling_honors_row_corrections():
 
 
 def _with_row_scale(table, scale):
+    """The table's draw with a row correction recorded beside it."""
     return measure.CountTable(
-        counts=table.counts * scale[:, np.newaxis], basis_label_a=table.basis_label_a,
+        counts=table.counts, basis_label_a=table.basis_label_a,
         basis_label_b=table.basis_label_b, exposure=table.exposure, row_scale=scale)
 
 

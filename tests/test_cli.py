@@ -660,6 +660,28 @@ def test_certify_rejects_a_non_finite_row_scale(tmp_path, fails, factor, n_mc):
     assert "row_scale" in err and len(err.splitlines()) == 1
 
 
+def test_certify_refuses_an_edited_recovered_tilted_cell(tmp_path, fails):
+    """A sampled row-scaled table stores whole counts times row_scale; one
+    cell moved off that grid is a format error naming the file."""
+    run = tmp_path / "run"
+    assert cli.main(["run", "--scenario", "unscramble-certify", "--d", "3",
+                     "--n-modes", "8", "--exposure", "1e3", "--n-mc", "0", "--seed", "1",
+                     "--out", str(run)]) == 0
+    edited = run / "tables" / "recovered_tilted_0.csv"
+    lines = edited.read_text(encoding="ascii").splitlines(keepends=True)
+    assert lines[2] == "row_scale\n"
+    factors = [float(tok) for tok in lines[3].split(",")]
+    a, b, count = lines[-1].split(",")
+    lines[-1] = f"{a},{b},{float(count) + factors[int(a)] / 2!r}\n"
+    edited.write_text("".join(lines), encoding="ascii")
+    argv = ["certify", "--standard", str(run / "tables" / "recovered_standard.csv")]
+    for r in range(3):
+        argv += ["--table", str(run / "tables" / f"recovered_tilted_{r}.csv")]
+    err = fails(argv + ["--n-mc", "10"], 2)
+    assert len(err.splitlines()) == 1
+    assert str(edited) in err and "row_scale" in err
+
+
 def test_certify_subcommand_require_dent(tmp_path):
     sim = str(tmp_path / "sim")
     assert cli.main(["simulate", "--d", "3", "--n-modes", "8",

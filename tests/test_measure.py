@@ -1,5 +1,8 @@
 """Coincidence tables: probabilities, Poisson sampling, phase scans, IO."""
 
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -234,14 +237,18 @@ def test_phase_scan_rejects_wrong_state_dimension():
 
 
 def test_zeta_correct_scales_rows_once():
-    # The SLM row correction is the draw's row_scale: each row is multiplied
-    # once, in the one table built, and the factors are recorded there.
+    # The SLM row correction is the draw's row_scale: the table keeps the
+    # draw, records the factors, and multiplies each row once, in
+    # `corrected`.
     ones = np.ones((2, 3))
     z = np.array([2.0, 3.0])
     fixed = measure.sample_counts(ones, measure.NOISELESS, None, row_scale=z * z)
-    np.testing.assert_allclose(fixed.counts[0], 4.0)
-    np.testing.assert_allclose(fixed.counts[1], 9.0)
+    np.testing.assert_array_equal(fixed.counts, ones)
+    np.testing.assert_allclose(fixed.corrected[0], 4.0)
+    np.testing.assert_allclose(fixed.corrected[1], 9.0)
     np.testing.assert_allclose(fixed.row_scale, z * z)
+    assert fixed.total() == 39.0
+    np.testing.assert_allclose(fixed.normalized(), fixed.corrected / 39.0)
     with pytest.raises(DimensionMismatchError):
         measure.sample_counts(ones, measure.NOISELESS, None, row_scale=np.ones(3))
     with pytest.raises(NormalizationError):
@@ -254,9 +261,11 @@ def test_sample_counts_row_scale_multiplies_the_unscaled_draw():
     draw = dict(exposure=400.0, seed=9, dark_rate=0.01, stream=(4, 1))
     plain = measure.sample_counts(probs, **draw)
     scaled = measure.sample_counts(probs, **draw, row_scale=s)
-    np.testing.assert_array_equal(scaled.counts, plain.counts * s[:, np.newaxis])
+    np.testing.assert_array_equal(scaled.counts, plain.counts)
+    np.testing.assert_array_equal(scaled.counts, np.rint(scaled.counts))
+    np.testing.assert_array_equal(scaled.corrected, plain.counts * s[:, np.newaxis])
     np.testing.assert_array_equal(scaled.row_scale, s)
-    assert plain.row_scale is None
+    assert plain.row_scale is None and plain.corrected is plain.counts
     assert (scaled.exposure, scaled.seed) == (plain.exposure, plain.seed)
     with pytest.raises(DimensionMismatchError):
         measure.sample_counts(probs, **draw, row_scale=s[:2])
@@ -264,18 +273,69 @@ def test_sample_counts_row_scale_multiplies_the_unscaled_draw():
         measure.sample_counts(probs, **draw, row_scale=-s)
 
 
+def _traced_peak(call) -> int:
+    """Bytes that call() holds at its peak above what was held before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_row_scaled_draw_peaks_no_higher_than_a_plain_one():
+    # The row correction is recorded, not multiplied in, so a d=101 draw
+    # with a row_scale holds no d x d array more than a plain draw.
+    d = 101
+    probs = np.random.default_rng(6).random((d, d))
+    s = np.random.default_rng(7).random(d) + 0.5
+    draw = dict(exposure=1e4, seed=3, stream=(5,))
+    plain = _traced_peak(lambda: measure.sample_counts(probs, **draw))
+    scaled = _traced_peak(lambda: measure.sample_counts(probs, **draw, row_scale=s))
+    assert scaled <= plain + 0.1 * probs.nbytes, (scaled / probs.nbytes,
+                                                   plain / probs.nbytes)
+
+
 def test_count_table_round_trip(tmp_path):
-    counts = np.array([[1.0, 2.0], [3.0, 4.5]])
+    counts = np.array([[1.0, 2.0], [3.0, 5.0]])
     t = measure.CountTable(counts=counts, basis_label_a="mub:1",
                            basis_label_b="mub:1*", exposure=1e4, seed=12,
                            row_scale=np.array([1.5, 2.5]))
     path = tmp_path / "t.csv"
     measure.save_count_table(path, t)
+    assert path.read_text(encoding="ascii").endswith("1,0,7.5\n1,1,12.5\n")
     back = measure.load_count_table(path)
     np.testing.assert_array_equal(back.counts, t.counts)
     np.testing.assert_array_equal(back.row_scale, t.row_scale)
     assert back.basis_label_a == "mub:1"
     assert back.exposure == 1e4 and back.seed == 12
+
+
+def test_a_sampled_row_scaled_table_loads_back_its_integer_draw(tmp_path):
+    """The file holds draw x row_scale; the reader gives back the draw
+    exactly, and refuses a file with one cell that is not a whole count
+    times its row's factor, naming the file."""
+    probs = np.random.default_rng(8).random((5, 5))
+    s = np.random.default_rng(9).random(5) + 0.5
+    t = measure.sample_counts(probs, 1e4, 3, row_scale=s)
+    path = tmp_path / "t.csv"
+    measure.save_count_table(path, t)
+    back = measure.load_count_table(path)
+    np.testing.assert_array_equal(back.counts, t.counts)
+    np.testing.assert_array_equal(back.corrected, t.corrected)
+    np.testing.assert_array_equal(back.row_scale, s)
+    lines = path.read_text(encoding="ascii").splitlines(keepends=True)
+    a, b, count = lines[-1].split(",")
+    edited = lines[:-1] + [f"{a},{b},{float(count) + float(s[int(a)]) / 2!r}\n"]
+    path.write_text("".join(edited), encoding="ascii")
+    with pytest.raises(FormatError, match=re.escape(str(path)) + ": .*row_scale"):
+        measure.load_count_table(path)
+    # A factor so small that a cell over it overflows: refused, with no warning.
+    tiny = lines[:3] + ["5e-324," + lines[3].split(",", 1)[1]] + lines[4:]
+    path.write_text("".join(tiny), encoding="ascii")
+    with pytest.raises(NormalizationError, match="finite"):
+        measure.load_count_table(path)
 
 
 def test_count_table_round_trip_noiseless(tmp_path):

@@ -9,12 +9,13 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import first_bad_cell, read_cells_by_lines, write_cells_per_cell
-from qscatter import channel, cli, numerics, unscramble
+from qscatter import channel, cli, measure, numerics, unscramble
 from qscatter.errors import (
     ConditioningError,
     DimensionMismatchError,
     FormatError,
     InvalidDimensionError,
+    NormalizationError,
 )
 
 
@@ -167,11 +168,27 @@ def test_dist_up_to_scalar_gauge_invariance():
     assert numerics.dist_up_to_scalar(perturbed, b) > 1e-3
 
 
+def test_dist_up_to_scalar_ignores_the_scale_of_either_argument():
+    """The value is the relative residual ||a - c b|| / ||a||: a complex
+    factor on either argument leaves it unchanged, and it is symmetric."""
+    rng = np.random.default_rng(4)
+    a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    b = a + 0.3 * (rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
+    want = numerics.dist_up_to_scalar(a, b)
+    assert 0.05 < want < 1
+    for k in (1e-3, 7.0, 2.5 - 4j, 1e4j):
+        assert numerics.dist_up_to_scalar(k * a, b) == pytest.approx(want, rel=1e-12)
+        assert numerics.dist_up_to_scalar(a, k * b) == pytest.approx(want, rel=1e-12)
+    assert numerics.dist_up_to_scalar(b, a) == pytest.approx(want, rel=1e-12)
+
+
 def test_dist_up_to_scalar_error_paths():
     with pytest.raises(DimensionMismatchError):
         numerics.dist_up_to_scalar(np.eye(2), np.eye(3))
     with pytest.raises(ConditioningError):
         numerics.dist_up_to_scalar(np.eye(2), np.zeros((2, 2)))
+    with pytest.raises(ConditioningError):
+        numerics.dist_up_to_scalar(np.zeros((2, 2)), np.eye(2))
 
 
 def test_is_prime_small_values():
@@ -533,6 +550,39 @@ def test_read_cells_agrees_with_the_line_reader_on_corrupted_files(
     path = tmp_path / "corrupted.csv"
     path.write_bytes(data.draw(_corrupted(text, columns)).encode("ascii"))
     _check_reader(path, columns, width, capsys)
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture],
+          deadline=None, max_examples=300)
+@given(data=st.data())
+def test_count_table_reader_loads_the_draw_or_refuses_a_corrupted_file(
+        tmp_path, artifacts, data):
+    """A corrupted copy of a sampled, row-scaled table either loads as a
+    whole-number draw whose product with row_scale is every cell the line
+    reader sees, bit for bit (the original draw and row_scale when the file
+    still holds the original cells and factors), or it is refused."""
+    text, columns, width = artifacts[0]
+    path = tmp_path / "recovered_tilted_0.csv"
+    path.write_text(text, encoding="ascii")
+    original = measure.load_count_table(path)
+    assert not original.noiseless and original.row_scale is not None
+    path.write_bytes(data.draw(_corrupted(text, columns)).encode("ascii"))
+    try:
+        table = measure.load_count_table(path)
+    except (FormatError, NormalizationError):
+        return
+    cells = read_cells_by_lines(path, columns, width)[1][:, :, 0]
+    if table.row_scale is None:
+        np.testing.assert_array_equal(table.counts, cells)
+        return
+    if table.noiseless:
+        np.testing.assert_allclose(table.corrected, cells, rtol=1e-15)
+        return
+    np.testing.assert_array_equal(table.counts, np.rint(table.counts))
+    np.testing.assert_array_equal(table.corrected.view(np.int64), cells.view(np.int64))
+    if (np.array_equal(cells, original.corrected)
+            and np.array_equal(table.row_scale, original.row_scale)):
+        np.testing.assert_array_equal(table.counts, original.counts)
 
 
 def test_read_cells_reads_crlf_empty_lines_and_spaced_fields_but_not_blank_cell_lines(

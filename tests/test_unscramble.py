@@ -269,8 +269,10 @@ def test_measure_recovered_noiseless_matches_prediction():
     ops = unscramble.build_w(t_tagged)
     v = unscramble.build_v(ops, 1)
     table = unscramble.measure_recovered(state, ops, v, measure.NOISELESS)
-    exact = unscramble.recovered_probs(state, ops, v) * (v.zeta ** 2)[:, np.newaxis]
-    np.testing.assert_allclose(table.counts, exact, atol=1e-12)
+    displayed = unscramble.recovered_probs(state, ops, v)
+    np.testing.assert_allclose(table.counts, displayed, atol=1e-12)
+    np.testing.assert_allclose(table.corrected, displayed * (v.zeta ** 2)[:, np.newaxis],
+                               atol=1e-12)
     assert table.noiseless and table.seed is None
     with pytest.raises(NormalizationError):
         unscramble.measure_recovered(state, ops, v, 1e4)

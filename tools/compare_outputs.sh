@@ -25,12 +25,15 @@
 # copy of the noisy --scan-family standard tomography run's t_hat.csv
 # without its t_hat.json (an untagged matrix), plus one noiseless
 # tomography run at d=7 through N=2000 modes (a 2000-row channel.csv),
-# plus six errors that must exit 2 and leave their --out absent
+# plus seven errors that must exit 2 and leave their --out absent
 # (run --scenario fixture-a1 --d 5, simulate --basis tilted:1, simulate
 # --basis mub:01, which is not how mub:1 is spelled, unscramble
 # --lambdas with a spectrum whose squares sum to 1.8, certify given
-# sim/tables/mub_0.csv and a copy of it, two tables with one label, and
-# certify given a copy of it relabelled mub:01), each with
+# sim/tables/mub_0.csv and a copy of it, two tables with one label,
+# certify given a copy of it relabelled mub:01, and certify on copies of
+# the d=7 unscramble-certify-3 run's recovered tables in which one cell of
+# recovered_tilted_0.csv is moved by half its row's row_scale factor, so
+# it is no longer a whole count times row_scale), each with
 # its own --out, plus tomo --ref-floor 0.999 on the d=5 scans, which must
 # exit 3 with its degenerate-reference message. Three steps check what
 # --out holds after a rerun or a failure: a baseline run at d=5 and then at
@@ -152,6 +155,19 @@ run_grid() {
         --out certify-one-label-twice
     q "$src" "$out" certify-mub-01 certify --standard sim/tables/standard.csv \
         --table copies/mub_01.csv --n-mc 40 --seed 3 --out certify-mub-01
+    mkdir "$out/edited"
+    cp "$out"/unscramble-certify-3/tables/recovered_*.csv "$out/edited/"
+    # Line 4 holds the row_scale factors; cell (0, 0) moves by half of row 0's.
+    awk -F, -v OFS=, 'NR == 4 { split($0, factors) }
+        NR > 5 && $1 == 0 && $2 == 0 { $3 = sprintf("%.17g", $3 + factors[1] / 2) }
+        { print }' "$out/unscramble-certify-3/tables/recovered_tilted_0.csv" \
+        >"$out/edited/recovered_tilted_0.csv"
+    local edited_tables=()
+    for r in 0 1 2 3 4 5 6; do
+        edited_tables+=(--table "edited/recovered_tilted_$r.csv")
+    done
+    q "$src" "$out" certify-edited-cell certify --standard edited/recovered_standard.csv \
+        "${edited_tables[@]}" --n-mc 40 --seed 3 --out certify-edited-cell
     printf '{"lambda": [0.6, 0.6, 0.6, 0.6, 0.6]}\n' >"$out/lambda-bad.json"
     q "$src" "$out" unscramble-bad-lambdas unscramble --t-hat rec/t_hat.csv \
         --lambdas lambda-bad.json --out unscramble-bad-lambdas
