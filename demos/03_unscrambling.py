@@ -50,24 +50,28 @@ ops = unscramble.build_w(t_hat)
 print(f"condition number of the inversion: {ops.condition_number:.2f}")
 print(f"eta (per-row SLM scales): {np.round(ops.eta, 3)}")
 
-after = unscramble.recovered_probs(scrambled, ops)
+# The correction leaves one state, R = (eta^-1 W x conj(M0))|psi>; every
+# recovered table below is measured on it.
+recovered = unscramble.recovered_state(scrambled, ops)
+after = unscramble.recovered_probs(recovered)
 print(f"diagonal weight after unscrambling:  {diagonal_weight(after):.3f}")
 
 # The recovered state is not exactly maximally entangled: the eta scales
 # act like a nonuniform Schmidt spectrum. The estimated weights below feed
 # the tilted probe families used during certification (demo 04).
-std_counts = unscramble.measure_recovered(scrambled, ops, None, measure.NOISELESS)
+std_counts = unscramble.measure_recovered(recovered, None, measure.NOISELESS)
 diag = np.diagonal(std_counts.counts)
 lam = np.sqrt(diag / diag.sum())
 print(f"recovered Schmidt-weight estimate: {np.round(lam, 4)}")
 
-# Rotated probes V_r = M_r (eta^-1 W), built by build_v, need their own
-# per-row scales zeta. measure_recovered keeps the draw as the table's
-# counts and the factors zeta^2 in its row_scale field, so resampling
-# redraws the counts that were drawn; `corrected` (and normalized())
-# applies the factors.
+# Rotated probes V_r = M_r (eta^-1 W), built by build_v, measure R in
+# family r and need their own per-row scales zeta, which the displayed
+# table divides out of row w as zeta_w^2. measure_recovered keeps the draw
+# as the table's counts and the factors zeta^2 in its row_scale field, so
+# resampling redraws the counts that were drawn; `corrected` (and
+# normalized()) applies the factors.
 v_1 = unscramble.build_v(ops, 1)
-rotated = unscramble.measure_recovered(scrambled, ops, v_1, measure.NOISELESS)
+rotated = unscramble.measure_recovered(recovered, v_1, measure.NOISELESS)
 print(f"rotated-probe table label: {rotated.basis_label_a!r}, "
       f"row_scale spread {rotated.row_scale.min():.3f}.."
       f"{rotated.row_scale.max():.3f}")

@@ -92,6 +92,7 @@ from .unscramble import (
     measure_recovered,
     predict_table,
     recovered_probs,
+    recovered_state,
     slm_eta,
 )
 

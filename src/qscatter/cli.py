@@ -371,9 +371,9 @@ def _measure_tables(cfg: ScenarioConfig, state: states.BipartiteState, out: _Out
     a time as they are asked for, and the certification target.
 
     Without ops the state is measured directly in the standard and unbiased
-    families against the uniform target. With ops the measurements go
-    through the correction and the rotated probes are tilted to `target`,
-    by default the spectrum nominated from the standard table.
+    families against the uniform target. With ops the recovered state is
+    formed once and measured, and the rotated probes are tilted to
+    `target`, by default the spectrum nominated from the standard table.
     """
     if ops is None:
         def direct(family: bases.BasisFamily) -> measure.CountTable:
@@ -384,9 +384,11 @@ def _measure_tables(cfg: ScenarioConfig, state: states.BipartiteState, out: _Out
                 (direct(bases.mub(cfg.d, r)) for r in range(cfg.d)),
                 certify.TargetState.uniform(cfg.d))
 
+    rec = unscramble.recovered_state(state, ops)
+
     def recovered(v: Optional[unscramble.VOperator]) -> measure.CountTable:
         return out.measured(unscramble.measure_recovered(
-            state, ops, v, cfg.exposure, cfg.seed, dark_rate=cfg.dark_rate))
+            rec, v, cfg.exposure, cfg.seed, dark_rate=cfg.dark_rate))
 
     std = recovered(None)
     if target is None:
@@ -575,13 +577,12 @@ def _cmd_tomo(args: argparse.Namespace) -> int:
     return 0
 
 
-def _save_prediction(out: _Output, state: states.BipartiteState,
-                     ops: unscramble.UnscrambleOperators,
+def _save_prediction(out: _Output, recovered: states.BipartiteState,
                      v: Optional[unscramble.VOperator]) -> None:
-    """Write the noiseless table the correction predicts through V_r (the
+    """Write the noiseless table of the recovered state through V_r (the
     standard one for v None) to unscramble/predicted_<kind>.csv."""
     label = unscramble.recovered_label(v)
-    table = measure.CountTable(counts=unscramble.predict_table(state, ops, v),
+    table = measure.CountTable(counts=unscramble.predict_table(recovered, v),
                                basis_label_a=label, basis_label_b=label + "*",
                                exposure=measure.NOISELESS)
     kind = "standard" if v is None else v.kind
@@ -594,14 +595,14 @@ def _cmd_unscramble(args: argparse.Namespace) -> int:
         t = _load_t_hat(args.t_hat)
         lambdas = _load_lambda_file(args.lambdas, t.dim) if args.lambdas else None
         ops = _build_ops(t, out)
-        state = channel.choi_state(t)
-        _save_prediction(out, state, ops, None)
+        rec = unscramble.recovered_state(channel.choi_state(t), ops)
+        _save_prediction(out, rec, None)
         zeta_meta = {}
         for r in range(t.dim):
             v = unscramble.build_v(ops, r, lambdas)
             numerics.save_matrix_csv(out.path(f"unscramble/v_alice_{r}.csv"),
                                      v.normalized_v)
-            _save_prediction(out, state, ops, v)
+            _save_prediction(out, rec, v)
             zeta_meta[v.kind] = v.zeta
         out.json("unscramble/zeta.json", zeta_meta)
     print(f"wrote unscrambling operators and predictions to "

@@ -12,16 +12,14 @@ probabilities. Count tables record the scale their cells were drawn at,
 the basis labels and the seed, so downstream estimators and resamplers
 never guess.
 
-Kets and operators: public functions take kets, given as matrix rows and
-conjugated inside (probability_table), or basis families. Every table is
-computed by one private kernel, _probabilities, which takes operators
-(the conjugated kets), so a caller that already holds operators
-(measure_correlations, unscramble.recovered_probs) passes them straight
-in. Conjugating an operator into kets only to conjugate it back made two
-extra d x d copies per table. From d = 91 up a complex d x d array is
-larger than 128 KB, glibc's initial mmap threshold, and those copies made
-the heap grow and shrink by whole pages on every table, each regrowth
-faulting its pages back in.
+Kets and operators: every table is computed by one private kernel,
+_probabilities, which takes operators (the conjugated kets as rows), and
+every caller inside the package hands it operators it built as such.
+probability_table, the public entry for kets, conjugates them inside.
+Conjugating an operator into kets only to conjugate it back made two
+extra d x d copies per table; from d = 91 up (a complex d x d array past
+glibc's 128 KB mmap threshold) they made the heap fault pages back in on
+every table.
 """
 
 from __future__ import annotations
@@ -118,14 +116,9 @@ def _row_factors(row_scale, rows: int) -> np.ndarray:
 
 
 def probability_table(state: states.BipartiteState, kets_a, kets_b) -> np.ndarray:
-    """All pairwise coincidence probabilities; kets given as matrix rows.
-
-    Like every public function here it takes kets and conjugates them
-    inside, into the operators the kernel _probabilities takes. A caller
-    that holds operators calls the kernel itself: conjugating them into
-    kets first would only add two d x d copies per table (see the module
-    docstring).
-    """
+    """All pairwise coincidence probabilities; kets given as matrix rows,
+    conjugated here into the operators the kernel _probabilities takes (a
+    caller that holds operators calls the kernel itself)."""
     return _probabilities(state, np.conjugate(numerics.as_matrix(kets_a)),
                           np.conjugate(numerics.as_matrix(kets_b)))
 
@@ -165,15 +158,18 @@ def _draw(p: np.ndarray, scale: float, seed: Optional[int], dark_rate: float,
           stream: Sequence[int], basis_label_a: str, basis_label_b: str,
           row_scale=None) -> CountTable:
     """Poisson counts with means scale * (p + dark_rate), recorded with the
-    row_scale if given; scale = inf gives the means themselves."""
-    p = p + dark_rate
+    row_scale if given; scale = inf gives the means themselves. The means
+    are formed in p, which _draw owns: it is _checked's private copy, and
+    the acquisition's scale was read before any of its tables is drawn."""
+    p += dark_rate
     if math.isinf(scale):
         counts, exposure, seed = p, NOISELESS, None
     elif not isinstance(seed, (int, np.integer)):
         raise NormalizationError("sampled mode needs an explicit integer seed")
     else:
+        p *= scale
         counts = numerics._poisson(numerics.substream(seed, *stream),
-                                   scale * p).astype(np.float64)
+                                   p).astype(np.float64)
         exposure, seed = float(scale), int(seed)
     return CountTable(counts=counts, basis_label_a=basis_label_a,
                       basis_label_b=basis_label_b, exposure=exposure, seed=seed,
@@ -225,21 +221,23 @@ def measure_correlations(state: states.BipartiteState, family: BasisFamily,
 
 
 def _with_reference(amplitude: complex, pixels: np.ndarray) -> np.ndarray:
-    """Kets amplitude|ref> + |pixel row>, one per row, reference mode first."""
-    return np.hstack([np.full((pixels.shape[0], 1), amplitude, dtype=np.complex128),
+    """Operators of the kets amplitude|ref> + |pixel row>, one per row,
+    reference mode first: the kets, conjugated in place."""
+    kets = np.hstack([np.full((pixels.shape[0], 1), amplitude, dtype=np.complex128),
                       pixels])
+    return np.conjugate(kets, out=kets)
 
 
 def _phase_scan(state: states.BipartiteState, family: BasisFamily, exposure: float,
                 seed: Optional[int], dark_rate: float, name: str, stream: int,
-                kets) -> List[CountTable]:
-    """The four step tables of one scan, in step order; kets(exp(i theta))
-    gives Alice's and Bob's kets. The steps share one scale, set by their
-    joint peak, and step k draws from sub-stream (stream, k)."""
+                operators) -> List[CountTable]:
+    """The four step tables of one scan, in step order; operators(exp(i
+    theta)) gives Alice's and Bob's operators. The steps share one scale,
+    set by their joint peak, and step k draws from sub-stream (stream, k)."""
     if state.dim != family.dim + 1:
         raise DimensionMismatchError(f"scan needs a state on {family.dim}+1 modes "
                                      f"(reference first), got dim {state.dim}")
-    probs = [_checked(probability_table(state, *kets(np.exp(1j * theta))), dark_rate)
+    probs = [_checked(_probabilities(state, *operators(np.exp(1j * theta))), dark_rate)
              for theta in THETA_GRID]
     scale = _peak_scale(exposure, probs)
     return [_draw(p, scale, seed, dark_rate, (stream, step),

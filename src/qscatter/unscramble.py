@@ -10,13 +10,15 @@ turns the scrambled two-photon state back into a standard-basis-correlated
 one. A spatial light modulator can only display unit-max-modulus patterns,
 so each row of W is divided by its largest modulus eta_w; the leftover
 eta factors are what downstream estimators see as a nonuniform Schmidt
-spectrum. Rotated versions V_r = M_r (eta^-1 W), built once per family by
-build_v, probe the unbiased (or tilted) families of that recovered state;
-their rows again need per-row factors zeta_w. recovered_probs gives only
-the table the SLM displays; zeta is undone where a table is made, row w
-times zeta_w^2: measure_recovered records zeta^2 as the table's row_scale
-beside the draw, and predict_table multiplies it in. Each recovered table
-is named by its VOperator, or by None for the standard table.
+spectrum. recovered_state forms the state the correction leaves,
+R = (eta^-1 W x conj(M0))|psi>, once, and every recovered table is
+measured on it: the standard table is |R|^2 and family r's |M_r R M_r^H|^2.
+Family r's sender patterns V_r = M_r (eta^-1 W), built by build_v, need
+per-row SLM factors zeta_w too, so recovered_probs divides row w of that
+table by zeta_w^2 after the kernel: the table the SLM displays.
+measure_recovered records zeta^2 as the table's row_scale beside the
+draw, and predict_table normalizes the table before the division. Each
+recovered table is named by its VOperator, or by None for the standard.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .errors import (
     NormalizationError,
 )
 from .measure import CountTable, _probabilities, sample_counts
-from .states import BipartiteState
+from .states import BipartiteState, apply_one_sided
 
 _STREAM_RECOVERED = 14
 
@@ -158,42 +160,40 @@ def build_v(ops: UnscrambleOperators, r: int,
     )
 
 
-def recovered_probs(state: BipartiteState, ops: UnscrambleOperators,
-                    v: Optional[VOperator] = None) -> np.ndarray:
-    """Outcome table the SLM displays (unit-max sender rows), as raw
-    probabilities.
+def recovered_state(state: BipartiteState, ops: UnscrambleOperators) -> BipartiteState:
+    """R = (eta^-1 W x conj(M0)) |psi>, the state the correction leaves:
+    the displayed sender rows on Alice, the receiver's conj(M0) on Bob."""
+    return apply_one_sided(state, ops.normalized_w, ops.m_bob)
 
-    v = None pairs eta^-1 W with conj(M0) (the standard table); a VOperator
-    from build_v pairs zeta^-1 V_r with conj(M_r) conj(M0). zeta is not
-    undone here; a VOperator call used to return the zeta-corrected table.
-    These are operators, so they go to measure's kernel unconjugated:
-    public functions take kets, and passing the operators through
-    probability_table as kets would copy each one twice, conjugated and
-    conjugated back. From d = 91 up those copies made the heap fault its
-    pages back in on every table (see the measure module).
-    """
+
+def _corrected_probs(recovered: BipartiteState, v: Optional[VOperator]) -> np.ndarray:
+    """|R|^2 for v None, else |M_r R M_r^H|^2: the table before the division by zeta^2."""
     if v is None:
-        op_a, op_b = ops.normalized_w, ops.m_bob
-    else:
-        op_a, op_b = v.normalized_v, np.conjugate(v.family.matrix) @ ops.m_bob
-    return _probabilities(state, op_a, op_b)
+        return np.abs(recovered.coeffs) ** 2
+    return _probabilities(recovered, v.family.matrix, np.conjugate(v.family.matrix))
 
 
-def predict_table(state: BipartiteState, ops: UnscrambleOperators,
-                  v: Optional[VOperator] = None) -> np.ndarray:
-    """Normalized prediction of a recovered outcome table (sums to one).
-
-    v is None for the standard table or a VOperator, as in recovered_probs;
-    a rotated table's displayed rows are multiplied by zeta^2 before the
-    table is normalized.
-    """
-    probs = recovered_probs(state, ops, v)
+def recovered_probs(recovered: BipartiteState,
+                    v: Optional[VOperator] = None) -> np.ndarray:
+    """Outcome table the SLM displays (unit-max sender rows) on the
+    recovered state, as raw probabilities: the standard table for v None,
+    else family r's with row w divided by zeta_w^2."""
+    probs = _corrected_probs(recovered, v)
     if v is not None:
-        probs = probs * (v.zeta ** 2)[:, np.newaxis]
+        probs /= (v.zeta ** 2)[:, np.newaxis]
+    return probs
+
+
+def predict_table(recovered: BipartiteState,
+                  v: Optional[VOperator] = None) -> np.ndarray:
+    """Normalized prediction of a recovered outcome table (sums to one): v
+    as in recovered_probs, the table taken before the division by zeta^2."""
+    probs = _corrected_probs(recovered, v)
     total = float(np.sum(probs))
     if total <= 0:
         raise NormalizationError("predicted table has zero weight")
-    return probs / total
+    probs /= total
+    return probs
 
 
 def recovered_label(v: Optional[VOperator]) -> str:
@@ -202,11 +202,10 @@ def recovered_label(v: Optional[VOperator]) -> str:
     return RECOVERED + ("standard" if v is None else v.kind)
 
 
-def measure_recovered(state: BipartiteState, ops: UnscrambleOperators,
-                      v: Optional[VOperator], exposure: float,
+def measure_recovered(recovered: BipartiteState, v: Optional[VOperator], exposure: float,
                       seed: Optional[int] = None,
                       dark_rate: float = 0.0) -> CountTable:
-    """Simulate one recovered-basis coincidence table.
+    """Simulate one coincidence table of the recovered state.
 
     v is None for the standard table or a VOperator from build_v. Sampling
     happens at the physically displayed (unit-max-modulus) patterns, one
@@ -218,7 +217,7 @@ def measure_recovered(state: BipartiteState, ops: UnscrambleOperators,
     """
     label = recovered_label(v)
     k = 0 if v is None else v.r + 1
-    return sample_counts(recovered_probs(state, ops, v), exposure, seed, dark_rate,
+    return sample_counts(recovered_probs(recovered, v), exposure, seed, dark_rate,
                          stream=(_STREAM_RECOVERED, k),
                          basis_label_a=label, basis_label_b=label + "*",
                          row_scale=None if v is None else v.zeta ** 2)

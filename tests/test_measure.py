@@ -200,6 +200,27 @@ def test_phase_scans_have_documented_shapes_and_labels():
         assert table.basis_label_a == f"scan-e:mub:1:step{step}"
 
 
+@pytest.mark.parametrize("d", [7, 31])
+def test_phase_scans_are_probability_table_on_their_kets(d):
+    # The scans hand their operators to the kernel; each step table is the
+    # one probability_table gives on the scan's kets, bit for bit.
+    st, _ = _scan_state(d, d)
+    m = bases.mub(d, 1).matrix
+
+    def kets(amplitude, pixels):
+        return np.hstack([np.full((pixels.shape[0], 1), amplitude, dtype=np.complex128),
+                          pixels])
+
+    s_tabs = measure.phase_step_scan_s(st, bases.mub(d, 1), measure.NOISELESS)
+    e_tabs = measure.phase_step_scan_e(st, bases.mub(d, 1), measure.NOISELESS)
+    for theta, s_tab, e_tab in zip(measure.THETA_GRID, s_tabs, e_tabs):
+        phase = np.exp(1j * theta)
+        np.testing.assert_array_equal(s_tab.counts, measure.probability_table(
+            st, kets(phase, np.conjugate(m)), kets(0.0, m)))
+        np.testing.assert_array_equal(e_tab.counts, measure.probability_table(
+            st, kets(1.0, np.zeros((1, d))), kets(phase, m)))
+
+
 def test_phase_scan_steps_record_root_seed_and_differ():
     d = 3
     st, _ = _scan_state(d, 1)
@@ -295,6 +316,23 @@ def test_a_row_scaled_draw_peaks_no_higher_than_a_plain_one():
     scaled = _traced_peak(lambda: measure.sample_counts(probs, **draw, row_scale=s))
     assert scaled <= plain + 0.1 * probs.nbytes, (scaled / probs.nbytes,
                                                    plain / probs.nbytes)
+
+
+def test_a_draw_forms_its_means_in_place():
+    # _draw owns the clipped copy _checked returns and forms the Poisson
+    # means in it, so a d=101 draw holds that copy, the draw as floats and
+    # CountTable's frozen copy: about 3 d x d float arrays, 4.1 when the
+    # means were new arrays. A noiseless table skips the draw.
+    d = 101
+    probs = np.random.default_rng(6).random((d, d))
+    s = np.random.default_rng(7).random(d) + 0.5
+    draw = dict(exposure=1e4, seed=3, stream=(5,))
+    for scaled in (None, s):
+        peak = _traced_peak(lambda: measure.sample_counts(probs, **draw, row_scale=scaled))
+        assert peak <= 3.25 * probs.nbytes, peak / probs.nbytes
+    noiseless = _traced_peak(lambda: measure.sample_counts(probs, measure.NOISELESS, None,
+                                                           dark_rate=0.01))
+    assert noiseless <= 2.25 * probs.nbytes, noiseless / probs.nbytes
 
 
 def test_count_table_round_trip(tmp_path):

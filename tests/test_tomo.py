@@ -307,5 +307,6 @@ def test_a_reconstructed_t_reads_as_the_channel_whatever_its_scan_family(spec):
         assert t_hat.basis_tag.kind == spec
         assert numerics.dist_up_to_scalar(channel.choi_state(t_hat).coeffs,
                                           truth.coeffs) <= 1e-12
-        probs = unscramble.predict_table(truth, unscramble.build_w(t_hat))
+        probs = unscramble.predict_table(
+            unscramble.recovered_state(truth, unscramble.build_w(t_hat)))
         assert np.trace(probs) >= 0.999

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qscatter import bases, channel, cli, measure, unscramble
+from qscatter import bases, channel, cli, measure, states, unscramble
 from qscatter.errors import (
     ConditioningError,
     DimensionMismatchError,
@@ -68,7 +68,7 @@ def test_unscrambling_restores_standard_correlations():
         _, t_std, t_tagged = _tagged_channel(d, 11, seed, fam)
         state = channel.choi_state(t_std)
         ops = unscramble.build_w(t_tagged)
-        probs = unscramble.recovered_probs(state, ops)
+        probs = unscramble.recovered_probs(unscramble.recovered_state(state, ops))
         off = probs - np.diag(np.diagonal(probs))
         np.testing.assert_allclose(off, 0.0, atol=1e-14 * probs.max())
         weighted = np.diagonal(probs) * ops.eta ** 2
@@ -100,7 +100,7 @@ def test_recovered_probs_zeta_convention():
     ops = unscramble.build_w(t_tagged)
     v = unscramble.build_v(ops, 2)
     # The displayed table times zeta^2 is the table of the unnormalized V_r.
-    physical = unscramble.recovered_probs(state, ops, v)
+    physical = unscramble.recovered_probs(unscramble.recovered_state(state, ops), v)
     exact = measure.probability_table(state, np.conjugate(v.v_alice),
                                       v.family.matrix @ np.conjugate(ops.m_bob))
     np.testing.assert_allclose(exact, physical * (v.zeta ** 2)[:, np.newaxis],
@@ -109,40 +109,72 @@ def test_recovered_probs_zeta_convention():
 
 @pytest.mark.parametrize("d", [7, 31])
 def test_recovered_probs_is_probability_table_on_the_conjugated_operators(d):
-    # recovered_probs hands its operators to the kernel as they are; the
-    # table is probability_table's on their conjugates (the kets), bit for bit.
+    # The standard table is |R|^2 with no product; a rotated one is the
+    # kernel on (M_r, conj(M_r)), which is probability_table on their
+    # conjugates (the kets), bit for bit, with row w then divided by zeta_w^2.
     _, t_std, t_tagged = _tagged_channel(d, 2 * d, d, bases.mub(d, 1))
-    state = channel.choi_state(t_std)
     ops = unscramble.build_w(t_tagged)
+    rec = unscramble.recovered_state(channel.choi_state(t_std), ops)
+    np.testing.assert_array_equal(unscramble.recovered_probs(rec),
+                                  np.abs(rec.coeffs) ** 2)
     lam = np.linspace(1.0, 2.0, d)
     lam /= np.linalg.norm(lam)
-    for v in (None, unscramble.build_v(ops, 2), unscramble.build_v(ops, 3, lam)):
+    for v in (unscramble.build_v(ops, 2), unscramble.build_v(ops, 3, lam)):
+        m = v.family.matrix
+        expected = measure.probability_table(rec, np.conjugate(m), m)
+        expected /= (v.zeta ** 2)[:, np.newaxis]
+        np.testing.assert_array_equal(unscramble.recovered_probs(rec, v), expected)
+
+
+@pytest.mark.parametrize("d", [7, 31, 101])
+def test_recovered_tables_match_the_operator_pairing_they_replace(d):
+    """Measured on R, each table agrees with the old pairing of operators
+    on the unrecovered state, conj(M_r) conj(M0) with zeta^-1 V_r (eta^-1 W
+    with conj(M0) for the standard table), to rounding; the sampled counts
+    and row_scale do not move at all."""
+    _, t_std, t_tagged = _tagged_channel(d, 2 * d, 5, bases.standard_family(d))
+    state = channel.choi_state(t_std)
+    ops = unscramble.build_w(t_tagged)
+    rec = unscramble.recovered_state(state, ops)
+    lam = np.linspace(1.0, 2.0, d)
+    lam /= np.linalg.norm(lam)
+    for v in (None, unscramble.build_v(ops, 1), unscramble.build_v(ops, 2, lam)):
         if v is None:
-            op_a, op_b = ops.normalized_w, ops.m_bob
+            reference = measure.probability_table(state, np.conjugate(ops.normalized_w),
+                                                  np.conjugate(ops.m_bob))
         else:
-            op_a, op_b = v.normalized_v, np.conjugate(v.family.matrix) @ ops.m_bob
-        np.testing.assert_array_equal(
-            unscramble.recovered_probs(state, ops, v),
-            measure.probability_table(state, np.conjugate(op_a), np.conjugate(op_b)))
+            reference = measure.probability_table(state, np.conjugate(v.normalized_v),
+                                                  v.family.matrix @ np.conjugate(ops.m_bob))
+        probs = unscramble.recovered_probs(rec, v)
+        assert np.max(np.abs(probs - reference)) <= 1e-12 * np.max(reference)
+        table = unscramble.measure_recovered(rec, v, 1e4, seed=8)
+        k = 0 if v is None else v.r + 1
+        expected = measure.sample_counts(reference, 1e4, seed=8,
+                                         stream=(unscramble._STREAM_RECOVERED, k))
+        np.testing.assert_array_equal(table.counts, expected.counts)
+        if v is None:
+            assert table.row_scale is None
+        else:
+            np.testing.assert_array_equal(table.row_scale, v.zeta ** 2)
 
 
 def test_recovered_probs_makes_no_conjugated_copies():
     """One call on a d = 101 tilted probe peaks at no more than 4 d x d
-    complex arrays above where it started: the operator conj(M_r) conj(M0)
-    with its conj(M_r) temporary, then the kernel's two products. Handing
-    the operators over as kets, conjugated and conjugated back, peaked at 7."""
+    complex arrays above where it started: conj(M_r) and the kernel's two
+    products. Handing the operators over as kets, conjugated and conjugated
+    back, peaked at 7."""
     d = 101
     _, t_std, t_tagged = _tagged_channel(d, 2 * d, 3, bases.standard_family(d))
-    state = channel.choi_state(t_std)
     ops = unscramble.build_w(t_tagged)
+    rec = unscramble.recovered_state(channel.choi_state(t_std), ops)
     lam = np.linspace(1.0, 2.0, d)
     lam /= np.linalg.norm(lam)
     v = unscramble.build_v(ops, 3, lam)
-    unscramble.recovered_probs(state, ops, v)  # first use happens untraced
+    unscramble.recovered_probs(rec, v)  # first use happens untraced
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        unscramble.recovered_probs(state, ops, v)
+        unscramble.recovered_probs(rec, v)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -161,18 +193,19 @@ def test_build_v_normalizes_once_at_construction():
 def test_recovered_probs_dimension_check():
     t = channel.EffectiveT(matrix=np.eye(3) / 2)
     ops = unscramble.build_w(t)
-    from qscatter import states
     with pytest.raises(DimensionMismatchError):
-        unscramble.recovered_probs(states.max_entangled(4), ops)
+        unscramble.recovered_state(states.max_entangled(4), ops)
+    with pytest.raises(DimensionMismatchError):
+        unscramble.recovered_probs(states.max_entangled(4), unscramble.build_v(ops, 1))
 
 
 def test_predict_table_normalizes():
     d = 3
     fam = bases.standard_family(d)
     _, t_std, t_tagged = _tagged_channel(d, 7, 4, fam)
-    state = channel.choi_state(t_std)
     ops = unscramble.build_w(t_tagged)
-    table = unscramble.predict_table(state, ops, unscramble.build_v(ops, 1))
+    rec = unscramble.recovered_state(channel.choi_state(t_std), ops)
+    table = unscramble.predict_table(rec, unscramble.build_v(ops, 1))
     assert table.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.all(table >= 0)
 
@@ -180,23 +213,29 @@ def test_predict_table_normalizes():
 def test_predict_table_is_the_displayed_table_times_zeta_squared():
     d = 5
     _, t_std, t_tagged = _tagged_channel(d, 11, 11, bases.standard_family(d))
-    state = channel.choi_state(t_std)
     ops = unscramble.build_w(t_tagged)
+    rec = unscramble.recovered_state(channel.choi_state(t_std), ops)
     for v in (None, unscramble.build_v(ops, 2)):
-        probs = unscramble.recovered_probs(state, ops, v)
+        probs = unscramble.recovered_probs(rec, v)
         if v is not None:
             probs = probs * (v.zeta ** 2)[:, np.newaxis]
-        np.testing.assert_allclose(unscramble.predict_table(state, ops, v),
+        np.testing.assert_allclose(unscramble.predict_table(rec, v),
                                    probs / probs.sum(), rtol=0, atol=1e-14)
 
 
 def test_predict_table_rejects_zero_weight():
-    from qscatter import states
+    # A correction that leaves nothing fails where R is formed; a tilted
+    # probe blind to every mode R occupies fails in predict_table.
     ops = unscramble.UnscrambleOperators(
         w_alice=np.eye(2), m_bob=np.zeros((2, 2)), basis_kind="standard",
         condition_number=1.0)
     with pytest.raises(NormalizationError):
-        unscramble.predict_table(states.max_entangled(2), ops)
+        unscramble.recovered_state(states.max_entangled(2), ops)
+    ops = unscramble.UnscrambleOperators(
+        w_alice=np.eye(3), m_bob=np.eye(3), basis_kind="standard", condition_number=1.0)
+    v = unscramble.build_v(ops, 1, [1.0, 0.0, 0.0])
+    with pytest.raises(NormalizationError):
+        unscramble.predict_table(states.make_state(np.diag([0.0, 1.0, 0.0])), v)
 
 
 def test_measure_recovered_standard_and_rotated():
@@ -205,25 +244,25 @@ def test_measure_recovered_standard_and_rotated():
     _, t_std, t_tagged = _tagged_channel(d, 9, 5, fam)
     state = channel.choi_state(t_std)
     ops = unscramble.build_w(t_tagged)
+    rec = unscramble.recovered_state(state, ops)
 
-    std = unscramble.measure_recovered(state, ops, None, 1e4, seed=3)
+    std = unscramble.measure_recovered(rec, None, 1e4, seed=3)
     assert std.basis_label_a == "recovered:standard"
     assert std.basis_label_b == "recovered:standard*"
     assert std.row_scale is None and std.seed == 3
 
     v = unscramble.build_v(ops, 1)
-    rot = unscramble.measure_recovered(state, ops, v, 1e4, seed=3)
+    rot = unscramble.measure_recovered(rec, v, 1e4, seed=3)
     assert rot.basis_label_a == "recovered:mub:1"
     np.testing.assert_allclose(rot.row_scale, v.zeta ** 2)
 
-    again = unscramble.measure_recovered(state, ops, v, 1e4, seed=3)
+    again = unscramble.measure_recovered(rec, v, 1e4, seed=3)
     np.testing.assert_array_equal(rot.counts, again.counts)
-    other = unscramble.measure_recovered(state, ops, unscramble.build_v(ops, 2),
-                                         1e4, seed=3)
+    other = unscramble.measure_recovered(rec, unscramble.build_v(ops, 2), 1e4, seed=3)
     assert not np.array_equal(rot.counts, other.counts)
 
     lam = np.array([3.0, 2.0, 1.0]) / np.sqrt(14.0)
-    tilted = unscramble.measure_recovered(state, ops, unscramble.build_v(ops, 2, lam),
+    tilted = unscramble.measure_recovered(rec, unscramble.build_v(ops, 2, lam),
                                           1e4, seed=3)
     assert tilted.basis_label_a == "recovered:tilted:2"
 
@@ -234,9 +273,10 @@ def test_measure_recovered_puts_the_brightest_displayed_cell_at_the_exposure():
     _, t_std, t_tagged = _tagged_channel(d, 9, 8, fam)
     state = channel.choi_state(t_std)
     ops = unscramble.build_w(t_tagged)
+    rec = unscramble.recovered_state(state, ops)
     for v in (None, unscramble.build_v(ops, 1)):
-        probs = unscramble.recovered_probs(state, ops, v)
-        table = unscramble.measure_recovered(state, ops, v, 300.0, seed=2)
+        probs = unscramble.recovered_probs(rec, v)
+        table = unscramble.measure_recovered(rec, v, 300.0, seed=2)
         assert table.exposure * np.max(probs) == pytest.approx(300.0, rel=1e-12)
 
 
@@ -253,10 +293,11 @@ def test_measure_recovered_builds_one_table(monkeypatch, exposure):
     _, t_std, t_tagged = _tagged_channel(d, 9, 12, bases.mub(d, 0))
     state = channel.choi_state(t_std)
     ops = unscramble.build_w(t_tagged)
+    rec = unscramble.recovered_state(state, ops)
     v = unscramble.build_v(ops, 1)
     monkeypatch.setattr(measure.CountTable, "__post_init__", counted)
     for table in (None, v):
-        made = unscramble.measure_recovered(state, ops, table, exposure, seed=4)
+        made = unscramble.measure_recovered(rec, table, exposure, seed=4)
         assert len(built) == 1 and built[0] is made
         built.clear()
 
@@ -267,15 +308,16 @@ def test_measure_recovered_noiseless_matches_prediction():
     _, t_std, t_tagged = _tagged_channel(d, 7, 6, fam)
     state = channel.choi_state(t_std)
     ops = unscramble.build_w(t_tagged)
+    rec = unscramble.recovered_state(state, ops)
     v = unscramble.build_v(ops, 1)
-    table = unscramble.measure_recovered(state, ops, v, measure.NOISELESS)
-    displayed = unscramble.recovered_probs(state, ops, v)
+    table = unscramble.measure_recovered(rec, v, measure.NOISELESS)
+    displayed = unscramble.recovered_probs(rec, v)
     np.testing.assert_allclose(table.counts, displayed, atol=1e-12)
     np.testing.assert_allclose(table.corrected, displayed * (v.zeta ** 2)[:, np.newaxis],
                                atol=1e-12)
     assert table.noiseless and table.seed is None
     with pytest.raises(NormalizationError):
-        unscramble.measure_recovered(state, ops, v, 1e4)
+        unscramble.measure_recovered(rec, v, 1e4)
 
 
 
@@ -299,14 +341,15 @@ def test_one_build_v_call_per_rotated_table(build_v_calls, lambdas):
     _, t_std, t_tagged = _tagged_channel(d, 8, 7, bases.mub(d, 0))
     state = channel.choi_state(t_std)
     ops = unscramble.build_w(t_tagged)
+    rec = unscramble.recovered_state(state, ops)
     v = unscramble.build_v(ops, 2, lambdas)
     assert len(build_v_calls) == 1
     # A built VOperator is used as it is, and the standard table needs no
     # rotated operators at all.
     for table in (None, v):
-        unscramble.measure_recovered(state, ops, table, 1e4, seed=1)
-        unscramble.recovered_probs(state, ops, table)
-        unscramble.predict_table(state, ops, table)
+        unscramble.measure_recovered(rec, table, 1e4, seed=1)
+        unscramble.recovered_probs(rec, table)
+        unscramble.predict_table(rec, table)
     assert len(build_v_calls) == 1
 
 

@@ -53,14 +53,19 @@
 # Every command's files, stdout, stderr and exit code are kept, in one
 # temporary directory per tree, and all paths are relative, so the two
 # trees' outputs can be byte-identical. Names each command that exits
-# nonzero under the change tree, then prints `diff -r` of the two and
-# exits with its status: 0 when every output file is identical. For each
-# differing JSON file it also prints every differing key path with both
-# values, and the largest absolute difference between numbers. It ends
-# with a summary: the differing files grouped by path with every run of
-# digits in the base name written N, one count per group (for example
-# `67 ops-d67/unscramble/predicted_mub_N.csv`), then each file or
-# directory present under one tree only.
+# nonzero under the change tree, then prints `diff -r` of the two with the
+# CSV files left out, and exits with the status of the whole comparison:
+# 0 when every output file is identical. For each differing JSON file it
+# also prints every differing key path with both values, and the largest
+# absolute difference between numbers. For each differing CSV file it
+# prints one line instead of its diff: how many of its comma-separated
+# values differ and the largest relative difference |a - b| / max(|a|, |b|)
+# among them, and how many text fields and lines differ in layout where
+# the files do not line up; then the largest relative difference over all
+# CSV files. It ends with a summary: the differing files grouped by path
+# with every run of digits in the base name written N, one count per
+# group (for example `67 ops-d67/unscramble/predicted_mub_N.csv`), then
+# each file or directory present under one tree only.
 set -euo pipefail
 
 if [ $# -ne 2 ]; then
@@ -235,21 +240,69 @@ print(f"  largest absolute numeric difference: {largest}")
 PY
 }
 
+# csv_diff <parent-dir> <parent-file> <change-file> ...: one line per pair
+# (values that differ and the largest relative difference), then the
+# largest over all pairs.
+csv_diff() {
+    python3 - "$@" <<'PY'
+import os
+import sys
+
+
+def relative(a, b):
+    return abs(a - b) / (max(abs(a), abs(b)) or 1.0)
+
+
+root, files = sys.argv[1], sys.argv[2:]
+worst, worst_path = 0.0, None
+for paths in zip(files[::2], files[1::2]):
+    parent, change = ([line.split(",") for line in open(p, encoding="ascii")]
+                      for p in paths)
+    values = differ = text = shape = 0
+    largest = 0.0
+    for old_line, new_line in zip(parent, change):
+        shape += len(old_line) != len(new_line)
+        for old, new in zip(old_line, new_line):
+            try:
+                a, b = float(old), float(new)
+            except ValueError:
+                text += old != new
+                continue
+            values += 1
+            if old != new:
+                differ += 1
+                largest = max(largest, relative(a, b))
+    shape += abs(len(parent) - len(change))
+    name = os.path.relpath(paths[0], root)
+    extra = f", {text} text fields and {shape} lines differ in layout" if text or shape else ""
+    print(f"{name}: {differ} of {values} values differ, "
+          f"largest relative difference {largest:.3g}{extra}")
+    if largest > worst or worst_path is None:
+        worst, worst_path = largest, name
+if worst_path is not None:
+    print(f"largest relative difference over all CSV files: {worst:.3g} ({worst_path})")
+PY
+}
+
 echo "compared $(find "$parent_out" -type f | wc -l) files against $(find "$change_out" -type f | wc -l)"
 for f in "$change_out"/*.exit; do
     [ "$(cat "$f")" = 0 ] || echo "exit $(cat "$f") under the change: $(basename "$f" .exit)"
 done
 status=0
-diff -r "$parent_out" "$change_out" || status=$?
+changed=$(diff -rq "$parent_out" "$change_out") || status=$?
+diff -r -x '*.csv' "$parent_out" "$change_out" || true
 if [ "$status" -eq 0 ]; then
     echo "diff -r: no differences"
 fi
-changed=$(diff -rq "$parent_out" "$change_out" || true)
 sed -n 's/^Files \(.*\.json\) and \(.*\.json\) differ$/\1 \2/p' <<<"$changed" |
     while read -r a b; do
         echo "${a#"$parent_out"/}:"
         json_diff "$a" "$b"
     done
+# The temporary directories' paths hold no whitespace, so word splitting
+# hands csv_diff the pairs as they were printed.
+# shellcheck disable=SC2046
+csv_diff "$parent_out" $(sed -n 's/^Files \(.*\.csv\) and \(.*\.csv\) differ$/\1 \2/p' <<<"$changed")
 echo "differing files per kind (digit runs in base names as N):"
 sed -n 's/^Files \(.*\) and .* differ$/\1/p' <<<"$changed" |
     while read -r a; do echo "${a#"$parent_out"/}"; done |
