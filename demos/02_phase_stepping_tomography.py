@@ -36,7 +36,8 @@ for exposure in (1e3, 1e4, 1e5, 1e6, measure.NOISELESS):
                                       seed=None if exposure == measure.NOISELESS else 11)
     e_rec = measure.phase_step_scan_e(probe, family, exposure,
                                       seed=None if exposure == measure.NOISELESS else 12)
-    recon = tomo.reconstruct(s_rec, e_rec, family)
+    # the tables' label names the scan family, and the result is tagged with it
+    recon = tomo.reconstruct(s_rec, e_rec)
     err = numerics.dist_up_to_scalar(recon.t.matrix, oracle)
     tag = "noiseless" if exposure == measure.NOISELESS else f"{exposure:9.0e}"
     print(f"{tag}   {err:9.2e}   {recon.e_ratio:7.3f}   {recon.condition_number:7.2f}")

@@ -36,10 +36,11 @@ family = bases.mub(d, 0)
 probe = channel.transmitted_state(medium, reference_amplitude=1.0)
 s_rec = measure.phase_step_scan_s(probe, family, measure.NOISELESS)
 e_rec = measure.phase_step_scan_e(probe, family, measure.NOISELESS)
-t_hat = tomo.reconstruct(s_rec, e_rec, family).t
+t_hat = tomo.reconstruct(s_rec, e_rec).t
 
-# t_hat is expressed in the scan family it carries as basis_tag; choi_state
-# rotates it back, so it predicts the scrambled state up to one phase.
+# t_hat is expressed in the scan family the tables' label names, which it
+# carries as basis_tag; choi_state rotates it back, so it predicts the
+# scrambled state up to one phase.
 gap = numerics.dist_up_to_scalar(channel.choi_state(t_hat).coeffs, scrambled.coeffs)
 print(f"state predicted from t_hat vs scrambled state, up to a factor: {gap:.1e}")
 

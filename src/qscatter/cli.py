@@ -278,8 +278,8 @@ def _draw_channel(cfg: ScenarioConfig, out: _Output) -> channel.ChannelModel:
 def _scan(cfg: ScenarioConfig, ch: channel.ChannelModel, out: _Output):
     """Run the S and E phase-step scans through the medium, reference lit.
 
-    Saves the scan bundle and returns the scanned state, both scans' step
-    tables and the scan family.
+    Saves the scan bundle and returns the scanned state and both scans' step
+    tables, which carry the scan family in their label.
     """
     family = bases.parse_basis_spec(cfg.scan_family, cfg.d)
     full = channel.transmitted_state(ch, cfg.reference_amplitude)
@@ -295,33 +295,23 @@ def _scan(cfg: ScenarioConfig, ch: channel.ChannelModel, out: _Output):
         "exposure": cfg.exposure,
         "seed": cfg.seed,
     })
-    return full, s_tabs, e_tabs, family
+    return full, s_tabs, e_tabs
 
 
 def _load_scan_bundle(scan_dir: str):
-    """Read the eight step tables, then build the family meta.json names at
-    the width of the S tables; any other `d` there raises FormatError."""
-    meta_path = os.path.join(scan_dir, "meta.json")
-    meta = numerics._read_json(meta_path, {"d": int, "family": str})
-    names = ([f"{kind}_step{k}.csv" for k in range(4)] for kind in "se")
-    s_tabs, e_tabs = ([measure.load_count_table(os.path.join(scan_dir, n)) for n in scan]
-                      for scan in names)
-    width = s_tabs[0].counts.shape[1]
-    if meta["d"] != width:
-        raise FormatError(f"{meta_path}: 'd' is {meta['d']}, "
-                          f"but the S tables are {width} wide")
-    family = bases.parse_basis_spec(meta["family"], meta["d"])
-    return s_tabs, e_tabs, family
+    """Read the eight step tables; they alone decide the reconstruction, and
+    meta.json, a record of the run, is not read."""
+    return [[measure.load_count_table(os.path.join(scan_dir, f"{kind}_step{k}.csv"))
+             for k in range(4)] for kind in "se"]
 
 
-def _reconstruct(out: _Output, s_tabs, e_tabs, family: bases.BasisFamily,
-                 **kwargs) -> tomo.Reconstruction:
+def _reconstruct(out: _Output, s_tabs, e_tabs, **kwargs) -> tomo.Reconstruction:
     """Reconstruct the transmission matrix from the scans and save it."""
-    recon = tomo.reconstruct(s_tabs, e_tabs, family=family, **kwargs)
+    recon = tomo.reconstruct(s_tabs, e_tabs, **kwargs)
     t = recon.t
     numerics.save_matrix_csv(out.path("t_hat.csv"), t.matrix)
     facts = {
-        "basis_tag": None if t.basis_tag is None else t.basis_tag.kind,
+        "basis_tag": t.basis_tag.kind,
         "e_ratio": recon.e_ratio,
         "condition_number": recon.condition_number,
     }

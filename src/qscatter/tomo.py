@@ -20,12 +20,12 @@ unit Frobenius norm, and the first entry of nonnegligible modulus
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from . import numerics
-from .bases import BasisFamily, parse_basis_spec
+from .bases import parse_basis_spec
 from .channel import EffectiveT
 from .errors import (
     DegenerateReferenceError,
@@ -67,7 +67,6 @@ class Reconstruction:
 
 def reconstruct(s_tables: Sequence[CountTable],
                 e_tables: Sequence[CountTable],
-                family: Optional[BasisFamily] = None,
                 ref_floor: float = 1e-6) -> Reconstruction:
     """The S and E scans' tables, each in step order, to a tagged,
     gauge-fixed transmission matrix.
@@ -79,10 +78,9 @@ def reconstruct(s_tables: Sequence[CountTable],
     never interferes with the reference and the division would only
     amplify noise. ref_floor must be a finite number in [0, 1); at 0 an
     e_ratio of exactly 0 is still rejected, as T cannot be divided by it.
-    family, when given, must be the one the scan tables were recorded in; a
-    different one raises TagConflictError. Without it T is tagged with the
-    family the tables' label names, and a label that names no unitary family
-    (standard or mub:r at this dimension) raises TagConflictError.
+    T is tagged with the family the tables' label names; a label that names
+    no unitary family (standard or mub:r at this dimension) raises
+    TagConflictError.
     """
     s, s_label = _quarter_combination(s_tables)
     if s.shape[0] != s.shape[1]:
@@ -118,15 +116,11 @@ def reconstruct(s_tables: Sequence[CountTable],
     if anchor.size == 0:
         raise NormalizationError("cannot gauge-fix an all-zero matrix")
     a = flat[anchor[0]]
-    if family is None:
-        try:
-            family = parse_basis_spec(s_label, s.shape[0])
-        except ToolkitError:
-            raise TagConflictError(
-                f"scan tables were recorded in {s_label!r}, which names no "
-                f"unitary family of dimension {s.shape[0]}") from None
-    if family.kind != s_label:
+    try:
+        family = parse_basis_spec(s_label, s.shape[0])
+    except ToolkitError:
         raise TagConflictError(
-            f"scan tables were recorded in {s_label!r}, not {family.kind!r}")
+            f"scan tables were recorded in {s_label!r}, which names no "
+            f"unitary family of dimension {s.shape[0]}") from None
     t = EffectiveT(matrix=m * (np.conjugate(a) / abs(a)), basis_tag=family)
     return Reconstruction(t=t, e_ratio=e_ratio)

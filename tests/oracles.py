@@ -7,12 +7,12 @@ tests do not reuse the code paths they are checking.
 
 import re
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from qscatter import numerics
-from qscatter.bases import BasisFamily, parse_basis_spec
+from qscatter.bases import parse_basis_spec
 from qscatter.channel import EffectiveT
 from qscatter.errors import (
     DegenerateReferenceError,
@@ -345,22 +345,17 @@ class ReferenceReconstruction:
 
 def reconstruct_in_steps(s_tables: Sequence[CountTable],
                          e_tables: Sequence[CountTable],
-                         family: Optional[BasisFamily] = None,
                          ref_floor: float = 1e-6) -> ReferenceReconstruction:
     s = extract_s(s_tables)
     e = extract_e(e_tables, ref_floor=ref_floor)
     t = assemble_t(s, e)
     d = t.dim
-    if family is None:
-        try:
-            family = parse_basis_spec(s[1], d)
-        except ToolkitError:
-            raise TagConflictError(
-                f"scan tables were recorded in {s[1]!r}, which names no "
-                f"unitary family of dimension {d}") from None
-    if family.kind != s[1]:
+    try:
+        family = parse_basis_spec(s[1], d)
+    except ToolkitError:
         raise TagConflictError(
-            f"scan tables were recorded in {s[1]!r}, not {family.kind!r}")
+            f"scan tables were recorded in {s[1]!r}, which names no "
+            f"unitary family of dimension {d}") from None
     t = replace(t, basis_tag=family)
     mags = np.abs(e[0])
     return ReferenceReconstruction(

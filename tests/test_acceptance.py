@@ -46,7 +46,7 @@ def test_noiseless_phase_stepping_reconstructs_known_channels():
         full = channel.transmitted_state(ch, 1.0)
         s_rec = measure.phase_step_scan_s(full, family, measure.NOISELESS)
         e_rec = measure.phase_step_scan_e(full, family, measure.NOISELESS)
-        recon = tomo.reconstruct(s_rec, e_rec, family)
+        recon = tomo.reconstruct(s_rec, e_rec)
         oracle = bases.rotate_matrix(channel.effective_t(ch).matrix, family)
         err = numerics.dist_up_to_scalar(recon.t.matrix, oracle)
         assert err <= 1e-8, (n_modes, seed, family.kind, err)

@@ -13,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qscatter import bases, channel, cli, measure, numerics
+from qscatter import channel, cli, measure, numerics
 from qscatter.errors import ConfigError
 
 FAST = dict(d=3, n_modes=8, n_mc=16)
@@ -295,28 +295,6 @@ def test_malformed_json_sidecars_exit_2(tmp_path, fails):
     rec = str(tmp_path / "rec")
     assert cli.main(["tomo", "--scans", os.path.join(sim, "scans"), "--out", rec]) == 0
 
-    meta_path = os.path.join(sim, "scans", "meta.json")
-    with open(meta_path, encoding="ascii") as fh:
-        meta = json.load(fh)
-    del meta["d"]
-    with open(meta_path, "w", encoding="ascii") as fh:
-        json.dump(meta, fh)
-    err = fails(["tomo", "--scans", os.path.join(sim, "scans")], 2)
-    assert "'d'" in err and len(err.splitlines()) == 1
-
-    meta["d"] = "three"
-    with open(meta_path, "w", encoding="ascii") as fh:
-        json.dump(meta, fh)
-    err = fails(["tomo", "--scans", os.path.join(sim, "scans")], 2)
-    assert "'d'" in err and len(err.splitlines()) == 1
-
-    # meta.json naming a family the scan tables were not recorded in
-    meta.update(d=3, family="mub:1")
-    with open(meta_path, "w", encoding="ascii") as fh:
-        json.dump(meta, fh)
-    err = fails(["tomo", "--scans", os.path.join(sim, "scans")], 2)
-    assert "mub:1" in err and len(err.splitlines()) == 1
-
     t_meta_path = os.path.join(rec, "t_hat.json")
     with open(t_meta_path, encoding="ascii") as fh:
         t_meta = json.load(fh)
@@ -491,29 +469,29 @@ def test_tomo_with_a_zero_floor_rejects_a_zero_reference_entry(tmp_path, fails):
     assert "family vector 1" in err and len(err.splitlines()) == 1
 
 
-def test_tomo_rejects_a_meta_d_other_than_the_table_width(tmp_path, fails,
-                                                         monkeypatch):
-    """meta.json's d is checked against the S tables before any family is
-    built at that size."""
+@pytest.mark.parametrize("meta", ["absent", "stale"])
+def test_tomo_reads_the_scan_tables_alone(tmp_path, meta):
+    """The eight step tables decide the reconstruction: a bundle without
+    meta.json, or with a meta.json naming another family and size, gives
+    the intact bundle's t_hat.csv and t_hat.json byte for byte."""
     sim = str(tmp_path / "sim")
-    assert cli.main(["simulate", "--d", "7", "--n-modes", "16", "--exposure", "inf",
-                     "--seed", "1", "--out", sim]) == 0
-    meta_path = os.path.join(sim, "scans", "meta.json")
-    with open(meta_path, encoding="ascii") as fh:
-        meta = json.load(fh)
-    with open(meta_path, "w", encoding="ascii") as fh:
-        json.dump(dict(meta, d=11), fh)
-    dims = []
-    parse = bases.parse_basis_spec
-
-    def recorded(spec, d):
-        dims.append(d)
-        return parse(spec, d)
-
-    monkeypatch.setattr(bases, "parse_basis_spec", recorded)
-    err = fails(["tomo", "--scans", os.path.join(sim, "scans")], 2)
-    assert "meta.json" in err and len(err.splitlines()) == 1
-    assert 11 not in dims
+    assert cli.main(["simulate", "--d", "5", "--n-modes", "12", "--exposure", "1e4",
+                     "--seed", "3", "--out", sim]) == 0
+    scans = os.path.join(sim, "scans")
+    assert cli.main(["tomo", "--scans", scans, "--out", str(tmp_path / "intact")]) == 0
+    bundle = tmp_path / "bundle"
+    shutil.copytree(scans, bundle)
+    meta_path = bundle / "meta.json"
+    if meta == "absent":
+        meta_path.unlink()
+    else:
+        record = json.loads(meta_path.read_text(encoding="ascii"))
+        meta_path.write_text(json.dumps(dict(record, family="mub:1", d=11)),
+                             encoding="ascii")
+    assert cli.main(["tomo", "--scans", str(bundle), "--out", str(tmp_path / "rec")]) == 0
+    for name in ("t_hat.csv", "t_hat.json"):
+        assert ((tmp_path / "rec" / name).read_bytes()
+                == (tmp_path / "intact" / name).read_bytes())
 
 
 # Grids of 10^14 cells: their bookkeeping alone would exceed any 47-bit

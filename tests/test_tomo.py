@@ -35,14 +35,14 @@ def _e_tables(d, label="standard", dark=0.0):
     return _synthetic_tables(np.ones((1, d)), np.ones((1, d)), dark, label, kind="e")
 
 
-def _assert_rejected_like_the_steps(error, s_tables, e_tables, family=None,
-                                    ref_floor=1e-6, match=None):
+def _assert_rejected_like_the_steps(error, s_tables, e_tables, ref_floor=1e-6,
+                                    match=None):
     """reconstruct raises `error` (matching `match`) with the exception type
     and message of the step-by-step reference chain."""
     with pytest.raises(error, match=match) as got:
-        tomo.reconstruct(s_tables, e_tables, family, ref_floor)
+        tomo.reconstruct(s_tables, e_tables, ref_floor)
     with pytest.raises(error) as want:
-        reconstruct_in_steps(s_tables, e_tables, family, ref_floor)
+        reconstruct_in_steps(s_tables, e_tables, ref_floor)
     assert type(got.value) is type(want.value)
     assert str(got.value) == str(want.value)
 
@@ -196,18 +196,14 @@ def test_reconstruct_matches_the_step_by_step_chain_bit_for_bit(d, spec, exposur
     separate steps (tests/oracles.reconstruct_in_steps)."""
     family = bases.parse_basis_spec(spec, d)
     s_tables, e_tables = _scans(d, family, exposure, 40 + d, dark_rate)
-    for tag in (family, None):
-        got = tomo.reconstruct(s_tables, e_tables, tag)
-        want = reconstruct_in_steps(s_tables, e_tables, tag)
-        assert got.t.matrix.strides == want.t.matrix.strides
-        np.testing.assert_array_equal(np.ascontiguousarray(got.t.matrix).view(np.int64),
-                                      np.ascontiguousarray(want.t.matrix).view(np.int64))
-        assert got.e_ratio == want.e_ratio
-        assert got.condition_number == want.condition_number
-        if tag is None:
-            assert got.t.basis_tag.kind == want.t.basis_tag.kind == spec
-        else:
-            assert got.t.basis_tag is want.t.basis_tag is tag
+    got = tomo.reconstruct(s_tables, e_tables)
+    want = reconstruct_in_steps(s_tables, e_tables)
+    assert got.t.matrix.strides == want.t.matrix.strides
+    np.testing.assert_array_equal(np.ascontiguousarray(got.t.matrix).view(np.int64),
+                                  np.ascontiguousarray(want.t.matrix).view(np.int64))
+    assert got.e_ratio == want.e_ratio
+    assert got.condition_number == want.condition_number
+    assert got.t.basis_tag.kind == want.t.basis_tag.kind == spec
 
 
 def test_reconstruct_then_build_w_decomposes_t_once(monkeypatch):
@@ -221,7 +217,7 @@ def test_reconstruct_then_build_w_decomposes_t_once(monkeypatch):
         return svd(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counted)
-    recon = tomo.reconstruct(s_tables, e_tables, family)
+    recon = tomo.reconstruct(s_tables, e_tables)
     ops = unscramble.build_w(recon.t)
     assert calls == [(7, 7)]
     assert ops.condition_number == recon.condition_number == recon.t.condition_number
@@ -236,7 +232,7 @@ def test_reconstruct_matches_channel_in_scan_family(family_spec):
         full = channel.transmitted_state(ch, 1.0)
         s_rec = measure.phase_step_scan_s(full, family, measure.NOISELESS)
         e_rec = measure.phase_step_scan_e(full, family, measure.NOISELESS)
-        recon = tomo.reconstruct(s_rec, e_rec, family)
+        recon = tomo.reconstruct(s_rec, e_rec)
         oracle = bases.rotate_matrix(channel.effective_t(ch).matrix, family)
         err = numerics.dist_up_to_scalar(recon.t.matrix, oracle)
         assert err < 1e-10
@@ -255,27 +251,15 @@ def test_reconstruction_error_shrinks_with_exposure():
     for exposure in (1e3, 1e7):
         s_rec = measure.phase_step_scan_s(full, family, exposure, seed=11)
         e_rec = measure.phase_step_scan_e(full, family, exposure, seed=12)
-        recon = tomo.reconstruct(s_rec, e_rec, family)
+        recon = tomo.reconstruct(s_rec, e_rec)
         errs[exposure] = numerics.dist_up_to_scalar(recon.t.matrix, oracle)
     assert errs[1e7] < errs[1e3] / 10
     assert errs[1e7] < 1e-1
 
 
-def test_reconstruct_rejects_a_family_the_scans_were_not_recorded_in():
-    d = 3
-    scanned = bases.mub(d, 0)
-    full = channel.transmitted_state(channel.haar_channel(d, 8, 5), 1.0)
-    s_rec = measure.phase_step_scan_s(full, scanned, measure.NOISELESS)
-    e_rec = measure.phase_step_scan_e(full, scanned, measure.NOISELESS)
-    for other in (bases.mub(d, 1), bases.standard_family(d)):
-        with pytest.raises(TagConflictError, match="mub:0"):
-            tomo.reconstruct(s_rec, e_rec, other)
-    assert tomo.reconstruct(s_rec, e_rec, scanned).t.basis_tag.kind == "mub:0"
-
-
 def test_reconstruct_without_a_family_rejects_a_label_naming_no_unitary_family():
-    """Without a family T is tagged from the scan label, so a label that
-    names no unitary family at the scan's dimension is refused."""
+    """T is tagged from the scan label, so a label that names no unitary
+    family at the scan's dimension is refused."""
     rng = np.random.default_rng(8)
     ref, sig = _complex(rng, (3, 3)), _complex(rng, (3, 3))
     # mub:01 is not how mub:1 is spelled, so it names no family either
@@ -291,10 +275,10 @@ def test_reconstruct_without_a_family_rejects_a_label_naming_no_unitary_family()
 
 @pytest.mark.parametrize("spec", ["mub:0", "mub:1"])
 def test_a_reconstructed_t_reads_as_the_channel_whatever_its_scan_family(spec):
-    """Noiseless scans in a rotated family: T is tagged with that family
-    even when none is passed, choi_state rotates it back to the channel's
-    own state up to one complex factor, and the correction built from it
-    puts every count of the recovered standard table on the diagonal."""
+    """Noiseless scans in a rotated family: T is tagged with that family,
+    choi_state rotates it back to the channel's own state up to one complex
+    factor, and the correction built from it puts every count of the
+    recovered standard table on the diagonal."""
     d = 7
     ch = channel.haar_channel(d, 60, 0)
     family = bases.parse_basis_spec(spec, d)
@@ -302,11 +286,10 @@ def test_a_reconstructed_t_reads_as_the_channel_whatever_its_scan_family(spec):
     s_rec = measure.phase_step_scan_s(full, family, measure.NOISELESS)
     e_rec = measure.phase_step_scan_e(full, family, measure.NOISELESS)
     truth = channel.choi_state(channel.effective_t(ch))
-    for tag in (family, None):
-        t_hat = tomo.reconstruct(s_rec, e_rec, tag).t
-        assert t_hat.basis_tag.kind == spec
-        assert numerics.dist_up_to_scalar(channel.choi_state(t_hat).coeffs,
-                                          truth.coeffs) <= 1e-12
-        probs = unscramble.predict_table(
-            unscramble.recovered_state(truth, unscramble.build_w(t_hat)))
-        assert np.trace(probs) >= 0.999
+    t_hat = tomo.reconstruct(s_rec, e_rec).t
+    assert t_hat.basis_tag.kind == spec
+    assert numerics.dist_up_to_scalar(channel.choi_state(t_hat).coeffs,
+                                      truth.coeffs) <= 1e-12
+    probs = unscramble.predict_table(
+        unscramble.recovered_state(truth, unscramble.build_w(t_hat)))
+    assert np.trace(probs) >= 0.999

@@ -35,7 +35,11 @@
 # recovered_tilted_0.csv is moved by half its row's row_scale factor, so
 # it is no longer a whole count times row_scale), each with
 # its own --out, plus tomo --ref-floor 0.999 on the d=5 scans, which must
-# exit 3 with its degenerate-reference message. Three steps check what
+# exit 3 with its degenerate-reference message. Two tomo steps run on
+# copies of the d=5 scans, one without meta.json and one whose meta.json
+# names mub:1: tomo reads the eight step tables alone, so both exit 0 and
+# write rec's t_hat.csv and t_hat.json (trees that still read meta.json
+# exit 2 on both). Three steps check what
 # --out holds after a rerun or a failure: a baseline run at d=5 and then at
 # d=3 into one --out (tables/ must hold only the d=3 tables), an
 # unscramble-certify run at --exposure 2 --seed 1 that exits 3 at
@@ -178,6 +182,12 @@ run_grid() {
         --lambdas lambda-bad.json --out unscramble-bad-lambdas
     q "$src" "$out" tomo-ref-floor tomo --scans sim/scans --ref-floor 0.999 \
         --out tomo-ref-floor
+    cp -r "$out/sim/scans" "$out/scans-no-meta"
+    rm "$out/scans-no-meta/meta.json"
+    cp -r "$out/sim/scans" "$out/scans-stale-meta"
+    sed 's/"mub:0"/"mub:1"/' "$out/sim/scans/meta.json" >"$out/scans-stale-meta/meta.json"
+    q "$src" "$out" tomo-no-meta tomo --scans scans-no-meta --out tomo-no-meta
+    q "$src" "$out" tomo-stale-meta tomo --scans scans-stale-meta --out tomo-stale-meta
     for d in 5 3; do
         q "$src" "$out" rerun-d$d run --scenario baseline --d $d --n-modes 12 --n-mc 0 \
             --seed 3 --out rerun
