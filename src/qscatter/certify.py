@@ -38,6 +38,7 @@ import numpy as np
 from . import numerics
 from .bases import check_lambdas, parse_label
 from .errors import (
+    ConfigError,
     DimensionMismatchError,
     NormalizationError,
 )
@@ -294,6 +295,14 @@ def _dimensionality_from(fidelity: float, bounds: np.ndarray) -> int:
     return max(1, int(np.sum(fidelity > prev)))
 
 
+def _check_resampling(n_mc: int, seed: int) -> None:
+    """Refuse a negative trial count or seed with ConfigError."""
+    if n_mc < 0:
+        raise ConfigError("n_mc must be nonnegative")
+    if seed < 0:
+        raise ConfigError("seed must be nonnegative")
+
+
 def certify(standard_table: CountTable,
             family_tables: Iterable[CountTable],
             target: Optional[TargetState] = None,
@@ -313,7 +322,9 @@ def certify(standard_table: CountTable,
     family_tables may be any iterable, a generator included: each table is
     read once, as it arrives, and only its d-length statistics are kept
     (see _reduce), so the rotated tables never need to be held together.
+    A negative n_mc or seed raises ConfigError before any table is read.
     """
+    _check_resampling(n_mc, seed)
     d = standard_table.counts.shape[0] if target is None else target.dim
     families = _read_families(standard_table, family_tables, d)
     if not families:

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import json
 import math
@@ -113,12 +114,17 @@ class ScenarioConfig:
             raise ConfigError("n_mc must be nonnegative")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
-        try:
-            bases.parse_basis_spec(self.scan_family, self.d)
-        except ToolkitError as exc:
-            raise ConfigError(f"bad scan_family: {exc}") from exc
+        self.family  # parsed once here, which checks it, and kept
         if self.scenario == "fixture-a1" and self.d != 7:
             raise ConfigError("the shipped fixture is 7-dimensional; use d=7")
+
+    @functools.cached_property
+    def family(self) -> bases.BasisFamily:
+        """The scan family scan_family names, built once per config."""
+        try:
+            return bases.parse_basis_spec(self.scan_family, self.d)
+        except ToolkitError as exc:
+            raise ConfigError(f"bad scan_family: {exc}") from exc
 
 
 def config_to_dict(cfg: ScenarioConfig) -> Dict[str, object]:
@@ -281,7 +287,7 @@ def _scan(cfg: ScenarioConfig, ch: channel.ChannelModel, out: _Output):
     Saves the scan bundle and returns the scanned state and both scans' step
     tables, which carry the scan family in their label.
     """
-    family = bases.parse_basis_spec(cfg.scan_family, cfg.d)
+    family = cfg.family
     full = channel.transmitted_state(ch, cfg.reference_amplitude)
     s_tabs, e_tabs = (scan(full, family, cfg.exposure, cfg.seed, cfg.dark_rate)
                       for scan in (measure.phase_step_scan_s, measure.phase_step_scan_e))
@@ -341,12 +347,12 @@ def _build_ops(t: channel.EffectiveT, out: _Output) -> unscramble.UnscrambleOper
     numerics.save_matrix_csv(out.path("unscramble/m_bob.csv"), ops.m_bob)
     out.json("unscramble/meta.json", {
         "dim": ops.dim,
-        "basis_kind": ops.basis_kind,
+        "basis_kind": ops.family.kind,
         "eta": ops.eta,
         "condition_number": ops.condition_number,
     })
-    out.diagnostics.update(basis_tag=ops.basis_kind, condition_number=ops.condition_number,
-                           eta=ops.eta)
+    out.diagnostics.update(basis_tag=ops.family.kind,
+                           condition_number=ops.condition_number, eta=ops.eta)
     return ops
 
 
@@ -621,10 +627,7 @@ def _require_dent(required: Optional[int], d_ent: int) -> None:
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
-    if args.n_mc < 0:
-        raise ConfigError("n_mc must be nonnegative")
-    if args.seed < 0:
-        raise ConfigError("seed must be nonnegative")
+    certify._check_resampling(args.n_mc, args.seed)  # before any input is read
     with _Output(args.out, [args.standard, *args.table, args.target]) as out:
         standard = out.read(args.standard)
         target = None

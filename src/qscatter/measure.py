@@ -71,14 +71,16 @@ class CountTable:
     row_scale: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
-        c = np.asarray(self.counts, dtype=np.float64)
+        c = np.array(self.counts, dtype=np.float64)  # the table's one private copy
         if c.ndim != 2:
             raise InvalidDimensionError(f"counts must be 2-D, got shape {c.shape}")
-        if not np.all(np.isfinite(c)) or np.any(c < 0):
+        # min and max allocate nothing; a NaN fails the first comparison
+        if c.size and not (c.min() >= 0 and c.max() < math.inf):
             raise NormalizationError("counts must be finite and nonnegative")
         if not (self.exposure > 0):
             raise NormalizationError(f"exposure must be positive, got {self.exposure}")
-        object.__setattr__(self, "counts", numerics.frozen(c))
+        c.flags.writeable = False
+        object.__setattr__(self, "counts", c)
         if self.row_scale is not None:
             object.__setattr__(self, "row_scale",
                                numerics.frozen(_row_factors(self.row_scale, c.shape[0])))
@@ -168,8 +170,7 @@ def _draw(p: np.ndarray, scale: float, seed: Optional[int], dark_rate: float,
         raise NormalizationError("sampled mode needs an explicit integer seed")
     else:
         p *= scale
-        counts = numerics._poisson(numerics.substream(seed, *stream),
-                                   p).astype(np.float64)
+        counts = numerics._poisson(numerics.substream(seed, *stream), p)
         exposure, seed = float(scale), int(seed)
     return CountTable(counts=counts, basis_label_a=basis_label_a,
                       basis_label_b=basis_label_b, exposure=exposure, seed=seed,

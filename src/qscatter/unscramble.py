@@ -19,21 +19,27 @@ table by zeta_w^2 after the kernel: the table the SLM displays.
 measure_recovered records zeta^2 as the table's row_scale beside the
 draw, and predict_table normalizes the table before the division. Each
 recovered table is named by its VOperator, or by None for the standard.
+
+UnscrambleOperators keeps the scan family M0, the displayed rows
+eta^-1 W and their scales eta; VOperator keeps its family M_r, the rows
+zeta^-1 V_r and their scales zeta. Neither keeps the raw W or V_r: Bob's
+conj(M0), a family's kind and its index r are read from the family.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import InitVar, dataclass, field
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import numerics
-from .bases import RECOVERED, BasisFamily, mub, standard_family, tilted
+from .bases import RECOVERED, BasisFamily, mub, parse_label, standard_family, tilted
 from .channel import EffectiveT
 from .errors import (
     ConditioningError,
     DimensionMismatchError,
+    InvalidDimensionError,
     NormalizationError,
 )
 from .measure import CountTable, _probabilities, sample_counts
@@ -51,37 +57,53 @@ def slm_eta(matrix: np.ndarray) -> np.ndarray:
     return eta
 
 
+def _displayed(op: np.ndarray, family: BasisFamily) -> Tuple[np.ndarray, np.ndarray]:
+    """An operator's per-row largest moduli (slm_eta) and its rows divided
+    by them, as the SLM displays them, both sealed read-only; the operator
+    must be square in the family's dimension."""
+    m = numerics.as_matrix(op)
+    if m.shape != family.matrix.shape:
+        raise DimensionMismatchError(
+            f"operator shape {m.shape} does not match family {family.kind!r} "
+            f"of dim {family.dim}")
+    scales = slm_eta(m)
+    # sealed in place, not copied as frozen() would: nobody else holds them
+    rows = m / scales[:, np.newaxis]
+    rows.flags.writeable = False
+    scales.flags.writeable = False
+    return scales, rows
+
+
 @dataclass(frozen=True, eq=False)
 class UnscrambleOperators:
-    """Sender/receiver operators that undo a tagged transmission matrix.
+    """The correction that undoes a tagged transmission matrix.
 
-    eta, the per-row SLM scales of w_alice, and normalized_w = eta^-1 W,
-    the unit-max-modulus rows the sender SLM displays (as hologram, the
-    conjugate of each row), are computed at construction.
+    Built from W = (T_M^-1)^T M0, the scan family M0 and T's condition
+    number. It keeps eta, the per-row SLM scales of W, and normalized_w =
+    eta^-1 W, the unit-max-modulus rows the sender SLM displays (as
+    hologram, the conjugate of each row), but not W; m_bob = conj(M0) and
+    dim are read from the family.
     """
 
-    w_alice: np.ndarray
-    m_bob: np.ndarray
-    basis_kind: str
+    w: InitVar[np.ndarray]
+    family: BasisFamily
     condition_number: float
     eta: np.ndarray = field(init=False)
     normalized_w: np.ndarray = field(init=False)
 
-    def __post_init__(self) -> None:
-        w = numerics.as_matrix(self.w_alice)
-        b = numerics.as_matrix(self.m_bob)
-        if w.shape[0] != w.shape[1] or b.shape != w.shape:
-            raise DimensionMismatchError(
-                f"operators must be square and of one shape, got {w.shape} and {b.shape}")
-        object.__setattr__(self, "w_alice", numerics.frozen(w))
-        object.__setattr__(self, "m_bob", numerics.frozen(b))
-        object.__setattr__(self, "eta", numerics.frozen(slm_eta(w)))
-        object.__setattr__(self, "normalized_w",
-                           numerics.frozen(self.w_alice / self.eta[:, np.newaxis]))
+    def __post_init__(self, w: np.ndarray) -> None:
+        eta, normalized_w = _displayed(w, self.family)
+        object.__setattr__(self, "eta", eta)
+        object.__setattr__(self, "normalized_w", normalized_w)
+
+    @property
+    def m_bob(self) -> np.ndarray:
+        """conj(M0), the receiver's side of the correction."""
+        return np.conjugate(self.family.matrix)
 
     @property
     def dim(self) -> int:
-        return self.w_alice.shape[0]
+        return self.family.dim
 
 
 def build_w(t: EffectiveT) -> UnscrambleOperators:
@@ -98,7 +120,6 @@ def build_w(t: EffectiveT) -> UnscrambleOperators:
         fam = standard_family(t.dim)
     if fam.kind.startswith("tilted"):
         raise NormalizationError("scan family must be unitary (standard or unbiased)")
-    m0 = np.asarray(fam.matrix)
     sv = t.singular_values
     if sv[0] == 0:
         raise ConditioningError("matrix is exactly zero")
@@ -106,42 +127,40 @@ def build_w(t: EffectiveT) -> UnscrambleOperators:
         inv = np.linalg.pinv(t.matrix, rcond=numerics.PINV_RCOND)
     else:
         inv = np.linalg.inv(t.matrix)
-    return UnscrambleOperators(
-        w_alice=inv.T @ m0,
-        m_bob=np.conjugate(m0),
-        basis_kind=fam.kind,
-        condition_number=t.condition_number,
-    )
+    return UnscrambleOperators(w=inv.T @ fam.matrix, family=fam,
+                               condition_number=t.condition_number)
 
 
 @dataclass(frozen=True, eq=False)
 class VOperator:
     """Rotated sender operator probing one unbiased (or tilted) family.
 
-    zeta, the per-row SLM scales of v_alice, and normalized_v = zeta^-1 V_r,
-    the unit-max-modulus rows the SLM displays, are computed at
-    construction.
+    Built from V_r = M_r (eta^-1 W) and the family M_r. It keeps zeta,
+    the per-row SLM scales of V_r, and normalized_v = zeta^-1 V_r, the
+    unit-max-modulus rows the SLM displays, but not V_r; kind and r are
+    read from the family, which must be mub or tilted.
     """
 
-    r: int
-    v_alice: np.ndarray
+    v: InitVar[np.ndarray]
     family: BasisFamily
     zeta: np.ndarray = field(init=False)
     normalized_v: np.ndarray = field(init=False)
 
-    def __post_init__(self) -> None:
-        v = numerics.as_matrix(self.v_alice)
-        object.__setattr__(self, "v_alice", numerics.frozen(v))
-        object.__setattr__(self, "zeta", numerics.frozen(slm_eta(v)))
-        # sealed in place, not copied as frozen() would: nobody else holds
-        # it, and a copy per rotated table is one more d x d allocation
-        normalized_v = self.v_alice / self.zeta[:, np.newaxis]
-        normalized_v.flags.writeable = False
+    def __post_init__(self, v: np.ndarray) -> None:
+        if self.r is None:
+            raise InvalidDimensionError("a rotated probe needs a mub or tilted family, "
+                                        "not standard")
+        zeta, normalized_v = _displayed(v, self.family)
+        object.__setattr__(self, "zeta", zeta)
         object.__setattr__(self, "normalized_v", normalized_v)
 
     @property
     def kind(self) -> str:
         return self.family.kind
+
+    @property
+    def r(self) -> Optional[int]:
+        return parse_label(self.family.kind, self.family.dim)[1]
 
 
 def build_v(ops: UnscrambleOperators, r: int,
@@ -153,11 +172,7 @@ def build_v(ops: UnscrambleOperators, r: int,
     """
     d = ops.dim
     fam = mub(d, r) if lambdas is None else tilted(d, r, lambdas)
-    return VOperator(
-        r=int(r),
-        v_alice=fam.matrix @ ops.normalized_w,
-        family=fam,
-    )
+    return VOperator(v=fam.matrix @ ops.normalized_w, family=fam)
 
 
 def recovered_state(state: BipartiteState, ops: UnscrambleOperators) -> BipartiteState:

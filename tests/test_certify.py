@@ -14,6 +14,7 @@ from oracles import (
 )
 from qscatter import bases, certify, measure, states
 from qscatter.errors import (
+    ConfigError,
     DimensionMismatchError,
     InvalidDimensionError,
     NormalizationError,
@@ -248,6 +249,26 @@ def test_certify_lower_bound_fallback_warns():
     assert partial.method == "lower_bound"
     with pytest.raises(NormalizationError):
         certify.certify(std, [], n_mc=0)
+
+
+def test_certify_refuses_a_negative_trial_count():
+    """n_mc < 0 is refused, not reported as 0 trials with sigma 0, and
+    before any family table is read."""
+    std, fams = _sampled_tables(3, 2e4, 11)
+    tables = iter(fams)
+    with pytest.raises(ConfigError, match="^n_mc must be nonnegative$"):
+        certify.certify(std, tables, n_mc=-3)
+    assert next(tables) is fams[0]
+
+
+def test_certify_refuses_a_negative_seed():
+    """seed < 0 is refused with ConfigError, not numpy's ValueError, and
+    before any family table is read."""
+    std, fams = _sampled_tables(3, 2e4, 11)
+    tables = iter(fams)
+    with pytest.raises(ConfigError, match="^seed must be nonnegative$"):
+        certify.certify(std, tables, n_mc=8, seed=-1)
+    assert next(tables) is fams[0]
 
 
 def _once(tables):

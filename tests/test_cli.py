@@ -13,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qscatter import channel, cli, measure, numerics
+from qscatter import bases, channel, cli, measure, numerics
 from qscatter.errors import ConfigError
 
 FAST = dict(d=3, n_modes=8, n_mc=16)
@@ -108,6 +108,26 @@ def test_config_dict_round_trip():
     assert back == cfg
     finite = _cfg("baseline", exposure=2e4)
     assert cli.config_from_dict(cli.config_to_dict(finite)) == finite
+
+
+def test_a_run_builds_its_scan_family_once(tmp_path, monkeypatch):
+    """The config parses scan_family once and the scans use that family;
+    the only other build is reconstruct reading the tables' label."""
+    calls = []
+    mub = bases.mub
+
+    def counted(d, r):
+        calls.append((d, r))
+        return mub(d, r)
+
+    monkeypatch.setattr(bases, "mub", counted)
+    assert cli.main(["run", "--scenario", "unscramble-certify", "--d", "7",
+                     "--n-modes", "30", "--n-mc", "0", "--out", str(tmp_path)]) == 0
+    assert calls == [(7, 0), (7, 0)]
+    cfg = _cfg("tomography", scan_family="mub:1")
+    assert cfg.family is cfg.family and cfg.family.kind == "mub:1"
+    assert cfg == _cfg("tomography", scan_family="mub:1")
+    assert "family" not in dataclasses.asdict(cfg)
 
 
 def test_run_scenario_baseline_noiseless(tmp_path):

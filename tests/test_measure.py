@@ -305,6 +305,30 @@ def _traced_peak(call) -> int:
         tracemalloc.stop()
 
 
+@pytest.mark.parametrize("dtype", [np.int64, np.float64])
+def test_a_count_table_makes_one_private_copy(dtype):
+    # A d=101 table of either dtype holds one d x d float array above its
+    # start, its own sealed copy; an int64 draw was copied twice. Cells that
+    # are negative or not finite are still refused.
+    d = 101
+    counts = np.random.default_rng(4).integers(0, 50, (d, d)).astype(dtype)
+    made = []
+    peak = _traced_peak(lambda: made.append(measure.CountTable(
+        counts=counts, basis_label_a="a", basis_label_b="b", exposure=1e4)))
+    assert peak <= 1.1 * d * d * 8, peak / (d * d * 8)
+    table = made[0]
+    assert table.counts.dtype == np.float64 and not table.counts.flags.writeable
+    np.testing.assert_array_equal(table.counts, counts)
+    counts[0, 0] += 1
+    assert table.counts[0, 0] == counts[0, 0] - 1
+    for bad in (np.nan, np.inf, -np.inf, -1.0):
+        cells = np.ones((2, 2))
+        cells[1, 0] = bad
+        with pytest.raises(NormalizationError, match="finite and nonnegative"):
+            measure.CountTable(counts=cells, basis_label_a="a", basis_label_b="b",
+                               exposure=1.0)
+
+
 def test_a_row_scaled_draw_peaks_no_higher_than_a_plain_one():
     # The row correction is recorded, not multiplied in, so a d=101 draw
     # with a row_scale holds no d x d array more than a plain draw.
@@ -320,8 +344,8 @@ def test_a_row_scaled_draw_peaks_no_higher_than_a_plain_one():
 
 def test_a_draw_forms_its_means_in_place():
     # _draw owns the clipped copy _checked returns and forms the Poisson
-    # means in it, so a d=101 draw holds that copy, the draw as floats and
-    # CountTable's frozen copy: about 3 d x d float arrays, 4.1 when the
+    # means in it, so a d=101 draw holds that copy, the integer draw and
+    # CountTable's float copy: about 3 d x d float arrays, 4.1 when the
     # means were new arrays. A noiseless table skips the draw.
     d = 101
     probs = np.random.default_rng(6).random((d, d))

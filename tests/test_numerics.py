@@ -122,7 +122,8 @@ def test_build_w_inverts_a_well_conditioned_t():
     rng = np.random.default_rng(11)
     for _ in range(10):
         m = _unit_sv(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
-        inv = unscramble.build_w(channel.EffectiveT(matrix=m)).w_alice.T
+        ops = unscramble.build_w(channel.EffectiveT(matrix=m))
+        inv = (ops.normalized_w * ops.eta[:, None]).T
         np.testing.assert_allclose(inv @ m, np.eye(5), atol=1e-10)
 
 
@@ -132,7 +133,8 @@ def test_build_w_takes_the_pseudo_inverse_below_the_cutoff():
     u = numerics.haar_unitary(3, 0)
     v = numerics.haar_unitary(3, 1)
     m = u @ np.diag([1.0, 0.5, 1e-15]) @ v
-    inv = unscramble.build_w(channel.EffectiveT(matrix=m)).w_alice.T
+    ops = unscramble.build_w(channel.EffectiveT(matrix=m))
+    inv = (ops.normalized_w * ops.eta[:, None]).T
     expected = np.linalg.pinv(m, rcond=numerics.PINV_RCOND)
     np.testing.assert_allclose(inv, expected, atol=1e-12)
 

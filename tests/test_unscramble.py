@@ -1,5 +1,6 @@
 """Unscrambling operators: construction, SLM scaling, recovered tables."""
 
+import dataclasses
 import os
 import tracemalloc
 
@@ -10,6 +11,7 @@ from qscatter import bases, channel, cli, measure, states, unscramble
 from qscatter.errors import (
     ConditioningError,
     DimensionMismatchError,
+    InvalidDimensionError,
     NormalizationError,
 )
 
@@ -36,11 +38,11 @@ def test_build_w_formula_and_tags():
     _, _, t_tagged = _tagged_channel(d, 9, 0, fam)
     ops = unscramble.build_w(t_tagged)
     expected = np.linalg.inv(t_tagged.matrix).T @ fam.matrix
-    np.testing.assert_allclose(ops.w_alice, expected, atol=1e-10)
+    np.testing.assert_allclose(ops.normalized_w * ops.eta[:, None], expected, atol=1e-10)
     np.testing.assert_allclose(ops.m_bob, np.conjugate(fam.matrix))
     np.testing.assert_allclose(ops.eta, np.max(np.abs(expected), axis=1),
                                atol=1e-12)
-    assert ops.basis_kind == "mub:1"
+    assert ops.family is fam and ops.family.kind == "mub:1"
     assert ops.condition_number == t_tagged.condition_number == pytest.approx(
         np.linalg.cond(t_tagged.matrix), rel=1e-12)
     peak = np.max(np.abs(ops.normalized_w), axis=1)
@@ -50,7 +52,7 @@ def test_build_w_formula_and_tags():
 def test_build_w_untagged_defaults_to_standard():
     t = channel.EffectiveT(matrix=np.eye(3) / np.sqrt(3))
     ops = unscramble.build_w(t)
-    assert ops.basis_kind == "standard"
+    assert ops.family.kind == "standard"
     np.testing.assert_allclose(ops.m_bob, np.eye(3))
 
 
@@ -82,9 +84,9 @@ def test_build_v_rotation_formula():
     ops = unscramble.build_w(t_tagged)
     v = unscramble.build_v(ops, 1)
     rot = bases.mub(d, 1)
-    np.testing.assert_allclose(v.v_alice, rot.matrix @ ops.normalized_w,
-                               atol=1e-12)
-    np.testing.assert_allclose(v.zeta, unscramble.slm_eta(v.v_alice))
+    v_r = rot.matrix @ ops.normalized_w
+    np.testing.assert_allclose(v.normalized_v * v.zeta[:, None], v_r, atol=1e-12)
+    np.testing.assert_allclose(v.zeta, unscramble.slm_eta(v_r))
     assert v.r == 1 and v.kind == "mub:1"
     lam = np.array([3.0, 2.0, 1.0]) / np.sqrt(14.0)
     tilted_v = unscramble.build_v(ops, 0, lam)
@@ -101,7 +103,8 @@ def test_recovered_probs_zeta_convention():
     v = unscramble.build_v(ops, 2)
     # The displayed table times zeta^2 is the table of the unnormalized V_r.
     physical = unscramble.recovered_probs(unscramble.recovered_state(state, ops), v)
-    exact = measure.probability_table(state, np.conjugate(v.v_alice),
+    v_r = v.normalized_v * v.zeta[:, None]
+    exact = measure.probability_table(state, np.conjugate(v_r),
                                       v.family.matrix @ np.conjugate(ops.m_bob))
     np.testing.assert_allclose(exact, physical * (v.zeta ** 2)[:, np.newaxis],
                                atol=1e-14)
@@ -181,13 +184,61 @@ def test_recovered_probs_makes_no_conjugated_copies():
     assert peak - start <= 4 * d * d * 16
 
 
+def test_build_v_keeps_only_the_displayed_rows():
+    """A d = 101 tilted build_v keeps at most 2.1 d x d complex arrays above
+    where it started (the family and the displayed rows) and peaks at most
+    at 3.9. Keeping the raw V_r beside its rows kept 3.01 and peaked at 4.82."""
+    d = 101
+    _, _, t_tagged = _tagged_channel(d, 2 * d, 3, bases.standard_family(d))
+    ops = unscramble.build_w(t_tagged)
+    lam = np.linspace(1.0, 2.0, d)
+    lam /= np.linalg.norm(lam)
+    unscramble.build_v(ops, 2, lam)  # first use happens untraced
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        v = unscramble.build_v(ops, 3, lam)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert v.kind == "tilted:3"
+    assert kept - start <= 2.1 * d * d * 16
+    assert peak - start <= 3.9 * d * d * 16
+
+
+def test_records_read_their_facts_from_the_family():
+    """Each record is built from an operator and its family and keeps no
+    raw operator; Bob's side, the kind and r come from the family, and an
+    operator of another size or a standard rotated probe is refused."""
+    fam = bases.mub(3, 2)
+    ops = unscramble.UnscrambleOperators(w=2 * fam.matrix, family=fam,
+                                         condition_number=1.0)
+    assert [f.name for f in dataclasses.fields(ops)] == [
+        "family", "condition_number", "eta", "normalized_w"]
+    np.testing.assert_array_equal(ops.m_bob, np.conjugate(fam.matrix))
+    assert ops.dim == 3 and ops.family.kind == "mub:2"
+    v = unscramble.VOperator(v=fam.matrix, family=fam)
+    assert [f.name for f in dataclasses.fields(v)] == ["family", "zeta", "normalized_v"]
+    assert v.kind == "mub:2" and v.r == 2
+    assert unscramble.recovered_label(v) == "recovered:mub:2"
+    with pytest.raises(DimensionMismatchError):
+        unscramble.UnscrambleOperators(w=np.eye(2), family=fam, condition_number=1.0)
+    with pytest.raises(DimensionMismatchError):
+        unscramble.VOperator(v=np.eye(2), family=fam)
+    with pytest.raises(InvalidDimensionError):
+        unscramble.VOperator(v=np.eye(3), family=bases.standard_family(3))
+
+
 def test_build_v_normalizes_once_at_construction():
     d = 5
     _, _, t_tagged = _tagged_channel(d, 11, 9, bases.standard_family(d))
-    v = unscramble.build_v(unscramble.build_w(t_tagged), 1)
+    ops = unscramble.build_w(t_tagged)
+    v = unscramble.build_v(ops, 1)
     assert v.normalized_v is v.normalized_v
     assert not v.normalized_v.flags.writeable
-    np.testing.assert_array_equal(v.normalized_v, v.v_alice / v.zeta[:, np.newaxis])
+    v_r = bases.mub(d, 1).matrix @ ops.normalized_w
+    np.testing.assert_array_equal(v.zeta, unscramble.slm_eta(v_r))
+    np.testing.assert_array_equal(v.normalized_v, v_r / v.zeta[:, np.newaxis])
 
 
 def test_recovered_probs_dimension_check():
@@ -224,15 +275,16 @@ def test_predict_table_is_the_displayed_table_times_zeta_squared():
 
 
 def test_predict_table_rejects_zero_weight():
-    # A correction that leaves nothing fails where R is formed; a tilted
-    # probe blind to every mode R occupies fails in predict_table.
+    # A correction that leaves nothing fails where R is formed: both sender
+    # rows read mode 0, which the state leaves empty. A tilted probe blind
+    # to every mode R occupies fails in predict_table.
     ops = unscramble.UnscrambleOperators(
-        w_alice=np.eye(2), m_bob=np.zeros((2, 2)), basis_kind="standard",
+        w=np.array([[1.0, 0.0], [1.0, 0.0]]), family=bases.standard_family(2),
         condition_number=1.0)
     with pytest.raises(NormalizationError):
-        unscramble.recovered_state(states.max_entangled(2), ops)
+        unscramble.recovered_state(states.make_state(np.diag([0.0, 1.0])), ops)
     ops = unscramble.UnscrambleOperators(
-        w_alice=np.eye(3), m_bob=np.eye(3), basis_kind="standard", condition_number=1.0)
+        w=np.eye(3), family=bases.standard_family(3), condition_number=1.0)
     v = unscramble.build_v(ops, 1, [1.0, 0.0, 0.0])
     with pytest.raises(NormalizationError):
         unscramble.predict_table(states.make_state(np.diag([0.0, 1.0, 0.0])), v)
