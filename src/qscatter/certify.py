@@ -296,9 +296,11 @@ def _dimensionality_from(fidelity: float, bounds: np.ndarray) -> int:
 
 
 def _check_resampling(n_mc: int, seed: int) -> None:
-    """Refuse a negative trial count or seed with ConfigError."""
+    """Refuse a negative seed, or an n_mc below 0 or of 1, with ConfigError."""
     if n_mc < 0:
         raise ConfigError("n_mc must be nonnegative")
+    if n_mc == 1:
+        raise ConfigError("n_mc must be 0 or at least 2: one trial has no spread")
     if seed < 0:
         raise ConfigError("seed must be nonnegative")
 
@@ -322,7 +324,8 @@ def certify(standard_table: CountTable,
     family_tables may be any iterable, a generator included: each table is
     read once, as it arrives, and only its d-length statistics are kept
     (see _reduce), so the rotated tables never need to be held together.
-    A negative n_mc or seed raises ConfigError before any table is read.
+    An n_mc of 1 or below 0, or a negative seed, raises ConfigError before
+    any table is read.
     """
     _check_resampling(n_mc, seed)
     d = standard_table.counts.shape[0] if target is None else target.dim
@@ -353,7 +356,7 @@ def certify(standard_table: CountTable,
 
     sigma = 0.0
     n_eff = 0
-    if not noiseless and n_mc >= 2:
+    if not noiseless and n_mc:
         trials = _monte_carlo(evaluate, observed, n_mc, seed)
         sigma = float(np.std(trials, ddof=1))
         n_eff = n_mc

@@ -171,10 +171,9 @@ def compose_two_channels(u_a: ComplexMatrix, u_b: ComplexMatrix) -> EffectiveT:
 
 
 def _layout(isometry: ComplexMatrix) -> dict:
-    """The <base>.json descriptor of where a stored isometry's columns sit."""
-    n, cols = isometry.shape
-    return {"total_modes": n, "logical_indices": list(range(1, cols)),
-            "reference_index": 0}
+    """The <base>.json descriptor of where a stored isometry's columns sit;
+    the mode count N is the CSV's row count and is not repeated."""
+    return {"logical_indices": list(range(1, isometry.shape[1])), "reference_index": 0}
 
 
 def save_channel(path_base: Union[str, os.PathLike], channel: ChannelModel) -> None:
@@ -188,7 +187,8 @@ def load_channel(path_base: Union[str, os.PathLike]) -> ChannelModel:
     """Read a medium saved by save_channel.
 
     The sidecar must describe the stored columns; a full N x N unitary with
-    a d-mode sidecar, as older versions wrote, raises FormatError.
+    a d-mode sidecar, as older versions wrote, raises FormatError. Other
+    keys, such as the total_modes older versions wrote, are not read.
     """
     base = os.fspath(path_base)
     v = numerics.load_matrix_csv(base + ".csv")

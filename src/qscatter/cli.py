@@ -20,6 +20,14 @@ once, by the stage that computes it. Each command writes through one
 output object, `_Output`, which stages its files inside --out and moves
 them into place only once the command has succeeded.
 
+A JSON sidecar keeps only what no CSV header, table label or report
+states: channel.json the column layout that load_channel reads;
+scans/meta.json the configured exposure and the seed, a record (a step
+table's header holds the Poisson scale); t_hat.json the basis_tag that
+`unscramble` reads and, as `tomo` writes no report, e_ratio and
+condition_number; unscramble/meta.json and zeta.json what `unscramble`
+measured. Readers ignore other keys, so older outputs still load.
+
 Every scenario, and `simulate`, is a short sequence of shared stages: draw
 the medium, scan it, reconstruct its transmission matrix, build the
 correction, measure the coincidence tables, certify. Each count table is
@@ -47,7 +55,7 @@ import shutil
 import sys
 import tempfile
 import warnings
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
@@ -104,16 +112,15 @@ class ScenarioConfig:
         if self.d + 1 > self.n_modes:
             raise ConfigError(
                 f"need d + 1 <= n_modes, got d={self.d}, n_modes={self.n_modes}")
+        if self.n_modes * (self.d + 1) * 16 > sys.maxsize:  # bytes of the medium
+            raise ConfigError(f"n_modes is too large to store: {self.n_modes}")
         if not (self.exposure > 0):
             raise ConfigError(f"exposure must be positive, got {self.exposure}")
         if self.dark_rate < 0:
             raise ConfigError("dark_rate must be nonnegative")
         if self.reference_amplitude <= 0:
             raise ConfigError("reference_amplitude must be positive")
-        if self.n_mc < 0:
-            raise ConfigError("n_mc must be nonnegative")
-        if self.seed < 0:
-            raise ConfigError("seed must be nonnegative")
+        certify._check_resampling(self.n_mc, self.seed)
         self.family  # parsed once here, which checks it, and kept
         if self.scenario == "fixture-a1" and self.d != 7:
             raise ConfigError("the shipped fixture is 7-dimensional; use d=7")
@@ -287,20 +294,13 @@ def _scan(cfg: ScenarioConfig, ch: channel.ChannelModel, out: _Output):
     Saves the scan bundle and returns the scanned state and both scans' step
     tables, which carry the scan family in their label.
     """
-    family = cfg.family
     full = channel.transmitted_state(ch, cfg.reference_amplitude)
-    s_tabs, e_tabs = (scan(full, family, cfg.exposure, cfg.seed, cfg.dark_rate)
+    s_tabs, e_tabs = (scan(full, cfg.family, cfg.exposure, cfg.seed, cfg.dark_rate)
                       for scan in (measure.phase_step_scan_s, measure.phase_step_scan_e))
     for kind, tabs in (("s", s_tabs), ("e", e_tabs)):
         for step, table in enumerate(tabs):
             measure.save_count_table(out.path(f"scans/{kind}_step{step}.csv"), table)
-    out.json("scans/meta.json", {
-        "family": family.kind,
-        "d": family.dim,
-        "theta_grid": list(measure.THETA_GRID),
-        "exposure": cfg.exposure,
-        "seed": cfg.seed,
-    })
+    out.json("scans/meta.json", {"exposure": cfg.exposure, "seed": cfg.seed})
     return full, s_tabs, e_tabs
 
 
@@ -316,12 +316,9 @@ def _reconstruct(out: _Output, s_tabs, e_tabs, **kwargs) -> tomo.Reconstruction:
     recon = tomo.reconstruct(s_tabs, e_tabs, **kwargs)
     t = recon.t
     numerics.save_matrix_csv(out.path("t_hat.csv"), t.matrix)
-    facts = {
-        "basis_tag": t.basis_tag.kind,
-        "e_ratio": recon.e_ratio,
-        "condition_number": recon.condition_number,
-    }
-    out.json("t_hat.json", {"dim": t.dim, "includes_reference": False, **facts})
+    facts = {"basis_tag": t.basis_tag.kind, "e_ratio": recon.e_ratio,
+             "condition_number": recon.condition_number}
+    out.json("t_hat.json", facts)
     out.diagnostics.update(facts)
     return recon
 
@@ -345,12 +342,6 @@ def _build_ops(t: channel.EffectiveT, out: _Output) -> unscramble.UnscrambleOper
     ops = unscramble.build_w(t)
     numerics.save_matrix_csv(out.path("unscramble/w_alice.csv"), ops.normalized_w)
     numerics.save_matrix_csv(out.path("unscramble/m_bob.csv"), ops.m_bob)
-    out.json("unscramble/meta.json", {
-        "dim": ops.dim,
-        "basis_kind": ops.family.kind,
-        "eta": ops.eta,
-        "condition_number": ops.condition_number,
-    })
     out.diagnostics.update(basis_tag=ops.family.kind,
                            condition_number=ops.condition_number, eta=ops.eta)
     return ops
@@ -358,7 +349,7 @@ def _build_ops(t: channel.EffectiveT, out: _Output) -> unscramble.UnscrambleOper
 
 def _measure_tables(cfg: ScenarioConfig, state: states.BipartiteState, out: _Output,
                     ops: Optional[unscramble.UnscrambleOperators] = None,
-                    target: Optional[certify.TargetState] = None
+                    target: Optional[certify.TargetState] = None, exact: bool = False
                     ) -> Tuple[measure.CountTable, Iterator[measure.CountTable],
                                certify.TargetState]:
     """The standard table and the d rotated-family tables, each its own
@@ -370,11 +361,13 @@ def _measure_tables(cfg: ScenarioConfig, state: states.BipartiteState, out: _Out
     families against the uniform target. With ops the recovered state is
     formed once and measured, and the rotated probes are tilted to
     `target`, by default the spectrum nominated from the standard table.
+    exact measures noiseless tables, whatever exposure and dark rate cfg sets.
     """
+    exposure, dark_rate = (measure.NOISELESS, 0.0) if exact else (cfg.exposure, cfg.dark_rate)
     if ops is None:
         def direct(family: bases.BasisFamily) -> measure.CountTable:
             return out.measured(measure.measure_correlations(
-                state, family, cfg.exposure, cfg.seed, cfg.dark_rate))
+                state, family, exposure, cfg.seed, dark_rate))
 
         return (direct(bases.standard_family(cfg.d)),
                 (direct(bases.mub(cfg.d, r)) for r in range(cfg.d)),
@@ -384,7 +377,7 @@ def _measure_tables(cfg: ScenarioConfig, state: states.BipartiteState, out: _Out
 
     def recovered(v: Optional[unscramble.VOperator]) -> measure.CountTable:
         return out.measured(unscramble.measure_recovered(
-            rec, v, cfg.exposure, cfg.seed, dark_rate=cfg.dark_rate))
+            rec, v, exposure, cfg.seed, dark_rate=dark_rate))
 
     std = recovered(None)
     if target is None:
@@ -463,8 +456,8 @@ def _scenario_fixture_a1(cfg: ScenarioConfig, out: _Output):
     target = certify.TargetState(dim=7, lambdas=channel.load_fixture_lambda())
     state = channel.choi_state(t_meas)
     # The fixture is evaluated exactly, whatever exposure and dark rate are set.
-    exact = replace(cfg, exposure=measure.NOISELESS, dark_rate=0.0)
-    std, families, _ = _measure_tables(exact, state, out, _build_ops(t_meas, out), target)
+    std, families, _ = _measure_tables(cfg, state, out, _build_ops(t_meas, out), target,
+                                       exact=True)
     dominant = []
 
     def checked(tables: Iterable[measure.CountTable]) -> Iterator[measure.CountTable]:
@@ -591,6 +584,8 @@ def _cmd_unscramble(args: argparse.Namespace) -> int:
         t = _load_t_hat(args.t_hat)
         lambdas = _load_lambda_file(args.lambdas, t.dim) if args.lambdas else None
         ops = _build_ops(t, out)
+        # This command writes no report, so its diagnostics are kept here.
+        out.json("unscramble/meta.json", out.diagnostics)
         rec = unscramble.recovered_state(channel.choi_state(t), ops)
         _save_prediction(out, rec, None)
         zeta_meta = {}

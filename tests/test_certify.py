@@ -261,6 +261,16 @@ def test_certify_refuses_a_negative_trial_count():
     assert next(tables) is fams[0]
 
 
+def test_certify_refuses_a_single_trial():
+    """n_mc = 1 would give no spread; it is refused, not reported as 0
+    trials with sigma 0, and before any family table is read."""
+    std, fams = _sampled_tables(3, 2e4, 11)
+    tables = iter(fams)
+    with pytest.raises(ConfigError, match="^n_mc must be 0 or at least 2"):
+        certify.certify(std, tables, n_mc=1)
+    assert next(tables) is fams[0]
+
+
 def test_certify_refuses_a_negative_seed():
     """seed < 0 is refused with ConfigError, not numpy's ValueError, and
     before any family table is read."""

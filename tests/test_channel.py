@@ -172,8 +172,13 @@ def test_channel_round_trip(tmp_path):
     back = channel.load_channel(tmp_path / "ch")
     np.testing.assert_array_equal(back.isometry, ch.isometry)
     with open(tmp_path / "ch.json", encoding="ascii") as fh:
-        assert json.load(fh) == {"total_modes": 9, "reference_index": 0,
-                                 "logical_indices": [1, 2, 3]}
+        assert json.load(fh) == {"reference_index": 0, "logical_indices": [1, 2, 3]}
+    # Older versions also wrote the mode count, channel.csv's row count.
+    (tmp_path / "ch.json").write_text(
+        '{"logical_indices": [1, 2, 3], "reference_index": 0, "total_modes": 9}\n',
+        encoding="ascii")
+    np.testing.assert_array_equal(channel.load_channel(tmp_path / "ch").isometry,
+                                  ch.isometry)
 
 
 def test_load_channel_rejects_a_full_unitary_file(tmp_path):

@@ -94,6 +94,8 @@ def fails(tmp_path, capsys, filled_out):
     {"scan_family": "tilted:0"},
     {"scan_family": "mub:7"},
     {"seed": 1.5},
+    {"n_mc": 1},
+    {"n_modes": 10 ** 29},
 ])
 def test_scenario_config_rejects_bad_settings(overrides):
     with pytest.raises(ConfigError):
@@ -128,6 +130,49 @@ def test_a_run_builds_its_scan_family_once(tmp_path, monkeypatch):
     assert cfg.family is cfg.family and cfg.family.kind == "mub:1"
     assert cfg == _cfg("tomography", scan_family="mub:1")
     assert "family" not in dataclasses.asdict(cfg)
+
+
+def test_a_fixture_run_builds_its_scan_family_once(tmp_path, monkeypatch):
+    """fixture-a1 scans nothing, and its noiseless tables are measured
+    without a second config, so the family its config names is built once."""
+    calls = []
+    mub = bases.mub
+
+    def counted(d, r):
+        calls.append((d, r))
+        return mub(d, r)
+
+    monkeypatch.setattr(bases, "mub", counted)
+    assert cli.main(["run", "--scenario", "fixture-a1", "--out", str(tmp_path)]) == 0
+    assert calls == [(7, 0)]
+
+
+def test_outputs_with_the_retired_sidecar_keys_still_load(tmp_path):
+    """Sidecars that also hold the keys older versions wrote (t_hat.json's
+    dim and includes_reference, channel.json's total_modes, scans/meta.json's
+    family, d and theta_grid) give the same outputs, byte for byte."""
+    new, old = tmp_path / "new", tmp_path / "old"
+    assert cli.main(["simulate", "--d", "3", "--n-modes", "8", "--exposure", "1e4",
+                     "--seed", "4", "--out", str(new / "sim")]) == 0
+    assert cli.main(["tomo", "--scans", str(new / "sim" / "scans"),
+                     "--out", str(new / "rec")]) == 0
+    shutil.copytree(new, old)
+    for rel, keys in (("sim/scans/meta.json", {"family": "mub:0", "d": 3,
+                                               "theta_grid": list(measure.THETA_GRID)}),
+                      ("sim/channel.json", {"total_modes": 8}),
+                      ("rec/t_hat.json", {"dim": 3, "includes_reference": False})):
+        numerics._write_json(old / rel, {**numerics._read_json(old / rel), **keys})
+    for tree in (new, old):
+        tables = [arg for r in range(3)
+                  for arg in ("--table", str(tree / "sim" / "tables" / f"mub_{r}.csv"))]
+        for argv in (["tomo", "--scans", str(tree / "sim" / "scans")],
+                     ["unscramble", "--t-hat", str(tree / "rec" / "t_hat.csv")],
+                     ["certify", "--standard", str(tree / "sim" / "tables" / "standard.csv"),
+                      *tables, "--n-mc", "8"]):
+            assert cli.main([*argv, "--out", str(tree / "out" / argv[0])]) == 0
+    assert _tree(old / "out") == _tree(new / "out")
+    np.testing.assert_array_equal(channel.load_channel(old / "sim" / "channel").isometry,
+                                  channel.load_channel(new / "sim" / "channel").isometry)
 
 
 def test_run_scenario_baseline_noiseless(tmp_path):
@@ -222,8 +267,8 @@ _DIAGNOSED = {
 @pytest.mark.parametrize("scenario", cli._SCENARIOS)
 def test_every_report_states_each_fact_once(tmp_path, scenario):
     """results, diagnostics and tables in every report, no key in both
-    results and diagnostics, and the diagnostics the stages record are the
-    values their sidecars hold."""
+    results and diagnostics, and t_hat.json holds reconstruction's
+    diagnostics and no other key; building W writes no sidecar under run."""
     out = str(tmp_path / scenario)
     d = 7 if scenario == "fixture-a1" else 3
     cli.run_scenario(_cfg(scenario, d=d, exposure=math.inf, seed=2), out)
@@ -234,12 +279,10 @@ def test_every_report_states_each_fact_once(tmp_path, scenario):
     assert not set(report["results"]) & set(diagnostics)
     if scenario == "unscramble-certify":
         t_meta = numerics._read_json(os.path.join(out, "t_hat.json"))
-        ops_meta = numerics._read_json(os.path.join(out, "unscramble", "meta.json"))
-        assert diagnostics == {
-            "basis_tag": t_meta["basis_tag"], "e_ratio": t_meta["e_ratio"],
-            "condition_number": t_meta["condition_number"], "eta": ops_meta["eta"]}
-        assert ops_meta["basis_kind"] == t_meta["basis_tag"]
-        assert ops_meta["condition_number"] == t_meta["condition_number"]
+        assert t_meta == {key: diagnostics[key]
+                          for key in ("basis_tag", "e_ratio", "condition_number")}
+        assert sorted(os.listdir(os.path.join(out, "unscramble"))) == ["m_bob.csv",
+                                                                       "w_alice.csv"]
     if scenario == "fixture-a1":
         assert diagnostics["basis_tag"] == "mub:0" and len(diagnostics["eta"]) == 7
 
@@ -279,17 +322,25 @@ def test_subcommand_chain(tmp_path):
     assert cli.main(["simulate", "--d", "3", "--n-modes", "8",
                      "--exposure", "2e4", "--seed", "5", "--n-mc", "0",
                      "--out", sim]) == 0
-    assert os.path.exists(os.path.join(sim, "scans", "meta.json"))
+    # The step tables name the family and d; the sidecar keeps the rest.
+    assert (numerics._read_json(os.path.join(sim, "scans", "meta.json"))
+            == {"exposure": 2e4, "seed": 5})
     assert os.path.exists(os.path.join(sim, "tables", "mub_1.csv"))
 
     rec = str(tmp_path / "rec")
     assert cli.main(["tomo", "--scans", os.path.join(sim, "scans"),
                      "--out", rec]) == 0
     assert os.path.exists(os.path.join(rec, "t_hat.csv"))
+    t_meta = numerics._read_json(os.path.join(rec, "t_hat.json"))
+    assert set(t_meta) == {"basis_tag", "e_ratio", "condition_number"}
 
     ops = str(tmp_path / "ops")
     assert cli.main(["unscramble", "--t-hat", os.path.join(rec, "t_hat.csv"),
                      "--out", ops]) == 0
+    ops_meta = numerics._read_json(os.path.join(ops, "unscramble", "meta.json"))
+    assert set(ops_meta) == {"basis_tag", "condition_number", "eta"}
+    assert ops_meta["basis_tag"] == t_meta["basis_tag"] == "mub:0"
+    assert ops_meta["condition_number"] == t_meta["condition_number"]
     assert os.path.exists(os.path.join(ops, "unscramble", "w_alice.csv"))
     assert os.path.exists(os.path.join(ops, "unscramble", "zeta.json"))
     assert os.path.exists(
@@ -397,9 +448,13 @@ def test_config_errors_exit_2_before_any_output(fails, argv):
                     "--n-mc", "-1"]),
     ("seed", None, ["certify", "--standard", "std.csv", "--table", "mub_0.csv",
                     "--seed", "-1"]),
+    ("n_mc", None, ["certify", "--standard", "std.csv", "--table", "mub_0.csv",
+                    "--n-mc", "1"]),
+    ("n_mc", {}, ["--n-mc", "1"]),
+    ("n_modes", {"n_modes": 10 ** 29}, []),
 ], ids=["n_mc-float", "scan_family-int", "d-string", "seed-bool", "dark_rate-nan",
         "dark_rate-string", "reference_amplitude-nan", "certify-n_mc-negative",
-        "certify-seed-negative"])
+        "certify-seed-negative", "certify-n_mc-one", "run-n_mc-one", "n_modes-huge"])
 def test_bad_settings_exit_2_naming_the_field(tmp_path, fails, field, config, flags):
     argv = flags
     if config is not None:

@@ -36,8 +36,10 @@
 # it is no longer a whole count times row_scale), each with
 # its own --out, plus tomo --ref-floor 0.999 on the d=5 scans, which must
 # exit 3 with its degenerate-reference message. Two tomo steps run on
-# copies of the d=5 scans, one without meta.json and one whose meta.json
-# names mub:1: tomo reads the eight step tables alone, so both exit 0 and
+# copies of the d=5 scans, one without meta.json and one whose meta.json is
+# written out in full with the five keys older versions wrote (family,
+# d, theta_grid, exposure, seed), naming mub:1 at d=7 and another exposure
+# and seed: tomo reads the eight step tables alone, so both exit 0 and
 # write rec's t_hat.csv and t_hat.json (trees that still read meta.json
 # exit 2 on both). Three steps check what
 # --out holds after a rerun or a failure: a baseline run at d=5 and then at
@@ -185,7 +187,9 @@ run_grid() {
     cp -r "$out/sim/scans" "$out/scans-no-meta"
     rm "$out/scans-no-meta/meta.json"
     cp -r "$out/sim/scans" "$out/scans-stale-meta"
-    sed 's/"mub:0"/"mub:1"/' "$out/sim/scans/meta.json" >"$out/scans-stale-meta/meta.json"
+    printf '{"d": 7, "exposure": 1000.0, "family": "mub:1", "seed": 4, "theta_grid": %s}\n' \
+        '[0.0, 1.5707963267948966, 3.141592653589793, 4.71238898038469]' \
+        >"$out/scans-stale-meta/meta.json"
     q "$src" "$out" tomo-no-meta tomo --scans scans-no-meta --out tomo-no-meta
     q "$src" "$out" tomo-stale-meta tomo --scans scans-stale-meta --out tomo-stale-meta
     for d in 5 3; do
