@@ -266,17 +266,33 @@ def _monte_carlo(evaluate, means: Sequence[np.ndarray], n_mc: int,
 
 @dataclass(frozen=True, eq=False)
 class CertificationReport:
-    """Everything a certification run concludes, in one record."""
+    """What a certification run measured; everything it concludes from
+    that is a property."""
 
-    dim: int
     fidelity: float
     fidelity_sigma: float
     n_mc: int
     method: str
-    bounds: Tuple[float, ...]
-    d_ent: int
-    robust_3sigma: bool
     target: TargetState
+
+    @property
+    def dim(self) -> int:
+        return self.target.dim
+
+    @property
+    def bounds(self) -> Tuple[float, ...]:
+        return tuple(float(b) for b in self.target.bounds())
+
+    @property
+    def d_ent(self) -> int:
+        return _dimensionality_from(self.fidelity, self.target.bounds())
+
+    @property
+    def robust_3sigma(self) -> bool:
+        """F exceeds B_(d_ent - 1) (0 for d_ent 1) by more than 3 sigma."""
+        d_ent = self.d_ent
+        prev_bound = 0.0 if d_ent <= 1 else self.bounds[d_ent - 2]
+        return bool(self.fidelity - 3 * self.fidelity_sigma > prev_bound)
 
     @property
     def entangled(self) -> bool:
@@ -351,8 +367,6 @@ def certify(standard_table: CountTable,
         families = families[:1]
     evaluate, observed = _batched_estimator(standard_table, families, target, exact)
     fidelity = _at_observed(evaluate, observed)
-    bounds = target.bounds()
-    d_ent = _dimensionality_from(fidelity, bounds)
 
     sigma = 0.0
     n_eff = 0
@@ -361,17 +375,5 @@ def certify(standard_table: CountTable,
         sigma = float(np.std(trials, ddof=1))
         n_eff = n_mc
 
-    prev_bound = 0.0 if d_ent <= 1 else float(bounds[d_ent - 2])
-    robust = bool(fidelity - 3 * sigma > prev_bound)
-
-    return CertificationReport(
-        dim=d,
-        fidelity=float(fidelity),
-        fidelity_sigma=sigma,
-        n_mc=n_eff,
-        method="exact" if exact else "lower_bound",
-        bounds=tuple(float(b) for b in bounds),
-        d_ent=d_ent,
-        robust_3sigma=robust,
-        target=target,
-    )
+    return CertificationReport(fidelity=fidelity, fidelity_sigma=sigma, n_mc=n_eff,
+                               method="exact" if exact else "lower_bound", target=target)

@@ -281,9 +281,14 @@ class _Output(contextlib.AbstractContextManager):
 
 
 def _draw_channel(cfg: ScenarioConfig, out: _Output) -> channel.ChannelModel:
-    """Draw the medium from the channel sub-stream and save it."""
-    ch = channel.haar_channel(cfg.d, cfg.n_modes,
-                              numerics.substream(cfg.seed, _STREAM_CHANNEL))
+    """Draw the medium from the channel sub-stream and save it; a medium
+    that does not fit in memory is a ConfigError."""
+    try:
+        ch = channel.haar_channel(cfg.d, cfg.n_modes,
+                                  numerics.substream(cfg.seed, _STREAM_CHANNEL))
+    except MemoryError:
+        raise ConfigError(f"n_modes {cfg.n_modes}: the {cfg.n_modes} x {cfg.d + 1} "
+                          f"medium does not fit in memory") from None
     channel.save_channel(out.path("channel"), ch)
     return ch
 
@@ -570,9 +575,8 @@ def _save_prediction(out: _Output, recovered: states.BipartiteState,
                      v: Optional[unscramble.VOperator]) -> None:
     """Write the noiseless table of the recovered state through V_r (the
     standard one for v None) to unscramble/predicted_<kind>.csv."""
-    label = unscramble.recovered_label(v)
     table = measure.CountTable(counts=unscramble.predict_table(recovered, v),
-                               basis_label_a=label, basis_label_b=label + "*",
+                               basis_label_a=unscramble.recovered_label(v),
                                exposure=measure.NOISELESS)
     kind = "standard" if v is None else v.kind
     measure.save_count_table(

@@ -9,7 +9,7 @@ steps of a phase scan are one acquisition together, so they share one
 scale and their interference ratios stay meaningful. exposure = inf is the
 noiseless sentinel: sampling is bypassed and the table holds the exact
 probabilities. Count tables record the scale their cells were drawn at,
-the basis labels and the seed, so downstream estimators and resamplers
+the basis label and the seed, so downstream estimators and resamplers
 never guess.
 
 Kets and operators: every table is computed by one private kernel,
@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -50,6 +50,20 @@ _STREAM_TABLE = 13
 
 THETA_GRID = (0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi)
 
+# The names of the signal and the reference scan in their step labels.
+SCANS = ("scan-s", "scan-e")
+_STEPS = tuple(f"step{k}" for k in range(len(THETA_GRID)))
+
+
+def _scan_step(label: str) -> Optional[Tuple[str, str, int]]:
+    """(scan, family kind, k) of a scan step label <scan>:<family kind>:step<k>,
+    scan one of SCANS and k in 0..3; None for any other label."""
+    scan, _, rest = label.partition(":")
+    kind, _, step = rest.rpartition(":")
+    if scan in SCANS and kind and step in _STEPS:
+        return scan, kind, _STEPS.index(step)
+    return None
+
 
 @dataclass(frozen=True, eq=False)
 class CountTable:
@@ -61,11 +75,11 @@ class CountTable:
     SLM row correction zeta^2, one factor per row; `corrected` is the
     table with each row times its factor, which is what the table
     estimates and what its file stores. Resampling reads `counts`.
+    Bob's label, basis_label_b, is read from Alice's.
     """
 
     counts: np.ndarray
     basis_label_a: str
-    basis_label_b: str
     exposure: float
     seed: Optional[int] = None
     row_scale: Optional[np.ndarray] = None
@@ -84,6 +98,12 @@ class CountTable:
         if self.row_scale is not None:
             object.__setattr__(self, "row_scale",
                                numerics.frozen(_row_factors(self.row_scale, c.shape[0])))
+
+    @property
+    def basis_label_b(self) -> str:
+        """A scan step's family kind, else basis_label_a with a * added."""
+        step = _scan_step(self.basis_label_a)
+        return self.basis_label_a + "*" if step is None else step[1]
 
     @property
     def noiseless(self) -> bool:
@@ -157,8 +177,7 @@ def _checked(probs, dark_rate: float) -> np.ndarray:
 
 
 def _draw(p: np.ndarray, scale: float, seed: Optional[int], dark_rate: float,
-          stream: Sequence[int], basis_label_a: str, basis_label_b: str,
-          row_scale=None) -> CountTable:
+          stream: Sequence[int], basis_label_a: str, row_scale=None) -> CountTable:
     """Poisson counts with means scale * (p + dark_rate), recorded with the
     row_scale if given; scale = inf gives the means themselves. The means
     are formed in p, which _draw owns: it is _checked's private copy, and
@@ -172,15 +191,13 @@ def _draw(p: np.ndarray, scale: float, seed: Optional[int], dark_rate: float,
         p *= scale
         counts = numerics._poisson(numerics.substream(seed, *stream), p)
         exposure, seed = float(scale), int(seed)
-    return CountTable(counts=counts, basis_label_a=basis_label_a,
-                      basis_label_b=basis_label_b, exposure=exposure, seed=seed,
-                      row_scale=row_scale)
+    return CountTable(counts=counts, basis_label_a=basis_label_a, exposure=exposure,
+                      seed=seed, row_scale=row_scale)
 
 
 def sample_counts(probs, exposure: float, seed: Optional[int],
                   dark_rate: float = 0.0, *, stream: Sequence[int] = (),
-                  basis_label_a: str = "custom", basis_label_b: str = "custom",
-                  row_scale=None) -> CountTable:
+                  basis_label_a: str = "custom", row_scale=None) -> CountTable:
     """Poisson-sample a probability table, one acquisition, into a CountTable.
 
     The brightest cell's mean is `exposure` counts (dark counts come on
@@ -200,7 +217,7 @@ def sample_counts(probs, exposure: float, seed: Optional[int],
     if row_scale is not None and np.shape(row_scale) != (p.shape[0],):
         raise DimensionMismatchError("row_scale must hold one factor per Alice row")
     return _draw(p, _peak_scale(exposure, [p]), seed, dark_rate, stream,
-                 basis_label_a, basis_label_b, row_scale)
+                 basis_label_a, row_scale)
 
 
 def measure_correlations(state: states.BipartiteState, family: BasisFamily,
@@ -218,7 +235,7 @@ def measure_correlations(state: states.BipartiteState, family: BasisFamily,
     probs = _probabilities(state, np.conjugate(family.matrix), family.matrix)
     return sample_counts(probs, exposure, seed, dark_rate,
                          stream=(_STREAM_TABLE, *family.kind.encode("ascii")),
-                         basis_label_a=family.kind, basis_label_b=family.kind + "*")
+                         basis_label_a=family.kind)
 
 
 def _with_reference(amplitude: complex, pixels: np.ndarray) -> np.ndarray:
@@ -230,11 +247,12 @@ def _with_reference(amplitude: complex, pixels: np.ndarray) -> np.ndarray:
 
 
 def _phase_scan(state: states.BipartiteState, family: BasisFamily, exposure: float,
-                seed: Optional[int], dark_rate: float, name: str, stream: int,
+                seed: Optional[int], dark_rate: float, scan: str, stream: int,
                 operators) -> List[CountTable]:
-    """The four step tables of one scan, in step order; operators(exp(i
-    theta)) gives Alice's and Bob's operators. The steps share one scale,
-    set by their joint peak, and step k draws from sub-stream (stream, k)."""
+    """The four step tables of one scan, in step order, each labelled
+    <scan>:<family kind>:step<k>; operators(exp(i theta)) gives Alice's and
+    Bob's operators. The steps share one scale, set by their joint peak,
+    and step k draws from sub-stream (stream, k)."""
     if state.dim != family.dim + 1:
         raise DimensionMismatchError(f"scan needs a state on {family.dim}+1 modes "
                                      f"(reference first), got dim {state.dim}")
@@ -242,7 +260,7 @@ def _phase_scan(state: states.BipartiteState, family: BasisFamily, exposure: flo
              for theta in THETA_GRID]
     scale = _peak_scale(exposure, probs)
     return [_draw(p, scale, seed, dark_rate, (stream, step),
-                  f"{name}:{family.kind}:step{step}", family.kind)
+                  f"{scan}:{family.kind}:{_STEPS[step]}")
             for step, p in enumerate(probs)]
 
 
@@ -259,7 +277,7 @@ def phase_step_scan_s(state: states.BipartiteState, family: BasisFamily,
     standard basis it reduces to the textbook reference-plus-pixel scan.
     """
     m = family.matrix
-    return _phase_scan(state, family, exposure, seed, dark_rate, "scan-s", _STREAM_SCAN_S,
+    return _phase_scan(state, family, exposure, seed, dark_rate, SCANS[0], _STREAM_SCAN_S,
                        lambda phase: (_with_reference(phase, np.conjugate(m)),
                                       _with_reference(0.0, m)))
 
@@ -274,7 +292,7 @@ def phase_step_scan_e(state: states.BipartiteState, family: BasisFamily,
     reference against each family vector. Yields 1 x d tables.
     """
     m = family.matrix
-    return _phase_scan(state, family, exposure, seed, dark_rate, "scan-e", _STREAM_SCAN_E,
+    return _phase_scan(state, family, exposure, seed, dark_rate, SCANS[1], _STREAM_SCAN_E,
                        lambda phase: (_with_reference(1.0, np.zeros((1, family.dim))),
                                       _with_reference(phase, m)))
 
@@ -288,6 +306,10 @@ def phase_step_scan_e(state: states.BipartiteState, family: BasisFamily,
 #   a,b,count
 #   <a>,<b>,<count>
 # A table with a row_scale stores its corrected cells, counts x row_scale.
+# labelB is derived from labelA (CountTable.basis_label_b: a scan step's
+# family kind, else labelA with a * added), and a file whose labelB is any
+# other value is refused on read. A scan step's labelA names its scan and
+# its step, which tomo.reconstruct checks against the table's position.
 # ---------------------------------------------------------------------------
 
 
@@ -296,9 +318,9 @@ def save_count_table(path: Union[str, os.PathLike], table: CountTable) -> str:
     of the bytes written."""
     exp = "inf" if table.noiseless else numerics._fmt(table.exposure)
     seed = "none" if table.seed is None else str(table.seed)
-    for label in (table.basis_label_a, table.basis_label_b):
-        if "," in label or "\n" in label:
-            raise NormalizationError(f"basis label {label!r} not CSV-safe")
+    label = table.basis_label_a  # Bob's is part of it, or it with a * added
+    if "," in label or "\n" in label:
+        raise NormalizationError(f"basis label {label!r} not CSV-safe")
     header = ["basisA,basisB,exposure,seed",
               f"{table.basis_label_a},{table.basis_label_b},{exp},{seed}"]
     if table.row_scale is not None:
@@ -310,7 +332,8 @@ def save_count_table(path: Union[str, os.PathLike], table: CountTable) -> str:
 
 def load_count_table(path: Union[str, os.PathLike], digest=None) -> CountTable:
     """A table saved by save_count_table; a hashlib object given as `digest`
-    is fed the file's bytes as read.
+    is fed the file's bytes as read. A basisB other than the label that
+    basisA gives Bob's side is a FormatError.
 
     A file with a row_scale holds counts x row_scale. A sampled table's
     counts are whole, so they are recovered as np.rint(cells / row_scale),
@@ -339,8 +362,11 @@ def load_count_table(path: Union[str, os.PathLike], digest=None) -> CountTable:
             counts = cells / _row_factors(row_scale, cells.shape[0])[:, None]
         if not math.isinf(exposure):
             counts = np.rint(counts)
-    table = CountTable(counts=counts, basis_label_a=label_a, basis_label_b=label_b,
-                       exposure=exposure, seed=seed, row_scale=row_scale)
+    table = CountTable(counts=counts, basis_label_a=label_a, exposure=exposure, seed=seed,
+                       row_scale=row_scale)
+    if label_b != table.basis_label_b:
+        raise FormatError(f"{path}: basisB {label_b!r} is not {table.basis_label_b!r}, "
+                          f"the label basisA {label_a!r} gives Bob's side")
     if (table.row_scale is not None and not table.noiseless
             and not np.array_equal(table.corrected, cells)):
         raise FormatError(f"{path}: cells are not whole counts times row_scale")

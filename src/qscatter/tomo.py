@@ -34,23 +34,28 @@ from .errors import (
     TagConflictError,
     ToolkitError,
 )
-from .measure import CountTable
+from .measure import SCANS, CountTable, _scan_step
 
 
-def _quarter_combination(tables: Sequence[CountTable]) -> Tuple[np.ndarray, str]:
-    """Combine four phase-step tables, given in step order (step k at
-    theta = k pi/2), and return the cross terms and the family label."""
+def _quarter_combination(tables: Sequence[CountTable],
+                         scan: str) -> Tuple[np.ndarray, str]:
+    """Combine four phase-step tables of `scan`, given in step order (step k
+    at theta = k pi/2), and return the cross terms and the family kind.
+
+    Table k's label must name step k of `scan` in the family that the first
+    table's label names."""
     if len(tables) != 4:
         raise NormalizationError(f"need exactly 4 phase steps, got {len(tables)}")
     shape = tables[0].counts.shape
-    label = tables[0].basis_label_b
-    for table in tables:
+    kind = tables[0].basis_label_b
+    for step, table in enumerate(tables):
         if table.counts.shape != shape:
             raise DimensionMismatchError("phase-step tables differ in shape")
-        if table.basis_label_b != label:
-            raise NormalizationError("phase-step tables differ in basis label")
+        if _scan_step(table.basis_label_a) != (scan, kind, step):
+            raise NormalizationError(
+                f"phase step {step} of {scan} is labelled {table.basis_label_a!r}")
     r = [table.counts for table in tables]
-    return ((r[0] - r[2]) + 1j * (r[1] - r[3])) / 4.0, label
+    return ((r[0] - r[2]) + 1j * (r[1] - r[3])) / 4.0, kind
 
 
 @dataclass(frozen=True)
@@ -72,22 +77,23 @@ def reconstruct(s_tables: Sequence[CountTable],
     gauge-fixed transmission matrix.
 
     Both scans must be recorded in one family, S as d x d tables and E as
-    1 x d ones. Raises DegenerateReferenceError when an entry of E falls
-    below ref_floor times the largest one (e_ratio, the smallest over the
-    largest, is returned): a vanishing entry means that basis direction
-    never interferes with the reference and the division would only
-    amplify noise. ref_floor must be a finite number in [0, 1); at 0 an
-    e_ratio of exactly 0 is still rejected, as T cannot be divided by it.
-    T is tagged with the family the tables' label names; a label that names
-    no unitary family (standard or mub:r at this dimension) raises
-    TagConflictError.
+    1 x d ones, and table k of each must be labelled as step k of its scan
+    (measure.SCANS), else NormalizationError. Raises
+    DegenerateReferenceError when an entry of E falls below ref_floor times
+    the largest one (e_ratio, the smallest over the largest, is returned):
+    a vanishing entry means that basis direction never interferes with the
+    reference and the division would only amplify noise. ref_floor must be
+    a finite number in [0, 1); at 0 an e_ratio of exactly 0 is still
+    rejected, as T cannot be divided by it. T is tagged with the family the
+    tables' labels name; a label that names no unitary family (standard or
+    mub:r at this dimension) raises TagConflictError.
     """
-    s, s_label = _quarter_combination(s_tables)
+    s, s_label = _quarter_combination(s_tables, SCANS[0])
     if s.shape[0] != s.shape[1]:
         raise DimensionMismatchError(f"signal scan must be square, got shape {s.shape}")
     if not 0.0 <= ref_floor < 1.0:
         raise NormalizationError(f"ref_floor must lie in [0, 1), got {ref_floor}")
-    e, e_label = _quarter_combination(e_tables)
+    e, e_label = _quarter_combination(e_tables, SCANS[1])
     if e.shape[0] != 1:
         raise DimensionMismatchError(
             f"reference scan must yield 1 x d tables, got shape {e.shape}")

@@ -213,7 +213,7 @@ def predict_table(recovered: BipartiteState,
 
 def recovered_label(v: Optional[VOperator]) -> str:
     """Alice's label of a table measured through the correction and V_r
-    (the standard one for v None); Bob's adds a *."""
+    (the standard one for v None); the table reads Bob's from it."""
     return RECOVERED + ("standard" if v is None else v.kind)
 
 
@@ -230,9 +230,7 @@ def measure_recovered(recovered: BipartiteState, v: Optional[VOperator], exposur
     records row_scale zeta^2, which undoes the SLM normalization in the
     table's `corrected` rows.
     """
-    label = recovered_label(v)
     k = 0 if v is None else v.r + 1
     return sample_counts(recovered_probs(recovered, v), exposure, seed, dark_rate,
-                         stream=(_STREAM_RECOVERED, k),
-                         basis_label_a=label, basis_label_b=label + "*",
+                         stream=(_STREAM_RECOVERED, k), basis_label_a=recovered_label(v),
                          row_scale=None if v is None else v.zeta ** 2)

@@ -172,8 +172,7 @@ def noiseless_table(probs: np.ndarray, label: str) -> CountTable:
     p = np.asarray(probs, dtype=np.float64)
     assert p.min() > -1e-12
     return CountTable(counts=np.clip(p, 0.0, None),
-                      basis_label_a=label, basis_label_b=label + "*",
-                      exposure=NOISELESS)
+                      basis_label_a=label, exposure=NOISELESS)
 
 
 def fidelity_uniform_closed_form(standard_table: CountTable,
@@ -257,22 +256,29 @@ def scalar_fidelity_lower_bound(standard_table: CountTable, family_table: CountT
 # ---------------------------------------------------------------------------
 
 
-def _quarter_combination(tables: Sequence[CountTable]) -> Tuple[np.ndarray, str]:
+_STEP_LABEL = re.compile(r"(scan-[se]):(.+):step([0-3])")
+
+
+def _quarter_combination(tables: Sequence[CountTable],
+                         scan: str) -> Tuple[np.ndarray, str]:
     if len(tables) != 4:
         raise NormalizationError(f"need exactly 4 phase steps, got {len(tables)}")
     shape = tables[0].counts.shape
-    label = tables[0].basis_label_b
-    for table in tables:
+    first = _STEP_LABEL.fullmatch(tables[0].basis_label_a)
+    label = first.group(2) if first else None
+    for step, table in enumerate(tables):
         if table.counts.shape != shape:
             raise DimensionMismatchError("phase-step tables differ in shape")
-        if table.basis_label_b != label:
-            raise NormalizationError("phase-step tables differ in basis label")
+        match = _STEP_LABEL.fullmatch(table.basis_label_a)
+        if not match or match.groups() != (scan, label, str(step)):
+            raise NormalizationError(
+                f"phase step {step} of {scan} is labelled {table.basis_label_a!r}")
     r = [table.counts for table in tables]
     return ((r[0] - r[2]) + 1j * (r[1] - r[3])) / 4.0, label
 
 
 def extract_s(tables: Sequence[CountTable]) -> Tuple[np.ndarray, str]:
-    values, label = _quarter_combination(tables)
+    values, label = _quarter_combination(tables, "scan-s")
     if values.shape[0] != values.shape[1]:
         raise DimensionMismatchError(
             f"signal scan must be square, got shape {values.shape}")
@@ -283,7 +289,7 @@ def extract_e(tables: Sequence[CountTable],
               ref_floor: float = 1e-6) -> Tuple[np.ndarray, str]:
     if not 0.0 <= ref_floor < 1.0:
         raise NormalizationError(f"ref_floor must lie in [0, 1), got {ref_floor}")
-    values, label = _quarter_combination(tables)
+    values, label = _quarter_combination(tables, "scan-e")
     if values.shape[0] != 1:
         raise DimensionMismatchError(
             f"reference scan must yield 1 x d tables, got shape {values.shape}")

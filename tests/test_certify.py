@@ -1,5 +1,7 @@
 """Fidelity estimators and dimensionality certification."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -60,8 +62,7 @@ def test_target_state_uniform_and_bounds():
 def test_estimate_lambda():
     counts = np.diag([4.0, 1.0]) + 0.0
     t = certify.estimate_lambda(
-        measure.CountTable(counts=counts, basis_label_a="standard",
-                           basis_label_b="standard*", exposure=1.0))
+        measure.CountTable(counts=counts, basis_label_a="standard", exposure=1.0))
     np.testing.assert_allclose(t.lambdas, [2 / np.sqrt(5), 1 / np.sqrt(5)])
     with pytest.raises(DimensionMismatchError):
         certify.estimate_lambda(np.ones((2, 3)))
@@ -208,12 +209,10 @@ def _sampled_tables(d, exposure, seed):
                                       np.conjugate(fam.matrix)), 0.0, None)
         counts = rng.poisson(probs * exposure).astype(np.float64)
         tables.append(measure.CountTable(
-            counts=counts, basis_label_a=fam.kind,
-            basis_label_b=fam.kind + "*", exposure=exposure, seed=seed))
+            counts=counts, basis_label_a=fam.kind, exposure=exposure, seed=seed))
     std = measure.CountTable(
         counts=rng.poisson(std_probs * exposure).astype(np.float64),
-        basis_label_a="standard", basis_label_b="standard*",
-        exposure=exposure, seed=seed)
+        basis_label_a="standard", exposure=exposure, seed=seed)
     return std, tables
 
 
@@ -289,8 +288,7 @@ def _once(tables):
 def _counted(table):
     """A noiseless table as whole counts, 1e4 per unit of probability."""
     return measure.CountTable(counts=np.round(table.counts * 1e4),
-                              basis_label_a=table.basis_label_a,
-                              basis_label_b=table.basis_label_b, exposure=1e4, seed=0)
+                              basis_label_a=table.basis_label_a, exposure=1e4, seed=0)
 
 
 @pytest.mark.parametrize("case", ["mub", "tilted"])
@@ -364,8 +362,7 @@ def test_certify_resampling_honors_row_corrections():
     std, fams = _sampled_tables(d, 2e4, 13)
     scaled = measure.CountTable(
         counts=fams[0].counts, basis_label_a=fams[0].basis_label_a,
-        basis_label_b=fams[0].basis_label_b, exposure=fams[0].exposure,
-        seed=fams[0].seed, row_scale=np.full(d, 2.0))
+        exposure=fams[0].exposure, seed=fams[0].seed, row_scale=np.full(d, 2.0))
     np.testing.assert_array_equal(scaled.corrected, fams[0].counts * 2.0)
     raw = certify.certify(std, [fams[0]], n_mc=48, seed=3)
     corrected = certify.certify(std, [scaled], n_mc=48, seed=3)
@@ -377,8 +374,8 @@ def test_certify_resampling_honors_row_corrections():
 def _with_row_scale(table, scale):
     """The table's draw with a row correction recorded beside it."""
     return measure.CountTable(
-        counts=table.counts, basis_label_a=table.basis_label_a,
-        basis_label_b=table.basis_label_b, exposure=table.exposure, row_scale=scale)
+        counts=table.counts, basis_label_a=table.basis_label_a, exposure=table.exposure,
+        row_scale=scale)
 
 
 @pytest.mark.parametrize("case", ["mub", "tilted", "family_row_scale",
@@ -457,6 +454,23 @@ def test_exact_three_sigma_interval_covers_the_truth():
 def test_certify_rejects_a_redraw_with_no_counts():
     _, fams = _sampled_tables(3, 2e4, 15)
     faint = measure.CountTable(counts=np.full((3, 3), 1e-3), basis_label_a="standard",
-                               basis_label_b="standard*", exposure=1.0, seed=0)
+                               exposure=1.0, seed=0)
     with pytest.raises(NormalizationError):
         certify.certify(faint, fams, n_mc=8)
+
+
+def test_a_report_records_what_was_measured_and_derives_the_rest():
+    """Five settable fields; dim, the bounds, d_ent and robust_3sigma are
+    read from the fidelity, its sigma and the target."""
+    fields = [f.name for f in dataclasses.fields(certify.CertificationReport)]
+    assert fields == ["fidelity", "fidelity_sigma", "n_mc", "method", "target"]
+    target = certify.TargetState.uniform(5)
+    rep = certify.CertificationReport(fidelity=0.55, fidelity_sigma=0.02, n_mc=10,
+                                      method="exact", target=target)
+    assert rep.dim == 5
+    assert rep.bounds == tuple(float(b) for b in target.bounds())
+    assert (rep.d_ent, rep.robust_3sigma, rep.entangled) == (3, True, True)
+    wide = dataclasses.replace(rep, fidelity_sigma=0.1)
+    assert (wide.d_ent, wide.robust_3sigma) == (3, False)
+    low = dataclasses.replace(rep, fidelity=-0.1)
+    assert (low.d_ent, low.robust_3sigma, low.entangled) == (1, False, False)

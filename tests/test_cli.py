@@ -569,6 +569,52 @@ def test_tomo_reads_the_scan_tables_alone(tmp_path, meta):
                 == (tmp_path / "intact" / name).read_bytes())
 
 
+def test_tomo_refuses_a_bundle_with_two_steps_swapped(tmp_path, fails):
+    """s_step1.csv and s_step2.csv swapped: each table's label names the
+    step it holds, so tomo exits 2 on one line instead of combining the
+    steps at the wrong phases."""
+    sim = str(tmp_path / "sim")
+    assert cli.main(["simulate", "--d", "3", "--n-modes", "8", "--exposure", "1e4",
+                     "--seed", "3", "--out", sim]) == 0
+    bundle = tmp_path / "bundle"
+    shutil.copytree(os.path.join(sim, "scans"), bundle)
+    one, two = bundle / "s_step1.csv", bundle / "s_step2.csv"
+    data = one.read_bytes(), two.read_bytes()
+    one.write_bytes(data[1])
+    two.write_bytes(data[0])
+    err = fails(["tomo", "--scans", str(bundle)], 2)
+    assert err == "error: phase step 1 of scan-s is labelled 'scan-s:mub:0:step2'\n"
+
+
+def test_certify_refuses_a_table_whose_basis_b_field_is_edited(tmp_path, fails):
+    sim = str(tmp_path / "sim")
+    assert cli.main(["simulate", "--d", "3", "--n-modes", "8", "--exposure", "1e4",
+                     "--seed", "3", "--out", sim]) == 0
+    tables = os.path.join(sim, "tables")
+    edited = tmp_path / "standard.csv"
+    text = open(os.path.join(tables, "standard.csv"), encoding="ascii").read()
+    edited.write_text(text.replace("standard,standard*,", "standard,stxndard*,", 1),
+                      encoding="ascii")
+    argv = ["certify", "--standard", str(edited)]
+    for r in range(3):
+        argv += ["--table", os.path.join(tables, f"mub_{r}.csv")]
+    err = fails(argv + ["--n-mc", "4"], 2)
+    assert err == (f"error: {edited}: basisB 'stxndard*' is not 'standard*', "
+                   "the label basisA 'standard' gives Bob's side\n")
+
+
+def test_a_medium_that_does_not_fit_in_memory_exits_2(monkeypatch, fails):
+    """numpy's MemoryError from the medium's draw becomes one stderr line
+    naming n_modes; the draw is stubbed, so nothing large is allocated."""
+    def too_big(*args, **kwargs):
+        raise MemoryError("Unable to allocate")
+
+    monkeypatch.setattr(numerics, "haar_isometry", too_big)
+    err = fails(["run", "--scenario", "tomography", "--d", "3", "--n-modes", "8"], 2)
+    assert err == ("config error: n_modes 8: the 8 x 4 medium does not fit in "
+                   "memory\n")
+
+
 # Grids of 10^14 cells: their bookkeeping alone would exceed any 47-bit
 # address space, so the reader must judge them from the cells listed.
 @pytest.mark.parametrize("argv, name, text", [

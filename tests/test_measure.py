@@ -20,16 +20,16 @@ from qscatter.errors import (
 def test_count_table_validation():
     with pytest.raises(NormalizationError):
         measure.CountTable(counts=np.array([[-1.0]]), basis_label_a="a",
-                           basis_label_b="b", exposure=1.0)
+                           exposure=1.0)
     with pytest.raises(NormalizationError):
         measure.CountTable(counts=np.ones((2, 2)), basis_label_a="a",
-                           basis_label_b="b", exposure=0.0)
+                           exposure=0.0)
     with pytest.raises(InvalidDimensionError):
         measure.CountTable(counts=np.ones(3), basis_label_a="a",
-                           basis_label_b="b", exposure=1.0)
+                           exposure=1.0)
     with pytest.raises(NormalizationError):
         measure.CountTable(counts=np.ones((2, 2)), basis_label_a="a",
-                           basis_label_b="b", exposure=1.0,
+                           exposure=1.0,
                            row_scale=np.array([1.0, -1.0]))
 
 
@@ -37,18 +37,18 @@ def test_count_table_validation():
 def test_count_table_rejects_a_non_finite_row_scale(factor):
     with pytest.raises(NormalizationError, match="finite"):
         measure.CountTable(counts=np.ones((2, 2)), basis_label_a="a",
-                           basis_label_b="b", exposure=1.0,
+                           exposure=1.0,
                            row_scale=np.array([factor, 1.0]))
 
 
 def test_count_table_helpers():
     t = measure.CountTable(counts=np.array([[1.0, 3.0]]), basis_label_a="a",
-                           basis_label_b="b", exposure=measure.NOISELESS)
+                           exposure=measure.NOISELESS)
     assert t.noiseless
     assert t.total() == 4.0
     np.testing.assert_allclose(t.normalized(), [[0.25, 0.75]])
     zero = measure.CountTable(counts=np.zeros((1, 1)), basis_label_a="a",
-                              basis_label_b="b", exposure=1.0)
+                              exposure=1.0)
     with pytest.raises(NormalizationError):
         zero.normalized()
 
@@ -314,7 +314,7 @@ def test_a_count_table_makes_one_private_copy(dtype):
     counts = np.random.default_rng(4).integers(0, 50, (d, d)).astype(dtype)
     made = []
     peak = _traced_peak(lambda: made.append(measure.CountTable(
-        counts=counts, basis_label_a="a", basis_label_b="b", exposure=1e4)))
+        counts=counts, basis_label_a="a", exposure=1e4)))
     assert peak <= 1.1 * d * d * 8, peak / (d * d * 8)
     table = made[0]
     assert table.counts.dtype == np.float64 and not table.counts.flags.writeable
@@ -325,8 +325,7 @@ def test_a_count_table_makes_one_private_copy(dtype):
         cells = np.ones((2, 2))
         cells[1, 0] = bad
         with pytest.raises(NormalizationError, match="finite and nonnegative"):
-            measure.CountTable(counts=cells, basis_label_a="a", basis_label_b="b",
-                               exposure=1.0)
+            measure.CountTable(counts=cells, basis_label_a="a", exposure=1.0)
 
 
 def test_a_row_scaled_draw_peaks_no_higher_than_a_plain_one():
@@ -361,8 +360,7 @@ def test_a_draw_forms_its_means_in_place():
 
 def test_count_table_round_trip(tmp_path):
     counts = np.array([[1.0, 2.0], [3.0, 5.0]])
-    t = measure.CountTable(counts=counts, basis_label_a="mub:1",
-                           basis_label_b="mub:1*", exposure=1e4, seed=12,
+    t = measure.CountTable(counts=counts, basis_label_a="mub:1", exposure=1e4, seed=12,
                            row_scale=np.array([1.5, 2.5]))
     path = tmp_path / "t.csv"
     measure.save_count_table(path, t)
@@ -400,10 +398,39 @@ def test_a_sampled_row_scaled_table_loads_back_its_integer_draw(tmp_path):
         measure.load_count_table(path)
 
 
+@pytest.mark.parametrize("label_a, label_b", [
+    ("scan-s:mub:1:step2", "mub:1"),
+    ("scan-e:standard:step0", "standard"),
+    ("scan-s:standard:step4", "scan-s:standard:step4*"),
+    ("scan-e::step1", "scan-e::step1*"),
+    ("mub:1", "mub:1*"),
+    ("recovered:tilted:0", "recovered:tilted:0*"),
+    ("custom", "custom*"),
+])
+def test_bobs_label_is_read_from_alices_and_checked_on_read(tmp_path, label_a, label_b):
+    """A scan step's Bob label is its family kind, any other is Alice's
+    with a *; a file whose basisB field says anything else is refused."""
+    t = measure.CountTable(counts=np.ones((1, 2)), basis_label_a=label_a, exposure=1.0)
+    assert t.basis_label_b == label_b
+    path = tmp_path / "t.csv"
+    measure.save_count_table(path, t)
+    text = path.read_text(encoding="ascii")
+    assert text.splitlines()[1] == f"{label_a},{label_b},1,none"
+    assert measure.load_count_table(path).basis_label_b == label_b
+    for edited in ("x" + label_b, label_b[:-1], ""):
+        path.write_text(text.replace(f"{label_a},{label_b},", f"{label_a},{edited},", 1),
+                        encoding="ascii")
+        with pytest.raises(FormatError, match=re.escape(f"{path}: basisB {edited!r}")):
+            measure.load_count_table(path)
+
+
+def test_sample_counts_labels_its_table_custom_by_default():
+    t = measure.sample_counts(np.ones((2, 2)), measure.NOISELESS, None)
+    assert (t.basis_label_a, t.basis_label_b) == ("custom", "custom*")
+
+
 def test_count_table_round_trip_noiseless(tmp_path):
-    t = measure.CountTable(counts=np.array([[0.125, 0.25]]),
-                           basis_label_a="standard",
-                           basis_label_b="standard*",
+    t = measure.CountTable(counts=np.array([[0.125, 0.25]]), basis_label_a="standard",
                            exposure=measure.NOISELESS)
     measure.save_count_table(tmp_path / "t.csv", t)
     back = measure.load_count_table(tmp_path / "t.csv")
@@ -412,8 +439,7 @@ def test_count_table_round_trip_noiseless(tmp_path):
 
 
 def test_count_table_rejects_unsafe_labels(tmp_path):
-    t = measure.CountTable(counts=np.ones((1, 1)), basis_label_a="a,b",
-                           basis_label_b="c", exposure=1.0)
+    t = measure.CountTable(counts=np.ones((1, 1)), basis_label_a="a,b", exposure=1.0)
     with pytest.raises(NormalizationError):
         measure.save_count_table(tmp_path / "t.csv", t)
 
@@ -424,8 +450,7 @@ def test_count_table_rejects_corrupt_cells(tmp_path, corruption):
     std_path, fam_path = str(tmp_path / "standard.csv"), str(tmp_path / "mub_0.csv")
     for path, label in ((std_path, "standard"), (fam_path, "mub:0")):
         measure.save_count_table(path, measure.CountTable(
-            counts=np.eye(3) * 50.0, basis_label_a=label,
-            basis_label_b=label + "*", exposure=1e4, seed=1))
+            counts=np.eye(3) * 50.0, basis_label_a=label, exposure=1e4, seed=1))
     with open(std_path, encoding="ascii") as fh:
         lines = fh.readlines()
     assert lines[-1] == "2,2,50\n"

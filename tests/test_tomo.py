@@ -21,7 +21,6 @@ def _synthetic_tables(ref, sig, dark=0.0, label="standard", kind="s"):
     return [measure.CountTable(
                 counts=np.abs(np.exp(-1j * theta) * ref + sig) ** 2 + dark,
                 basis_label_a=f"scan-{kind}:{label}:step{step}",
-                basis_label_b=label,
                 exposure=measure.NOISELESS)
             for step, theta in enumerate(measure.THETA_GRID)]
 
@@ -86,13 +85,45 @@ def test_extract_s_validates_record_sets():
                                     e_tables, match="differ in shape")
     relabeled = _synthetic_tables(ref, sig, label="mub:1")
     _assert_rejected_like_the_steps(NormalizationError, tables[:3] + [relabeled[3]],
-                                    e_tables, match="differ in basis label")
+                                    e_tables, match="step 3 of scan-s is labelled "
+                                                    "'scan-s:mub:1:step3'")
     wide = _synthetic_tables(np.ones((1, 4)), np.ones((1, 4)))
     _assert_rejected_like_the_steps(DimensionMismatchError, wide, _e_tables(4),
                                     match="must be square")
     # the reference scan goes through the same step checks
     _assert_rejected_like_the_steps(NormalizationError, tables, e_tables[:3],
                                     match="exactly 4 phase steps")
+
+
+def test_reconstruct_refuses_a_table_out_of_its_scan_or_step():
+    """Table k of each scan must be labelled as step k of that scan: tables
+    out of step order, a scan's tables in the other's place and a table
+    whose label names no scan step are refused before any arithmetic."""
+    rng = np.random.default_rng(9)
+    s_tables = _synthetic_tables(_complex(rng, (3, 3)), _complex(rng, (3, 3)))
+    e_tables = _synthetic_tables(_complex(rng, (1, 3)), _complex(rng, (1, 3)), kind="e")
+    swapped = [s_tables[0], s_tables[2], s_tables[1], s_tables[3]]
+    _assert_rejected_like_the_steps(NormalizationError, swapped, e_tables,
+                                    match="step 1 of scan-s is labelled "
+                                          "'scan-s:standard:step2'")
+    _assert_rejected_like_the_steps(NormalizationError, s_tables, e_tables[::-1],
+                                    match="step 0 of scan-e is labelled "
+                                          "'scan-e:standard:step3'")
+    wide_e = _synthetic_tables(_complex(rng, (1, 3)), _complex(rng, (1, 3)))
+    _assert_rejected_like_the_steps(NormalizationError, s_tables, wide_e,
+                                    match="step 0 of scan-e is labelled 'scan-s:")
+    bare = [measure.CountTable(counts=t.counts, basis_label_a="standard",
+                               exposure=t.exposure) for t in s_tables]
+    _assert_rejected_like_the_steps(NormalizationError, bare, e_tables,
+                                    match="step 0 of scan-s is labelled 'standard'")
+    for bad in ("scan-s:standard:step01", "scan-s:standard:step4", "scan-s::step1",
+                "scan-x:standard:step1"):
+        relabelled = list(s_tables)
+        relabelled[1] = measure.CountTable(counts=s_tables[1].counts, basis_label_a=bad,
+                                           exposure=measure.NOISELESS)
+        _assert_rejected_like_the_steps(NormalizationError, relabelled, e_tables,
+                                        match=f"step 1 of scan-s is labelled {bad!r}")
+    assert tomo.reconstruct(s_tables, e_tables).t.basis_tag.kind == "standard"
 
 
 def test_extract_e_recovers_reference_diagonal():
@@ -121,7 +152,8 @@ def test_extract_e_flags_degenerate_reference():
         DegenerateReferenceError, s_tables,
         _synthetic_tables(np.zeros((1, 3)), np.zeros((1, 3)), kind="e"),
         match="no interference")
-    _assert_rejected_like_the_steps(DimensionMismatchError, s_tables, s_tables,
+    square_e = _synthetic_tables(np.ones((3, 3)), np.ones((3, 3)), kind="e")
+    _assert_rejected_like_the_steps(DimensionMismatchError, s_tables, square_e,
                                     match="1 x d")
 
 

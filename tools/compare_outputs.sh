@@ -25,15 +25,19 @@
 # copy of the noisy --scan-family standard tomography run's t_hat.csv
 # without its t_hat.json (an untagged matrix), plus one noiseless
 # tomography run at d=7 through N=2000 modes (a 2000-row channel.csv),
-# plus seven errors that must exit 2 and leave their --out absent
+# plus nine errors that must exit 2 and leave their --out absent
 # (run --scenario fixture-a1 --d 5, simulate --basis tilted:1, simulate
 # --basis mub:01, which is not how mub:1 is spelled, unscramble
 # --lambdas with a spectrum whose squares sum to 1.8, certify given
 # sim/tables/mub_0.csv and a copy of it, two tables with one label,
-# certify given a copy of it relabelled mub:01, and certify on copies of
+# certify given a copy of it relabelled mub:01, certify on copies of
 # the d=7 unscramble-certify-3 run's recovered tables in which one cell of
 # recovered_tilted_0.csv is moved by half its row's row_scale factor, so
-# it is no longer a whole count times row_scale), each with
+# it is no longer a whole count times row_scale, certify given a copy of
+# sim/tables/standard.csv whose basisB field reads stxndard*, not the
+# standard* its basisA gives, and tomo on a copy of the d=5 scans with
+# s_step1.csv and s_step2.csv swapped, so each holds the other's step;
+# trees that do not check labels exit 0 on the last two), each with
 # its own --out, plus tomo --ref-floor 0.999 on the d=5 scans, which must
 # exit 3 with its degenerate-reference message. Two tomo steps run on
 # copies of the d=5 scans, one without meta.json and one whose meta.json is
@@ -166,6 +170,10 @@ run_grid() {
         --out certify-one-label-twice
     q "$src" "$out" certify-mub-01 certify --standard sim/tables/standard.csv \
         --table copies/mub_01.csv --n-mc 40 --seed 3 --out certify-mub-01
+    sed '2s/^standard,standard\*,/standard,stxndard*,/' "$out/sim/tables/standard.csv" \
+        >"$out/copies/standard-basis-b.csv"
+    q "$src" "$out" certify-edited-basis-b certify --standard copies/standard-basis-b.csv \
+        "${sim_tables[@]}" --n-mc 40 --seed 3 --out certify-edited-basis-b
     mkdir "$out/edited"
     cp "$out"/unscramble-certify-3/tables/recovered_*.csv "$out/edited/"
     # Line 4 holds the row_scale factors; cell (0, 0) moves by half of row 0's.
@@ -192,6 +200,10 @@ run_grid() {
         >"$out/scans-stale-meta/meta.json"
     q "$src" "$out" tomo-no-meta tomo --scans scans-no-meta --out tomo-no-meta
     q "$src" "$out" tomo-stale-meta tomo --scans scans-stale-meta --out tomo-stale-meta
+    cp -r "$out/sim/scans" "$out/scans-swapped"
+    cp "$out/sim/scans/s_step2.csv" "$out/scans-swapped/s_step1.csv"
+    cp "$out/sim/scans/s_step1.csv" "$out/scans-swapped/s_step2.csv"
+    q "$src" "$out" tomo-swapped-steps tomo --scans scans-swapped --out tomo-swapped-steps
     for d in 5 3; do
         q "$src" "$out" rerun-d$d run --scenario baseline --d $d --n-modes 12 --n-mc 0 \
             --seed 3 --out rerun
