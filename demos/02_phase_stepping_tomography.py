@@ -40,7 +40,7 @@ for exposure in (1e3, 1e4, 1e5, 1e6, measure.NOISELESS):
     recon = tomo.reconstruct(s_rec, e_rec)
     err = numerics.dist_up_to_scalar(recon.t.matrix, oracle)
     tag = "noiseless" if exposure == measure.NOISELESS else f"{exposure:9.0e}"
-    print(f"{tag}   {err:9.2e}   {recon.e_ratio:7.3f}   {recon.condition_number:7.2f}")
+    print(f"{tag}   {err:9.2e}   {recon.e_ratio:7.3f}   {recon.t.condition_number:7.2f}")
 
 # The noiseless run recovers the matrix to machine precision; with Poisson
 # noise the error falls roughly like 1/sqrt(exposure). The e_ratio column

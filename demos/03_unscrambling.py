@@ -48,7 +48,7 @@ print(f"state predicted from t_hat vs scrambled state, up to a factor: {gap:.1e}
 # each displayed row is rescaled to unit maximum modulus, and the scales
 # eta are reported because they reshape what the receiver sees.
 ops = unscramble.build_w(t_hat)
-print(f"condition number of the inversion: {ops.condition_number:.2f}")
+print(f"condition number of the inversion: {t_hat.condition_number:.2f}")
 print(f"eta (per-row SLM scales): {np.round(ops.eta, 3)}")
 
 # The correction leaves one state, R = (eta^-1 W x conj(M0))|psi>; every

@@ -61,7 +61,7 @@ for exposure in (1e5, 1e3, 1e2, 30.0):
 # higher than the uniform ones, which is exactly why certification against
 # a nonuniform target uses tilted families matched to these weights.
 lam = channel.load_fixture_lambda()
-skewed = certify.TargetState(dim=7, lambdas=lam)
+skewed = certify.TargetState(lambdas=lam)
 print(f"\nshipped spectrum lambda: {np.round(lam, 4)}")
 print(f"its rank bounds:         {np.round(skewed.bounds(), 4)}")
 print(f"rank-5 bound B_5 = {skewed.bounds()[4]:.4f}")

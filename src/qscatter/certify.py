@@ -62,16 +62,19 @@ class TargetState:
     vectors of the tilted families); only the bounds sort them.
     """
 
-    dim: int
     lambdas: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "lambdas",
-                           numerics.frozen(check_lambdas(self.lambdas, self.dim)))
+        object.__setattr__(self, "lambdas", numerics.frozen(
+            check_lambdas(self.lambdas, np.size(self.lambdas))))
 
     @classmethod
     def uniform(cls, dim: int) -> "TargetState":
-        return cls(dim=dim, lambdas=np.full(dim, 1.0 / math.sqrt(dim)))
+        return cls(lambdas=np.full(dim, 1.0 / math.sqrt(dim)))
+
+    @property
+    def dim(self) -> int:
+        return self.lambdas.shape[0]
 
     @property
     def is_uniform(self) -> bool:
@@ -96,7 +99,7 @@ def estimate_lambda(table: Union[CountTable, np.ndarray]) -> TargetState:
     total = float(np.sum(diag))
     if total <= 0:
         raise NormalizationError("table diagonal is empty; no target to nominate")
-    return TargetState(dim=counts.shape[0], lambdas=np.sqrt(diag / total))
+    return TargetState(lambdas=np.sqrt(diag / total))
 
 
 class _Family(NamedTuple):

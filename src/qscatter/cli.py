@@ -22,11 +22,12 @@ them into place only once the command has succeeded.
 
 A JSON sidecar keeps only what no CSV header, table label or report
 states: channel.json the column layout that load_channel reads;
-scans/meta.json the configured exposure and the seed, a record (a step
-table's header holds the Poisson scale); t_hat.json the basis_tag that
-`unscramble` reads and, as `tomo` writes no report, e_ratio and
-condition_number; unscramble/meta.json and zeta.json what `unscramble`
-measured. Readers ignore other keys, so older outputs still load.
+scans/meta.json, under `simulate` alone (it writes no config.json), the
+configured exposure and the seed, a record (a step table's header holds
+the Poisson scale); t_hat.json the basis_tag that `unscramble` reads and,
+as `tomo` writes no report, e_ratio and condition_number; unscramble/meta.json
+and zeta.json what `unscramble` measured. Every condition_number is T's.
+Readers ignore other keys, so older outputs still load.
 
 Every scenario, and `simulate`, is a short sequence of shared stages: draw
 the medium, scan it, reconstruct its transmission matrix, build the
@@ -296,8 +297,8 @@ def _draw_channel(cfg: ScenarioConfig, out: _Output) -> channel.ChannelModel:
 def _scan(cfg: ScenarioConfig, ch: channel.ChannelModel, out: _Output):
     """Run the S and E phase-step scans through the medium, reference lit.
 
-    Saves the scan bundle and returns the scanned state and both scans' step
-    tables, which carry the scan family in their label.
+    Saves the eight step tables and returns the scanned state and both
+    scans' step tables, which carry the scan family in their label.
     """
     full = channel.transmitted_state(ch, cfg.reference_amplitude)
     s_tabs, e_tabs = (scan(full, cfg.family, cfg.exposure, cfg.seed, cfg.dark_rate)
@@ -305,13 +306,12 @@ def _scan(cfg: ScenarioConfig, ch: channel.ChannelModel, out: _Output):
     for kind, tabs in (("s", s_tabs), ("e", e_tabs)):
         for step, table in enumerate(tabs):
             measure.save_count_table(out.path(f"scans/{kind}_step{step}.csv"), table)
-    out.json("scans/meta.json", {"exposure": cfg.exposure, "seed": cfg.seed})
     return full, s_tabs, e_tabs
 
 
 def _load_scan_bundle(scan_dir: str):
     """Read the eight step tables; they alone decide the reconstruction, and
-    meta.json, a record of the run, is not read."""
+    a `simulate` bundle's meta.json, a record of the run, is not read."""
     return [[measure.load_count_table(os.path.join(scan_dir, f"{kind}_step{k}.csv"))
              for k in range(4)] for kind in "se"]
 
@@ -322,7 +322,7 @@ def _reconstruct(out: _Output, s_tabs, e_tabs, **kwargs) -> tomo.Reconstruction:
     t = recon.t
     numerics.save_matrix_csv(out.path("t_hat.csv"), t.matrix)
     facts = {"basis_tag": t.basis_tag.kind, "e_ratio": recon.e_ratio,
-             "condition_number": recon.condition_number}
+             "condition_number": t.condition_number}
     out.json("t_hat.json", facts)
     out.diagnostics.update(facts)
     return recon
@@ -348,7 +348,7 @@ def _build_ops(t: channel.EffectiveT, out: _Output) -> unscramble.UnscrambleOper
     numerics.save_matrix_csv(out.path("unscramble/w_alice.csv"), ops.normalized_w)
     numerics.save_matrix_csv(out.path("unscramble/m_bob.csv"), ops.m_bob)
     out.diagnostics.update(basis_tag=ops.family.kind,
-                           condition_number=ops.condition_number, eta=ops.eta)
+                           condition_number=t.condition_number, eta=ops.eta)
     return ops
 
 
@@ -458,7 +458,7 @@ def _scenario_two_channel(cfg: ScenarioConfig, out: _Output):
 
 def _scenario_fixture_a1(cfg: ScenarioConfig, out: _Output):
     t_meas = channel.load_fixture_tm0()
-    target = certify.TargetState(dim=7, lambdas=channel.load_fixture_lambda())
+    target = certify.TargetState(lambdas=channel.load_fixture_lambda())
     state = channel.choi_state(t_meas)
     # The fixture is evaluated exactly, whatever exposure and dark rate are set.
     std, families, _ = _measure_tables(cfg, state, out, _build_ops(t_meas, out), target,
@@ -553,6 +553,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     with _Output(args.out, [args.config]) as out:
         ch = _draw_channel(cfg, out)
         _scan(cfg, ch, out)
+        out.json("scans/meta.json", {"exposure": cfg.exposure, "seed": cfg.seed})
         logical = channel.transmitted_state(ch)
         for spec in specs:
             out.measured(measure.measure_correlations(
@@ -567,7 +568,7 @@ def _cmd_tomo(args: argparse.Namespace) -> int:
         recon = _reconstruct(out, *_load_scan_bundle(args.scans), ref_floor=args.ref_floor)
     print(f"reconstructed {recon.t.dim}x{recon.t.dim} matrix "
           f"(family {recon.t.basis_tag.kind}, e_ratio {recon.e_ratio:.3e}, "
-          f"condition number {recon.condition_number:.2f})")
+          f"condition number {recon.t.condition_number:.2f})")
     return 0
 
 
@@ -602,7 +603,7 @@ def _cmd_unscramble(args: argparse.Namespace) -> int:
         out.json("unscramble/zeta.json", zeta_meta)
     print(f"wrote unscrambling operators and predictions to "
           f"{os.path.join(args.out, 'unscramble')} "
-          f"(condition number {ops.condition_number:.2f})")
+          f"(condition number {t.condition_number:.2f})")
     return 0
 
 
@@ -632,7 +633,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         target = None
         if args.target:
             d = standard.counts.shape[0]
-            target = certify.TargetState(dim=d, lambdas=_load_lambda_file(args.target, d))
+            target = certify.TargetState(lambdas=_load_lambda_file(args.target, d))
         # Each family table is read as certification asks for it.
         rep, results = _certify(standard, map(out.read, args.table), target, args.n_mc,
                                 args.seed)

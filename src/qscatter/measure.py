@@ -8,9 +8,9 @@ over the acquisition. A coincidence table is one acquisition; the four
 steps of a phase scan are one acquisition together, so they share one
 scale and their interference ratios stay meaningful. exposure = inf is the
 noiseless sentinel: sampling is bypassed and the table holds the exact
-probabilities. Count tables record the scale their cells were drawn at,
-the basis label and the seed, so downstream estimators and resamplers
-never guess.
+probabilities. Count tables carry the basis label the estimators read;
+the scale their cells were drawn at and the seed are run records, read by
+no estimator or resampler (an infinite scale marks a noiseless table).
 
 Kets and operators: every table is computed by one private kernel,
 _probabilities, which takes operators (the conjugated kets as rows), and

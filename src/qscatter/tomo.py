@@ -60,14 +60,10 @@ def _quarter_combination(tables: Sequence[CountTable],
 
 @dataclass(frozen=True)
 class Reconstruction:
-    """Assembled matrix plus the conditioning facts a caller should log."""
+    """The assembled matrix t and the reference's dynamic range e_ratio."""
 
     t: EffectiveT
     e_ratio: float
-
-    @property
-    def condition_number(self) -> float:
-        return self.t.condition_number
 
 
 def reconstruct(s_tables: Sequence[CountTable],

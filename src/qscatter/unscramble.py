@@ -78,16 +78,15 @@ def _displayed(op: np.ndarray, family: BasisFamily) -> Tuple[np.ndarray, np.ndar
 class UnscrambleOperators:
     """The correction that undoes a tagged transmission matrix.
 
-    Built from W = (T_M^-1)^T M0, the scan family M0 and T's condition
-    number. It keeps eta, the per-row SLM scales of W, and normalized_w =
-    eta^-1 W, the unit-max-modulus rows the sender SLM displays (as
-    hologram, the conjugate of each row), but not W; m_bob = conj(M0) and
-    dim are read from the family.
+    Built from W = (T_M^-1)^T M0 and the scan family M0. It keeps eta, the
+    per-row SLM scales of W, and normalized_w = eta^-1 W, the
+    unit-max-modulus rows the sender SLM displays (as hologram, the
+    conjugate of each row), but not W; m_bob = conj(M0) and dim are read
+    from the family, T's condition number from T.
     """
 
     w: InitVar[np.ndarray]
     family: BasisFamily
-    condition_number: float
     eta: np.ndarray = field(init=False)
     normalized_w: np.ndarray = field(init=False)
 
@@ -112,8 +111,8 @@ def build_w(t: EffectiveT) -> UnscrambleOperators:
     The matrix may carry any unitary-family tag (untagged means standard).
     It is inverted exactly unless its smallest singular value falls below
     PINV_RCOND times its largest; then the pseudo-inverse with that cutoff
-    is used. The choice and the recorded condition number both read the
-    singular values t carries. An all-zero matrix raises ConditioningError.
+    is used. The choice reads the singular values t carries, as does
+    t.condition_number. An all-zero matrix raises ConditioningError.
     """
     fam = t.basis_tag
     if fam is None:
@@ -127,8 +126,7 @@ def build_w(t: EffectiveT) -> UnscrambleOperators:
         inv = np.linalg.pinv(t.matrix, rcond=numerics.PINV_RCOND)
     else:
         inv = np.linalg.inv(t.matrix)
-    return UnscrambleOperators(w=inv.T @ fam.matrix, family=fam,
-                               condition_number=t.condition_number)
+    return UnscrambleOperators(w=inv.T @ fam.matrix, family=fam)
 
 
 @dataclass(frozen=True, eq=False)

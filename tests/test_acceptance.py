@@ -26,7 +26,7 @@ from qscatter import bases, certify, channel, cli, measure, numerics, states, to
 def test_schmidt_rank_bounds_reproduce_reference_values():
     start = time.monotonic()
     lam = channel.load_fixture_lambda()
-    skewed = certify.TargetState(dim=7, lambdas=lam)
+    skewed = certify.TargetState(lambdas=lam)
     assert skewed.bounds()[4] == pytest.approx(0.8169, abs=5e-5)
     uniform = certify.TargetState.uniform(7)
     assert uniform.bounds()[3] == pytest.approx(4 / 7, abs=1e-12)

@@ -25,7 +25,7 @@ from qscatter.errors import (
 
 def _random_target(d, rng):
     lam = rng.random(d) + 0.2
-    return certify.TargetState(dim=d, lambdas=lam / np.linalg.norm(lam))
+    return certify.TargetState(lambdas=lam / np.linalg.norm(lam))
 
 
 def _family_table(rho, family):
@@ -40,13 +40,13 @@ def _standard_table(rho, d):
 
 def test_target_state_validation():
     with pytest.raises(DimensionMismatchError):
-        certify.TargetState(dim=3, lambdas=np.ones(2))
+        certify.TargetState(lambdas=np.full((2, 2), 0.5))
     with pytest.raises(NormalizationError):
-        certify.TargetState(dim=2, lambdas=np.array([0.8, -0.6]))
+        certify.TargetState(lambdas=np.array([0.8, -0.6]))
     with pytest.raises(NormalizationError):
-        certify.TargetState(dim=2, lambdas=np.array([0.8, 0.8]))
+        certify.TargetState(lambdas=np.array([0.8, 0.8]))
     with pytest.raises(NormalizationError):
-        certify.TargetState(dim=3, lambdas=np.array([np.nan, 0.5, 0.5]))
+        certify.TargetState(lambdas=np.array([np.nan, 0.5, 0.5]))
 
 
 def test_target_state_uniform_and_bounds():
@@ -54,7 +54,7 @@ def test_target_state_uniform_and_bounds():
     assert t.is_uniform
     np.testing.assert_allclose(t.bounds(), [0.25, 0.5, 0.75, 1.0],
                                atol=1e-12)
-    skew = certify.TargetState(dim=2, lambdas=np.array([0.6, 0.8]))
+    skew = certify.TargetState(lambdas=np.array([0.6, 0.8]))
     assert not skew.is_uniform
     np.testing.assert_allclose(skew.bounds(), [0.64, 1.0], atol=1e-12)
 
@@ -78,7 +78,7 @@ def test_matched_moments_rejections():
     std = _standard_table(rho, d)
     fam = _family_table(rho, bases.mub(d, 0))
     uniform = certify.TargetState.uniform(d)
-    skew = certify.TargetState(dim=d, lambdas=np.array([0.8, 0.5196152422706631, 0.3]))
+    skew = certify.TargetState(lambdas=np.array([0.8, 0.5196152422706631, 0.3]))
     with pytest.raises(NormalizationError):
         certify.fidelity_lower_bound(std, std, uniform)
     with pytest.raises(NormalizationError):

@@ -287,6 +287,24 @@ def test_every_report_states_each_fact_once(tmp_path, scenario):
         assert diagnostics["basis_tag"] == "mub:0" and len(diagnostics["eta"]) == 7
 
 
+def test_only_simulate_writes_scans_meta_json(tmp_path):
+    """A run keeps its settings in config.json, so its scan bundle is the
+    eight step tables; simulate, which writes no config.json, records its
+    exposure and seed in scans/meta.json and nothing else there."""
+    steps = sorted(f"{kind}_step{k}.csv" for kind in "se" for k in range(4))
+    for scenario in ("tomography", "unscramble-certify"):
+        out = tmp_path / scenario
+        assert cli.main(["run", "--scenario", scenario, "--d", "3", "--n-modes", "8",
+                         "--exposure", "1e4", "--seed", "2", "--n-mc", "0",
+                         "--out", str(out)]) == 0
+        assert sorted(os.listdir(out / "scans")) == steps
+    sim = tmp_path / "sim"
+    assert cli.main(["simulate", "--d", "3", "--n-modes", "8", "--exposure", "1e4",
+                     "--seed", "2", "--out", str(sim)]) == 0
+    assert sorted(os.listdir(sim / "scans")) == sorted(steps + ["meta.json"])
+    assert numerics._read_json(sim / "scans" / "meta.json") == {"exposure": 1e4, "seed": 2}
+
+
 def test_main_run_exit_codes(tmp_path, fails):
     ok = cli.main(["run", "--scenario", "baseline", "--d", "3",
                    "--n-modes", "8", "--exposure", "inf", "--n-mc", "0",

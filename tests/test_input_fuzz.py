@@ -10,7 +10,10 @@ no Python warning may reach the user.
 Run as a script for a longer run and a count of the edits nothing notices:
 per input, the accepted edits after which the command writes the same
 bytes as from the intact file (leaving out the input's own SHA-256 in a
-certify report). Such an edit hit data that no reader uses.
+certify report). An edit that the file format allows, one that leaves the
+file's normalised content as it was (`normalised`), is counted in a column
+of its own; any other such edit hit data that no reader uses. The script
+exits 1 if any case breaks the rules above.
 
     PYTHONPATH=src python tests/test_input_fuzz.py --cases 300 --seed 7
 """
@@ -141,6 +144,19 @@ INPUTS = {
 }
 
 
+def normalised(name, data):
+    """What a reader may take from a file, whatever its format allows: a
+    JSON file's parsed object (None if it does not parse), a CSV file's
+    lines under universal newlines, each stripped, empty lines dropped."""
+    if name.endswith(".json"):
+        try:
+            return json.loads(data)
+        except ValueError:
+            return None
+    lines = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n").split(b"\n")
+    return [line.strip() for line in lines if line.strip()]
+
+
 def _outputs(out):
     """Every file the command wrote, by relative path; a certify report
     without its inputs' SHA-256."""
@@ -181,7 +197,8 @@ def run_case(root, case, kind, data):
 
 def fuzz(root, kind, cases, seed):
     """Run `cases` edits of one input kind; yields (code, stderr lines,
-    warnings, whether the outputs equal the intact file's)."""
+    warnings, whether the outputs equal the intact file's, whether the
+    edited file's normalised content equals the intact file's)."""
     source, name, _ = INPUTS[kind]
     with open(os.path.join(root, source, name), "rb") as fh:
         intact = fh.read()
@@ -190,9 +207,17 @@ def fuzz(root, kind, cases, seed):
     assert code == 0
     rng = random.Random(f"{seed}:{kind}")
     for k in range(cases):
-        code, err, shown, written = run_case(root, os.path.join(base, str(k)), kind,
-                                             mutate(intact, rng))
-        yield code, err, shown, written == expected
+        data = mutate(intact, rng)
+        code, err, shown, written = run_case(root, os.path.join(base, str(k)), kind, data)
+        yield (code, err, shown, written == expected,
+               normalised(name, data) == normalised(name, intact))
+
+
+def broken(code, err, shown):
+    """Whether a case breaks the rules: an exit code other than 0, 2 or 3,
+    a stderr other than one line on failure and none on success, or a
+    warning that reached the user."""
+    return code not in (0, 2, 3) or len(err) != (code != 0) or bool(shown)
 
 
 @pytest.fixture(scope="module")
@@ -204,10 +229,20 @@ def chain(tmp_path_factory):
 
 @pytest.mark.parametrize("kind", INPUTS)
 def test_an_edited_input_exits_0_or_2_with_one_line(chain, kind):
-    for code, err, shown, _ in fuzz(chain, kind, 25, 7):
-        assert code in (0, 2, 3)
-        assert len(err) == (code != 0), err
-        assert shown == []
+    for code, err, shown, *_ in fuzz(chain, kind, 25, 7):
+        assert not broken(code, err, shown), (code, err, shown)
+
+
+def test_the_script_exits_1_when_a_case_breaks_the_rules(monkeypatch, capsys):
+    real = run_case
+
+    def warned(root, case, kind, data):  # every edited case lets a warning through
+        code, err, shown, written = real(root, case, kind, data)
+        return code, err, shown + ([] if case.endswith("intact") else ["w"]), written
+
+    monkeypatch.setitem(globals(), "run_case", warned)
+    assert main(["--cases", "1"]) == 1
+    assert "broke the rules" in capsys.readouterr().out
 
 
 def main(argv=None):
@@ -216,19 +251,24 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args(argv)
     root = tempfile.mkdtemp(prefix="qscatter-fuzz-")
+    total_bad = 0
     try:
         build_chain(root)
-        print("input       cases  exit 0  exit 2  exit 3  accepted, outputs unchanged")
+        print("                                        accepted, outputs unchanged")
+        print("input       cases  exit 0  exit 2  exit 3  format only  data unread")
         for kind in INPUTS:
-            codes, dead, bad = {0: 0, 2: 0, 3: 0}, 0, 0
-            for code, err, shown, same in fuzz(root, kind, args.cases, args.seed):
+            codes, fmt, dead, bad = {0: 0, 2: 0, 3: 0}, 0, 0, 0
+            for code, err, shown, same, fmt_only in fuzz(root, kind, args.cases, args.seed):
                 codes[code] = codes.get(code, 0) + 1
-                dead += code == 0 and same
-                bad += len(err) != (code != 0) or bool(shown)
+                fmt += code == 0 and same and fmt_only
+                dead += code == 0 and same and not fmt_only
+                bad += broken(code, err, shown)
+            total_bad += bad
             print(f"{kind:<11} {args.cases:5d}  {codes[0]:6d}  {codes[2]:6d}  {codes[3]:6d}"
-                  f"  {dead:6d}" + (f"  ({bad} broke the one-line rule)" if bad else ""))
+                  f"  {fmt:11d}  {dead:11d}" + (f"  ({bad} broke the rules)" if bad else ""))
     finally:
         shutil.rmtree(root, ignore_errors=True)
+    return 1 if total_bad else 0
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qscatter import bases, channel, cli, measure, states, unscramble
+from qscatter import bases, certify, channel, cli, measure, states, tomo, unscramble
 from qscatter.errors import (
     ConditioningError,
     DimensionMismatchError,
@@ -43,7 +43,7 @@ def test_build_w_formula_and_tags():
     np.testing.assert_allclose(ops.eta, np.max(np.abs(expected), axis=1),
                                atol=1e-12)
     assert ops.family is fam and ops.family.kind == "mub:1"
-    assert ops.condition_number == t_tagged.condition_number == pytest.approx(
+    assert t_tagged.condition_number == pytest.approx(
         np.linalg.cond(t_tagged.matrix), rel=1e-12)
     peak = np.max(np.abs(ops.normalized_w), axis=1)
     np.testing.assert_allclose(peak, 1.0, atol=1e-12)
@@ -211,10 +211,8 @@ def test_records_read_their_facts_from_the_family():
     raw operator; Bob's side, the kind and r come from the family, and an
     operator of another size or a standard rotated probe is refused."""
     fam = bases.mub(3, 2)
-    ops = unscramble.UnscrambleOperators(w=2 * fam.matrix, family=fam,
-                                         condition_number=1.0)
-    assert [f.name for f in dataclasses.fields(ops)] == [
-        "family", "condition_number", "eta", "normalized_w"]
+    ops = unscramble.UnscrambleOperators(w=2 * fam.matrix, family=fam)
+    assert [f.name for f in dataclasses.fields(ops)] == ["family", "eta", "normalized_w"]
     np.testing.assert_array_equal(ops.m_bob, np.conjugate(fam.matrix))
     assert ops.dim == 3 and ops.family.kind == "mub:2"
     v = unscramble.VOperator(v=fam.matrix, family=fam)
@@ -222,11 +220,28 @@ def test_records_read_their_facts_from_the_family():
     assert v.kind == "mub:2" and v.r == 2
     assert unscramble.recovered_label(v) == "recovered:mub:2"
     with pytest.raises(DimensionMismatchError):
-        unscramble.UnscrambleOperators(w=np.eye(2), family=fam, condition_number=1.0)
+        unscramble.UnscrambleOperators(w=np.eye(2), family=fam)
     with pytest.raises(DimensionMismatchError):
         unscramble.VOperator(v=np.eye(2), family=fam)
     with pytest.raises(InvalidDimensionError):
         unscramble.VOperator(v=np.eye(3), family=bases.standard_family(3))
+
+
+def test_t_condition_number_and_a_target_dimension_each_have_one_home():
+    """T's condition number lives on T alone: neither the correction nor
+    the reconstruction keeps or aliases it. A target keeps its spectrum
+    alone, and its dimension is the spectrum's length."""
+    t = channel.EffectiveT(matrix=np.diag([0.5, 0.25, 0.125]),
+                           basis_tag=bases.mub(3, 1))
+    ops = unscramble.build_w(t)
+    assert not hasattr(ops, "condition_number") and t.condition_number == 4.0
+    assert [f.name for f in dataclasses.fields(tomo.Reconstruction)] == ["t", "e_ratio"]
+    assert not hasattr(tomo.Reconstruction(t=t, e_ratio=1.0), "condition_number")
+    assert [f.name for f in dataclasses.fields(certify.TargetState)] == ["lambdas"]
+    target = certify.TargetState(lambdas=[0.6, 0.8])
+    assert target.dim == 2 and certify.TargetState.uniform(5).dim == 5
+    with pytest.raises(TypeError):
+        certify.TargetState(dim=2, lambdas=[0.6, 0.8])
 
 
 def test_build_v_normalizes_once_at_construction():
@@ -279,12 +294,11 @@ def test_predict_table_rejects_zero_weight():
     # rows read mode 0, which the state leaves empty. A tilted probe blind
     # to every mode R occupies fails in predict_table.
     ops = unscramble.UnscrambleOperators(
-        w=np.array([[1.0, 0.0], [1.0, 0.0]]), family=bases.standard_family(2),
-        condition_number=1.0)
+        w=np.array([[1.0, 0.0], [1.0, 0.0]]), family=bases.standard_family(2))
     with pytest.raises(NormalizationError):
         unscramble.recovered_state(states.make_state(np.diag([0.0, 1.0])), ops)
     ops = unscramble.UnscrambleOperators(
-        w=np.eye(3), family=bases.standard_family(3), condition_number=1.0)
+        w=np.eye(3), family=bases.standard_family(3))
     v = unscramble.build_v(ops, 1, [1.0, 0.0, 0.0])
     with pytest.raises(NormalizationError):
         unscramble.predict_table(states.make_state(np.diag([0.0, 1.0, 0.0])), v)
