@@ -15,12 +15,12 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
 from . import numerics, states
-from .bases import BasisFamily, mub, rotate_matrix
+from .bases import BasisFamily, mub, rotate_matrix, standard_family
 from .errors import (
     DimensionMismatchError,
     FormatError,
@@ -65,14 +65,15 @@ class EffectiveT:
     """Effective transmission matrix on the d logical modes.
 
     matrix[k, i] couples logical input mode i to logical output mode k,
-    expressed in the family basis_tag names (None means standard basis).
+    expressed in the family basis_tag names; None at construction stands
+    for the standard family, which is stored in its place.
     singular_values, in descending order, are computed once at
     construction; condition_number and the inversion in unscramble.build_w
     read them.
     """
 
     matrix: ComplexMatrix
-    basis_tag: Optional[BasisFamily] = None
+    basis_tag: BasisFamily = None
     singular_values: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
@@ -80,7 +81,9 @@ class EffectiveT:
         if m.shape[0] != m.shape[1]:
             raise DimensionMismatchError(
                 f"transmission matrix must be square, got {m.shape}")
-        if self.basis_tag is not None and self.basis_tag.dim != m.shape[0]:
+        if self.basis_tag is None:
+            object.__setattr__(self, "basis_tag", standard_family(m.shape[0]))
+        if self.basis_tag.dim != m.shape[0]:
             raise DimensionMismatchError(
                 f"basis tag {self.basis_tag.kind!r} has dim {self.basis_tag.dim}, "
                 f"matrix has dim {m.shape[0]}")
@@ -116,7 +119,7 @@ def choi_state(t: EffectiveT) -> states.BipartiteState:
     T^T / sqrt(dim); norm_sq equals ||T||_F^2 / dim, the postselection
     success probability.
     """
-    m = (t.matrix if t.basis_tag is None
+    m = (t.matrix if t.basis_tag.kind == "standard"
          else rotate_matrix(t.matrix, t.basis_tag, inverse=True))
     return states.make_state(m.T / np.sqrt(t.dim), physical=True)
 

@@ -48,7 +48,6 @@ import argparse
 import contextlib
 import functools
 import hashlib
-import json
 import math
 import numbers
 import os
@@ -332,14 +331,14 @@ def _load_t_hat(path: str) -> channel.EffectiveT:
     matrix = numerics.load_matrix_csv(path)
     meta_path = os.path.splitext(path)[0] + ".json"
     meta = numerics._read_json(meta_path) if os.path.exists(meta_path) else {}
-    basis_tag = meta.get("basis_tag")
+    # a missing or null basis_tag names the standard basis
+    basis_tag = "standard" if meta.get("basis_tag") is None else meta["basis_tag"]
     if meta.get("includes_reference", False) is not False:
         raise FormatError(f"{meta_path}: 'includes_reference' must be false")
-    if not isinstance(basis_tag, (str, type(None))):
+    if not isinstance(basis_tag, str):
         raise FormatError(f"{meta_path}: 'basis_tag' must be a string or null")
-    family = (None if basis_tag is None
-              else bases.parse_basis_spec(basis_tag, matrix.shape[0]))
-    return channel.EffectiveT(matrix=matrix, basis_tag=family)
+    return channel.EffectiveT(matrix=matrix, basis_tag=bases.parse_basis_spec(
+        basis_tag, matrix.shape[0]))
 
 
 def _build_ops(t: channel.EffectiveT, out: _Output) -> unscramble.UnscrambleOperators:
@@ -524,16 +523,18 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scan-family", help="scan basis: standard or mub:r")
 
 
-def _resolve_config(args: argparse.Namespace, scenario: str) -> ScenarioConfig:
-    data: Dict[str, object] = {}
-    if args.config:
-        try:
-            with open(args.config, "r", encoding="ascii") as fh:
-                data = json.load(fh)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ConfigError("config file must hold a JSON object")
+def _resolve_config(args: argparse.Namespace, scenario: str,
+                    strict: bool = True) -> ScenarioConfig:
+    """The settings of --config, if given, under the flags', run as `scenario`.
+
+    A config's `scenario` key, if it has one, must be `scenario` (strict, as
+    `run` asks) or, as `simulate` runs any scenario's settings, a scenario.
+    """
+    data = numerics._read_json(args.config) if args.config else {}
+    named = data.get("scenario", scenario)
+    if named != scenario and (strict or named not in _SCENARIOS):
+        wanted = f"--scenario {scenario!r}" if strict else "a scenario"
+        raise ConfigError(f"config {args.config}: scenario {named!r} is not {wanted}")
     data["scenario"] = scenario
     for key in ("d", "n_modes", "seed", "dark_rate", "reference_amplitude", "n_mc",
                 "scan_family"):
@@ -548,7 +549,7 @@ def _resolve_config(args: argparse.Namespace, scenario: str) -> ScenarioConfig:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args, "tomography")
+    cfg = _resolve_config(args, "tomography", strict=False)
     specs = args.basis or ["standard"] + [f"mub:{r}" for r in range(cfg.d)]
     with _Output(args.out, [args.config]) as out:
         ch = _draw_channel(cfg, out)

@@ -164,8 +164,10 @@ def is_prime(n: int) -> bool:
 # printed by %.17g (format()) alone.
 # The reader also takes CRLF line endings, empty lines anywhere and spaces
 # around fields, but not a cell line holding only whitespace. It hands the
-# cell lines to numpy's parser untouched; cells in the order written pass
-# the layout check in two vectorised comparisons.
+# cell lines to numpy's parser untouched and reads the cells only in the
+# order written: one vectorised comparison checks that cell line k is cell
+# (k // cols, k % cols), and a file listing its cells in any other order
+# is refused, naming the first line out of place.
 # ---------------------------------------------------------------------------
 
 
@@ -392,15 +394,17 @@ def _read_cells(path: Union[str, os.PathLike], columns: str, width: int,
     Returns the header lines above `columns`, stripped and without empty
     ones, and a (rows, cols, width) float array. The shape is the one the
     header declares (two integers >= 0 on the line after `rows,cols`), else
-    the one spanned by the largest indices seen.
-    Every cell of that grid must appear exactly once with finite values, and
-    the file must end with a newline as written, so one cut inside its last
-    number is seen too; anything else raises FormatError. Line endings may
-    be LF or CRLF, and empty lines and spaces around fields are skipped, but
-    a cell line holding only whitespace is malformed. Cells out of the
-    writer's order are judged by sorting them, and the lowest duplicate,
-    then the lowest missing cell is named. A hashlib object given as
-    `digest` is fed the file's bytes as read.
+    the one the last cell line gives.
+    The cells must be listed with finite values in the writer's row-major
+    order, cell line k being cell (k // cols, k % cols), every cell of the
+    grid once, and the file must end with a newline as written, so one cut
+    inside its last number is seen too; anything else raises FormatError.
+    The first cell line out of place is named: its index is not an integer,
+    its cell lies outside the grid, it repeats a cell (it comes before the
+    cell due there) or it skips one (the cell due there is missing). Line
+    endings may be LF or CRLF, and empty lines and spaces around fields are
+    skipped, but a cell line holding only whitespace is malformed. A
+    hashlib object given as `digest` is fed the file's bytes as read.
     """
     try:
         with open(path, "rb") as fh:
@@ -442,42 +446,28 @@ def _read_cells(path: Union[str, os.PathLike], columns: str, width: int,
     if not np.all(np.isfinite(cells)):
         raise FormatError(f"{path}: non-finite cell entry")
     idx = cells[:, :2]
-    # The writer's order: cell k is (k // cols, k % cols) for k < rows * cols.
-    # Without a declared shape the last cell gives it; int() may truncate a
-    # non-integer index there, but then the comparison fails.
     rows, cols = shape if shape is not None else (int(n) + 1 for n in idx[-1])
-    if cols >= 1 and rows * cols == len(cells):
-        k = np.arange(len(cells))
-        if np.all(idx[:, 0] == k // cols) and np.all(idx[:, 1] == k % cols):
-            return header, np.ascontiguousarray(cells[:, 2:]).reshape(rows, cols, width)
-    if np.any(idx != np.round(idx)):
-        raise FormatError(f"{path}: non-integer cell index")
-    if shape is None:
-        shape = tuple(int(n) + 1 for n in idx.max(axis=0))
-    rows, cols = shape
     if rows < 1 or cols < 1:
         raise FormatError(f"{path}: bad dimensions {rows}x{cols}")
-    outside = (idx < 0).any(axis=1) | (idx[:, 0] >= rows) | (idx[:, 1] >= cols)
-    if outside.any():
-        i, j = (int(n) for n in idx[np.argmax(outside)])
-        raise FormatError(f"{path}: cell ({i}, {j}) outside the {rows}x{cols} grid")
-    # Sorted row-major, the k-th cell must be cell k: a check in the number
-    # of cells listed, not in the grid size the header or the indices claim.
-    # The indices stay floats (exact integers here), as a declared grid may
-    # hold indices past the int64 range.
-    order = np.lexsort((idx[:, 1], idx[:, 0]))
-    ij = idx[order]
-    dup = np.flatnonzero(np.all(ij[1:] == ij[:-1], axis=1))
-    if dup.size:
-        i, j = (int(n) for n in ij[dup[0]])
-        raise FormatError(f"{path}: duplicate cell ({i}, {j})")
-    k = np.arange(len(ij))  # k < len(ij), so min(cols, len(ij)) splits k as cols does
-    gap = np.flatnonzero(np.any(ij != np.column_stack(np.divmod(k, min(cols, k.size))),
+    # Cell line k must be cell (k // cols, k % cols), whatever grid the header
+    # claims: k < len(idx), so min(cols, len(idx)) splits k as cols does.
+    k = np.arange(len(idx))
+    off = np.flatnonzero(np.any(idx != np.column_stack(np.divmod(k, min(cols, k.size))),
                                 axis=1))
-    if gap.size or k.size < rows * cols:
-        i, j = divmod(int(gap[0]) if gap.size else k.size, cols)
-        raise FormatError(f"{path}: missing cell ({i}, {j})")
-    return header, cells[order, 2:].reshape(rows, cols, width)
+    first = min(int(off[0]) if off.size else k.size, rows * cols)  # the line judged
+    if first == k.size == rows * cols:
+        return header, np.ascontiguousarray(cells[:, 2:]).reshape(rows, cols, width)
+    want = divmod(first, cols)
+    if first < k.size:
+        i, j = idx[first].tolist()  # Python floats: they may pass the int64 range
+        if not (i.is_integer() and j.is_integer()):
+            raise FormatError(f"{path}: non-integer cell index")
+        if not (0 <= i < rows and 0 <= j < cols):
+            raise FormatError(f"{path}: cell ({int(i)}, {int(j)}) outside the "
+                              f"{rows}x{cols} grid")
+        if (i, j) < want:
+            raise FormatError(f"{path}: duplicate cell ({int(i)}, {int(j)})")
+    raise FormatError(f"{path}: missing cell {want}")
 
 
 def save_matrix_csv(path: Union[str, os.PathLike], m: ComplexMatrix) -> None:

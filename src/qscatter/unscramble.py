@@ -34,7 +34,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from . import numerics
-from .bases import RECOVERED, BasisFamily, mub, parse_label, standard_family, tilted
+from .bases import RECOVERED, BasisFamily, mub, parse_label, tilted
 from .channel import EffectiveT
 from .errors import (
     ConditioningError,
@@ -108,15 +108,13 @@ class UnscrambleOperators:
 def build_w(t: EffectiveT) -> UnscrambleOperators:
     """Invert a tagged transmission matrix into unscrambling operators.
 
-    The matrix may carry any unitary-family tag (untagged means standard).
+    The matrix may carry any unitary-family tag.
     It is inverted exactly unless its smallest singular value falls below
     PINV_RCOND times its largest; then the pseudo-inverse with that cutoff
     is used. The choice reads the singular values t carries, as does
     t.condition_number. An all-zero matrix raises ConditioningError.
     """
     fam = t.basis_tag
-    if fam is None:
-        fam = standard_family(t.dim)
     if fam.kind.startswith("tilted"):
         raise NormalizationError("scan family must be unitary (standard or unbiased)")
     sv = t.singular_values

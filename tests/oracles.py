@@ -86,26 +86,12 @@ def write_cells_per_cell(path, header, columns, grids) -> None:
                 fh.write(",".join([str(i), str(j), *values]) + "\n")
 
 
-def first_bad_cell(cells, rows: int, cols: int):
-    """`duplicate cell (i, j)` for the lowest cell (row-major) listed more
-    than once, else `missing cell (i, j)` for the lowest one not listed,
-    else None, from a count kept for every cell of the rows x cols grid."""
-    seen = np.zeros((rows, cols), dtype=np.int64)
-    for i, j in cells:
-        seen[i, j] += 1
-    for problem, mask in (("duplicate", seen > 1), ("missing", seen == 0)):
-        if mask.any():
-            i, j = np.argwhere(mask)[0]
-            return f"{problem} cell ({i}, {j})"
-    return None
-
-
 def read_cells_by_lines(path, columns: str, width: int):
     """numerics._read_cells one line at a time: every line is stripped in
     Python and empty ones are dropped before np.loadtxt, so a
-    whitespace-only line is skipped wherever it is, and the layout is
-    always checked by sorting. Returns (header, (rows, cols, width) array)
-    or raises FormatError."""
+    whitespace-only line is skipped wherever it is, and each cell line is
+    checked in turn against the cell the writer puts there. Returns
+    (header, (rows, cols, width) array) or raises FormatError."""
     try:
         with open(path, "r", encoding="ascii") as fh:
             raw = fh.readlines()
@@ -136,31 +122,28 @@ def read_cells_by_lines(path, columns: str, width: int):
     if not np.all(np.isfinite(cells)):
         raise FormatError(f"{path}: non-finite cell entry")
     idx = cells[:, :2]
-    if np.any(idx != np.round(idx)):
-        raise FormatError(f"{path}: non-integer cell index")
     if shape is None:
-        shape = tuple(int(n) + 1 for n in idx.max(axis=0))
+        shape = tuple(int(n) + 1 for n in idx[-1])
     rows, cols = shape
     if rows < 1 or cols < 1:
         raise FormatError(f"{path}: bad dimensions {rows}x{cols}")
-    outside = (idx < 0).any(axis=1) | (idx[:, 0] >= rows) | (idx[:, 1] >= cols)
-    if outside.any():
-        i, j = idx[np.argmax(outside)].astype(np.int64)
-        raise FormatError(f"{path}: cell ({i}, {j}) outside the {rows}x{cols} grid")
-    # Sorted row-major, the k-th cell must be cell k: a check in the number
-    # of cells listed, not in the grid size the header or the indices claim.
-    order = np.lexsort((idx[:, 1], idx[:, 0]))
-    ij = idx[order].astype(np.int64)
-    dup = np.flatnonzero(np.all(ij[1:] == ij[:-1], axis=1))
-    if dup.size:
-        raise FormatError(f"{path}: duplicate cell ({ij[dup[0], 0]}, {ij[dup[0], 1]})")
-    k = np.arange(len(ij))  # k < len(ij), so min(cols, len(ij)) splits k as cols does
-    gap = np.flatnonzero(np.any(ij != np.column_stack(np.divmod(k, min(cols, k.size))),
-                                axis=1))
-    if gap.size or k.size < rows * cols:
-        i, j = divmod(int(gap[0]) if gap.size else k.size, cols)
+    # Line k of the cells must be cell (k // cols, k % cols); the first line
+    # that is not is named.
+    for k, (i, j) in enumerate(idx.tolist()):
+        if i != int(i) or j != int(j):
+            raise FormatError(f"{path}: non-integer cell index")
+        i, j = int(i), int(j)
+        if not (0 <= i < rows and 0 <= j < cols):
+            raise FormatError(f"{path}: cell ({i}, {j}) outside the {rows}x{cols} grid")
+        due = divmod(k, cols)
+        if (i, j) < due:
+            raise FormatError(f"{path}: duplicate cell ({i}, {j})")
+        if (i, j) > due:
+            raise FormatError(f"{path}: missing cell ({due[0]}, {due[1]})")
+    if len(idx) < rows * cols:
+        i, j = divmod(len(idx), cols)
         raise FormatError(f"{path}: missing cell ({i}, {j})")
-    return header, cells[order, 2:].reshape(rows, cols, width)
+    return header, cells[:, 2:].reshape(rows, cols, width)
 
 
 def noiseless_table(probs: np.ndarray, label: str) -> CountTable:

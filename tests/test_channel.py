@@ -62,7 +62,7 @@ def test_effective_t_extracts_the_right_block():
     ch = channel.haar_channel(3, 9, 2)
     t = channel.effective_t(ch)
     np.testing.assert_array_equal(t.matrix, ch.isometry[1:4, 1:4])
-    assert t.dim == 3 and t.basis_tag is None
+    assert t.dim == 3 and t.basis_tag.kind == "standard"
 
 
 def test_effective_t_rejects_amplification():
@@ -202,7 +202,7 @@ def test_load_channel_rejects_bad_sidecars(tmp_path, sidecar):
 def test_fixture_matrix_properties():
     t = channel.load_fixture_tm0()
     assert t.dim == 7
-    assert t.basis_tag is not None and t.basis_tag.kind == "mub:0"
+    assert t.basis_tag.kind == "mub:0"
     assert np.linalg.norm(t.matrix) == pytest.approx(1.0)
     ref = resources.files("qscatter.fixtures").joinpath("fixture_tm0.csv")
     with resources.as_file(ref) as path:

@@ -485,18 +485,42 @@ def test_bad_settings_exit_2_naming_the_field(tmp_path, fails, field, config, fl
 
 
 @pytest.mark.parametrize("config, flags, message", [
-    ('{"d": 3, "n_modes": 8, "bogus": 1}', [], "unknown config keys: ['bogus']"),
-    ("[1]", [], "config file must hold a JSON object"),
-    ('{"d": 3, "n_modes": 8, "exposure": "lots"}', [], "bad exposure 'lots'"),
-    (None, ["--exposure", "lots"], "bad exposure: 'lots'"),
-], ids=["unknown-key", "not-an-object", "exposure-word", "exposure-flag-word"])
+    ('{"d": 3, "n_modes": 8, "bogus": 1}', [], "config error: unknown config keys: ['bogus']"),
+    ("[1]", [], "error: {cfg}: not a JSON object with the keys []"),
+    ('{"d": 3, "n_modes": 8, "exposure": "lots"}', [], "config error: bad exposure 'lots'"),
+    (None, ["--exposure", "lots"], "config error: bad exposure: 'lots'"),
+    ('{"scenario": "tomography"}', [],
+     "config error: config {cfg}: scenario 'tomography' is not --scenario 'baseline'"),
+    ('{"scenario": "tom{graphy"}', [],
+     "config error: config {cfg}: scenario 'tom{graphy' is not --scenario 'baseline'"),
+], ids=["unknown-key", "not-an-object", "exposure-word", "exposure-flag-word",
+        "scenario-other", "scenario-typo"])
 def test_a_malformed_config_exits_2(tmp_path, fails, config, flags, message):
+    """A config whose `scenario` is not --scenario is refused, naming both; a
+    config read is refused as any JSON file the command line reads is."""
     argv = ["run", "--scenario", "baseline", "--d", "3", "--n-modes", "8", *flags]
+    cfg_path = tmp_path / "cfg.json"
     if config is not None:
-        cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(config)
         argv += ["--config", str(cfg_path)]
-    assert fails(argv, 2) == f"config error: {message}\n"
+    assert fails(argv, 2) == message.replace("{cfg}", str(cfg_path)) + "\n"
+
+
+def test_simulate_takes_any_scenarios_config_but_no_other_name(tmp_path, fails):
+    """simulate --config reads a config.json that any `run` wrote, whatever
+    scenario it names, and refuses a name that is no scenario."""
+    cfg_path = tmp_path / "cfg.json"
+    settings = {"d": 3, "n_modes": 8, "exposure": "inf", "n_mc": 0, "seed": 1}
+    outs = []
+    for scenario in ("tomography", "fixture-a1", None):
+        cfg_path.write_text(json.dumps({**settings, "scenario": scenario}
+                                       if scenario else settings))
+        outs.append(tmp_path / f"sim-{scenario}")
+        assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(outs[-1])]) == 0
+    assert _tree(outs[0]) == _tree(outs[1]) == _tree(outs[2])
+    cfg_path.write_text(json.dumps({**settings, "scenario": "nonsense"}))
+    assert fails(["simulate", "--config", str(cfg_path)], 2) == (
+        f"config error: config {cfg_path}: scenario 'nonsense' is not a scenario\n")
 
 
 def test_poisson_means_past_numpy_limit_exit_2(tmp_path, fails):
@@ -649,6 +673,29 @@ def test_a_huge_claimed_grid_exits_2_without_allocating_it(tmp_path, fails,
     extra = ["--table", str(path)] if argv[0] == "certify" else []
     err = fails([*argv, str(path), *extra], 2)
     assert "missing cell (0, 1)" in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("name, columns, argv", [
+    ("tables/recovered_standard.csv", "a,b,count",
+     ["certify", "--standard", "{copy}/tables/recovered_standard.csv",
+      "--table", "{copy}/tables/recovered_tilted_0.csv", "--n-mc", "0"]),
+    ("t_hat.csv", "i,j,re,im", ["unscramble", "--t-hat", "{copy}/t_hat.csv"]),
+    ("scans/s_step0.csv", "a,b,count", ["tomo", "--scans", "{copy}/scans"]),
+], ids=["certify", "unscramble", "tomo"])
+def test_a_file_with_two_cell_lines_swapped_exits_2(tmp_path, fails, filled_out,
+                                                    name, columns, argv):
+    """Cells are read only in the writer's order: with its first two cell
+    lines exchanged, a table, a t_hat.csv or a scan step file is refused,
+    naming the cell due on the first line."""
+    copy = tmp_path / "swapped"
+    shutil.copytree(filled_out, copy)
+    path = copy / name
+    lines = path.read_text(encoding="ascii").splitlines(keepends=True)
+    k = lines.index(columns + "\n") + 1
+    lines[k:k + 2] = lines[k + 1], lines[k]
+    path.write_text("".join(lines), encoding="ascii")
+    err = fails([arg.format(copy=copy) for arg in argv], 2)
+    assert err == f"error: {path}: missing cell (0, 0)\n"
 
 
 _TABLE_HEAD = b"basisA,basisB,exposure,seed\nstandard,standard*,1e4,none\n"
@@ -963,8 +1010,8 @@ def test_the_parent_of_out_is_never_written(tmp_path, monkeypatch, filled_out):
       "--table", "{out}/report.json"], False),
     (["run", "--scenario", "baseline", "--n-mc", "0", "--config", "{out}/tables/c.json"],
      True),
-    (["run", "--scenario", "baseline", "--n-mc", "0", "--config", "{out}/config.json"],
-     True),
+    (["run", "--scenario", "unscramble-certify", "--n-mc", "0", "--config",
+      "{out}/config.json"], True),
     (["simulate", "--config", "{out}/scans/c.json"], True),
 ], ids=["t-hat", "lambdas", "scans", "table", "run-config", "run-config-json",
         "simulate-config"])

@@ -88,7 +88,19 @@ def _crlf(data, rng):
     return data.replace(b"\n", b"\r\n")
 
 
-MUTATIONS = (_truncate, _line, _char, _number, _structure, _crlf)
+def _swap(data, rng):
+    """Exchange two cell lines (in a file with no columns line, two lines)."""
+    lines = data.splitlines(keepends=True)
+    columns = [k for k, line in enumerate(lines) if line.strip() in HEADER_LINES[:2]]
+    cells = range(columns[0] + 1 if columns else 0, len(lines))
+    if len(cells) < 2:
+        return data
+    a, b = rng.sample(cells, 2)
+    lines[a], lines[b] = lines[b], lines[a]
+    return b"".join(lines)
+
+
+MUTATIONS = (_truncate, _line, _char, _number, _structure, _crlf, _swap)
 
 
 def mutate(data, rng):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import first_bad_cell, read_cells_by_lines, write_cells_per_cell
+from oracles import read_cells_by_lines, write_cells_per_cell
 from qscatter import channel, cli, measure, numerics, unscramble
 from qscatter.errors import (
     ConditioningError,
@@ -402,29 +402,44 @@ def test_matrix_csv_rejects_corrupt_cells(tmp_path, corruption):
                      "--out", str(tmp_path / "out")]) == 2
 
 
-def test_read_cells_names_the_lowest_duplicate_then_the_lowest_missing_cell(tmp_path):
-    """Cells listed in any order, some dropped and some repeated, are judged
-    as a count over the whole grid judges them (oracles.first_bad_cell);
-    a complete grid reads back with every value in its place."""
+def test_read_cells_names_the_first_cell_out_of_the_writers_order(tmp_path):
+    """A listing shuffled, with holes or with repeats is refused, naming the
+    first cell line that is not the cell the writer puts there; a complete
+    grid listed in the writer's row-major order reads back with every value
+    in its place."""
     rng = np.random.default_rng(23)
     path = tmp_path / "m.csv"
     for _ in range(200):
         rows, cols = (int(n) for n in rng.integers(1, 5, size=2))
-        cells = [(i, j) for i in range(rows) for j in range(cols) if rng.random() > 0.1]
-        cells = cells or [(0, 0)]
-        cells += [cells[k] for k in rng.integers(len(cells), size=rng.integers(0, 3))]
-        rng.shuffle(cells)
+        grid = [(i, j) for i in range(rows) for j in range(cols)]
+        cells = list(grid)
+        edit = rng.integers(3)
+        if edit == 0:  # two cells exchanged, or all shuffled
+            a, b = rng.integers(len(cells), size=2)
+            cells[a], cells[b] = cells[b], cells[a]
+            if rng.random() < 0.5:
+                rng.shuffle(cells)
+        elif edit == 1:  # cells dropped
+            cells = [c for c in cells if rng.random() > 0.2] or [(0, 0)]
+        else:  # a cell repeated
+            k = int(rng.integers(len(cells)))
+            cells.insert(int(rng.integers(k, len(cells) + 1)), cells[k])
         lines = ["rows,cols", f"{rows},{cols}", "i,j,re,im",
                  *[f"{i},{j},{i},{j}" for i, j in cells]]
         path.write_text("\n".join(lines) + "\n", encoding="ascii")
-        expected = first_bad_cell(cells, rows, cols)
-        if expected is None:
+        if cells == grid:
             np.testing.assert_array_equal(
                 numerics.load_matrix_csv(path),
                 np.arange(rows)[:, None] + 1j * np.arange(cols)[None, :])
+            continue
+        k = next((k for k, (cell, due) in enumerate(zip(cells, grid)) if cell != due),
+                 min(len(cells), len(grid)))
+        if k < len(cells) and (k == len(grid) or cells[k] < grid[k]):
+            expected = f"duplicate cell {cells[k]}"
         else:
-            with pytest.raises(FormatError, match=re.escape(expected) + "$"):
-                numerics.load_matrix_csv(path)
+            expected = f"missing cell {grid[k]}"
+        with pytest.raises(FormatError, match=re.escape(expected) + "$"):
+            numerics.load_matrix_csv(path)
 
 
 # ---------------------------------------------------------------------------
@@ -467,10 +482,7 @@ def _check_reader(path, columns, width, capsys) -> None:
     rejects makes certify exit 2 with one stderr line."""
     text = path.read_text(encoding="ascii")  # universal newlines, as both readers
     try:
-        with warnings.catch_warnings():
-            # it casts an index past 2**63 to int64 for its message
-            warnings.simplefilter("ignore", RuntimeWarning)
-            want = read_cells_by_lines(path, columns, width)
+        want = read_cells_by_lines(path, columns, width)
     except FormatError:
         want = None
     with warnings.catch_warnings():
@@ -616,12 +628,17 @@ def test_read_cells_reads_crlf_empty_lines_and_spaced_fields_but_not_blank_cell_
 
 
 def test_read_cells_names_indices_past_the_int64_range_without_a_warning(tmp_path):
+    """Indices and claimed sizes past the int64 range, and a size past the
+    float range, are judged and named without a warning or an overflow."""
     path = tmp_path / "m.csv"
     big = 2 ** 63
     for rows, cells, message in [
             (3, [(0, 0), (float(big), 0)], f"cell ({big}, 0) outside the 3x1 grid"),
-            (10 ** 30, [(float(big), 0), (float(big), 0)], f"duplicate cell ({big}, 0)"),
-            (10 ** 30, [(float(big), 0)], "missing cell (0, 0)")]:
+            (10 ** 30, [(0, 0), (-2.0 * big, 0)],
+             f"cell ({-2 * big}, 0) outside the {10 ** 30}x1 grid"),
+            (10 ** 30, [(0, 0), (0, 0)], "duplicate cell (0, 0)"),
+            (10 ** 30, [(float(big), 0)], "missing cell (0, 0)"),
+            (10 ** 400, [(0, 0), (1e300, 0)], "missing cell (1, 0)")]:
         path.write_text("\n".join(["rows,cols", f"{rows},1", "i,j,re,im",
                                    *[f"{i!r},{j},1,0" for i, j in cells]]) + "\n",
                         encoding="ascii")

@@ -25,7 +25,7 @@
 # copy of the noisy --scan-family standard tomography run's t_hat.csv
 # without its t_hat.json (an untagged matrix), plus one noiseless
 # tomography run at d=7 through N=2000 modes (a 2000-row channel.csv),
-# plus nine errors that must exit 2 and leave their --out absent
+# plus eleven errors that must exit 2 and leave their --out absent
 # (run --scenario fixture-a1 --d 5, simulate --basis tilted:1, simulate
 # --basis mub:01, which is not how mub:1 is spelled, unscramble
 # --lambdas with a spectrum whose squares sum to 1.8, certify given
@@ -35,9 +35,14 @@
 # recovered_tilted_0.csv is moved by half its row's row_scale factor, so
 # it is no longer a whole count times row_scale, certify given a copy of
 # sim/tables/standard.csv whose basisB field reads stxndard*, not the
-# standard* its basisA gives, and tomo on a copy of the d=5 scans with
-# s_step1.csv and s_step2.csv swapped, so each holds the other's step;
-# trees that do not check labels exit 0 on the last two), each with
+# standard* its basisA gives, tomo on a copy of the d=5 scans with
+# s_step1.csv and s_step2.csv swapped, so each holds the other's step,
+# certify given a copy of sim/tables/standard.csv with its first two cell
+# lines swapped, out of the writer's order, and run --scenario baseline
+# --config on a config whose scenario is tomography; trees that do not
+# check labels exit 0 on the basisB and swapped-step cases, trees that
+# sort cells on the swapped-cell case and trees that overwrite a config's
+# scenario on the last), each with
 # its own --out, plus tomo --ref-floor 0.999 on the d=5 scans, which must
 # exit 3 with its degenerate-reference message. Two tomo steps run on
 # copies of the d=5 scans, one without meta.json and one whose meta.json is
@@ -174,6 +179,16 @@ run_grid() {
         >"$out/copies/standard-basis-b.csv"
     q "$src" "$out" certify-edited-basis-b certify --standard copies/standard-basis-b.csv \
         "${sim_tables[@]}" --n-mc 40 --seed 3 --out certify-edited-basis-b
+    awk 'first && NR == first + 1 { held = $0; next }
+        first && NR == first + 2 { print; print held; next }
+        { print } $0 == "a,b,count" { first = NR }' "$out/sim/tables/standard.csv" \
+        >"$out/copies/standard-swapped.csv"
+    q "$src" "$out" certify-swapped-cells certify --standard copies/standard-swapped.csv \
+        "${sim_tables[@]}" --n-mc 40 --seed 3 --out certify-swapped-cells
+    printf '{"scenario": "tomography", "d": 3, "n_modes": 8, "n_mc": 0}\n' \
+        >"$out/config-tomography.json"
+    q "$src" "$out" run-config-other-scenario run --scenario baseline \
+        --config config-tomography.json --out run-config-other-scenario
     mkdir "$out/edited"
     cp "$out"/unscramble-certify-3/tables/recovered_*.csv "$out/edited/"
     # Line 4 holds the row_scale factors; cell (0, 0) moves by half of row 0's.
